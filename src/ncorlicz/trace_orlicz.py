@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import CLUSTER_RTOL, RANK_RTOL
+from ._linalg import CLUSTER_RTOL, RANK_RTOL, singular_values
 from .algebra import Element, absolute, positive_eigenvalues, trace
 from .errors import ConvergenceError, ValidationError
 from .orliczfn import INF, OrliczFunction
@@ -97,19 +97,19 @@ class RearrangementFunction:
 def singular_value_measures(x: Element) -> list[tuple[float, float]]:
     """Nonzero singular values of x with their tau-measures, merged descending.
 
-    Each singular value of block i carries measure c_i per multiplicity;
-    values within the cluster tolerance are merged (measure-weighted mean).
+    Each block x_i is factored once, directly, by the one-sided Jacobi kernel
+    ``singular_values`` (exact power-of-two prescale, so any finite scale
+    works and small values keep their relative accuracy); x*x is never
+    formed.  Values at or below RANK_RTOL times the block's largest are
+    dropped.  Each remaining singular value of block i carries measure c_i
+    per multiplicity; values within the cluster tolerance are merged
+    (measure-weighted mean).
     """
-    ax = absolute(x)
     pairs = []
-    for i, vals in enumerate(positive_eigenvalues(ax)):
-        if not vals:
-            continue
-        top = max(vals)
-        c = x.algebra.weights[i]
-        for v in vals:
-            if v > RANK_RTOL * max(top, 0.0):
-                pairs.append((v, c))
+    for c, block in zip(x.algebra.weights, x.blocks):
+        vals = singular_values(block)
+        cut = RANK_RTOL * vals[0]
+        pairs.extend((float(v), c) for v in vals if v > cut)
     pairs.sort(key=lambda p: -p[0])
     merged: list[list[float]] = []
     for v, m in pairs:
@@ -157,7 +157,9 @@ def fk_integral(phi: OrliczFunction, x: Element) -> float:
     """tau(Phi(|x|)) with the step-function route asserted against the spectral route.
 
     Returns sum_j Phi(v_j) l_j over the rearrangement steps and checks it
-    against the blockwise spectral sum within 1e-10 relative.
+    against the blockwise spectral sum within 1e-10 relative.  The two routes
+    factor x independently: the steps come from one-sided Jacobi on each
+    block, the spectral sum from the eigenvalues of |x| = (x*x)^(1/2).
     """
     steps = rearrangement(x).steps
     lhs = 0.0
