@@ -8,10 +8,13 @@ which makes the O(n^3-per-sweep) cost irrelevant and lets Jacobi deliver its
 usual high relative accuracy (Demmel & Veselic, "Jacobi's method is more
 accurate than QR", SIAM J. Matrix Anal. Appl. 13, 1992).
 
-Both kernels prescale by an exact power of two taken from the largest entry,
-so their thresholds neither overflow nor underflow anywhere in the binary64
-range; the eigensolver does this only when the Frobenius norm of its input
-leaves [2^-450, 2^450], so inputs of ordinary size take the unscaled path.
+Both kernels run in scalar Python ``complex`` arithmetic on lists (rows for
+the eigensolver, columns for singular values and eigenvectors) and share
+one plane-rotation formula, ``_rotation``; no rotation makes a numpy call.
+Both prescale by an exact power of two (the eigensolver from the Frobenius
+norm of its input, singular values from the largest entry) that is undone
+on the results, so their thresholds neither overflow nor underflow anywhere
+in the binary64 range and 2^k a gives exactly 2^k times the values of a.
 """
 
 from __future__ import annotations
@@ -32,13 +35,12 @@ MAX_SWEEPS = 64
 # multiple of ||a_p|| ||a_q||; a sweep without a rotation ends the iteration.
 ORTH_TOL = 1e-15
 
-# Frobenius norms outside [2^-450, 2^450] send hermitian_eigh through the
-# power-of-two prescale: there the squared entries behind the norm and the
-# threshold come close to overflow or underflow.  After its prescale,
-# singular_values leaves columns of norm below 2^-450 unrotated: their
-# cosines would underflow, and such values lie far below RANK_RTOL.
-_SAFE_LO = 2.0 ** -450
-_SAFE_HI = 2.0 ** 450
+# pow2_prescale leaves matrices alone while their largest entry lies in
+# [2^-451, 2^450): there products of two entries stay normal.  After its
+# prescale, singular_values leaves columns of norm below 2^-450 unrotated:
+# their cosines would underflow, and such values lie far below RANK_RTOL.
+_SAFE_EXP = 450
+_SAFE_LO = 2.0 ** -_SAFE_EXP
 
 # Eigenvalues closer than this (relative) are merged into one spectral
 # projection, which stabilizes projections under degeneracy.
@@ -48,14 +50,14 @@ CLUSTER_RTOL = 1e-9
 # zero: it is excluded from supports, ranks and pseudo-inverses.
 RANK_RTOL = 1e-11
 
+# A Hermitian block counts as positive while its smallest eigenvalue is at
+# least -POSITIVITY_RTOL times its largest eigenvalue modulus.
+POSITIVITY_RTOL = 1e-10
+
 
 def frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
-
-
-def _offdiag_mass(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+    """Frobenius norm; finite whenever it is representable (no squares are formed)."""
+    return math.hypot(*map(abs, np.ravel(a).tolist()))
 
 
 def _pow2_exponent(a: np.ndarray) -> int:
@@ -81,88 +83,96 @@ def _ldexp_matrix(a: np.ndarray, e: int) -> np.ndarray:
     return out
 
 
-def hermitian_eigh(a: np.ndarray, rel_off: float = JACOBI_REL_OFF,
-                   max_sweeps: int = MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and orthonormal eigenvectors of a Hermitian matrix.
 
     Cyclic Jacobi: sweeps run over pairs (p, q), p < q, in row-major order,
     each rotation being a phase times a real plane rotation that zeroes the
-    (p, q) entry.  Convergence is declared once the off-diagonal Frobenius
-    mass drops below ``rel_off`` times the input norm.
+    (p, q) entry.  The iteration stops once the off-diagonal Frobenius mass
+    is at most ``JACOBI_REL_OFF`` times the norm of the block, tested once
+    before each sweep.
 
-    When that norm is non-finite, or zero or outside [2^-450, 2^450], the
-    matrix is first scaled by an exact power of two (see ``_pow2_exponent``)
-    and the eigenvalues are scaled back; non-finite entries raise
-    ValidationError.
+    The block is taken as (a + a*) / 2 after an exact power-of-two prescale
+    by its Frobenius norm (see ``_pow2_exponent`` when that norm overflows),
+    and held as rows of Python ``complex``, the eigenvectors as column lists.
+    A rotation rebuilds rows p and q, sets the two diagonal entries by
+    Rutishauser's update, zeroes (p, q) and mirrors the conjugates into
+    columns p and q, so no rotation makes a numpy call.  The eigenvalues are
+    scaled back at the end.  Non-finite entries raise ValidationError.
     """
-    n = a.shape[0]
-    work = np.array(a, dtype=np.complex128)
-    scale = frobenius(work)
-    e = 0
-    if not _SAFE_LO <= scale <= _SAFE_HI:
-        e = _pow2_exponent(work)
-        work = _ldexp_matrix(work, -e)
-        scale = frobenius(work)
-    vecs = np.eye(n, dtype=np.complex128)
-    if n <= 1 or scale == 0.0:
-        return _descending(work, vecs, e)
-
-    thresh = rel_off * scale
-    if not math.isfinite(thresh):
-        raise ConvergenceError(f"Jacobi threshold {thresh!r} is not finite")
-    converged = False
-    for _ in range(max_sweeps):
-        if _offdiag_mass(work) <= thresh:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                absa = abs(apq)
-                if absa == 0.0:
-                    continue
-                app = work[p, p].real
-                aqq = work[q, q].real
-                u = apq / absa
-                tau = (aqq - app) / (2.0 * absa)
-                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                # Unitary in the (p, q) plane: [[c, s], [-conj(u) s, conj(u) c]].
-                ub = np.conj(u)
-                colp = work[:, p].copy()
-                colq = work[:, q].copy()
-                work[:, p] = c * colp - (ub * s) * colq
-                work[:, q] = s * colp + (ub * c) * colq
-                rowp = work[p, :].copy()
-                rowq = work[q, :].copy()
-                work[p, :] = c * rowp - (u * s) * rowq
-                work[q, :] = s * rowp + (u * c) * rowq
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-                work[p, p] = work[p, p].real
-                work[q, q] = work[q, q].real
-                vp = vecs[:, p].copy()
-                vq = vecs[:, q].copy()
-                vecs[:, p] = c * vp - (ub * s) * vq
-                vecs[:, q] = s * vp + (ub * c) * vq
-    else:
-        converged = _offdiag_mass(work) <= thresh
-    if not converged:
-        raise ConvergenceError(
-            f"Jacobi eigensolver did not reach off-diagonal mass {thresh:.3e} "
-            f"in {max_sweeps} sweeps (residual {_offdiag_mass(work):.3e})")
-    return _descending(work, vecs, e)
+    w = np.asarray(a, dtype=np.complex128)
+    rows = w.tolist()
+    n = len(rows)
+    scale = math.hypot(*[abs(x) for row in rows for x in row])
+    e = math.frexp(scale)[1] if math.isfinite(scale) else _pow2_exponent(w)
+    half = math.ldexp(0.5, -e)
+    rows = [[half * x + half * y.conjugate() for x, y in zip(row, col)]
+            for row, col in zip(rows, zip(*rows))]
+    vecs = [[complex(i == j) for i in range(n)] for j in range(n)]
+    thresh = JACOBI_REL_OFF * math.hypot(*[abs(x) for row in rows for x in row])
+    sweeps = 0
+    while (off := _off_mass(rows)) > thresh:
+        if sweeps == MAX_SWEEPS:
+            raise ConvergenceError(
+                f"Jacobi eigensolver did not reach off-diagonal mass {thresh:.3e} "
+                f"in {MAX_SWEEPS} sweeps (residual {off:.3e})")
+        _jacobi_sweep(rows, vecs)
+        sweeps += 1
+    # sorted() is stable with reverse=True: equal eigenvalues keep their order.
+    order = sorted(range(n), key=lambda i: rows[i][i].real, reverse=True)
+    vecs = np.array([vecs[i] for i in order], dtype=np.complex128).reshape(n, n).T
+    return ldexp_values([rows[i][i].real for i in order], e, "eigenvalues"), vecs
 
 
-def _descending(work: np.ndarray, vecs: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal of ``work`` times 2^e, sorted descending, with matching columns of ``vecs``."""
-    vals = np.real(np.diag(work)).astype(np.float64)
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    if e:
-        vals = _ldexp_values(vals, e, "eigenvalues")
-    return vals, vecs[:, order]
+def _off_mass(rows: list[list[complex]]) -> float:
+    """Frobenius norm of the off-diagonal part of a Hermitian matrix held as rows."""
+    return math.sqrt(2.0 * math.fsum(abs(x) ** 2 for p, row in enumerate(rows)
+                                     for x in row[p + 1:]))
+
+
+def _rotation(d: float, g: complex, absg: float) -> tuple[float, float, float, complex]:
+    """Jacobi rotation (t, c, s, u) that zeroes g in [[a, g], [conj(g), a + d]].
+
+    ``u = g / |g|`` is the phase and t = s / c the root of t^2 + 2 tau t = 1
+    with tau = d / (2|g|) of smaller modulus; the rotated diagonal is a - t|g|
+    and a + d + t|g|.
+    """
+    u = g / absg
+    tau = d / (2.0 * absg)
+    t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
+    c = 1.0 / math.hypot(1.0, t)
+    return t, c, t * c, u
+
+
+def _jacobi_sweep(rows: list[list[complex]], vecs: list[list[complex]]) -> None:
+    """One cyclic sweep of two-sided Jacobi on ``rows`` and the columns ``vecs``, in place."""
+    n = len(rows)
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            rp, rq = rows[p], rows[q]
+            apq = rp[q]
+            absa = abs(apq)
+            if absa == 0.0:
+                continue
+            app, aqq = rp[p].real, rq[q].real
+            t, c, s, u = _rotation(aqq - app, apq, absa)
+            # J* A J with J = [[c, s], [-conj(u) s, conj(u) c]] in the (p, q) plane.
+            us, uc = u * s, u * c
+            new_p = [c * x - us * y for x, y in zip(rp, rq)]
+            new_q = [s * x + uc * y for x, y in zip(rp, rq)]
+            new_p[p] = app - t * absa
+            new_q[q] = aqq + t * absa
+            new_p[q] = new_q[p] = 0j
+            rows[p], rows[q] = new_p, new_q
+            # Columns p and q are the conjugates of rows p and q (diagonal real, (p, q) zero).
+            for k, row in enumerate(rows):
+                if k != p and k != q:
+                    row[p] = new_p[k].conjugate()
+                    row[q] = new_q[k].conjugate()
+            vp, vq = vecs[p], vecs[q]
+            ubs, ubc = us.conjugate(), uc.conjugate()
+            vecs[p] = [c * x - ubs * y for x, y in zip(vp, vq)]
+            vecs[q] = [s * x + ubc * y for x, y in zip(vp, vq)]
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:
@@ -189,8 +199,7 @@ def singular_values(a: np.ndarray) -> np.ndarray:
         if sweeps == MAX_SWEEPS:
             raise ConvergenceError(f"one-sided Jacobi did not orthogonalize {len(cols)} "
                                    f"columns in {MAX_SWEEPS} sweeps")
-    return _ldexp_values(np.array(sorted(norms, reverse=True), dtype=np.float64), e,
-                         "singular values")
+    return ldexp_values(sorted(norms, reverse=True), e, "singular values")
 
 
 def _norm(col: list[complex]) -> float:
@@ -217,11 +226,8 @@ def _hestenes_sweep(cols: list[list[complex]], norms: list[float]) -> bool:
             rotated = True
             # The rotation of hermitian_eigh for the Gram entries
             # [[norm_p^2, g], [conj(g), norm_q^2]], applied to the columns themselves.
-            ub = (g / absg).conjugate()
-            tau = (norm_q - norm_p) * (norm_q + norm_p) / (2.0 * absg)
-            t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
-            c = 1.0 / math.hypot(1.0, t)
-            s = t * c
+            _, c, s, u = _rotation((norm_q - norm_p) * (norm_q + norm_p), g, absg)
+            ub = u.conjugate()
             us, uc = ub * s, ub * c
             cols[p] = [c * x - us * y for x, y in zip(cp, cq)]
             cols[q] = [s * x + uc * y for x, y in zip(cp, cq)]
@@ -230,12 +236,34 @@ def _hestenes_sweep(cols: list[list[complex]], norms: list[float]) -> bool:
     return rotated
 
 
-def _ldexp_values(vals: np.ndarray, e: int, what: str) -> np.ndarray:
-    """vals * 2^e; a result beyond the binary64 range raises ValidationError."""
-    out = np.ldexp(vals, e)
-    if not np.all(np.isfinite(out)):
-        raise ValidationError(f"the matrix has {what} beyond the binary64 range")
+def pow2_prescale(blocks) -> tuple[list[np.ndarray], int]:
+    """(blocks / 2^e, e) for a list of matrices, exact; e = 0 while their largest
+    real or imaginary part lies in [2^-451, 2^450), so products of two of them
+    neither overflow nor underflow, and otherwise comes from ``_pow2_exponent``.
+    Non-finite entries raise ValidationError."""
+    e = _pow2_exponent(np.concatenate([np.ravel(b) for b in blocks]))
+    if abs(e) <= _SAFE_EXP:
+        return list(blocks), 0
+    return [_ldexp_matrix(b, -e) for b in blocks], e
+
+
+def pow2_rescale(blocks, e: int) -> list[np.ndarray]:
+    """blocks * 2^e; an entry beyond the binary64 range raises ValidationError."""
+    if e == 0:
+        return list(blocks)
+    with np.errstate(over="ignore"):
+        out = [_ldexp_matrix(b, e) for b in blocks]
+    if not all(np.all(np.isfinite(b)) for b in out):
+        raise ValidationError("the result has entries beyond the binary64 range")
     return out
+
+
+def ldexp_values(vals: list[float], e: int, what: str) -> np.ndarray:
+    """vals * 2^e; a result beyond the binary64 range raises ValidationError."""
+    try:
+        return np.array([math.ldexp(v, e) for v in vals], dtype=np.float64)
+    except OverflowError:
+        raise ValidationError(f"the matrix has {what} beyond the binary64 range") from None
 
 
 def cluster_indices(vals_desc: np.ndarray, rtol: float = CLUSTER_RTOL) -> list[list[int]]:
@@ -253,6 +281,14 @@ def cluster_indices(vals_desc: np.ndarray, rtol: float = CLUSTER_RTOL) -> list[l
                 continue
         groups.append([k])
     return groups
+
+
+def is_positive_semidefinite(vals_desc) -> bool:
+    """Whether descending eigenvalues belong to a positive block (see POSITIVITY_RTOL)."""
+    if len(vals_desc) == 0:
+        return True
+    low = float(vals_desc[-1])
+    return low >= -POSITIVITY_RTOL * max(float(vals_desc[0]), abs(low), 1e-300)
 
 
 def rank_from_eigenvalues(vals: np.ndarray, rtol: float = RANK_RTOL) -> int:

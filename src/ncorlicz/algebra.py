@@ -20,11 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg
-from ._linalg import CLUSTER_RTOL, RANK_RTOL
+from ._linalg import CLUSTER_RTOL, RANK_RTOL, is_positive_semidefinite
 from .errors import ValidationError
 
 HERMITIAN_RTOL = 1e-12
-POSITIVITY_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -136,7 +135,7 @@ class Element:
         return Element(self.algebra, [a.conj().T for a in self.blocks])
 
     def frobenius_norm(self) -> float:
-        return math.sqrt(sum(_linalg.frobenius(a) ** 2 for a in self.blocks))
+        return math.hypot(*map(_linalg.frobenius, self.blocks))
 
     def is_zero(self) -> bool:
         return all(np.all(a == 0) for a in self.blocks)
@@ -187,15 +186,9 @@ class Functional:
     def is_zero(self) -> bool:
         return all(np.all(r == 0) for r in self.densities)
 
-    def is_positive(self, rtol: float = POSITIVITY_RTOL) -> bool:
-        rho = self.density_element()
-        if not rho.is_hermitian():
-            return False
-        for r in self.densities:
-            vals, _ = _linalg.hermitian_eigh(r)
-            if vals.size and vals[-1] < -rtol * max(vals[0], abs(vals[-1]), 1e-300):
-                return False
-        return True
+    def is_positive(self) -> bool:
+        return self.density_element().is_hermitian() and all(
+            is_positive_semidefinite(_linalg.hermitian_eigh(r)[0]) for r in self.densities)
 
     def is_faithful(self, rtol: float = RANK_RTOL) -> bool:
         if not self.is_positive():
@@ -339,20 +332,26 @@ def positive_eigenvalues(x: Element) -> list[list[float]]:
     return [[float(v) for v in vals] for vals, _ in _block_eigh(x)]
 
 
+def _in_range(x: Element) -> tuple[Element, int]:
+    """(x / 2^e, e) with the exact prescale of ``_linalg.pow2_prescale``, so that
+    x* x neither overflows nor underflows; e = 0 leaves x as it is."""
+    blocks, e = _linalg.pow2_prescale(x.blocks)
+    return (Element(x.algebra, blocks) if e else x), e
+
+
 def absolute(x: Element) -> Element:
-    """|x| = (x* x)^(1/2)."""
-    h = x.adjoint() * x
-    hh = 0.5 * (h + h.adjoint())
-    return spectral_calculus(hh, lambda t: math.sqrt(max(t, 0.0)))
+    """|x| = (x* x)^(1/2), formed from an in-range power-of-two multiple of x."""
+    y, e = _in_range(x)
+    a = spectral_calculus(y.adjoint() * y, lambda t: math.sqrt(max(t, 0.0)))
+    return Element(x.algebra, _linalg.pow2_rescale(a.blocks, e))
 
 
 def polar_decompose(x: Element) -> tuple[Element, Element]:
     """Unique polar data x = v |x| with v*v = supp(|x|) and v v* = supp(|x*|)."""
-    h = x.adjoint() * x
-    hh = 0.5 * (h + h.adjoint())
+    y, e = _in_range(x)
     a_blocks = []
     pinv_blocks = []
-    for vals, vecs in _block_eigh(hh):
+    for vals, vecs in _block_eigh(y.adjoint() * y):
         d = vecs.shape[0]
         top = float(vals[0]) if vals.size else 0.0
         a = np.zeros((d, d), dtype=np.complex128)
@@ -365,9 +364,8 @@ def polar_decompose(x: Element) -> tuple[Element, Element]:
             pinv += (1.0 / root) * proj
         a_blocks.append(a)
         pinv_blocks.append(pinv)
-    a = Element(x.algebra, a_blocks)
-    v = x * Element(x.algebra, pinv_blocks)
-    return v, a
+    v = y * Element(x.algebra, pinv_blocks)
+    return v, Element(x.algebra, _linalg.pow2_rescale(a_blocks, e))
 
 
 def support_projection(obj) -> Element:
@@ -383,7 +381,7 @@ def support_projection(obj) -> Element:
     for i, (vals, vecs) in enumerate(_block_eigh(x)):
         d = x.algebra.block_dims[i]
         top = float(vals[0]) if vals.size else 0.0
-        if vals.size and vals[-1] < -POSITIVITY_RTOL * max(top, abs(float(vals[-1])), 1e-300):
+        if not is_positive_semidefinite(vals):
             raise ValidationError(
                 f"support_projection needs a positive input; block {i} has "
                 f"eigenvalue {float(vals[-1])!r}")
@@ -396,14 +394,13 @@ def support_projection(obj) -> Element:
 
 
 def operator_norm(x: Element) -> float:
-    """Largest singular value of x."""
-    h = x.adjoint() * x
-    hh = 0.5 * (h + h.adjoint())
+    """Largest singular value of x, the root of the top eigenvalue of x* x."""
+    y, e = _in_range(x)
     top = 0.0
-    for vals, _ in _block_eigh(hh):
+    for vals, _ in _block_eigh(y.adjoint() * y):
         if vals.size:
             top = max(top, float(vals[0]))
-    return math.sqrt(max(top, 0.0))
+    return float(_linalg.ldexp_values([math.sqrt(max(top, 0.0))], e, "singular values")[0])
 
 
 def functional_polar(phi: Functional) -> tuple[Element, Functional]:

@@ -28,7 +28,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import POSITIVITY_RTOL, Element, absolute, positive_eigenvalues, trace
+from ._linalg import is_positive_semidefinite
+from .algebra import Element, absolute, positive_eigenvalues, trace
 from .errors import ValidationError
 from .orliczfn import OrliczFunction
 from .trace_orlicz import (NormReport, _luxemburg_from_measures, _modular_sum,
@@ -183,9 +184,9 @@ def _check_piece_positive(x: Element, iv: Interval):
     if not x.is_hermitian():
         raise ValidationError(f"piece on {iv} is not Hermitian")
     for i, vals in enumerate(positive_eigenvalues(x)):
-        if vals and min(vals) < -POSITIVITY_RTOL * max(max(vals), abs(min(vals)), 1e-300):
+        if not is_positive_semidefinite(vals):
             raise ValidationError(
-                f"piece on {iv} is not positive: block {i} eigenvalue {min(vals)!r}")
+                f"piece on {iv} is not positive: block {i} eigenvalue {vals[-1]!r}")
 
 
 def canonical_trace(x: CoreElement) -> float:

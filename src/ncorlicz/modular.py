@@ -145,14 +145,9 @@ class StandardForm:
     def conjugation(self, xi: Element) -> Element:
         return xi.adjoint()
 
-    def in_cone(self, xi: Element, rtol: float = 1e-12) -> bool:
-        if not xi.is_hermitian():
-            return False
-        for b in xi.blocks:
-            vals, _ = _linalg.hermitian_eigh(b)
-            if vals.size and vals[-1] < -rtol * max(float(vals[0]), abs(float(vals[-1])), 1e-300):
-                return False
-        return True
+    def in_cone(self, xi: Element) -> bool:
+        return xi.is_hermitian() and all(
+            _linalg.is_positive_semidefinite(_linalg.hermitian_eigh(b)[0]) for b in xi.blocks)
 
     def vector_representative(self, phi: Functional) -> Element:
         """The cone vector xi(phi) = rho^(1/2) with phi(x) = <xi, x xi>."""

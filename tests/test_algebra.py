@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncorlicz import (Element, Functional, ValidationError, absolute, eigen_spectrum,
-                      functional_polar, make_algebra, operator_norm, polar_decompose,
-                      power_on_support, reduce_to_support, spectral_calculus,
-                      support_projection, trace)
-from ncorlicz.sampling import SplitMix64, rand_element, rand_unitary_element
+from ncorlicz import (Element, Functional, StandardForm, ValidationError, absolute,
+                      canonical_trace, eigen_spectrum, embed, functional_polar, make_algebra,
+                      operator_norm, polar_decompose, power_on_support, reduce_to_support,
+                      spectral_calculus, support_projection, trace)
+from ncorlicz._linalg import POSITIVITY_RTOL
+from ncorlicz.sampling import SplitMix64, rand_element, rand_unitary_element, rand_unitary_matrix
 
 
 def test_make_algebra_examples():
@@ -215,3 +216,20 @@ def test_immutability(m2):
         x.blocks[0][0, 0] = 5.0
     with pytest.raises(AttributeError):
         x.algebra = None
+
+
+@pytest.mark.parametrize("factor, positive", [(0.5, True), (2.0, False)])
+def test_positivity_checks_agree_at_the_tolerance(factor, positive):
+    # The smallest eigenvalue sits at -factor * POSITIVITY_RTOL of the largest.
+    alg = make_algebra([3], [1.0])
+    u = rand_unitary_matrix(SplitMix64(7), 3)
+    b = (u * [1.0, 0.5, -factor * POSITIVITY_RTOL]) @ u.conj().T
+    x = Element(alg, [0.5 * (b + b.conj().T)])
+    verdicts = [Functional(alg, x.blocks).is_positive(), StandardForm(alg).in_cone(x)]
+    for check in (support_projection, lambda y: canonical_trace(embed(y))):
+        try:
+            check(x)
+            verdicts.append(True)
+        except ValidationError:
+            verdicts.append(False)
+    assert verdicts == [positive] * 4
