@@ -266,17 +266,17 @@ def ldexp_values(vals: list[float], e: int, what: str) -> np.ndarray:
         raise ValidationError(f"the matrix has {what} beyond the binary64 range") from None
 
 
-def cluster_indices(vals_desc: np.ndarray, rtol: float = CLUSTER_RTOL) -> list[list[int]]:
+def cluster_indices(vals_desc: np.ndarray) -> list[list[int]]:
     """Group indices of a descending eigenvalue array into near-degenerate clusters.
 
-    Adjacent values join a cluster when their gap is at most ``rtol`` times
-    the larger magnitude of the two.
+    Adjacent values join a cluster when their gap is at most ``CLUSTER_RTOL``
+    times the larger magnitude of the two.
     """
     groups: list[list[int]] = []
     for k, v in enumerate(vals_desc):
         if groups:
             prev = vals_desc[groups[-1][-1]]
-            if abs(prev - v) <= rtol * max(abs(prev), abs(v)):
+            if abs(prev - v) <= CLUSTER_RTOL * max(abs(prev), abs(v)):
                 groups[-1].append(k)
                 continue
         groups.append([k])
@@ -291,14 +291,14 @@ def is_positive_semidefinite(vals_desc) -> bool:
     return low >= -POSITIVITY_RTOL * max(float(vals_desc[0]), abs(low), 1e-300)
 
 
-def rank_from_eigenvalues(vals: np.ndarray, rtol: float = RANK_RTOL) -> int:
-    """Numerical rank of a positive semidefinite matrix from its eigenvalues."""
+def rank_from_eigenvalues(vals: np.ndarray) -> int:
+    """Numerical rank of a positive semidefinite matrix from its eigenvalues (RANK_RTOL)."""
     if vals.size == 0:
         return 0
     top = float(np.max(vals))
     if top <= 0.0:
         return 0
-    return int(np.sum(vals > rtol * top))
+    return int(np.sum(vals > RANK_RTOL * top))
 
 
 def gram_schmidt(vectors: list[np.ndarray], pivot_tol: float) -> tuple[np.ndarray, list[int]]:

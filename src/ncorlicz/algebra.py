@@ -8,8 +8,13 @@ stored blockwise; a positive functional is represented by its density
 with respect to tau, so ``phi(x) = tau(rho x)`` holds as an identity of
 the stored blocks.
 
-All values are immutable after construction and every operation is pure,
-so concurrent read access is safe.
+All values are immutable after construction and every operation is pure.
+Each Element factors its blocks at most once: ``_block_eigh`` stores the
+per-block eigen data on the Element the first time it is asked for, and every
+spectral routine (powers, supports, polar data, positivity, ranks) reads it
+from there; a Functional keeps its density as one such Element.  The memo is
+filled lazily without a lock, and concurrent reads stay safe because the
+eigensolver is deterministic: a racing fill stores identical values.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg
-from ._linalg import CLUSTER_RTOL, RANK_RTOL, is_positive_semidefinite
+from ._linalg import RANK_RTOL, is_positive_semidefinite
 from .errors import ValidationError
 
 HERMITIAN_RTOL = 1e-12
@@ -84,6 +89,8 @@ def _freeze(blocks, dims) -> tuple[np.ndarray, ...]:
         arr = np.array(b, dtype=np.complex128)
         if arr.shape != (d, d):
             raise ValidationError(f"block {i} has shape {arr.shape}, expected {(d, d)}")
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"block {i} has non-finite entries")
         arr.flags.writeable = False
         out.append(arr)
     return tuple(out)
@@ -92,11 +99,12 @@ def _freeze(blocks, dims) -> tuple[np.ndarray, ...]:
 class Element:
     """A blockwise complex matrix, the universal carrier for algebra members."""
 
-    __slots__ = ("algebra", "blocks")
+    __slots__ = ("algebra", "blocks", "_eigh")
 
     def __init__(self, algebra: AlgebraDescriptor, blocks):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "blocks", _freeze(blocks, algebra.block_dims))
+        object.__setattr__(self, "_eigh", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Element is immutable")
@@ -140,9 +148,13 @@ class Element:
     def is_zero(self) -> bool:
         return all(np.all(a == 0) for a in self.blocks)
 
-    def is_hermitian(self, rtol: float = HERMITIAN_RTOL) -> bool:
-        dev = (self - self.adjoint()).frobenius_norm()
-        return dev <= rtol * max(self.frobenius_norm(), 0.0) or dev == 0.0
+    def is_hermitian(self) -> bool:
+        dev = math.hypot(*(_linalg.frobenius(a - a.conj().T) for a in self.blocks))
+        return dev <= HERMITIAN_RTOL * max(self.frobenius_norm(), 0.0) or dev == 0.0
+
+    def is_positive(self) -> bool:
+        """Hermitian, with every block positive semidefinite (see ``negative_block``)."""
+        return self.is_hermitian() and negative_block(self) is None
 
     def allclose(self, other: "Element", tol: float = 1e-12) -> bool:
         self._check_same(other)
@@ -162,14 +174,15 @@ class Functional:
 
     Evaluation is ``phi(x) = sum_i c_i Tr(rho_i x_i)``; phi is positive
     exactly when every density block is positive semidefinite, and faithful
-    when every block is definite.
+    when every block is definite.  The densities are held as one Element,
+    so their blocks are factored at most once per functional.
     """
 
-    __slots__ = ("algebra", "densities")
+    __slots__ = ("algebra", "_density")
 
     def __init__(self, algebra: AlgebraDescriptor, densities):
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "densities", _freeze(densities, algebra.block_dims))
+        object.__setattr__(self, "_density", Element(algebra, densities))
 
     def __setattr__(self, name, value):
         raise AttributeError("Functional is immutable")
@@ -180,28 +193,27 @@ class Functional:
         return complex(sum(c * np.trace(r @ b)
                            for c, r, b in zip(self.algebra.weights, self.densities, x.blocks)))
 
+    @property
+    def densities(self) -> tuple[np.ndarray, ...]:
+        return self._density.blocks
+
     def density_element(self) -> Element:
-        return Element(self.algebra, list(self.densities))
+        return self._density
 
     def is_zero(self) -> bool:
-        return all(np.all(r == 0) for r in self.densities)
+        return self._density.is_zero()
 
     def is_positive(self) -> bool:
-        return self.density_element().is_hermitian() and all(
-            is_positive_semidefinite(_linalg.hermitian_eigh(r)[0]) for r in self.densities)
+        return self._density.is_positive()
 
-    def is_faithful(self, rtol: float = RANK_RTOL) -> bool:
-        if not self.is_positive():
-            return False
-        for r, d in zip(self.densities, self.algebra.block_dims):
-            vals, _ = _linalg.hermitian_eigh(r)
-            if _linalg.rank_from_eigenvalues(vals, rtol) < d:
-                return False
-        return True
+    def is_faithful(self) -> bool:
+        return self.is_positive() and all(
+            _linalg.rank_from_eigenvalues(vals) == d
+            for (vals, _), d in zip(_block_eigh(self._density), self.algebra.block_dims))
 
     def norm(self) -> float:
         """Functional norm, equal to tau(|T|) for the density T."""
-        _, a = polar_decompose(self.density_element())
+        _, a = polar_decompose(self._density)
         return float(trace(a).real)
 
     def __repr__(self):
@@ -254,8 +266,18 @@ def _require_hermitian(x: Element, what: str):
                               f"(||x - x*|| = {dev:.3e})")
 
 
-def _block_eigh(x: Element) -> list[tuple[np.ndarray, np.ndarray]]:
-    return [_linalg.hermitian_eigh(b) for b in x.blocks]
+def _block_eigh(x: Element) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per-block (descending eigenvalues, eigenvectors) of a Hermitian x, read-only.
+
+    The only caller of ``_linalg.hermitian_eigh`` outside ``_linalg``: the
+    first call stores the factorisation on x, later calls return it.
+    """
+    if x._eigh is None:
+        eig = tuple(_linalg.hermitian_eigh(b) for b in x.blocks)
+        for vals, vecs in eig:
+            vals.flags.writeable = vecs.flags.writeable = False
+        object.__setattr__(x, "_eigh", eig)
+    return x._eigh
 
 
 def _clustered(vals: np.ndarray, vecs: np.ndarray):
@@ -265,6 +287,30 @@ def _clustered(vals: np.ndarray, vecs: np.ndarray):
         cols = vecs[:, group]
         proj = cols @ cols.conj().T
         yield rep, len(group), proj
+
+
+def _on_support(x: Element, f) -> list[np.ndarray]:
+    """Blocks sum f(l) P_l over the eigenvalue clusters of a Hermitian x that lie
+    above RANK_RTOL times the block's largest eigenvalue (and above 0); the
+    other clusters count as kernel, where f is taken to be 0."""
+    out = []
+    for vals, vecs in _block_eigh(x):
+        cut = RANK_RTOL * max(float(vals[0]), 0.0)
+        acc = np.zeros(vecs.shape, dtype=np.complex128)
+        for rep, _, proj in _clustered(vals, vecs):
+            if rep > cut:
+                acc += f(rep) * proj
+        out.append(acc)
+    return out
+
+
+def negative_block(x: Element) -> tuple[int, float] | None:
+    """(block, smallest eigenvalue) of the first block of a Hermitian x that is
+    not positive semidefinite (see ``_linalg.is_positive_semidefinite``), or None."""
+    for i, (vals, _) in enumerate(_block_eigh(x)):
+        if not is_positive_semidefinite(vals):
+            return i, float(vals[-1])
+    return None
 
 
 def eigen_spectrum(x: Element) -> Spectrum:
@@ -313,17 +359,8 @@ def power_on_support(x: Element, z: complex) -> Element:
     reproduce the support projection and the phase unitaries on it.
     """
     _require_hermitian(x, "power_on_support")
-    out_blocks = []
-    for i, (vals, vecs) in enumerate(_block_eigh(x)):
-        d = x.algebra.block_dims[i]
-        top = float(vals[0]) if vals.size else 0.0
-        acc = np.zeros((d, d), dtype=np.complex128)
-        for rep, _, proj in _clustered(vals, vecs):
-            if rep <= RANK_RTOL * max(top, 0.0) or rep <= 0.0:
-                continue
-            acc += np.exp(complex(z) * math.log(rep)) * proj
-        out_blocks.append(acc)
-    return Element(x.algebra, out_blocks)
+    z = complex(z)
+    return Element(x.algebra, _on_support(x, lambda t: np.exp(z * math.log(t))))
 
 
 def positive_eigenvalues(x: Element) -> list[list[float]]:
@@ -349,23 +386,9 @@ def absolute(x: Element) -> Element:
 def polar_decompose(x: Element) -> tuple[Element, Element]:
     """Unique polar data x = v |x| with v*v = supp(|x|) and v v* = supp(|x*|)."""
     y, e = _in_range(x)
-    a_blocks = []
-    pinv_blocks = []
-    for vals, vecs in _block_eigh(y.adjoint() * y):
-        d = vecs.shape[0]
-        top = float(vals[0]) if vals.size else 0.0
-        a = np.zeros((d, d), dtype=np.complex128)
-        pinv = np.zeros((d, d), dtype=np.complex128)
-        for rep, _, proj in _clustered(vals, vecs):
-            if rep <= RANK_RTOL * max(top, 0.0) or rep <= 0.0:
-                continue
-            root = math.sqrt(rep)
-            a += root * proj
-            pinv += (1.0 / root) * proj
-        a_blocks.append(a)
-        pinv_blocks.append(pinv)
-    v = y * Element(x.algebra, pinv_blocks)
-    return v, Element(x.algebra, _linalg.pow2_rescale(a_blocks, e))
+    h = y.adjoint() * y
+    v = y * Element(x.algebra, _on_support(h, lambda t: 1.0 / math.sqrt(t)))
+    return v, Element(x.algebra, _linalg.pow2_rescale(_on_support(h, math.sqrt), e))
 
 
 def support_projection(obj) -> Element:
@@ -373,24 +396,14 @@ def support_projection(obj) -> Element:
     if isinstance(obj, Functional):
         if not obj.is_positive():
             raise ValidationError("support_projection needs a positive functional")
-        x = obj.density_element()
+        obj = obj.density_element()
     else:
-        x = obj
-    _require_hermitian(x, "support_projection")
-    out_blocks = []
-    for i, (vals, vecs) in enumerate(_block_eigh(x)):
-        d = x.algebra.block_dims[i]
-        top = float(vals[0]) if vals.size else 0.0
-        if not is_positive_semidefinite(vals):
-            raise ValidationError(
-                f"support_projection needs a positive input; block {i} has "
-                f"eigenvalue {float(vals[-1])!r}")
-        acc = np.zeros((d, d), dtype=np.complex128)
-        for rep, _, proj in _clustered(vals, vecs):
-            if rep > RANK_RTOL * max(top, 0.0):
-                acc += proj
-        out_blocks.append(acc)
-    return Element(x.algebra, out_blocks)
+        _require_hermitian(obj, "support_projection")
+        bad = negative_block(obj)
+        if bad is not None:
+            raise ValidationError(f"support_projection needs a positive input; "
+                                  f"block {bad[0]} has eigenvalue {bad[1]!r}")
+    return Element(obj.algebra, _on_support(obj, lambda t: 1.0))
 
 
 def operator_norm(x: Element) -> float:
@@ -410,8 +423,7 @@ def functional_polar(phi: Functional) -> tuple[Element, Functional]:
     |T| and the partial isometry v is shared with the matrix-level polar
     decomposition of T.
     """
-    t = phi.density_element()
-    v, a = polar_decompose(t)
+    v, a = polar_decompose(phi.density_element())
     return v, Functional(phi.algebra, list(a.blocks))
 
 
@@ -444,8 +456,8 @@ def reduce_to_support(phi: Functional) -> Reduction:
     isometries = []
     kept = []
     dens = []
-    for i, (r, c) in enumerate(zip(phi.densities, phi.algebra.weights)):
-        vals, vecs = _linalg.hermitian_eigh(r)
+    for i, ((vals, vecs), c) in enumerate(zip(_block_eigh(phi.density_element()),
+                                              phi.algebra.weights)):
         rk = _linalg.rank_from_eigenvalues(vals)
         if rk == 0:
             continue

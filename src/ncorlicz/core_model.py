@@ -28,11 +28,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import is_positive_semidefinite
-from .algebra import Element, absolute, positive_eigenvalues, trace
+from .algebra import Element, absolute, negative_block, trace
 from .errors import ValidationError
 from .orliczfn import OrliczFunction
-from .trace_orlicz import (NormReport, _luxemburg_from_measures, _modular_sum,
+from .trace_orlicz import (NormReport, modular_from_measures, report_from_measures,
                            singular_value_measures)
 
 
@@ -183,10 +182,10 @@ def embed(x: Element) -> CoreElement:
 def _check_piece_positive(x: Element, iv: Interval):
     if not x.is_hermitian():
         raise ValidationError(f"piece on {iv} is not Hermitian")
-    for i, vals in enumerate(positive_eigenvalues(x)):
-        if not is_positive_semidefinite(vals):
-            raise ValidationError(
-                f"piece on {iv} is not positive: block {i} eigenvalue {vals[-1]!r}")
+    bad = negative_block(x)
+    if bad is not None:
+        raise ValidationError(
+            f"piece on {iv} is not positive: block {bad[0]} eigenvalue {bad[1]!r}")
 
 
 def canonical_trace(x: CoreElement) -> float:
@@ -229,22 +228,12 @@ def _core_singular_data(x: CoreElement):
 
 def core_modular_value(phi: OrliczFunction, x: CoreElement, lam: float) -> float:
     """Canonical-trace modular sum w_k tau(Phi(|x_k|/lam)) as an extended real."""
-    if not (lam > 0):
-        raise ValidationError("scale must be positive")
-    values, measures = _core_singular_data(x)
-    return _modular_sum(values, measures, phi, float(lam))
+    return modular_from_measures(phi, *_core_singular_data(x), lam)
 
 
 def core_luxemburg_report(phi: OrliczFunction, x: CoreElement,
                           tol: float = 1e-12) -> NormReport:
-    if not (tol > 0):
-        raise ValidationError("tolerance must be positive")
-    if not phi.is_young:
-        raise ValidationError(f"{phi.label()} is not a Young function")
-    values, measures = _core_singular_data(x)
-    norm, iters = _luxemburg_from_measures(values, measures, phi, tol)
-    mod = _modular_sum(values, measures, phi, norm) if norm > 0 else 0.0
-    return NormReport(norm, iters, mod)
+    return report_from_measures(phi, *_core_singular_data(x), tol)
 
 
 def core_luxemburg_norm(phi: OrliczFunction, x: CoreElement, tol: float = 1e-12) -> float:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg
-from .algebra import (AlgebraDescriptor, Element, Functional, power_on_support,
-                      support_projection, trace)
+from .algebra import (AlgebraDescriptor, Element, Functional, _block_eigh, _on_support,
+                      power_on_support, support_projection, trace)
 from .errors import ValidationError
 
 GNS_PIVOT_TOL = 1e-11
@@ -48,15 +48,9 @@ class GNSData:
     cyclic_vector: np.ndarray
     _root: tuple[np.ndarray, ...]
 
-    def _ambient(self, x: Element) -> np.ndarray:
-        chunks = []
-        for c, xb, rb in zip(self.algebra.weights, x.blocks, self._root):
-            chunks.append(math.sqrt(c) * (xb @ rb).ravel())
-        return np.concatenate(chunks)
-
     def embed(self, x: Element) -> np.ndarray:
         """Coordinates of the class [x] in the orthonormal basis."""
-        return self.basis.conj().T @ self._ambient(x)
+        return self.basis.conj().T @ _ambient(self.algebra, self._root, x)
 
     def represent(self, x: Element) -> np.ndarray:
         """Matrix of left multiplication by x on the GNS space."""
@@ -86,39 +80,23 @@ def gns(omega: Functional) -> GNSData:
     if omega.is_zero():
         raise ValidationError("gns of the zero functional is empty")
     alg = omega.algebra
-    root = tuple(_psd_sqrt_matrix(r) for r in omega.densities)
+    root = tuple(_on_support(omega.density_element(), math.sqrt))
     units = [e for _, _, _, e in alg.matrix_units()]
-
-    def ambient(x: Element) -> np.ndarray:
-        chunks = []
-        for c, xb, rb in zip(alg.weights, x.blocks, root):
-            chunks.append(math.sqrt(c) * (xb @ rb).ravel())
-        return np.concatenate(chunks)
-
-    candidates = [ambient(e) for e in units]
+    candidates = [_ambient(alg, root, e) for e in units]
     scale = max(float(np.linalg.norm(v)) for v in candidates)
     basis, _ = _linalg.gram_schmidt(candidates, GNS_PIVOT_TOL * max(scale, 1e-300))
     gram = np.empty((len(units), len(units)), dtype=np.complex128)
     for a, ea in enumerate(units):
         for b, eb in enumerate(units):
             gram[a, b] = omega(ea.adjoint() * eb)
-    data = GNSData(alg, omega, basis.shape[1], gram, basis,
-                   np.zeros(basis.shape[1], dtype=np.complex128), root)
-    cyc = data.embed(alg.identity())
+    cyc = basis.conj().T @ _ambient(alg, root, alg.identity())
     return GNSData(alg, omega, basis.shape[1], gram, basis, cyc, root)
 
 
-def _psd_sqrt_matrix(r: np.ndarray) -> np.ndarray:
-    vals, vecs = _linalg.hermitian_eigh(r)
-    top = float(vals[0]) if vals.size else 0.0
-    out = np.zeros_like(r)
-    for group in _linalg.cluster_indices(vals):
-        rep = float(np.mean(vals[group]))
-        if rep <= _linalg.RANK_RTOL * max(top, 0.0):
-            continue
-        cols = vecs[:, group]
-        out += math.sqrt(rep) * (cols @ cols.conj().T)
-    return out
+def _ambient(alg: AlgebraDescriptor, root, x: Element) -> np.ndarray:
+    """x rho^(1/2) flattened into the Hilbert-Schmidt space, blocks scaled by sqrt(c_i)."""
+    return np.concatenate([math.sqrt(c) * (xb @ rb).ravel()
+                           for c, xb, rb in zip(alg.weights, x.blocks, root)])
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +124,13 @@ class StandardForm:
         return xi.adjoint()
 
     def in_cone(self, xi: Element) -> bool:
-        return xi.is_hermitian() and all(
-            _linalg.is_positive_semidefinite(_linalg.hermitian_eigh(b)[0]) for b in xi.blocks)
+        return xi.is_positive()
 
     def vector_representative(self, phi: Functional) -> Element:
         """The cone vector xi(phi) = rho^(1/2) with phi(x) = <xi, x xi>."""
         if not phi.is_positive():
             raise ValidationError("vector representative needs a positive functional")
-        return Element(self.algebra, [_psd_sqrt_matrix(r) for r in phi.densities])
+        return Element(self.algebra, _on_support(phi.density_element(), math.sqrt))
 
 
 def standard_form(algebra: AlgebraDescriptor) -> StandardForm:
@@ -200,10 +177,15 @@ class ModularOperator:
         units = []
         for i, _, _, e in alg.matrix_units():
             units.append(e / math.sqrt(alg.weights[i]))
+        if z == 1.0:
+            left, right = self.rho_left, self.rho_right_pinv
+        else:
+            left = power_on_support(self.rho_left, z)
+            right = power_on_support(self.omega.density_element(), -z)
         sf = StandardForm(alg)
         cols = []
         for u in units:
-            img = self.power_apply(z, u) if z != 1.0 else self.apply(u)
+            img = left * u * right
             cols.append(np.array([sf.inner(v, img) for v in units]))
         return np.column_stack(cols)
 
@@ -251,9 +233,8 @@ def radon_nikodym_sqrt(psi: Functional, phi: Functional) -> Element:
     leak = comp * rho_psi * comp
     scale = max(rho_psi.frobenius_norm(), 1e-300)
     if leak.frobenius_norm() > 1e-10 * scale:
-        for i, b in enumerate(leak.blocks):
-            vals, vecs = _linalg.hermitian_eigh(b)
-            if vals.size and vals[0] > 1e-10 * scale:
+        for i, (vals, vecs) in enumerate(_block_eigh(leak)):
+            if vals[0] > 1e-10 * scale:
                 vec = np.round(vecs[:, 0], 6)
                 raise ValidationError(
                     "support violation: psi is not dominated by phi; offending "

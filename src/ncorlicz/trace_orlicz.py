@@ -131,13 +131,22 @@ def rearrangement(x: Element) -> RearrangementFunction:
     return RearrangementFunction(singular_value_measures(x))
 
 
-def _modular_sum(values: np.ndarray, measures: np.ndarray, phi: OrliczFunction,
-                 lam: float) -> float:
-    """tau(Phi(|x|/lam)) from singular data; extended-real, 0*inf = 0 honored
-    because only strictly positive measures enter."""
+def _singular_arrays(x: Element) -> tuple[np.ndarray, np.ndarray]:
+    """``singular_value_measures`` of x as (values, measures) arrays."""
+    data = singular_value_measures(x)
+    return np.array([v for v, _ in data]), np.array([m for _, m in data])
+
+
+def modular_from_measures(phi: OrliczFunction, values: np.ndarray, measures: np.ndarray,
+                          lam: float) -> float:
+    """tau(Phi(|x|/lam)) from the singular data of x, as an extended real; 0*inf = 0
+    is honored because only strictly positive measures enter.  The body of
+    ``modular_value`` and of ``core_model.core_modular_value``."""
+    if not (lam > 0):
+        raise ValidationError("scale must be positive")
     if values.size == 0:
         return 0.0
-    out = phi.eval_array(values / lam)
+    out = phi.eval_array(values / float(lam))
     if np.any(np.isinf(out)):
         return INF
     return float(np.dot(measures, out))
@@ -145,12 +154,7 @@ def _modular_sum(values: np.ndarray, measures: np.ndarray, phi: OrliczFunction,
 
 def modular_value(phi: OrliczFunction, x: Element, lam: float) -> float:
     """tau(Phi(|x|/lam)) as an extended real."""
-    if not (lam > 0):
-        raise ValidationError("scale must be positive")
-    data = singular_value_measures(x)
-    values = np.array([v for v, _ in data])
-    measures = np.array([m for _, m in data])
-    return _modular_sum(values, measures, phi, float(lam))
+    return modular_from_measures(phi, *_singular_arrays(x), lam)
 
 
 def fk_integral(phi: OrliczFunction, x: Element) -> float:
@@ -216,7 +220,7 @@ def _luxemburg_from_measures(values: np.ndarray, measures: np.ndarray,
         return 0.0, 0
 
     def m(lam):
-        return _modular_sum(values, measures, phi, lam)
+        return modular_from_measures(phi, values, measures, lam)
 
     iters = 0
     hi = float(np.max(values))
@@ -245,18 +249,23 @@ def _luxemburg_from_measures(values: np.ndarray, measures: np.ndarray,
     return hi, iters + steps
 
 
-def luxemburg_report(phi: OrliczFunction, x: Element, tol: float = 1e-12) -> NormReport:
-    """Luxemburg norm with iteration count and the modular value at the norm."""
+def report_from_measures(phi: OrliczFunction, values: np.ndarray, measures: np.ndarray,
+                         tol: float) -> NormReport:
+    """Luxemburg norm of singular data with its iteration count and the modular
+    value at the norm; the body of ``luxemburg_report`` and of
+    ``core_model.core_luxemburg_report``."""
     if not (tol > 0):
         raise ValidationError("tolerance must be positive")
     if not phi.is_young:
         raise ValidationError(f"{phi.label()} is not a Young function")
-    data = singular_value_measures(x)
-    values = np.array([v for v, _ in data])
-    measures = np.array([m for _, m in data])
     norm, iters = _luxemburg_from_measures(values, measures, phi, tol)
-    mod = _modular_sum(values, measures, phi, norm) if norm > 0 else 0.0
+    mod = modular_from_measures(phi, values, measures, norm) if norm > 0 else 0.0
     return NormReport(norm, iters, mod)
+
+
+def luxemburg_report(phi: OrliczFunction, x: Element, tol: float = 1e-12) -> NormReport:
+    """Luxemburg norm with iteration count and the modular value at the norm."""
+    return report_from_measures(phi, *_singular_arrays(x), tol)
 
 
 def luxemburg_norm(phi: OrliczFunction, x: Element, tol: float = 1e-12) -> float:
@@ -288,16 +297,14 @@ def membership(phi: OrliczFunction, x: Element) -> MembershipFlags:
     """Membership of x in the Orlicz class, the span space, and the all-scales space."""
     if not phi.is_young:
         raise ValidationError(f"{phi.label()} is not a Young function")
-    data = singular_value_measures(x)
-    values = np.array([v for v, _ in data])
-    measures = np.array([m for _, m in data])
+    values, measures = _singular_arrays(x)
     if values.size == 0:
         return MembershipFlags(True, True, True, 1.0)
-    orlicz_class = _modular_sum(values, measures, phi, 1.0) < INF
+    orlicz_class = modular_from_measures(phi, values, measures, 1.0) < INF
     witness = None
     lam = 1.0
     for _ in range(BISECTION_CAP):
-        if _modular_sum(values, measures, phi, 1.0 / lam) < INF:
+        if modular_from_measures(phi, values, measures, 1.0 / lam) < INF:
             witness = lam
             break
         lam /= 2.0

@@ -1,7 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
-from ncorlicz import SplitMix64, make_algebra
+from ncorlicz import SplitMix64, _linalg, make_algebra
 from ncorlicz.sampling import rand_element, rand_functional, rand_hermitian
 
 
@@ -52,3 +54,25 @@ def svd_singular_values(x):
             out.append((float(s), c))
     out.sort(key=lambda p: -p[0])
     return out
+
+
+@pytest.fixture
+def count_eigh(monkeypatch):
+    """Shapes of the blocks passed to ``_linalg.hermitian_eigh``, one entry per call.
+
+    Every binding of the solver in an ``ncorlicz`` module is patched, so calls
+    through a from-import are counted too.
+    """
+    calls = []
+    original = _linalg.hermitian_eigh
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "ncorlicz" or name.startswith("ncorlicz.")):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls

@@ -9,8 +9,10 @@ from ncorlicz import (Element, Functional, StandardForm, ValidationError, absolu
                       canonical_trace, eigen_spectrum, embed, functional_polar, make_algebra,
                       operator_norm, polar_decompose, power_on_support, reduce_to_support,
                       spectral_calculus, support_projection, trace)
-from ncorlicz._linalg import POSITIVITY_RTOL
-from ncorlicz.sampling import SplitMix64, rand_element, rand_unitary_element, rand_unitary_matrix
+from ncorlicz._linalg import POSITIVITY_RTOL, RANK_RTOL, cluster_indices, hermitian_eigh
+from ncorlicz.algebra import _block_eigh
+from ncorlicz.sampling import (SplitMix64, rand_element, rand_functional, rand_unitary_element,
+                               rand_unitary_matrix)
 
 
 def test_make_algebra_examples():
@@ -233,3 +235,39 @@ def test_positivity_checks_agree_at_the_tolerance(factor, positive):
         except ValidationError:
             verdicts.append(False)
     assert verdicts == [positive] * 4
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+def test_non_finite_entries_are_rejected(m2m1, bad):
+    block = np.eye(2, dtype=np.complex128)
+    block[0, 1] = bad
+    with pytest.raises(ValidationError, match="block 0 has non-finite entries"):
+        Element(m2m1, [block, [[1.0]]])
+    with pytest.raises(ValidationError, match="block 1 has non-finite entries"):
+        Functional(m2m1, [np.eye(2), [[bad]]])
+
+
+def _fresh_power(block, z):
+    """block^z on its support, computed from a fresh factorisation of the block."""
+    vals, vecs = hermitian_eigh(block)
+    out = np.zeros_like(block)
+    for group in cluster_indices(vals):
+        rep = float(np.mean(vals[group]))
+        if rep > RANK_RTOL * max(float(vals[0]), 0.0):
+            cols = vecs[:, group]
+            out += np.exp(complex(z) * math.log(rep)) * (cols @ cols.conj().T)
+    return out
+
+
+def test_memoized_eigen_data_is_bit_identical_to_a_fresh_factorisation(m2m3, rng):
+    for ranks in ([2, 3], [1, 2], [2, 1]):
+        rho = rand_functional(rng, m2m3, ranks).density_element()
+        memo = _block_eigh(rho)
+        assert _block_eigh(rho) is memo
+        for (vals, vecs), block in zip(memo, rho.blocks):
+            fresh_vals, fresh_vecs = hermitian_eigh(block)
+            assert np.array_equal(vals, fresh_vals) and np.array_equal(vecs, fresh_vecs)
+            assert not (vals.flags.writeable or vecs.flags.writeable)
+        for z in (0.5, -1.0, 0.0, 0.7j, 0.25 - 1.5j):
+            for got, block in zip(power_on_support(rho, z).blocks, rho.blocks):
+                assert np.array_equal(got, _fresh_power(block, z))

@@ -251,3 +251,21 @@ class TestRadonNikodym:
         h = radon_nikodym_sqrt(psi, phi)
         for _, _, _, e in m2.matrix_units():
             assert abs(psi(e) - phi(h.adjoint() * e * h)) <= 1e-10
+
+
+# Each density of the two-block algebra [2, 3] needs two block factorisations;
+# every check and power of one call reads them from the density's memo.
+@pytest.mark.parametrize("op, limit", [
+    (lambda phi, omega, x: relative_modular(phi, omega), 4),
+    (lambda phi, omega, x: connes_cocycle(phi, omega, 0.7), 4),
+    (lambda phi, omega, x: radon_nikodym_sqrt(phi, omega), 4),
+    (lambda phi, omega, x: modular_flow(phi, 0.7, x), 2),
+    (lambda phi, omega, x: relative_modular(phi, omega).matrix(0.5), 4),
+], ids=["relative_modular", "connes_cocycle", "radon_nikodym_sqrt", "modular_flow",
+        "matrix_half"])
+def test_each_density_is_factored_once(m2m3, count_eigh, op, limit):
+    rng = SplitMix64(11)
+    phi, omega, x = faithful(rng, m2m3), faithful(rng, m2m3), rand_element(rng, m2m3)
+    count_eigh.clear()
+    op(phi, omega, x)
+    assert len(count_eigh) <= limit
