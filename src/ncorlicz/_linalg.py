@@ -301,26 +301,26 @@ def rank_from_eigenvalues(vals: np.ndarray) -> int:
     return int(np.sum(vals > RANK_RTOL * top))
 
 
-def gram_schmidt(vectors: list[np.ndarray], pivot_tol: float) -> tuple[np.ndarray, list[int]]:
-    """Orthonormalize ``vectors`` by modified Gram-Schmidt with one reorthogonalization.
+def block_diag(blocks) -> np.ndarray:
+    """Complex matrix with the given square blocks along its diagonal, zeros elsewhere."""
+    out = np.zeros((sum(map(len, blocks)),) * 2, dtype=np.complex128)
+    pos = 0
+    for b in blocks:
+        out[pos:pos + len(b), pos:pos + len(b)] = b
+        pos += len(b)
+    return out
 
-    Candidates whose residual norm falls at or below ``pivot_tol`` are treated
-    as linearly dependent and dropped.  Returns the orthonormal basis as
-    columns plus the indices of the kept candidates.
-    """
+
+def gram_schmidt(vectors: np.ndarray, pivot_tol: float) -> np.ndarray:
+    """Orthonormal basis, as columns, of the span of the rows of ``vectors`` by
+    modified Gram-Schmidt with one reorthogonalization; a row whose residual
+    norm falls at or below ``pivot_tol`` counts as dependent and is dropped."""
     basis: list[np.ndarray] = []
-    kept: list[int] = []
-    for idx, vec in enumerate(vectors):
-        w = np.array(vec, dtype=np.complex128)
+    for w in vectors:
         for _ in range(2):
             for b in basis:
                 w = w - np.vdot(b, w) * b
         nrm = float(np.linalg.norm(w))
         if nrm > pivot_tol:
             basis.append(w / nrm)
-            kept.append(idx)
-    if basis:
-        mat = np.column_stack(basis)
-    else:
-        mat = np.zeros((vectors[0].shape[0] if vectors else 0, 0), dtype=np.complex128)
-    return mat, kept
+    return np.column_stack(basis) if basis else np.zeros((vectors.shape[1], 0), np.complex128)

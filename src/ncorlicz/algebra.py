@@ -12,9 +12,9 @@ All values are immutable after construction and every operation is pure.
 Each Element factors its blocks at most once: ``_block_eigh`` stores the
 per-block eigen data on the Element the first time it is asked for, and every
 spectral routine (powers, supports, polar data, positivity, ranks) reads it
-from there; a Functional keeps its density as one such Element.  The memo is
-filled lazily without a lock, and concurrent reads stay safe because the
-eigensolver is deterministic: a racing fill stores identical values.
+from there (singular values likewise from ``_block_singular_values``); a
+Functional keeps its density as one such Element.  Memos fill lazily without a
+lock: the kernels are deterministic, so a racing fill stores identical values.
 """
 
 from __future__ import annotations
@@ -99,12 +99,13 @@ def _freeze(blocks, dims) -> tuple[np.ndarray, ...]:
 class Element:
     """A blockwise complex matrix, the universal carrier for algebra members."""
 
-    __slots__ = ("algebra", "blocks", "_eigh")
+    __slots__ = ("algebra", "blocks", "_eigh", "_svals")
 
     def __init__(self, algebra: AlgebraDescriptor, blocks):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "blocks", _freeze(blocks, algebra.block_dims))
         object.__setattr__(self, "_eigh", None)
+        object.__setattr__(self, "_svals", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Element is immutable")
@@ -278,6 +279,17 @@ def _block_eigh(x: Element) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
             vals.flags.writeable = vecs.flags.writeable = False
         object.__setattr__(x, "_eigh", eig)
     return x._eigh
+
+
+def _block_singular_values(x: Element) -> tuple[np.ndarray, ...]:
+    """Per-block descending singular values of x, read-only, stored on x by the
+    first call; the only caller of ``_linalg.singular_values`` outside ``_linalg``."""
+    if x._svals is None:
+        svals = tuple(_linalg.singular_values(b) for b in x.blocks)
+        for vals in svals:
+            vals.flags.writeable = False
+        object.__setattr__(x, "_svals", svals)
+    return x._svals
 
 
 def _clustered(vals: np.ndarray, vecs: np.ndarray):

@@ -59,9 +59,12 @@ class Interval:
             raise ValidationError(f"empty interval [{self.a}, {self.b})")
 
     def weight(self) -> float:
-        """exp(-a) - exp(-b), the trace mass of the interval."""
-        left = math.exp(-float(self.a))
-        return left if self.b is None else left - math.exp(-float(self.b))
+        """exp(-a) - exp(-b), the trace mass of the interval; ValidationError beyond binary64."""
+        try:
+            left = math.exp(-float(self.a))
+            return left if self.b is None else left - math.exp(-float(self.b))
+        except OverflowError:
+            raise ValidationError(f"trace mass of {self} is beyond the binary64 range") from None
 
     def shift(self, s: Fraction) -> "Interval":
         return Interval(self.a + s, None if self.b is None else self.b + s)

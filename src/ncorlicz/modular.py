@@ -8,6 +8,11 @@ elements.  The vector representative of a positive functional is the
 square root of its density, relative modular operators act by
 xi -> rho_phi xi rho_omega^+ (pseudo-inverse on the right support), and
 Connes cocycles are the phase-power products rho_phi^{it} rho_omega^{-it}.
+
+Matrices use the matrix units e_jk, block by block and row-major inside a
+block (the order of ``matrix_units``); there xi -> a xi b is blockdiag_i
+kron(a_i, b_i^T), entry [(j, k), (l, m)] = a_jl b_mk, and every matrix below
+is built from that identity instead of by applying its map to each unit.
 """
 
 from __future__ import annotations
@@ -34,10 +39,10 @@ class GNSData:
     """Concrete GNS space of a positive functional.
 
     The carrier is the span of the classes [x] = x rho^(1/2) inside the
-    Hilbert-Schmidt space; ``basis`` holds an orthonormal basis of that
-    span as columns over the flattened ambient space, ``gram`` the inner
-    products omega(e_a* e_b) over matrix units, and ``cyclic_vector`` the
-    class of the identity.
+    Hilbert-Schmidt space; ``basis`` holds an orthonormal basis of that span
+    as columns over the matrix units (block i scaled by sqrt(c_i)), ``gram``
+    the inner products omega(e_a* e_b) = blockdiag_i c_i kron(I, rho_i^T),
+    and ``cyclic_vector`` the class of the identity.
     """
 
     algebra: AlgebraDescriptor
@@ -53,27 +58,17 @@ class GNSData:
         return self.basis.conj().T @ _ambient(self.algebra, self._root, x)
 
     def represent(self, x: Element) -> np.ndarray:
-        """Matrix of left multiplication by x on the GNS space."""
-        dims = self.algebra.block_dims
-        cols = []
-        for k in range(self.dimension):
-            vec = self.basis[:, k]
-            out = []
-            pos = 0
-            for d, xb in zip(dims, x.blocks):
-                blockvec = vec[pos:pos + d * d].reshape(d, d)
-                out.append((xb @ blockvec).ravel())
-                pos += d * d
-            cols.append(self.basis.conj().T @ np.concatenate(out))
-        return np.column_stack(cols) if cols else np.zeros((0, 0), dtype=np.complex128)
+        """Matrix basis* blockdiag_i kron(x_i, I) basis of left multiplication by x."""
+        act = _linalg.block_diag([np.kron(xb, np.eye(len(xb))) for xb in x.blocks])
+        return self.basis.conj().T @ act @ self.basis
 
 
 def gns(omega: Functional) -> GNSData:
     """GNS space, representation and cyclic vector of a positive functional.
 
-    The kernel of [.] (the left ideal of null vectors) is detected by
-    Gram-Schmidt over the matrix units with a fixed pivot threshold, so
-    the dimension comes out as sum_i d_i * rank(rho_i).
+    Null vectors are dropped by Gram-Schmidt with a fixed pivot threshold over
+    the classes of the matrix units, the rows of blockdiag_i sqrt(c_i)
+    kron(I, rho_i^(1/2)), so the dimension is sum_i d_i * rank(rho_i).
     """
     if not omega.is_positive():
         raise ValidationError("gns needs a positive functional")
@@ -81,14 +76,12 @@ def gns(omega: Functional) -> GNSData:
         raise ValidationError("gns of the zero functional is empty")
     alg = omega.algebra
     root = tuple(_on_support(omega.density_element(), math.sqrt))
-    units = [e for _, _, _, e in alg.matrix_units()]
-    candidates = [_ambient(alg, root, e) for e in units]
+    candidates = _linalg.block_diag([math.sqrt(c) * np.kron(np.eye(len(r)), r)
+                                     for c, r in zip(alg.weights, root)])
     scale = max(float(np.linalg.norm(v)) for v in candidates)
-    basis, _ = _linalg.gram_schmidt(candidates, GNS_PIVOT_TOL * max(scale, 1e-300))
-    gram = np.empty((len(units), len(units)), dtype=np.complex128)
-    for a, ea in enumerate(units):
-        for b, eb in enumerate(units):
-            gram[a, b] = omega(ea.adjoint() * eb)
+    basis = _linalg.gram_schmidt(candidates, GNS_PIVOT_TOL * max(scale, 1e-300))
+    gram = _linalg.block_diag([c * np.kron(np.eye(len(r)), r.T)
+                               for c, r in zip(alg.weights, omega.densities)])
     cyc = basis.conj().T @ _ambient(alg, root, alg.identity())
     return GNSData(alg, omega, basis.shape[1], gram, basis, cyc, root)
 
@@ -172,22 +165,14 @@ class ModularOperator:
         return left * xi * right
 
     def matrix(self, z: complex = 1.0) -> np.ndarray:
-        """Dense matrix of the z-th power on the normalized matrix-unit basis."""
-        alg = self.algebra
-        units = []
-        for i, _, _, e in alg.matrix_units():
-            units.append(e / math.sqrt(alg.weights[i]))
+        """blockdiag_i kron(L_i, R_i^T), L = rho_phi^z, R = rho_omega^-z: the z-th power on
+        the units e_jk / sqrt(c_i) in matrix-unit order, whose weights cancel tau's."""
         if z == 1.0:
             left, right = self.rho_left, self.rho_right_pinv
         else:
             left = power_on_support(self.rho_left, z)
             right = power_on_support(self.omega.density_element(), -z)
-        sf = StandardForm(alg)
-        cols = []
-        for u in units:
-            img = left * u * right
-            cols.append(np.array([sf.inner(v, img) for v in units]))
-        return np.column_stack(cols)
+        return _linalg.block_diag([np.kron(a, b.T) for a, b in zip(left.blocks, right.blocks)])
 
 
 def relative_modular(phi: Functional, omega: Functional) -> ModularOperator:

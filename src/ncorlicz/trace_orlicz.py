@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import CLUSTER_RTOL, RANK_RTOL, singular_values
-from .algebra import Element, absolute, positive_eigenvalues, trace
+from ._linalg import CLUSTER_RTOL, RANK_RTOL
+from .algebra import Element, _block_singular_values, absolute, positive_eigenvalues, trace
 from .errors import ConvergenceError, ValidationError
 from .orliczfn import INF, OrliczFunction
 
@@ -57,7 +57,7 @@ class RearrangementFunction:
         self.steps = steps
 
     def __call__(self, t: float) -> float:
-        if t < 0:
+        if not (t >= 0):
             raise ValidationError("rearrangement argument must be >= 0")
         acc = 0.0
         for s in self.steps:
@@ -97,17 +97,16 @@ class RearrangementFunction:
 def singular_value_measures(x: Element) -> list[tuple[float, float]]:
     """Nonzero singular values of x with their tau-measures, merged descending.
 
-    Each block x_i is factored once, directly, by the one-sided Jacobi kernel
-    ``singular_values`` (exact power-of-two prescale, so any finite scale
-    works and small values keep their relative accuracy); x*x is never
+    Each block x_i is factored once per Element (``_block_singular_values``),
+    directly, by one-sided Jacobi (exact power-of-two prescale, so any finite
+    scale works and small values keep their relative accuracy); x*x is never
     formed.  Values at or below RANK_RTOL times the block's largest are
     dropped.  Each remaining singular value of block i carries measure c_i
     per multiplicity; values within the cluster tolerance are merged
     (measure-weighted mean).
     """
     pairs = []
-    for c, block in zip(x.algebra.weights, x.blocks):
-        vals = singular_values(block)
+    for c, vals in zip(x.algebra.weights, _block_singular_values(x)):
         cut = RANK_RTOL * vals[0]
         pairs.extend((float(v), c) for v in vals if v > cut)
     pairs.sort(key=lambda p: -p[0])

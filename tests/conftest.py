@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from ncorlicz import SplitMix64, _linalg, make_algebra
+from ncorlicz import SplitMix64, make_algebra
 from ncorlicz.sampling import rand_element, rand_functional, rand_hermitian
 
 
@@ -57,22 +57,30 @@ def svd_singular_values(x):
 
 
 @pytest.fixture
-def count_eigh(monkeypatch):
-    """Shapes of the blocks passed to ``_linalg.hermitian_eigh``, one entry per call.
+def count_calls(monkeypatch):
+    """``count_calls(fn)`` patches every binding of ``fn`` in an ``ncorlicz``
+    module or in a class defined there, and returns a list that gets the
+    positional arguments of each later call.
 
-    Every binding of the solver in an ``ncorlicz`` module is patched, so calls
-    through a from-import are counted too.
+    Calls through a from-import or through a method (``Element.__init__``)
+    are counted too.
     """
-    calls = []
-    original = _linalg.hermitian_eigh
+    def install(original):
+        calls = []
 
-    def counted(a):
-        calls.append(np.shape(a))
-        return original(a)
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
 
-    for name, mod in list(sys.modules.items()):
-        if mod is not None and (name == "ncorlicz" or name.startswith("ncorlicz.")):
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, counted)
-    return calls
+        for name, mod in list(sys.modules.items()):
+            if mod is None or not (name == "ncorlicz" or name.startswith("ncorlicz.")):
+                continue
+            owners = [mod] + [v for v in vars(mod).values() if isinstance(v, type)
+                              and v.__module__.startswith("ncorlicz")]
+            for owner in owners:
+                for attr, value in list(vars(owner).items()):
+                    if value is original:
+                        monkeypatch.setattr(owner, attr, counted)
+        return calls
+
+    return install

@@ -66,6 +66,16 @@ def test_core_norm(capsys, files):
     assert loads(out)["norm"] == pytest.approx(5.0, rel=1e-11)
 
 
+def test_core_norm_mass_overflow_is_input_error(capsys, files):
+    core = files / "core_far.json"
+    core.write_text(json.dumps({"pieces": [
+        {"interval": [-1000, 0], "element": {"blocks": [[[[3, 0], [0, 0]], [[0, 0], [4, 0]]]]}}]}))
+    code, out, err = run_cli(capsys, "core-norm", "--algebra", str(files / "m2.json"),
+                             "--core", str(core), "--phi", "power2")
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "[-1000, 0)" in err and "Traceback" not in err
+
+
 def test_rearr_with_csv(capsys, files):
     csv_path = files / "steps.csv"
     code, out, _ = run_cli(capsys, "rearr", "--algebra", str(files / "alg.json"),

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,19 @@ class TestConstruction:
         assert interval(0, "inf").b is None
         assert interval(0.5, 1.5).weight() == pytest.approx(
             math.exp(-0.5) - math.exp(-1.5))
+
+    def test_mass_beyond_binary64_rejected(self, m2):
+        x = m2.identity()
+        assert canonical_trace(CoreElement(m2, [(x, interval(-700, 0))])) == pytest.approx(
+            2.0 * (math.exp(700.0) - 1.0))
+        for iv in (interval(-1000, 0), interval(-1000, -999), interval(-710, "inf")):
+            with pytest.raises(ValidationError, match=r"beyond the binary64 range"):
+                iv.weight()
+            z = CoreElement(m2, [(x, iv)])
+            with pytest.raises(ValidationError, match=re.escape(str(iv))):
+                canonical_trace(z)
+            with pytest.raises(ValidationError, match="binary64"):
+                core_luxemburg_norm(PowerFunction(2.0), z)
 
     def test_overlap_rejected(self, m2, rng):
         x = rand_element(rng, m2)

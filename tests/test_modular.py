@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from ncorlicz import (Element, Functional, ValidationError, connes_cocycle, gns,
+from ncorlicz import (Element, Functional, ValidationError, _linalg, connes_cocycle, gns,
                       make_algebra, modular_flow, radon_nikodym_sqrt, relative_modular,
                       standard_form, support_projection)
+from ncorlicz.algebra import _on_support
+from ncorlicz.modular import GNS_PIVOT_TOL, _ambient
 from ncorlicz.sampling import (SplitMix64, rand_element, rand_functional, rand_positive,
                                rand_unitary_element)
 
@@ -263,9 +265,64 @@ class TestRadonNikodym:
     (lambda phi, omega, x: relative_modular(phi, omega).matrix(0.5), 4),
 ], ids=["relative_modular", "connes_cocycle", "radon_nikodym_sqrt", "modular_flow",
         "matrix_half"])
-def test_each_density_is_factored_once(m2m3, count_eigh, op, limit):
+def test_each_density_is_factored_once(m2m3, count_calls, op, limit):
     rng = SplitMix64(11)
     phi, omega, x = faithful(rng, m2m3), faithful(rng, m2m3), rand_element(rng, m2m3)
-    count_eigh.clear()
+    calls = count_calls(_linalg.hermitian_eigh)
     op(phi, omega, x)
-    assert len(count_eigh) <= limit
+    assert len(calls) <= limit
+
+
+class TestClosedFormsAgainstProbing:
+    """The Kronecker forms of ``matrix``, ``gns`` and ``represent`` against the
+    matrix-unit probing they replaced, on the weighted algebra [2, 3]."""
+
+    @pytest.mark.parametrize("z", [1.0, 0.5, 0.7j])
+    def test_matrix(self, m2m3, z):
+        rng = SplitMix64(3)
+        op = relative_modular(rand_functional(rng, m2m3, [1, 2]), faithful(rng, m2m3))
+        sf = standard_form(m2m3)
+        units = [e / math.sqrt(m2m3.weights[i]) for i, _, _, e in m2m3.matrix_units()]
+        image = op.apply if z == 1.0 else (lambda xi: op.power_apply(z, xi))
+        oracle = np.array([[sf.inner(u, image(v)) for v in units] for u in units])
+        assert np.max(np.abs(op.matrix(z) - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+    def test_gram(self, m2m3):
+        omega = rand_functional(SplitMix64(5), m2m3, [1, 2])
+        units = [e for _, _, _, e in m2m3.matrix_units()]
+        oracle = np.array([[omega(ea.adjoint() * eb) for eb in units] for ea in units])
+        assert np.array_equal(gns(omega).gram, oracle)
+
+    def test_basis(self, m2m3):
+        omega = rand_functional(SplitMix64(6), m2m3, [2, 1])
+        root = _on_support(omega.density_element(), math.sqrt)
+        candidates = np.array([_ambient(m2m3, root, e) for _, _, _, e in m2m3.matrix_units()])
+        scale = max(float(np.linalg.norm(v)) for v in candidates)
+        oracle = _linalg.gram_schmidt(candidates, GNS_PIVOT_TOL * scale)
+        assert np.array_equal(gns(omega).basis, oracle)
+
+    def test_represent(self, m2m3):
+        rng = SplitMix64(7)
+        data = gns(rand_functional(rng, m2m3, [2, 1]))
+        x = rand_element(rng, m2m3)
+        cols = []
+        for vec in data.basis.T:
+            out, pos = [], 0
+            for d, xb in zip(m2m3.block_dims, x.blocks):
+                out.append((xb @ vec[pos:pos + d * d].reshape(d, d)).ravel())
+                pos += d * d
+            cols.append(data.basis.conj().T @ np.concatenate(out))
+        oracle = np.column_stack(cols)
+        assert np.max(np.abs(data.represent(x) - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("op", [
+    lambda phi, omega: relative_modular(phi, omega).matrix(),
+    lambda phi, omega: gns(phi),
+], ids=["matrix", "gns"])
+def test_standard_form_matrices_build_few_elements(m2m3, count_calls, op):
+    rng = SplitMix64(13)
+    phi, omega = faithful(rng, m2m3), faithful(rng, m2m3)
+    built = count_calls(Element.__init__)
+    op(phi, omega)
+    assert len(built) <= 10

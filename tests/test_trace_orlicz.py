@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ncorlicz import (CoshMinusOne, Element, JumpFunction, PowerFunction, ValidationError,
-                      absolute, dual_pairing, e_space_gauge, fk_integral, luxemburg_norm,
+                      _linalg, absolute, dual_pairing, e_space_gauge, fk_integral, luxemburg_norm,
                       luxemburg_report, membership, modular_value, operator_norm,
                       rearrangement, rearrangement_csv, registry, trace, young_conjugate)
 from ncorlicz.sampling import rand_element, rand_unitary_element
@@ -28,6 +28,23 @@ class TestRearrangement:
 
     def test_zero_element(self, m2):
         assert rearrangement(m2.zero()).steps == ()
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan, -math.inf])
+    def test_argument_outside_the_half_line_rejected(self, m2m1_half, t):
+        mu = rearrangement(Element(m2m1_half, [np.diag([1.0, 3.0]), np.array([[2.0]])]))
+        with pytest.raises(ValidationError, match=">= 0"):
+            mu(t)
+
+    def test_singular_values_computed_once_per_element(self, m2m3, rng, count_calls):
+        x = rand_element(rng, m2m3)
+        calls = count_calls(_linalg.singular_values)
+        reports = [luxemburg_report(phi, x) for phi in registry().values()]
+        mu = rearrangement(x)
+        fk_integral(PowerFunction(2.0), x)
+        assert len(calls) == m2m3.nblocks
+        fresh = Element(m2m3, x.blocks)
+        assert [luxemburg_report(phi, fresh) for phi in registry().values()] == reports
+        assert rearrangement(fresh).steps == mu.steps
 
     def test_unitary_conjugation_invariance(self, m2m3, rng):
         x = rand_element(rng, m2m3)
