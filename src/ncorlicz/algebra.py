@@ -247,12 +247,6 @@ class Spectrum:
     algebra: AlgebraDescriptor
     lines: tuple[SpectralLine, ...]
 
-    def eigenvalues_by_block(self) -> list[list[float]]:
-        out: list[list[float]] = [[] for _ in range(self.algebra.nblocks)]
-        for line in self.lines:
-            out[line.block].append(line.value)
-        return out
-
     def reconstruct(self) -> Element:
         acc = self.algebra.zero()
         for line in self.lines:

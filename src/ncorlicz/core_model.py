@@ -59,10 +59,14 @@ class Interval:
             raise ValidationError(f"empty interval [{self.a}, {self.b})")
 
     def weight(self) -> float:
-        """exp(-a) - exp(-b), the trace mass of the interval; ValidationError beyond binary64."""
+        """exp(-a) - exp(-b), the trace mass of the interval; ValidationError beyond binary64.
+
+        Computed as exp(-a) * -expm1(-(b - a)) with b - a exact, so a short
+        interval keeps its relative accuracy instead of cancelling.
+        """
         try:
             left = math.exp(-float(self.a))
-            return left if self.b is None else left - math.exp(-float(self.b))
+            return left if self.b is None else left * -math.expm1(-float(self.b - self.a))
         except OverflowError:
             raise ValidationError(f"trace mass of {self} is beyond the binary64 range") from None
 

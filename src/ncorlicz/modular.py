@@ -99,9 +99,9 @@ def _ambient(alg: AlgebraDescriptor, root, x: Element) -> np.ndarray:
 class StandardForm:
     """Hilbert-Schmidt standard form of a trace algebra.
 
-    Carries the inner product, the left action, the blockwise-adjoint
-    conjugation and the positive cone, plus the canonical vector
-    representative of positive functionals.
+    Carries the inner product, the blockwise-adjoint conjugation and the
+    positive cone, plus the canonical vector representative of positive
+    functionals; the left action of x on xi is the product x * xi.
     """
 
     def __init__(self, algebra: AlgebraDescriptor):
@@ -109,9 +109,6 @@ class StandardForm:
 
     def inner(self, xi: Element, zeta: Element) -> complex:
         return trace(xi.adjoint() * zeta)
-
-    def act(self, x: Element, xi: Element) -> Element:
-        return x * xi
 
     def conjugation(self, xi: Element) -> Element:
         return xi.adjoint()
@@ -153,8 +150,6 @@ class ModularOperator:
         self.omega = omega
         self.rho_left = phi.density_element()
         self.rho_right_pinv = power_on_support(omega.density_element(), -1.0)
-        self.support_left = support_projection(phi)
-        self.support_right = support_projection(omega)
 
     def apply(self, xi: Element) -> Element:
         return self.rho_left * xi * self.rho_right_pinv

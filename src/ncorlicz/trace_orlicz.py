@@ -8,7 +8,10 @@ routes are computed.  The Luxemburg gauge
 
     ||x||_Phi = inf { lam > 0 : tau(Phi(|x|/lam)) <= 1 }
 
-is found by bisection on the monotone modular.  In finite dimension
+is found by a safeguarded bracketing root-find on u = log lam for
+g(u) = log tau(Phi(|x|/e^u)), which is nonincreasing and, for a power,
+linear; it covers the whole binary64 range of lam (see
+``_luxemburg_from_measures``).  In finite dimension
 the bounded-times-trace-class machinery collapses: every element is
 measurable, N itself is the whole space, and the closure E_Phi of
 N intersect L_Phi equals L_Phi as a set; see ``e_space_gauge``.
@@ -17,6 +20,7 @@ N intersect L_Phi equals L_Phi as a set; see ``e_space_gauge``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +31,14 @@ from .errors import ConvergenceError, ValidationError
 from .orliczfn import INF, OrliczFunction
 
 FK_RTOL = 1e-10
-BISECTION_CAP = 200
+EVALUATION_CAP = 200
+_DBL_MAX = sys.float_info.max
+_U_MIN = math.log(math.ulp(0.0))  # log of the smallest positive scale
+_U_MAX = math.log(_DBL_MAX)  # exp stays finite here
+
+CONVERGED = "converged"
+AT_FINITENESS_BOUND = "exact at finiteness bound"
+ZERO = "zero"
 
 
 @dataclass(frozen=True)
@@ -198,72 +209,168 @@ def fk_integral(phi: OrliczFunction, x: Element) -> float:
 
 @dataclass(frozen=True)
 class NormReport:
+    """A Luxemburg norm with the evidence for it.
+
+    ``iterations`` counts modular evaluations and ``reason`` says how the
+    root-find stopped: CONVERGED (the bracket closed to the tolerance),
+    AT_FINITENESS_BOUND (the modular is +inf below v_max / x_f and at most 1
+    there) or ZERO (x = 0).
+    """
+
     norm: float
     iterations: int
     modular_at_norm: float
+    reason: str
 
     def to_json_obj(self) -> dict:
         return {"norm": self.norm, "iterations": self.iterations,
                 "modularValueAtNorm": self.modular_at_norm}
 
 
-def _luxemburg_from_measures(values: np.ndarray, measures: np.ndarray,
-                             phi: OrliczFunction, tol: float) -> tuple[float, int]:
-    """Bisection for inf { lam : modular(lam) <= 1 } on singular data.
+def _log(m: float) -> float:
+    return -INF if m == 0.0 else math.log(m)
 
-    The bracket starts at the top singular value, grows or shrinks
-    geometrically until it straddles the level set, then bisects; each
-    phase is capped at BISECTION_CAP iterations.
+
+def _luxemburg_from_measures(values: np.ndarray, measures: np.ndarray,
+                             phi: OrliczFunction, tol: float) -> NormReport:
+    """inf { lam : modular(lam) <= 1 } on singular data, by a safeguarded
+    bracketing root-find on u = log lam for g(u) = log modular(e^u).
+
+    Bracket: start at lam = v_max / x_f when Phi has a finite finiteness
+    bound x_f, else at v_max, and step u by +-1, +-2, +-4, ... until the
+    modular crosses 1, clamped to the binary64 range of lam.  In the first
+    case, if modular(v_max / x_f) <= 1 that scale is the exact infimum,
+    because below it v_max / lam > x_f and the modular is +inf.  A scale
+    with v_max / lam beyond binary64 counts as modular +inf without
+    evaluating Phi.
+
+    Refine: Brent's zeroin (Brent 1973, ch. 4) on g, i.e. secant or inverse
+    quadratic interpolation, with a bisection in u whenever g is infinite
+    (modular 0 or +inf) or the interpolated step is not less than half the
+    step before last.  Every new point lies at least tol/2 (relative) inside
+    the bracket, so a point next to the root closes the bracket with one
+    more evaluation.  For a power g is linear in u, so one secant step lands
+    on the root.
+
+    The returned lam was evaluated and has modular(lam) <= 1, and an
+    evaluated lo with modular(lo) > 1 has lam - lo <= tol * lam; the report
+    counts the modular evaluations.  Raises ConvergenceError, naming the
+    bracket, the evaluation count and the last modular values, when no
+    binary64 scale meets that.
     """
     if values.size == 0:
-        return 0.0, 0
+        return NormReport(0.0, 0, 0.0, ZERO)
+    vmax = float(np.max(values))
+    xf = phi.finiteness_bound
+    trail: list[tuple[float, float]] = []  # (lam, modular) per evaluation
+    lo = hi = None  # (lam, modular) at the ends of the bracket
 
-    def m(lam):
-        return modular_from_measures(phi, values, measures, lam)
+    def fail(why):
+        last = ", ".join(f"modular({lam!r}) = {m!r}" for lam, m in trail[-3:])
+        return ConvergenceError(f"Luxemburg root-find: {why}; bracket lo={lo}, hi={hi} "
+                                f"after {len(trail)} modular evaluations; last {last}")
 
-    iters = 0
-    hi = float(np.max(values))
-    while m(hi) > 1.0:
-        hi *= 2.0
-        iters += 1
-        if iters > BISECTION_CAP:
-            raise ConvergenceError("Luxemburg bracket expansion exceeded its cap")
-    lo = hi / 2.0
-    while m(lo) <= 1.0:
-        hi = lo
-        lo /= 2.0
-        iters += 1
-        if iters > BISECTION_CAP:
-            raise ConvergenceError("Luxemburg bracket shrink exceeded its cap")
-    steps = 0
-    while hi - lo > tol * hi:
-        mid = 0.5 * (lo + hi)
-        if m(mid) <= 1.0:
-            hi = mid
+    def modular(lam):
+        if vmax / lam > _DBL_MAX:
+            return INF
+        if len(trail) == EVALUATION_CAP:
+            raise fail("evaluation cap reached")
+        m = modular_from_measures(phi, values, measures, lam)
+        trail.append((lam, m))
+        return m
+
+    if not xf > 0.0:
+        raise fail(f"{phi.label()} is +inf at every t > 0")
+    lam = vmax / xf
+    if 0.0 < lam < INF:
+        # The smallest binary64 scale with v_max / lam <= x_f.
+        while vmax / lam > xf:
+            lam = math.nextafter(lam, INF)
+        below = math.nextafter(lam, 0.0)
+        while below > 0.0 and vmax / below <= xf:
+            lam, below = below, math.nextafter(below, 0.0)
+        m = modular(lam)
+        if m <= 1.0:
+            return NormReport(lam, len(trail), m, AT_FINITENESS_BOUND)
+    else:
+        lam = vmax  # x_f is +inf, or v_max / x_f leaves binary64
+        m = modular(lam)
+
+    up = m > 1.0
+    u, stride = math.log(lam), 1.0
+    while True:
+        if m > 1.0:
+            lo = (lam, m)
         else:
-            lo = mid
-        steps += 1
-        if steps > BISECTION_CAP:
-            raise ConvergenceError("Luxemburg bisection exceeded its cap")
-    return hi, iters + steps
+            hi = (lam, m)
+        if (m > 1.0) != up:
+            break
+        if u == (_U_MAX if up else _U_MIN):
+            raise fail("the norm lies outside the binary64 range")
+        u = min(u + stride, _U_MAX) if up else max(u - stride, _U_MIN)
+        stride *= 2.0
+        lam = math.exp(u)
+        m = modular(lam)
+
+    # zeroin: b is the end with the smaller |g|, c the other end, a the
+    # previous b; a point is (u, g, lam, modular).
+    least = 0.5 * tol  # the least step in u: tol/2 relative in lam
+    b = (math.log(hi[0]), _log(hi[1])) + hi
+    a = c = (math.log(lo[0]), _log(lo[1])) + lo
+    d = e = c[0] - b[0]
+    while True:
+        if abs(c[1]) < abs(b[1]):
+            a, b, c = b, c, b
+        lo, hi = (b[2:], c[2:]) if b[3] > 1.0 else (c[2:], b[2:])
+        if hi[0] - lo[0] <= tol * hi[0]:
+            return NormReport(hi[0], len(trail), hi[1], CONVERGED)
+        xm = 0.5 * (c[0] - b[0])
+        if b[1] == 0.0:  # modular exactly 1: step off b towards c
+            d = e = 0.0
+        elif abs(e) >= least and abs(a[1]) > abs(b[1]) and math.isfinite(a[1] + c[1]):
+            s = b[1] / a[1]
+            if a == c:  # secant
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = a[1] / c[1], b[1] / c[1]
+                p = s * (2.0 * xm * q * (q - r) - (b[0] - a[0]) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            q, p = (-q, p) if p > 0.0 else (q, -p)
+            if 2.0 * p < min(3.0 * xm * q - abs(least * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = xm
+        else:
+            d = e = xm
+        a = b
+        u = b[0] + (d if abs(d) > least else math.copysign(least, xm))
+        lam = min(max(math.exp(u), lo[0] * (1.0 + least)), hi[0] * (1.0 - least))
+        if not lo[0] < lam < hi[0]:
+            lam = lo[0] + 0.5 * (hi[0] - lo[0])
+            if not lo[0] < lam < hi[0]:
+                raise fail(f"tolerance {tol!r} is below the binary64 resolution")
+        m = modular(lam)
+        b = (math.log(lam), _log(m), lam, m)
+        if (m > 1.0) == (c[3] > 1.0):
+            c = a
+            d = e = b[0] - a[0]
 
 
 def report_from_measures(phi: OrliczFunction, values: np.ndarray, measures: np.ndarray,
                          tol: float) -> NormReport:
-    """Luxemburg norm of singular data with its iteration count and the modular
-    value at the norm; the body of ``luxemburg_report`` and of
-    ``core_model.core_luxemburg_report``."""
+    """Luxemburg norm of singular data with its evaluation count, the modular
+    value at the norm and the termination reason; the body of
+    ``luxemburg_report`` and of ``core_model.core_luxemburg_report``."""
     if not (tol > 0):
         raise ValidationError("tolerance must be positive")
     if not phi.is_young:
         raise ValidationError(f"{phi.label()} is not a Young function")
-    norm, iters = _luxemburg_from_measures(values, measures, phi, tol)
-    mod = modular_from_measures(phi, values, measures, norm) if norm > 0 else 0.0
-    return NormReport(norm, iters, mod)
+    return _luxemburg_from_measures(values, measures, phi, tol)
 
 
 def luxemburg_report(phi: OrliczFunction, x: Element, tol: float = 1e-12) -> NormReport:
-    """Luxemburg norm with iteration count and the modular value at the norm."""
+    """Luxemburg norm with its evaluation count, the modular value at the norm
+    and the termination reason."""
     return report_from_measures(phi, *_singular_arrays(x), tol)
 
 
@@ -300,15 +407,27 @@ def membership(phi: OrliczFunction, x: Element) -> MembershipFlags:
     if values.size == 0:
         return MembershipFlags(True, True, True, 1.0)
     orlicz_class = modular_from_measures(phi, values, measures, 1.0) < INF
-    witness = None
-    lam = 1.0
-    for _ in range(BISECTION_CAP):
-        if modular_from_measures(phi, values, measures, 1.0 / lam) < INF:
-            witness = lam
-            break
-        lam /= 2.0
-    mtkr = phi.finite_valued
-    return MembershipFlags(orlicz_class, witness is not None, mtkr, witness)
+    witness = 1.0 if orlicz_class else _shrink_witness(phi, values, measures)
+    return MembershipFlags(orlicz_class, witness is not None, phi.finite_valued, witness)
+
+
+def _shrink_witness(phi: OrliczFunction, values: np.ndarray,
+                    measures: np.ndarray) -> float | None:
+    """The largest 2^k <= 1 with v_max * 2^k <= b, where b is the finiteness
+    bound of Phi (1 for a finite-valued Phi, whose modular can still
+    overflow), if the modular of 2^k x is finite; None if it is not or 2^k
+    leaves binary64.  One evaluation."""
+    bound = 1.0 if phi.finite_valued else phi.finiteness_bound
+    vmax = float(np.max(values))
+    if not bound > 0.0:
+        return None
+    k = math.floor(math.log2(bound) - math.log2(vmax))
+    w = math.ldexp(1.0, min(max(k, -1074), 0))
+    if vmax * w > bound:
+        w *= 0.5
+    if w > 0.0 and modular_from_measures(phi, values * w, measures, 1.0) < INF:
+        return w
+    return None
 
 
 def dual_pairing(x: Element, y: Element) -> complex:

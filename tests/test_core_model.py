@@ -1,5 +1,6 @@
 import math
 import re
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,14 @@ class TestConstruction:
         assert interval(0, "inf").b is None
         assert interval(0.5, 1.5).weight() == pytest.approx(
             math.exp(-0.5) - math.exp(-1.5))
+
+    def test_weight_of_short_intervals(self):
+        assert interval(0, 1e-10).weight() == pytest.approx(-math.expm1(-1e-10), rel=1e-15, abs=0)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            a, b = Decimal(30), Decimal(30) + Decimal(2) ** -20
+            want = float((-a).exp() - (-b).exp())
+        assert interval(30, 30 + 2.0 ** -20).weight() == pytest.approx(want, rel=1e-15, abs=0)
 
     def test_mass_beyond_binary64_rejected(self, m2):
         x = m2.identity()
@@ -160,6 +169,18 @@ class TestCoreNorm:
 
     def test_zero(self, m2):
         assert core_luxemburg_norm(PowerFunction(2), CoreElement(m2, [])) == 0.0
+
+    def test_far_right_piece(self, m2):
+        # Mass e^-700 (1 - e^-1) per unit of trace: the norm is about e^-350.
+        one = m2.identity()
+        with localcontext() as ctx:
+            ctx.prec = 40
+            piece = float((2 * ((-Decimal(700)).exp() - (-Decimal(701)).exp())).sqrt())
+            tail = float((2 * (-Decimal(700)).exp()).sqrt())
+        got = core_luxemburg_norm(PowerFunction(2), CoreElement(m2, [(one, interval(700, 701))]))
+        assert got == pytest.approx(piece, rel=2e-12, abs=0)
+        assert core_luxemburg_norm(PowerFunction(2), dual_action(700, embed(one))) == \
+            pytest.approx(tail, rel=2e-12, abs=0)
 
     def test_embedding_matches_base_norm(self, m2):
         x = Element(m2, [np.diag([3.0, 4.0])])

@@ -1,12 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from ncorlicz import (CoshMinusOne, Element, JumpFunction, PowerFunction, ValidationError,
-                      _linalg, absolute, dual_pairing, e_space_gauge, fk_integral, luxemburg_norm,
-                      luxemburg_report, membership, modular_value, operator_norm,
-                      rearrangement, rearrangement_csv, registry, trace, young_conjugate)
+from ncorlicz import (ConvergenceError, CoshMinusOne, Element, JumpFunction, OrliczFunction,
+                      PowerFunction, ValidationError, _linalg, absolute, dual_pairing,
+                      e_space_gauge, fk_integral, luxemburg_norm, luxemburg_report, make_algebra,
+                      membership, modular_value, operator_norm, rearrangement, rearrangement_csv,
+                      registry, trace, young_conjugate)
+from ncorlicz.trace_orlicz import AT_FINITENESS_BOUND, CONVERGED, ZERO
 from ncorlicz.sampling import rand_element, rand_unitary_element
 from conftest import svd_singular_values
 
@@ -143,6 +146,81 @@ class TestLuxemburgNorm:
             assert luxemburg_norm(phi, u * x * u.adjoint()) == pytest.approx(n, rel=1e-10)
 
 
+class TestRootFind:
+    """The log-domain root-find: evaluation counts, the infimum, the whole binary64 range."""
+
+    @staticmethod
+    def diag(weight, *values):
+        return Element(make_algebra([len(values)], [weight]),
+                       [np.diag(np.array(values, dtype=complex))])
+
+    def test_evaluations_per_norm(self, m2m3, rng, count_calls):
+        calls = count_calls(OrliczFunction.eval_array)
+        bound = {"power1": 8, "power2": 8, "power3": 8, "cosh1": 14, "linf": 1}
+        for _ in range(50):
+            x = rand_element(rng, m2m3)
+            for name, phi in registry().items():
+                before = len(calls)
+                rep = luxemburg_report(phi, x)
+                assert len(calls) - before == rep.iterations, name
+                if name == "linf":
+                    assert rep.iterations == 1 and rep.reason == AT_FINITENESS_BOUND
+                else:
+                    assert 1 <= rep.iterations <= bound[name], name
+                    assert rep.reason == CONVERGED
+
+    def test_norm_is_the_infimum(self, m2m3, rng):
+        tol = 1e-12
+        for scale in (1e-150, 1.0, 1e150):
+            for _ in range(10):
+                x = scale * rand_element(rng, m2m3)
+                for name, phi in registry().items():
+                    rep = luxemburg_report(phi, x, tol)
+                    assert modular_value(phi, x, rep.norm) == rep.modular_at_norm <= 1.0
+                    assert modular_value(phi, x, rep.norm * (1.0 - tol)) > 1.0, name
+
+    def test_homogeneous_over_the_binary64_range(self, m2m3, rng):
+        x = rand_element(rng, m2m3)
+        for phi in registry().values():
+            n = luxemburg_norm(phi, x)
+            for s in (1e-300, 1e-150, 1e150, 1e300):
+                assert luxemburg_norm(phi, s * x) == pytest.approx(s * n, rel=2e-12, abs=0)
+
+    def test_tiny_trace_weight(self):
+        x = self.diag(1e-100, 1.0, 0.5)
+        assert luxemburg_norm(PowerFunction(1), x) == pytest.approx(1.5e-100, rel=2e-12, abs=0)
+        rep = luxemburg_report(PowerFunction(2), x)
+        assert rep.norm == pytest.approx(math.sqrt(1.25e-100), rel=2e-12, abs=0)
+        assert rep.iterations <= 20
+
+    def test_huge_trace_weight(self):
+        x = self.diag(1e300, 1.0, 0.5)
+        assert luxemburg_norm(PowerFunction(1), x) == pytest.approx(1.5e300, rel=2e-12, abs=0)
+        assert luxemburg_norm(PowerFunction(2), x) == pytest.approx(math.sqrt(1.25e300),
+                                                                    rel=2e-12, abs=0)
+
+    def test_termination_reasons(self, m2):
+        x = Element(m2, [np.diag([3.0, 4.0])])
+        assert luxemburg_report(PowerFunction(2), x).reason == CONVERGED
+        rep = luxemburg_report(JumpFunction(2.0), x)
+        assert (rep.norm, rep.iterations, rep.reason) == (2.0, 1, AT_FINITENESS_BOUND)
+        rep = luxemburg_report(PowerFunction(2), m2.zero())
+        assert (rep.norm, rep.iterations, rep.reason) == (0.0, 0, ZERO)
+
+    def test_norm_beyond_binary64_names_the_bracket(self):
+        x = self.diag(1e308, 1e10, 1.0)
+        with pytest.raises(ConvergenceError) as err:
+            luxemburg_norm(PowerFunction(1), x)
+        msg = str(err.value)
+        assert "binary64 range" in msg and "bracket lo=(" in msg
+        assert re.search(r"after \d+ modular evaluations; last modular\(", msg)
+
+    def test_tolerance_below_resolution_rejected(self, m2):
+        x = Element(m2, [np.diag([3.0, 1.0])])
+        with pytest.raises(ConvergenceError, match="below the binary64 resolution"):
+            luxemburg_norm(CoshMinusOne(), x, tol=1e-17)
+
+
 class TestMembership:
     def test_finite_family_all_true(self, m2m3, rng):
         flags = membership(PowerFunction(2), rand_element(rng, m2m3))
@@ -155,6 +233,14 @@ class TestMembership:
         assert flags.kunze_space and flags.kunze_witness is not None
         assert modular_value(JumpFunction(1.0), x, 1.0 / flags.kunze_witness) < INF
         assert not flags.mtkr_space
+
+    def test_linf_witness_at_any_scale(self, m2):
+        x = Element(m2, [np.diag([1e100, 1.0])])
+        flags = membership(JumpFunction(1.0), x)
+        assert flags.kunze_space and flags.kunze_witness == 2.0 ** -333
+        assert modular_value(JumpFunction(1.0), x, 1.0 / flags.kunze_witness) < INF
+        assert membership(JumpFunction(1.0), Element(m2, [np.diag([2.0, 0.3])])).kunze_witness \
+            == 0.5
 
     def test_linf_zero(self, m2):
         flags = membership(JumpFunction(1.0), m2.zero())
