@@ -15,6 +15,11 @@ Both prescale by an exact power of two (the eigensolver from the Frobenius
 norm of its input, singular values from the largest entry) that is undone
 on the results, so their thresholds neither overflow nor underflow anywhere
 in the binary64 range and 2^k a gives exactly 2^k times the values of a.
+
+A third scalar kernel, ``certifies_positive``, runs a Cholesky factorisation
+of a slightly shifted block with the eigensolver's prescale; when it
+succeeds, the block passes the eigenvalue test of ``is_positive_semidefinite``
+without an eigendecomposition.
 """
 
 from __future__ import annotations
@@ -83,6 +88,21 @@ def _ldexp_matrix(a: np.ndarray, e: int) -> np.ndarray:
     return out
 
 
+def _hermitian_rows(a: np.ndarray) -> tuple[list[list[complex]], int]:
+    """(rows of (a + a*) / 2^(e+1) as Python ``complex``, e) with 2^(e-1) <=
+    ||a||_F < 2^e, the exact prescale of the Hermitian kernels.  e comes from
+    ``_pow2_exponent`` when the norm overflows and is at least -1021, so that
+    2^-(e+1) is finite: a block of subnormal norm is scaled to below 1/4.
+    Non-finite entries raise ValidationError."""
+    w = np.asarray(a, dtype=np.complex128)
+    rows = w.tolist()
+    scale = math.hypot(*[abs(x) for row in rows for x in row])
+    e = max(math.frexp(scale)[1], -1021) if math.isfinite(scale) else _pow2_exponent(w)
+    half = math.ldexp(0.5, -e)
+    return [[half * x + half * y.conjugate() for x, y in zip(row, col)]
+            for row, col in zip(rows, zip(*rows))], e
+
+
 def hermitian_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and orthonormal eigenvectors of a Hermitian matrix.
 
@@ -93,21 +113,15 @@ def hermitian_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     before each sweep.
 
     The block is taken as (a + a*) / 2 after an exact power-of-two prescale
-    by its Frobenius norm (see ``_pow2_exponent`` when that norm overflows),
-    and held as rows of Python ``complex``, the eigenvectors as column lists.
+    by its Frobenius norm (see ``_hermitian_rows``), and held as rows of
+    Python ``complex``, the eigenvectors as column lists.
     A rotation rebuilds rows p and q, sets the two diagonal entries by
     Rutishauser's update, zeroes (p, q) and mirrors the conjugates into
     columns p and q, so no rotation makes a numpy call.  The eigenvalues are
     scaled back at the end.  Non-finite entries raise ValidationError.
     """
-    w = np.asarray(a, dtype=np.complex128)
-    rows = w.tolist()
+    rows, e = _hermitian_rows(a)
     n = len(rows)
-    scale = math.hypot(*[abs(x) for row in rows for x in row])
-    e = math.frexp(scale)[1] if math.isfinite(scale) else _pow2_exponent(w)
-    half = math.ldexp(0.5, -e)
-    rows = [[half * x + half * y.conjugate() for x, y in zip(row, col)]
-            for row, col in zip(rows, zip(*rows))]
     vecs = [[complex(i == j) for i in range(n)] for j in range(n)]
     thresh = JACOBI_REL_OFF * math.hypot(*[abs(x) for row in rows for x in row])
     sweeps = 0
@@ -122,6 +136,46 @@ def hermitian_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = sorted(range(n), key=lambda i: rows[i][i].real, reverse=True)
     vecs = np.array([vecs[i] for i in order], dtype=np.complex128).reshape(n, n).T
     return ldexp_values([rows[i][i].real for i in order], e, "eigenvalues"), vecs
+
+
+def certifies_positive(a: np.ndarray) -> bool:
+    """Whether a Cholesky factorisation proves (a + a*) / 2 positive in the
+    sense of ``is_positive_semidefinite``; False proves nothing.
+
+    H = (a + a*) / 2 is formed with the prescale of ``hermitian_eigh``
+    (``_hermitian_rows``), and L L* = H + delta I is factored in scalar
+    Python ``complex`` with delta = ||H||_F (POSITIVITY_RTOL / sqrt(n) - m).
+    Success gives L L* = H + delta I + E with ||E||_2 <= gamma ||L||_F^2,
+    where gamma is about (n + 1) u, u = 2^-53, and at most sqrt(2) (n + 3) u
+    with complex rounding (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., Thm 10.3; Demmel, LAPACK Working Note 14), and
+    ||L||_F^2 = tr(L L*) <= sqrt(n) ||H||_F (1 + POSITIVITY_RTOL) + n ||E||_2.
+    The margin m = 4 n^2 u bounds gamma sqrt(n) with room for that and for
+    the rounding of ||H||_F when n >= 2; n = 1 has no inner product and
+    decides the sign of h + delta exactly.  So lambda_min(H) >= -delta -
+    ||E||_2 >= -POSITIVITY_RTOL ||H||_F / sqrt(n) >= -POSITIVITY_RTOL max|lambda|.
+    A zero H is positive; a nonzero H below 2^-450 after the prescale is
+    left to the eigensolver, since underflow would void the bound.
+    Non-finite entries raise ValidationError.
+    """
+    h, _ = _hermitian_rows(a)
+    n = len(h)
+    fro = math.hypot(*[abs(x) for row in h for x in row])
+    if fro < _SAFE_LO:
+        return fro == 0.0
+    delta = fro * (POSITIVITY_RTOL / math.sqrt(n) - 4 * n * n * 2.0 ** -53)
+    chol: list[list[complex]] = []
+    for j, hj in enumerate(h):
+        lj = []
+        for k, lk in enumerate(chol):
+            lj.append((hj[k] - sum(map(operator.mul, lj, map(complex.conjugate, lk[:k]))))
+                      / lk[k].real)
+        d = hj[j].real + delta - math.fsum(abs(x) ** 2 for x in lj)
+        if not d > 0.0:
+            return False
+        lj.append(complex(math.sqrt(d)))
+        chol.append(lj)
+    return True
 
 
 def _off_mass(rows: list[list[complex]]) -> float:

@@ -205,7 +205,13 @@ class Functional:
         return self._density.is_zero()
 
     def is_positive(self) -> bool:
-        return self._density.is_positive()
+        d = self._density
+        if not d.is_hermitian():
+            return False
+        # Every caller goes on to read the eigen data (powers, supports, ranks),
+        # so factor now and let negative_block read it rather than certify.
+        _block_eigh(d)
+        return negative_block(d) is None
 
     def is_faithful(self) -> bool:
         return self.is_positive() and all(
@@ -312,7 +318,14 @@ def _on_support(x: Element, f) -> list[np.ndarray]:
 
 def negative_block(x: Element) -> tuple[int, float] | None:
     """(block, smallest eigenvalue) of the first block of a Hermitian x that is
-    not positive semidefinite (see ``_linalg.is_positive_semidefinite``), or None."""
+    not positive semidefinite (see ``_linalg.is_positive_semidefinite``), or None.
+
+    Eigen data already stored on x decides; otherwise None comes without an
+    eigendecomposition when ``_linalg.certifies_positive`` accepts every block,
+    and the blocks are factored only when a certificate fails.
+    """
+    if x._eigh is None and all(map(_linalg.certifies_positive, x.blocks)):
+        return None
     for i, (vals, _) in enumerate(_block_eigh(x)):
         if not is_positive_semidefinite(vals):
             return i, float(vals[-1])
@@ -405,6 +418,7 @@ def support_projection(obj) -> Element:
         obj = obj.density_element()
     else:
         _require_hermitian(obj, "support_projection")
+        _block_eigh(obj)  # read next by _on_support: factor rather than certify
         bad = negative_block(obj)
         if bad is not None:
             raise ValidationError(f"support_projection needs a positive input; "

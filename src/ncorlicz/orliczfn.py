@@ -154,17 +154,22 @@ class JumpFunction(OrliczFunction):
 
 
 class CoshMinusOne(OrliczFunction):
-    """cosh(t) - 1."""
+    """cosh(t) - 1, evaluated as 2 sinh(t/2)^2, which keeps its relative
+    accuracy where cosh(t) - 1 cancels (to exactly 0 below t ~ 1e-8)."""
 
     family = "cosh1"
     delta2_global = False
     delta2_local = False
 
     def _eval(self, t):
-        return INF if t > _LOG_DBL_MAX else math.cosh(t) - 1.0
+        if t > _LOG_DBL_MAX:
+            return INF
+        s = math.sinh(0.5 * t)
+        return 2.0 * s * s
 
     def _eval_array(self, arr):
-        return np.cosh(arr) - 1.0
+        s = np.sinh(0.5 * arr)
+        return 2.0 * s * s
 
     def conjugate(self):
         return CoshDual()

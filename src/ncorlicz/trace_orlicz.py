@@ -113,8 +113,9 @@ def singular_value_measures(x: Element) -> list[tuple[float, float]]:
     scale works and small values keep their relative accuracy); x*x is never
     formed.  Values at or below RANK_RTOL times the block's largest are
     dropped.  Each remaining singular value of block i carries measure c_i
-    per multiplicity; values within the cluster tolerance are merged
-    (measure-weighted mean).
+    per multiplicity; values within the cluster tolerance are merged into
+    their measure-weighted mean, formed as v1 + (v2 - v1) m2 / (m1 + m2) so
+    that it cannot overflow.
     """
     pairs = []
     for c, vals in zip(x.algebra.weights, _block_singular_values(x)):
@@ -125,7 +126,7 @@ def singular_value_measures(x: Element) -> list[tuple[float, float]]:
     for v, m in pairs:
         if merged and abs(merged[-1][0] - v) <= CLUSTER_RTOL * max(merged[-1][0], v):
             tot = merged[-1][1] + m
-            merged[-1][0] = (merged[-1][0] * merged[-1][1] + v * m) / tot
+            merged[-1][0] += (v - merged[-1][0]) * (m / tot)
             merged[-1][1] = tot
         else:
             merged.append([v, m])
@@ -403,31 +404,26 @@ def membership(phi: OrliczFunction, x: Element) -> MembershipFlags:
     """Membership of x in the Orlicz class, the span space, and the all-scales space."""
     if not phi.is_young:
         raise ValidationError(f"{phi.label()} is not a Young function")
-    values, measures = _singular_arrays(x)
-    if values.size == 0:
+    data = singular_value_measures(x)
+    if not data:
         return MembershipFlags(True, True, True, 1.0)
-    orlicz_class = modular_from_measures(phi, values, measures, 1.0) < INF
-    witness = 1.0 if orlicz_class else _shrink_witness(phi, values, measures)
+    vmax = data[0][0]
+    orlicz_class = phi.finite_valued or vmax <= phi.finiteness_bound
+    witness = 1.0 if orlicz_class else _shrink_witness(phi.finiteness_bound, vmax)
     return MembershipFlags(orlicz_class, witness is not None, phi.finite_valued, witness)
 
 
-def _shrink_witness(phi: OrliczFunction, values: np.ndarray,
-                    measures: np.ndarray) -> float | None:
-    """The largest 2^k <= 1 with v_max * 2^k <= b, where b is the finiteness
-    bound of Phi (1 for a finite-valued Phi, whose modular can still
-    overflow), if the modular of 2^k x is finite; None if it is not or 2^k
-    leaves binary64.  One evaluation."""
-    bound = 1.0 if phi.finite_valued else phi.finiteness_bound
-    vmax = float(np.max(values))
+def _shrink_witness(bound: float, vmax: float) -> float | None:
+    """The largest 2^k <= 1 with v_max * 2^k <= bound, or None if there is no
+    such 2^k in binary64.  Phi is finite on [0, bound], so tau(Phi(2^k |x|))
+    is a finite sum of finite terms, whatever a float sum of it would do."""
     if not bound > 0.0:
         return None
     k = math.floor(math.log2(bound) - math.log2(vmax))
     w = math.ldexp(1.0, min(max(k, -1074), 0))
     if vmax * w > bound:
         w *= 0.5
-    if w > 0.0 and modular_from_measures(phi, values * w, measures, 1.0) < INF:
-        return w
-    return None
+    return w if w > 0.0 else None
 
 
 def dual_pairing(x: Element, y: Element) -> complex:

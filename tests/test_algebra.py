@@ -220,9 +220,13 @@ def test_immutability(m2):
         x.algebra = None
 
 
-@pytest.mark.parametrize("factor, positive", [(0.5, True), (2.0, False)])
+@pytest.mark.parametrize("factor, positive", [(0.5, True), (0.9, True), (1.1, False),
+                                               (2.0, False)])
 def test_positivity_checks_agree_at_the_tolerance(factor, positive):
     # The smallest eigenvalue sits at -factor * POSITIVITY_RTOL of the largest.
+    # The Cholesky certificate covers eigenvalues down to -POSITIVITY_RTOL
+    # ||x||_F / sqrt(3), about -0.65 POSITIVITY_RTOL here: at 0.9 and 1.1 it
+    # declines and the eigenvalues decide.
     alg = make_algebra([3], [1.0])
     u = rand_unitary_matrix(SplitMix64(7), 3)
     b = (u * [1.0, 0.5, -factor * POSITIVITY_RTOL]) @ u.conj().T

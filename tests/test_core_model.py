@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from ncorlicz import (CoreElement, CoshMinusOne, Element, Interval, JumpFunction,
-                      PowerFunction, ValidationError, canonical_trace, core_luxemburg_norm,
-                      core_luxemburg_report, core_modular_value, dual_action, embed,
-                      interval, luxemburg_norm, registry, weighted_trace)
-from ncorlicz.sampling import rand_core_element, rand_element
+                      PowerFunction, ValidationError, _linalg, canonical_trace,
+                      core_luxemburg_norm, core_luxemburg_report, core_modular_value,
+                      dual_action, embed, interval, luxemburg_norm, make_algebra, registry,
+                      weighted_trace)
+from ncorlicz.sampling import SplitMix64, rand_core_element, rand_element
 
 
 class TestConstruction:
@@ -106,6 +107,22 @@ class TestCanonicalTrace:
         bad = CoreElement(m2, [(Element(m2, [np.diag([-1.0, 1.0])]), interval(0, 1))])
         with pytest.raises(ValidationError, match="positive"):
             canonical_trace(bad)
+
+    def test_rejection_names_block_and_eigenvalue(self, m2m3):
+        piece = Element(m2m3, [np.eye(2), np.diag([1.0, 0.5, -0.25])])
+        with pytest.raises(ValidationError, match=r"not positive: block 1 eigenvalue -0\.25$"):
+            canonical_trace(CoreElement(m2m3, [(piece, interval(0, 1))]))
+
+    def test_positive_pieces_skip_the_eigensolver(self, count_calls):
+        # The pieces of z* z are certified positive by a Cholesky factorisation.
+        alg = make_algebra([6, 2], [1.0, 0.5])
+        rng = SplitMix64(8)
+        z = CoreElement(alg, [(rand_element(rng, alg), interval(k, k + 1)) for k in range(8)])
+        zz = z.adjoint() * z
+        calls = count_calls(_linalg.hermitian_eigh)
+        total = canonical_trace(zz)
+        assert calls == [] and len(zz.pieces) == 8
+        assert total == pytest.approx(weighted_trace(zz).real, rel=1e-15, abs=0)
 
     def test_faithful_on_step_class(self, m2m3, rng):
         x = rand_core_element(rng, m2m3, pieces=2, positive=True)

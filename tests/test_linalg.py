@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from ncorlicz import (Element, JumpFunction, PowerFunction, ValidationError, absolute,
                       fk_integral, luxemburg_norm, make_algebra, operator_norm, polar_decompose)
-from ncorlicz._linalg import RANK_RTOL, hermitian_eigh, singular_values
-from ncorlicz.sampling import rand_matrix, rand_unitary_matrix
+from ncorlicz._linalg import (POSITIVITY_RTOL, RANK_RTOL, certifies_positive, hermitian_eigh,
+                              is_positive_semidefinite, singular_values)
+from ncorlicz.sampling import SplitMix64, rand_matrix, rand_unitary_matrix
 from ncorlicz.trace_orlicz import singular_value_measures
 
 HADAMARD = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float)
@@ -74,6 +75,16 @@ def test_eigh_scales_exactly_by_powers_of_two(k, size):
     np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(3), atol=1e-12)
 
 
+def test_eigh_of_subnormal_blocks():
+    # 2^-(e+1) with e from a subnormal norm would overflow; the prescale stops at 2^1020.
+    for v in (-2e-318, 5e-324):
+        assert hermitian_eigh(np.array([[v]]))[0].tolist() == [v]
+    vals, _ = hermitian_eigh(np.array([[3e-320, 1e-320], [1e-320, 3e-320]]))
+    assert vals.tolist() == [4e-320, 2e-320]
+    assert not certifies_positive(np.array([[-2e-318]]))
+    assert Element(make_algebra([1], [1.0]), [[[1e-320]]]).is_positive()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_blocks_are_rejected(bad):
     one = np.array([[bad]])
@@ -83,6 +94,8 @@ def test_non_finite_blocks_are_rejected(bad):
             singular_values(block)
         with pytest.raises(ValidationError):
             hermitian_eigh(block)
+        with pytest.raises(ValidationError):
+            certifies_positive(block)
     alg = make_algebra([2], [1.0])
     with pytest.raises(ValidationError):
         singular_value_measures(Element(alg, [two]))
@@ -195,3 +208,41 @@ def test_fk_integral_is_infinite_beyond_binary64():
     alg = make_algebra([2], [1.0])
     x = Element(alg, [1e160 * np.array([[1.0, 2.0], [0.0, 1.0]])])
     assert fk_integral(PowerFunction(2.0), x) == math.inf
+
+
+class TestPositivityCertificate:
+    """``certifies_positive`` may decline a positive block, but a block it
+    accepts passes the eigenvalue test of ``is_positive_semidefinite``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2**32), st.floats(0.0, 3.0),
+           st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4), st.integers(-500, 500))
+    def test_accepted_blocks_pass_the_eigen_test(self, n, seed, f, rest, k):
+        # Eigenvalues 1, rest..., -f * POSITIVITY_RTOL (only the last for n = 1),
+        # so the smallest sits at -f * POSITIVITY_RTOL * max|lambda| for n >= 2.
+        low = -f * POSITIVITY_RTOL
+        vals = ([1.0] + rest[:n - 2] + [low]) if n > 1 else [low]
+        u = rand_unitary_matrix(SplitMix64(seed), n)
+        b = (u * vals) @ u.conj().T
+        a = np.ldexp(b.real, k) + 1j * np.ldexp(b.imag, k)
+        if certifies_positive(a):
+            assert is_positive_semidefinite(hermitian_eigh(a)[0])
+        if n > 1 and f > 1.01:
+            assert not certifies_positive(a)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_zero_blocks_and_projections(self, n):
+        assert certifies_positive(np.zeros((n, n)))
+        u = rand_unitary_matrix(SplitMix64(n), n)
+        for rank in range(1, n + 1):
+            p = u[:, :rank] @ u[:, :rank].conj().T
+            for k in (-1000, 0, 1000):
+                assert certifies_positive(np.ldexp(p.real, k) + 1j * np.ldexp(p.imag, k))
+            assert not certifies_positive(-p)
+            assert rank == n or not certifies_positive(p - 1e-9 * (np.eye(n) - p))
+
+    def test_gram_matrices_are_certified(self, rng):
+        for n in range(1, 7):
+            g = rand_matrix(rng, n)
+            assert certifies_positive(g @ g.conj().T)
+            assert not certifies_positive(g + g.conj().T - 10.0 * np.eye(n))

@@ -255,22 +255,38 @@ class TestRadonNikodym:
             assert abs(psi(e) - phi(h.adjoint() * e * h)) <= 1e-10
 
 
+MODULAR_OPS = {
+    "relative_modular": lambda phi, omega, x: relative_modular(phi, omega),
+    "connes_cocycle": lambda phi, omega, x: connes_cocycle(phi, omega, 0.7),
+    "radon_nikodym_sqrt": lambda phi, omega, x: radon_nikodym_sqrt(phi, omega),
+    "modular_flow": lambda phi, omega, x: modular_flow(phi, 0.7, x),
+    "matrix_half": lambda phi, omega, x: relative_modular(phi, omega).matrix(0.5),
+}
+
+
+def _count_during(count_calls, kernel, name, algebra):
+    rng = SplitMix64(11)
+    phi, omega, x = faithful(rng, algebra), faithful(rng, algebra), rand_element(rng, algebra)
+    calls = count_calls(kernel)
+    MODULAR_OPS[name](phi, omega, x)
+    return len(calls)
+
+
 # Each density of the two-block algebra [2, 3] needs two block factorisations;
 # every check and power of one call reads them from the density's memo.
-@pytest.mark.parametrize("op, limit", [
-    (lambda phi, omega, x: relative_modular(phi, omega), 4),
-    (lambda phi, omega, x: connes_cocycle(phi, omega, 0.7), 4),
-    (lambda phi, omega, x: radon_nikodym_sqrt(phi, omega), 4),
-    (lambda phi, omega, x: modular_flow(phi, 0.7, x), 2),
-    (lambda phi, omega, x: relative_modular(phi, omega).matrix(0.5), 4),
-], ids=["relative_modular", "connes_cocycle", "radon_nikodym_sqrt", "modular_flow",
-        "matrix_half"])
+@pytest.mark.parametrize("op, limit", [("relative_modular", 4), ("connes_cocycle", 4),
+                                       ("radon_nikodym_sqrt", 4), ("modular_flow", 2),
+                                       ("matrix_half", 4)],
+                         ids=list(MODULAR_OPS))
 def test_each_density_is_factored_once(m2m3, count_calls, op, limit):
-    rng = SplitMix64(11)
-    phi, omega, x = faithful(rng, m2m3), faithful(rng, m2m3), rand_element(rng, m2m3)
-    calls = count_calls(_linalg.hermitian_eigh)
-    op(phi, omega, x)
-    assert len(calls) <= limit
+    assert _count_during(count_calls, _linalg.hermitian_eigh, op, m2m3) <= limit
+
+
+# Their positivity checks factor the densities, whose eigen data the powers
+# read next, so they never also run the Cholesky certificate.
+@pytest.mark.parametrize("op", list(MODULAR_OPS))
+def test_modular_path_never_certifies(m2m3, count_calls, op):
+    assert _count_during(count_calls, _linalg.certifies_positive, op, m2m3) == 0
 
 
 class TestClosedFormsAgainstProbing:

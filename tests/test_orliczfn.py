@@ -22,6 +22,25 @@ def test_eval_examples():
     assert CoshMinusOne()(0) == 0.0
 
 
+@pytest.mark.parametrize("t", [1e-150, 1e-10, 1e-5, 0.5, 20.0, 700.0])
+def test_cosh1_keeps_relative_accuracy(t):
+    # cosh(t) - 1 = 2 sinh(t/2)^2 = t^2/2 (1 + t^2/12 + ...): no cancellation near 0.
+    want = t * t / 2 * (1 + t * t / 12) if t < 1e-4 else math.cosh(t) - 1.0
+    assert CoshMinusOne()(t) == pytest.approx(want, rel=1e-14, abs=0)
+    assert CoshMinusOne().eval_array(np.array([t]))[0] == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_cosh1_overflows_quietly_to_inf():
+    # The test configuration turns an overflow warning into an error.
+    top = math.log(np.finfo(float).max)
+    with np.errstate(over="raise"):
+        assert CoshMinusOne()._eval_array(np.array([top]))[0] == pytest.approx(
+            math.cosh(top), rel=1e-12)
+    assert list(CoshMinusOne().eval_array(np.array([711.0, 1e6]))) == [INF, INF]
+    assert CoshMinusOne()(709.78) == pytest.approx(math.cosh(709.78), rel=1e-12)
+    assert CoshMinusOne()(1e6) == INF
+
+
 def test_eval_rejects_negative():
     with pytest.raises(ValidationError):
         PowerFunction(2)(-1.0)

@@ -9,7 +9,7 @@ from ncorlicz import (ConvergenceError, CoshMinusOne, Element, JumpFunction, Orl
                       e_space_gauge, fk_integral, luxemburg_norm, luxemburg_report, make_algebra,
                       membership, modular_value, operator_norm, rearrangement, rearrangement_csv,
                       registry, trace, young_conjugate)
-from ncorlicz.trace_orlicz import AT_FINITENESS_BOUND, CONVERGED, ZERO
+from ncorlicz.trace_orlicz import AT_FINITENESS_BOUND, CONVERGED, ZERO, singular_value_measures
 from ncorlicz.sampling import rand_element, rand_unitary_element
 from conftest import svd_singular_values
 
@@ -215,6 +215,21 @@ class TestRootFind:
         assert "binary64 range" in msg and "bracket lo=(" in msg
         assert re.search(r"after \d+ modular evaluations; last modular\(", msg)
 
+    def test_cosh1_at_huge_trace_weight(self):
+        # Phi is evaluated near t = 1e-150, where cosh(t) - 1 would be exactly 0.
+        rep = luxemburg_report(CoshMinusOne(), self.diag(1e300, 1.0, 0.5))
+        assert rep.norm == pytest.approx(math.sqrt(0.625e300), rel=2e-12, abs=0)
+        assert 0.0 < rep.modular_at_norm <= 1.0
+
+    def test_top_of_binary64_cluster(self):
+        x = self.diag(1.0, 1e308, 1e308)
+        assert singular_value_measures(x) == [(1e308, 2.0)]
+        assert luxemburg_norm(JumpFunction(1.0), x) == 1e308
+        assert luxemburg_norm(PowerFunction(2), x) == pytest.approx(math.sqrt(2.0) * 1e308,
+                                                                    rel=2e-12, abs=0)
+        with pytest.raises(ConvergenceError, match="binary64 range"):
+            luxemburg_norm(PowerFunction(1), x)  # the norm is 2e308
+
     def test_tolerance_below_resolution_rejected(self, m2):
         x = Element(m2, [np.diag([3.0, 1.0])])
         with pytest.raises(ConvergenceError, match="below the binary64 resolution"):
@@ -241,6 +256,13 @@ class TestMembership:
         assert modular_value(JumpFunction(1.0), x, 1.0 / flags.kunze_witness) < INF
         assert membership(JumpFunction(1.0), Element(m2, [np.diag([2.0, 0.3])])).kunze_witness \
             == 0.5
+
+    def test_orlicz_class_beyond_float_overflow(self, m2):
+        # tau(|x|^2) = 1e400 is finite although its float sum overflows.
+        flags = membership(PowerFunction(2), Element(m2, [np.diag([1e200, 0.3])]))
+        assert flags.orlicz_class and flags.kunze_witness == 1.0
+        flags = membership(JumpFunction(1.0), Element(m2, [np.diag([2.0, 0.3])]))
+        assert not flags.orlicz_class and flags.kunze_witness == 0.5
 
     def test_linf_zero(self, m2):
         flags = membership(JumpFunction(1.0), m2.zero())
