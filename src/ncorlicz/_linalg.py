@@ -9,8 +9,12 @@ usual high relative accuracy (Demmel & Veselic, "Jacobi's method is more
 accurate than QR", SIAM J. Matrix Anal. Appl. 13, 1992).
 
 Both kernels run in scalar Python ``complex`` arithmetic on lists (rows for
-the eigensolver, columns for singular values and eigenvectors) and share
-one plane-rotation formula, ``_rotation``; no rotation makes a numpy call.
+the eigensolver, columns for singular values and eigenvectors) and use the
+same plane rotation (``_rotation``, inlined in the one-sided sweep); no
+rotation makes a numpy call.  The one-sided kernel carries the column norms
+through a sweep by the closed-form update of the rotated diagonal, as
+LAPACK's xGESVJ does, recomputing a norm from its column only where the
+update would cancel, and recomputes every norm from the final columns.
 Both prescale by an exact power of two (the eigensolver from the Frobenius
 norm of its input, singular values from the largest entry) that is undone
 on the results, so their thresholds neither overflow nor underflow anywhere
@@ -235,13 +239,16 @@ def singular_values(a: np.ndarray) -> np.ndarray:
     Hestenes' method: cyclic sweeps over column pairs (p, q), p < q, in
     row-major order apply the plane rotation that makes columns p and q
     orthogonal, skipping pairs whose cosine is already at most ``ORTH_TOL``;
-    a sweep with no rotation ends the iteration and the column norms are the
-    singular values.  The block is factored directly, never squared, so small
-    singular values keep their relative accuracy down to 2^-450 times the
-    largest entry, below which columns are left unrotated.  All arithmetic is
-    scalar Python ``complex`` on column lists, after an exact power-of-two
-    prescale of the block (see ``_pow2_exponent``) that is undone on the
-    results.  Non-finite entries raise ValidationError.
+    a sweep with no rotation ends the iteration.  Within the sweeps the column
+    norms are updated in closed form (see ``_hestenes_sweep``); once the
+    columns are orthogonal every norm is recomputed from its final column, so
+    the results are the column norms of the final columns.  The block is
+    factored directly, never squared, so small singular values keep their
+    relative accuracy down to 2^-450 times the largest entry, below which
+    columns are left unrotated.  All arithmetic is scalar Python ``complex``
+    on column lists, after an exact power-of-two prescale of the block (see
+    ``_pow2_exponent``) that is undone on the results.  Non-finite entries
+    raise ValidationError.
     """
     a = np.asarray(a, dtype=np.complex128)
     e = _pow2_exponent(a)
@@ -253,7 +260,7 @@ def singular_values(a: np.ndarray) -> np.ndarray:
         if sweeps == MAX_SWEEPS:
             raise ConvergenceError(f"one-sided Jacobi did not orthogonalize {len(cols)} "
                                    f"columns in {MAX_SWEEPS} sweeps")
-    return ldexp_values(sorted(norms, reverse=True), e, "singular values")
+    return ldexp_values(sorted(map(_norm, cols), reverse=True), e, "singular values")
 
 
 def _norm(col: list[complex]) -> float:
@@ -263,7 +270,14 @@ def _norm(col: list[complex]) -> float:
 def _hestenes_sweep(cols: list[list[complex]], norms: list[float]) -> bool:
     """One cyclic sweep of one-sided Jacobi in place; whether it rotated any pair.
 
-    ``norms`` holds the column norms and is recomputed from each rotated column.
+    ``norms`` holds the column norms.  The rotation is the two-sided one of
+    ``_rotation`` for the Gram entries [[norm_p^2, g], [conj(g), norm_q^2]],
+    g = <a_p, a_q>, applied to the columns themselves, so the rotated squared
+    norms are the rotated diagonal norm_p^2 - t|g| and norm_q^2 + t|g|
+    (de Rijk, SIAM J. Sci. Stat. Comput. 10, 1989; Drmac & Veselic, SIAM J.
+    Matrix Anal. Appl. 29, 2008).  A norm whose square would fall below a
+    quarter of its old value is recomputed from its column instead, since
+    the update cancels there.
     """
     rotated = False
     n = len(cols)
@@ -278,15 +292,18 @@ def _hestenes_sweep(cols: list[list[complex]], norms: list[float]) -> bool:
             if absg <= ORTH_TOL * norm_p * norm_q:
                 continue
             rotated = True
-            # The rotation of hermitian_eigh for the Gram entries
-            # [[norm_p^2, g], [conj(g), norm_q^2]], applied to the columns themselves.
-            _, c, s, u = _rotation((norm_q - norm_p) * (norm_q + norm_p), g, absg)
-            ub = u.conjugate()
+            sq_p, sq_q = norm_p * norm_p, norm_q * norm_q
+            tau = (norm_q - norm_p) * (norm_q + norm_p) / (2.0 * absg)
+            t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
+            c = 1.0 / math.hypot(1.0, t)
+            s = t * c
+            ub = g.conjugate() / absg
             us, uc = ub * s, ub * c
-            cols[p] = [c * x - us * y for x, y in zip(cp, cq)]
-            cols[q] = [s * x + uc * y for x, y in zip(cp, cq)]
-            norms[p] = _norm(cols[p])
-            norms[q] = _norm(cols[q])
+            cols[p] = new_p = [c * x - us * y for x, y in zip(cp, cq)]
+            cols[q] = new_q = [s * x + uc * y for x, y in zip(cp, cq)]
+            new_sq_p, new_sq_q = sq_p - t * absg, sq_q + t * absg
+            norms[p] = math.sqrt(new_sq_p) if new_sq_p >= 0.25 * sq_p else _norm(new_p)
+            norms[q] = math.sqrt(new_sq_q) if new_sq_q >= 0.25 * sq_q else _norm(new_q)
     return rotated
 
 

@@ -113,14 +113,27 @@ class CoreElement:
     def is_zero(self) -> bool:
         return not self.pieces
 
+    def map_pieces(self, f, algebra=None) -> "CoreElement":
+        """Pieces f(x_k) on the same intervals, in ``algebra`` (default: this one).
+
+        f runs once per distinct piece object, so pieces that share a value
+        share its image, and with it the image's memoized spectral data.
+        """
+        images: dict[Element, Element] = {}  # Elements hash by identity
+        for x, _ in self.pieces:
+            if x not in images:
+                images[x] = f(x)
+        return CoreElement(self.algebra if algebra is None else algebra,
+                           [(images[x], iv) for x, iv in self.pieces])
+
     def scale(self, scalar) -> "CoreElement":
-        return CoreElement(self.algebra, [(scalar * x, iv) for x, iv in self.pieces])
+        return self.map_pieces(lambda x: scalar * x)
 
     def adjoint(self) -> "CoreElement":
-        return CoreElement(self.algebra, [(x.adjoint(), iv) for x, iv in self.pieces])
+        return self.map_pieces(Element.adjoint)
 
     def absolute(self) -> "CoreElement":
-        return CoreElement(self.algebra, [(absolute(x), iv) for x, iv in self.pieces])
+        return self.map_pieces(absolute)
 
     def __add__(self, other):
         return _cellwise(self, other, lambda a, b: a + b)
@@ -150,34 +163,42 @@ def _cut_points(*elements: CoreElement) -> list[Fraction]:
     return sorted(pts)
 
 
-def _value_on_cell(e: CoreElement, a: Fraction) -> Element | None:
-    for x, iv in e.pieces:
-        if iv.a <= a and (iv.b is None or a < iv.b):
-            return x
-    return None
+def _values_at(e: CoreElement, points: list[Fraction]) -> list[Element | None]:
+    """The piece of e on each of the ascending ``points``, or None off its support,
+    by one forward walk over its sorted pieces."""
+    pieces, k, out = e.pieces, 0, []
+    for a in points:
+        while k < len(pieces) and pieces[k][1].b is not None and pieces[k][1].b <= a:
+            k += 1
+        out.append(pieces[k][0] if k < len(pieces) and pieces[k][1].a <= a else None)
+    return out
 
 
 def _cellwise(x: CoreElement, y: CoreElement, op) -> CoreElement:
-    """Apply a blockwise binary operation on the common interval refinement."""
+    """Apply a blockwise binary operation on the common interval refinement.
+
+    The cells lie between consecutive cut points of x and y, and the pieces
+    on them come from one forward walk over each operand.  ``op`` runs once
+    per distinct pair of operand objects (a missing piece counts as zero), so
+    the cells on which the same two pieces meet share one immutable result,
+    and with it its memoized spectral data.
+    """
     if x.algebra != y.algebra:
         raise ValidationError("core elements live in different algebras")
     alg = x.algebra
     zero = alg.zero()
     cuts = _cut_points(x, y)
-    cells: list[Interval] = []
-    for a, b in zip(cuts, cuts[1:]):
-        cells.append(Interval(a, b))
     unbounded = any(iv.b is None for _, iv in x.pieces) or \
         any(iv.b is None for _, iv in y.pieces)
-    if cuts and unbounded:
-        cells.append(Interval(cuts[-1], None))
+    ends = cuts[1:] + [None] if cuts and unbounded else cuts[1:]
+    values: dict[tuple, Element] = {}  # Elements hash by identity
     out = []
-    for cell in cells:
-        xa = _value_on_cell(x, cell.a)
-        yb = _value_on_cell(y, cell.a)
+    for a, b, xa, yb in zip(cuts, ends, _values_at(x, cuts), _values_at(y, cuts)):
         if xa is None and yb is None:
             continue
-        out.append((op(xa if xa is not None else zero, yb if yb is not None else zero), cell))
+        if (xa, yb) not in values:
+            values[xa, yb] = op(zero if xa is None else xa, zero if yb is None else yb)
+        out.append((values[xa, yb], Interval(a, b)))
     return CoreElement(alg, out)
 
 

@@ -72,7 +72,9 @@ class Isomorphism:
         """Piecewise image on the step model; needs trace preservation.
 
         Intervals are untouched, so the lift commutes with the dual action
-        exactly and preserves the canonical trace exactly.
+        exactly and preserves the canonical trace exactly.  The map is applied
+        once per distinct piece object (``CoreElement.map_pieces``), so pieces
+        that share a value share its image.
         """
         if not self.trace_preserving:
             raise ValidationError(
@@ -80,7 +82,7 @@ class Isomorphism:
                 "(the canonical trace covariance would fail)")
         if x.algebra != self.source:
             raise ValidationError("core element does not live in the source algebra")
-        return CoreElement(self.target, [(self.apply(p), iv) for p, iv in x.pieces])
+        return x.map_pieces(self.apply, self.target)
 
     def __repr__(self):
         return f"Isomorphism(perm={self.permutation})"

@@ -16,6 +16,7 @@ at the knots of a piecewise-linear function.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import ValidationError
 
 INF = math.inf
-_LOG_DBL_MAX = 709.78  # exp overflow guard
+_LOG_DBL_MAX = math.log(sys.float_info.max)  # exp(t) is finite exactly for t <= this
 
 
 def _check_arg(t) -> float:
@@ -97,12 +98,10 @@ class PowerFunction(OrliczFunction):
         self.is_orlicz = True
 
     def _eval(self, t):
-        if t == 0.0:
-            return 0.0
-        lg = self.p * math.log(t) + math.log(self.coef)
-        if lg > _LOG_DBL_MAX:
+        try:
+            return self.coef * t ** self.p
+        except OverflowError:
             return INF
-        return self.coef * t ** self.p
 
     def _eval_array(self, arr):
         return self.coef * np.power(arr, self.p)
@@ -162,7 +161,7 @@ class CoshMinusOne(OrliczFunction):
     delta2_local = False
 
     def _eval(self, t):
-        if t > _LOG_DBL_MAX:
+        if 0.5 * t > _LOG_DBL_MAX:
             return INF
         s = math.sinh(0.5 * t)
         return 2.0 * s * s
@@ -176,17 +175,22 @@ class CoshMinusOne(OrliczFunction):
 
 
 class CoshDual(OrliczFunction):
-    """s*asinh(s) - sqrt(1+s^2) + 1, the conjugate of cosh - 1."""
+    """s*asinh(s) - sqrt(1+s^2) + 1, the conjugate of cosh - 1.
+
+    Evaluated as s (asinh(s) - s / (1 + hypot(1, s))), since sqrt(1+s^2) - 1
+    = s^2 / (1 + hypot(1, s)): the direct form cancels (to exactly 0 below
+    s ~ 1e-8), and this one neither cancels nor forms s^2.
+    """
 
     family = "cosh1-dual"
     delta2_global = True
     delta2_local = True
 
     def _eval(self, t):
-        return t * math.asinh(t) - math.hypot(1.0, t) + 1.0
+        return t * (math.asinh(t) - t / (1.0 + math.hypot(1.0, t)))
 
     def _eval_array(self, arr):
-        return arr * np.arcsinh(arr) - np.hypot(1.0, arr) + 1.0
+        return arr * (np.arcsinh(arr) - arr / (1.0 + np.hypot(1.0, arr)))
 
     def conjugate(self):
         return CoshMinusOne()

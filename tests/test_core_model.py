@@ -11,7 +11,7 @@ from ncorlicz import (CoreElement, CoshMinusOne, Element, Interval, JumpFunction
                       core_luxemburg_norm, core_luxemburg_report, core_modular_value,
                       dual_action, embed, interval, luxemburg_norm, make_algebra, registry,
                       weighted_trace)
-from ncorlicz.sampling import SplitMix64, rand_core_element, rand_element
+from ncorlicz.sampling import SplitMix64, rand_core_element, rand_element, rand_isomorphism
 
 
 class TestConstruction:
@@ -218,6 +218,32 @@ class TestCoreNorm:
             nb = luxemburg_norm(phi, x)
             nc = core_luxemburg_norm(phi, embed(x))
             assert abs(nb - nc) <= 1e-10 * max(nb, nc, 1e-300)
+
+    def test_each_distinct_value_is_factored_once(self, m2m3, rng, count_calls):
+        # The piece b*c on [4, 5) of x*y splits the shifted piece a on [3, 6) of
+        # dual_action(3, x), so the cells [3, 4) and [5, 6) of z both hold 0 + a.
+        a, b, c = (rand_element(rng, m2m3) for _ in range(3))
+        x = CoreElement(m2m3, [(a, interval(0, 3)), (b, interval(4, 5))])
+        y = CoreElement(m2m3, [(c, interval(4, 5))])
+        z = x * y + dual_action(3, x)
+        zero = m2m3.zero()
+        cells = [interval(3, 4), interval(4, 5), interval(5, 6), interval(7, 8)]
+        want = CoreElement(m2m3, list(zip([zero + a, b * c + a, zero + a, zero + b], cells)))
+        assert [iv for _, iv in z.pieces] == cells
+        assert z.pieces[0][0] is z.pieces[2][0]
+        iso = rand_isomorphism(rng, m2m3)
+        lifted = iso.lift(z)
+        assert lifted.pieces[0][0] is lifted.pieces[2][0]
+        lifted_want = CoreElement(m2m3, [(iso.apply(p), iv) for p, iv in want.pieces])
+        for got, ref in ((z, want), (lifted, lifted_want)):
+            for (p, iv), (q, jv) in zip(got.pieces, ref.pieces, strict=True):
+                assert iv == jv
+                assert all(np.array_equal(u, v) for u, v in zip(p.blocks, q.blocks))
+        calls = count_calls(_linalg.singular_values)
+        norms = [core_luxemburg_norm(phi, e) for phi in registry().values() for e in (z, lifted)]
+        assert len(calls) == 2 * 3 * m2m3.nblocks
+        assert norms == [core_luxemburg_norm(phi, e) for phi in registry().values()
+                         for e in (want, lifted_want)]
 
     def test_report_shape(self, m2m3, rng):
         x = rand_core_element(rng, m2m3, pieces=2)

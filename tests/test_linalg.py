@@ -123,6 +123,24 @@ def test_kernel_matches_lapack_on_random_blocks(rng):
                                        np.linalg.svd(block, compute_uv=False), rtol=1e-12)
 
 
+@pytest.mark.parametrize("cosines", [(1 - 1e-8, 1 - 1e-14), (1 - 5e-9, 1 - 2e-16)])
+def test_kernel_keeps_accuracy_when_rotations_cancel_norms(cosines):
+    # Upper bidiagonal with columns 0, 1 and 2, 3 at the given cosines (1, eta)
+    # against (1, 0) up to scale, then graded columns: orthogonalizing a pair
+    # shrinks one norm by cancellation, where the updated norm is replaced by
+    # an explicit one.  LAPACK leaves a bidiagonal block as it is and gets
+    # every value to high relative accuracy; the kernel sees the block with
+    # its rows and columns permuted and its columns multiplied by phases,
+    # all exact.
+    eta = [math.sqrt(1 / c ** 2 - 1) for c in cosines]
+    b = np.diag([1.0, eta[0], 1e-3, 1e-3 * eta[1], 1e-6, 1e-9]).astype(complex)
+    for k, f in enumerate([1.0, 1e-12, 1e-3, 1e-8, 1e-6]):
+        b[k, k + 1] = f
+    want = np.linalg.svd(b, compute_uv=False)
+    a = b[[3, 0, 5, 1, 4, 2]][:, [2, 5, 0, 3, 1, 4]] * np.array([1, 1j, -1, -1j, 1, 1j])
+    np.testing.assert_allclose(singular_values(a), want, rtol=1e-12, atol=0.0)
+
+
 # Entries are 0 or at least 2^-20 in magnitude, so 2^-500 times them stays normal
 # and the scaling is exact.
 _part = st.one_of(st.just(0.0), st.integers(-2**20, 2**20).map(lambda i: math.ldexp(i, -20)))

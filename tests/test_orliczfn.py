@@ -41,6 +41,33 @@ def test_cosh1_overflows_quietly_to_inf():
     assert CoshMinusOne()(1e6) == INF
 
 
+@pytest.mark.parametrize("t", [1e-150, 1e-9, 1e-5, 0.5, 20.0, 1e6])
+def test_cosh1_dual_keeps_relative_accuracy(t):
+    # s asinh(s) - sqrt(1 + s^2) + 1 = s^2/2 (1 - s^2/12 + ...): the direct form
+    # cancels to exactly 0 below s ~ 1e-8.
+    want = t * t / 2 * (1 - t * t / 12) if t < 1e-4 else \
+        t * math.asinh(t) - math.hypot(1.0, t) + 1.0
+    dual = young_conjugate(CoshMinusOne())
+    assert dual(t) == pytest.approx(want, rel=1e-14, abs=0)
+    assert dual.eval_array(np.array([t]))[0] == pytest.approx(want, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("phi, edge", [
+    (PowerFunction(2), math.sqrt(np.finfo(float).max)),
+    (PowerFunction(1.5), np.finfo(float).max ** (1 / 1.5)),
+    (PowerFunction(3, coef=2.0), (np.finfo(float).max / 2) ** (1 / 3)),
+    (CoshMinusOne(), math.log(np.finfo(float).max) + math.log(2.0)),
+    (ExpMinusOne(), math.log(np.finfo(float).max)),
+])
+def test_scalar_and_array_agree_across_overflow(phi, edge):
+    # 401 points 2^-50 apart (relative) around the first t with an infinite
+    # value: the scalar route neither raises nor turns to inf early or late.
+    grid = np.array([edge * (1 + k * 2.0 ** -50) for k in range(-200, 201)])
+    arr = phi.eval_array(grid)
+    assert np.array_equal(arr, [phi(float(t)) for t in grid])
+    assert 0 < int(np.isinf(arr).sum()) < grid.size
+
+
 def test_eval_rejects_negative():
     with pytest.raises(ValidationError):
         PowerFunction(2)(-1.0)

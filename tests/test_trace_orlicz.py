@@ -221,6 +221,12 @@ class TestRootFind:
         assert rep.norm == pytest.approx(math.sqrt(0.625e300), rel=2e-12, abs=0)
         assert 0.0 < rep.modular_at_norm <= 1.0
 
+    def test_cosh1_dual_at_huge_trace_weight(self):
+        # The conjugate of cosh1 is s^2/2 (1 - s^2/12 + ...) near 0 as well.
+        rep = luxemburg_report(young_conjugate(CoshMinusOne()), self.diag(1e300, 1.0, 0.5))
+        assert rep.norm == pytest.approx(math.sqrt(0.625e300), rel=2e-12, abs=0)
+        assert 0.0 < rep.modular_at_norm <= 1.0
+
     def test_top_of_binary64_cluster(self):
         x = self.diag(1.0, 1e308, 1e308)
         assert singular_value_measures(x) == [(1e308, 2.0)]
