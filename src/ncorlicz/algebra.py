@@ -12,9 +12,16 @@ All values are immutable after construction and every operation is pure.
 Each Element factors its blocks at most once: ``_block_eigh`` stores the
 per-block eigen data on the Element the first time it is asked for, and every
 spectral routine (powers, supports, polar data, positivity, ranks) reads it
-from there (singular values likewise from ``_block_singular_values``); a
-Functional keeps its density as one such Element.  Memos fill lazily without a
-lock: the kernels are deterministic, so a racing fill stores identical values.
+from there (singular values likewise from ``_block_singular_values``, which
+``fill_singular_values`` can fill for many Elements at once); a Functional
+keeps its density as one such Element.  Memos fill lazily without a lock, and
+a fill never overwrites a stored memo.  Which kernel fills the singular-value
+memo depends on the call that first needs it: ``fill_singular_values`` sends
+large groups of same-size blocks to the stack kernel and the rest to the
+scalar one, and the two agree to about 1e-15 of a block's largest value, not
+bit for bit.  So the same calls in the same order always store the same
+values, but two threads that find a memo empty and fill it by different
+routes at once may leave either result.
 """
 
 from __future__ import annotations
@@ -283,13 +290,50 @@ def _block_eigh(x: Element) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 def _block_singular_values(x: Element) -> tuple[np.ndarray, ...]:
     """Per-block descending singular values of x, read-only, stored on x by the
-    first call; the only caller of ``_linalg.singular_values`` outside ``_linalg``."""
+    first call (see ``fill_singular_values``)."""
     if x._svals is None:
-        svals = tuple(_linalg.singular_values(b) for b in x.blocks)
-        for vals in svals:
-            vals.flags.writeable = False
-        object.__setattr__(x, "_svals", svals)
+        fill_singular_values((x,))
     return x._svals
+
+
+# Fewest blocks of one dimension that fill_singular_values sends to
+# _linalg.singular_values_stack.  Measured through fill_singular_values on
+# random blocks, the stack kernel overtakes the scalar one from 4, 6, 12,
+# 7, 7 and 4 blocks for n = 1, ..., 6; odd n pays more, since a round
+# rotates only (n - 1) / 2 pairs of n columns.  Near the crossover the two
+# cost about the same.
+_STACK_MIN_EVEN = 6
+_STACK_MIN_ODD = 12
+
+
+def fill_singular_values(elements) -> None:
+    """Store the per-block singular values on every element that lacks them.
+
+    The blocks of those elements are grouped by dimension.  A group at least
+    as large as the measured crossover (``_STACK_MIN_EVEN`` or
+    ``_STACK_MIN_ODD`` blocks) is factored by ``_linalg.singular_values_stack``
+    in one call, a smaller one block by block by ``_linalg.singular_values``;
+    the two agree to rounding.  These are the only calls of either kernel
+    outside ``_linalg``.  A memo already filled is never overwritten.
+    """
+    todo = [x for x in dict.fromkeys(elements) if x._svals is None]  # hash by identity
+    groups: dict[int, list[np.ndarray]] = {}
+    for x in todo:
+        for b in x.blocks:
+            groups.setdefault(len(b), []).append(b)
+    factored = {}
+    for d, blocks in groups.items():
+        if len(blocks) >= (_STACK_MIN_ODD if d % 2 else _STACK_MIN_EVEN):
+            vals = list(_linalg.singular_values_stack(np.stack(blocks)))
+        else:
+            vals = [_linalg.singular_values(b) for b in blocks]
+        for v in vals:
+            v.flags.writeable = False
+        factored[d] = iter(vals)  # in the order the blocks were grouped
+    for x in todo:
+        svals = tuple(next(factored[len(b)]) for b in x.blocks)
+        if x._svals is None:
+            object.__setattr__(x, "_svals", svals)
 
 
 def _clustered(vals: np.ndarray, vecs: np.ndarray):

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import Element, absolute, negative_block, trace
+from .algebra import Element, absolute, fill_singular_values, negative_block, trace
 from .errors import ValidationError
 from .orliczfn import OrliczFunction
 from .trace_orlicz import (NormReport, modular_from_measures, report_from_measures,
@@ -219,11 +219,16 @@ def _check_piece_positive(x: Element, iv: Interval):
 def canonical_trace(x: CoreElement) -> float:
     """sum_k tau(x_k) (exp(-a_k) - exp(-b_k)) for a positive step element.
 
-    Faithful and tracial on the step class; rejects non-positive input.
+    Faithful and tracial on the step class; rejects non-positive input,
+    naming the first interval whose piece fails.  Positivity is checked once
+    per distinct piece object.
     """
     total = 0.0
+    checked: set[Element] = set()  # Elements hash by identity
     for piece, iv in x.pieces:
-        _check_piece_positive(piece, iv)
+        if piece not in checked:
+            _check_piece_positive(piece, iv)
+            checked.add(piece)
         total += trace(piece).real * iv.weight()
     return total
 
@@ -244,11 +249,20 @@ def dual_action(s, x: CoreElement) -> CoreElement:
 
 
 def _core_singular_data(x: CoreElement):
+    """(values, measures) of the singular data of every piece, in piece order,
+    each measure scaled by its interval's trace mass.
+
+    The distinct piece objects are factored together first
+    (``fill_singular_values``), and their singular data is read once each.
+    """
+    pieces = dict.fromkeys(piece for piece, _ in x.pieces)  # Elements hash by identity
+    fill_singular_values(pieces)
+    data = {piece: singular_value_measures(piece) for piece in pieces}
     values = []
     measures = []
     for piece, iv in x.pieces:
         w = iv.weight()
-        for v, m in singular_value_measures(piece):
+        for v, m in data[piece]:
             values.append(v)
             measures.append(m * w)
     return np.array(values), np.array(measures)

@@ -101,10 +101,27 @@ class PowerFunction(OrliczFunction):
         try:
             return self.coef * t ** self.p
         except OverflowError:
-            return INF
+            return self._eval_log(t)
 
     def _eval_array(self, arr):
-        return self.coef * np.power(arr, self.p)
+        tp = np.power(arr, self.p)
+        out = self.coef * tp
+        if self.coef < 1.0:
+            over = np.isinf(tp)
+            if over.any():
+                out = np.array(out)
+                out[over] = [self._eval_log(t) for t in arr[over].tolist()]
+        return out
+
+    def _eval_log(self, t: float) -> float:
+        """coef * t^p for a t whose t^p overflows: inf for coef >= 1, otherwise
+        exp(log coef + p log t), which is finite while the product is."""
+        if self.coef >= 1.0:
+            return INF
+        try:
+            return math.exp(math.log(self.coef) + self.p * math.log(t))
+        except OverflowError:
+            return INF
 
     def conjugate(self):
         if self.p == 1.0:

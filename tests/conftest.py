@@ -84,3 +84,20 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def factored_blocks(count_calls):
+    """``factored_blocks()`` lists the blocks factored for singular values
+    since the fixture was set up, by either kernel, as (kernel, block) pairs
+    with kernel "scalar" (``singular_values``) or "stack" (one pair per block
+    of a ``singular_values_stack`` call)."""
+    from ncorlicz import _linalg
+    scalar = count_calls(_linalg.singular_values)
+    stacked = count_calls(_linalg.singular_values_stack)
+
+    def factored():
+        return [("scalar", args[0]) for args in scalar] + \
+            [("stack", b) for args in stacked for b in args[0]]
+
+    return factored

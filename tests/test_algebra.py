@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from ncorlicz import (Element, Functional, StandardForm, ValidationError, absolu
                       canonical_trace, eigen_spectrum, embed, functional_polar, make_algebra,
                       operator_norm, polar_decompose, power_on_support, reduce_to_support,
                       spectral_calculus, support_projection, trace)
-from ncorlicz._linalg import POSITIVITY_RTOL, RANK_RTOL, cluster_indices, hermitian_eigh
-from ncorlicz.algebra import _block_eigh
+from ncorlicz._linalg import (POSITIVITY_RTOL, RANK_RTOL, cluster_indices, hermitian_eigh,
+                              singular_values)
+from ncorlicz.algebra import _block_eigh, _block_singular_values, fill_singular_values
 from ncorlicz.sampling import (SplitMix64, rand_element, rand_functional, rand_unitary_element,
                                rand_unitary_matrix)
 
@@ -275,3 +277,18 @@ def test_memoized_eigen_data_is_bit_identical_to_a_fresh_factorisation(m2m3, rng
         for z in (0.5, -1.0, 0.0, 0.7j, 0.25 - 1.5j):
             for got, block in zip(power_on_support(rho, z).blocks, rho.blocks):
                 assert np.array_equal(got, _fresh_power(block, z))
+
+
+def test_fill_singular_values_groups_blocks_by_size(m2m3, rng, factored_blocks):
+    els = [rand_element(rng, m2m3) for _ in range(7)]
+    memo = _block_singular_values(els[0])
+    fill_singular_values(els + els[1:3])
+    assert els[0]._svals is memo
+    # Six 2x2 blocks reach the even crossover, six 3x3 blocks not the odd one.
+    kinds = Counter((kernel, b.shape) for kernel, b in factored_blocks())
+    assert kinds == {("scalar", (2, 2)): 1, ("scalar", (3, 3)): 7, ("stack", (2, 2)): 6}
+    for x in els:
+        for vals, b in zip(x._svals, x.blocks):
+            assert not vals.flags.writeable
+            want = singular_values(b)
+            assert np.max(np.abs(vals - want)) <= 1e-14 * want[0]

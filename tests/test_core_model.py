@@ -12,6 +12,7 @@ from ncorlicz import (CoreElement, CoshMinusOne, Element, Interval, JumpFunction
                       dual_action, embed, interval, luxemburg_norm, make_algebra, registry,
                       weighted_trace)
 from ncorlicz.sampling import SplitMix64, rand_core_element, rand_element, rand_isomorphism
+from ncorlicz.trace_orlicz import report_from_measures, singular_value_measures
 
 
 class TestConstruction:
@@ -244,6 +245,46 @@ class TestCoreNorm:
         assert len(calls) == 2 * 3 * m2m3.nblocks
         assert norms == [core_luxemburg_norm(phi, e) for phi in registry().values()
                          for e in (want, lifted_want)]
+
+    def test_stacked_factoring_above_the_crossover(self, factored_blocks):
+        # 12 pieces over [6, 2] with 10 distinct values: both groups of 10
+        # blocks are large enough for the stack kernel.
+        alg = make_algebra([6, 2], [1.0, 0.5])
+        rng = SplitMix64(12)
+        values = [rand_element(rng, alg) for _ in range(10)]
+        pieces = values + values[3:5]
+        x = CoreElement(alg, [(p, interval(Fraction(k, 2), Fraction(k + 1, 2)))
+                              for k, p in enumerate(pieces)])
+        # A root-find stopped at tol = 1e-12 may move by 5e-13 when its data
+        # moves by an ulp, so both sides solve to 1e-15.
+        norms = [core_luxemburg_norm(phi, x, tol=1e-15) for phi in registry().values()]
+        got = factored_blocks()
+        assert [kernel for kernel, _ in got] == ["stack"] * 20
+        distinct = [b for p in values for b in p.blocks]
+        assert sorted(b.tobytes() for _, b in got) == sorted(b.tobytes() for b in distinct)
+        # Per piece and by the scalar kernel alone: fresh single Elements.
+        ref = [(v, m * iv.weight()) for p, iv in x.pieces
+               for v, m in singular_value_measures(Element(alg, p.blocks))]
+        assert len(factored_blocks()) == 20 + 12 * alg.nblocks
+        values_ref, measures_ref = (np.array(col) for col in zip(*ref))
+        for phi, norm in zip(registry().values(), norms):
+            want = report_from_measures(phi, values_ref, measures_ref, 1e-15).norm
+            assert norm == pytest.approx(want, rel=1e-13, abs=0)
+
+    def test_positivity_checked_once_per_distinct_piece(self, count_calls):
+        alg = make_algebra([6, 2], [1.0, 0.5])
+        rng = SplitMix64(9)
+        p, q = (rand_element(rng, alg) for _ in range(2))
+        pp, qq = p.adjoint() * p, q.adjoint() * q
+        x = CoreElement(alg, [(pp, interval(0, 1)), (qq, interval(1, 2)), (pp, interval(3, 4))])
+        calls = count_calls(_linalg.certifies_positive)
+        assert canonical_trace(x) == pytest.approx(weighted_trace(x).real, rel=1e-15, abs=0)
+        assert len(calls) == 2 * alg.nblocks
+        bad = Element(alg, [np.eye(6), np.diag([1.0, -1.0])])
+        y = CoreElement(alg, [(pp, interval(0, 1)), (bad, interval(1, 2)), (pp, interval(2, 3)),
+                              (bad, interval(3, 4))])
+        with pytest.raises(ValidationError, match=r"^piece on \[1, 2\) is not positive"):
+            canonical_trace(y)
 
     def test_report_shape(self, m2m3, rng):
         x = rand_core_element(rng, m2m3, pieces=2)

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncorlicz import (Element, JumpFunction, PowerFunction, ValidationError, absolute,
-                      fk_integral, luxemburg_norm, make_algebra, operator_norm, polar_decompose)
+from ncorlicz import (ConvergenceError, Element, JumpFunction, PowerFunction, ValidationError,
+                      _linalg, absolute, fk_integral, luxemburg_norm, make_algebra,
+                      operator_norm, polar_decompose)
 from ncorlicz._linalg import (POSITIVITY_RTOL, RANK_RTOL, certifies_positive, hermitian_eigh,
-                              is_positive_semidefinite, singular_values)
+                              is_positive_semidefinite, singular_values, singular_values_stack)
 from ncorlicz.sampling import SplitMix64, rand_matrix, rand_unitary_matrix
 from ncorlicz.trace_orlicz import singular_value_measures
 
@@ -139,6 +140,8 @@ def test_kernel_keeps_accuracy_when_rotations_cancel_norms(cosines):
     want = np.linalg.svd(b, compute_uv=False)
     a = b[[3, 0, 5, 1, 4, 2]][:, [2, 5, 0, 3, 1, 4]] * np.array([1, 1j, -1, -1j, 1, 1j])
     np.testing.assert_allclose(singular_values(a), want, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(singular_values_stack(np.array([a, b]))[0], want,
+                               rtol=1e-12, atol=0.0)
 
 
 # Entries are 0 or at least 2^-20 in magnitude, so 2^-500 times them stays normal
@@ -146,11 +149,13 @@ def test_kernel_keeps_accuracy_when_rotations_cancel_norms(cosines):
 _part = st.one_of(st.just(0.0), st.integers(-2**20, 2**20).map(lambda i: math.ldexp(i, -20)))
 
 
-@st.composite
-def _blocks(draw):
-    n = draw(st.integers(1, 6))
-    parts = draw(st.lists(_part, min_size=2 * n * n, max_size=2 * n * n))
-    return (np.array(parts[::2]) + 1j * np.array(parts[1::2])).reshape(n, n)
+def _square(n):
+    return st.lists(_part, min_size=2 * n * n, max_size=2 * n * n).map(
+        lambda parts: (np.array(parts[::2]) + 1j * np.array(parts[1::2])).reshape(n, n))
+
+
+def _blocks():
+    return st.integers(1, 6).flatmap(_square)
 
 
 @settings(max_examples=60, deadline=None)
@@ -158,6 +163,93 @@ def _blocks(draw):
 def test_singular_values_commute_with_powers_of_two(a, k):
     scaled = np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k)
     assert np.array_equal(singular_values(scaled), np.ldexp(singular_values(a), k))
+
+
+def _svd_test_blocks(rng, n):
+    """Random, rank-deficient, zero, graded, subnormal and huge n x n blocks."""
+    g = rand_matrix(rng, n)
+    half = rand_matrix(rng, n)[:, :n // 2] @ rand_matrix(rng, n)[:n // 2]
+    u, v = rand_unitary_matrix(rng, n), rand_unitary_matrix(rng, n)
+    graded = (u * [10.0 ** (-3 * k) for k in range(n)]) @ v
+    return {"random": g, "rank-deficient": half, "zero": np.zeros((n, n), complex),
+            "graded": graded, "subnormal": np.ldexp(g.real, -1040) + 1j * np.ldexp(g.imag, -1040),
+            "huge": 1e300 * g}
+
+
+class TestStackKernel:
+    """``singular_values_stack`` factors many blocks of one size at once."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_lapack_and_the_scalar_kernel(self, rng, n):
+        kinds = {**_svd_test_blocks(rng, n), **{f"random{k}": rand_matrix(rng, n)
+                                                for k in range(8)}}
+        got = singular_values_stack(np.array(list(kinds.values())))
+        assert got.shape == (len(kinds), n) and got.dtype == np.float64
+        tiny = 2.0 ** -1074  # results round to this grid below 2^-1022
+        for (kind, b), vals in zip(kinds.items(), got):
+            # LAPACK sees the subnormal block scaled up, exactly.
+            up = 1040 if kind == "subnormal" else 0
+            want = np.ldexp(np.linalg.svd(np.ldexp(b.real, up) + 1j * np.ldexp(b.imag, up),
+                                          compute_uv=False), -up)
+            tol = 1e-14 * want[0] + tiny
+            assert np.all(np.diff(vals) <= 0.0), kind
+            assert np.max(np.abs(vals - want), initial=0.0) <= tol, kind
+            assert np.max(np.abs(vals - singular_values(b)), initial=0.0) <= tol, kind
+
+    @pytest.mark.parametrize("d, e", [((1.0, 1e-3, 1e-10, 2e-11), 0),
+                                      ((1.0, 2.0 ** -4, 2.0 ** -8, 2.0 ** -12), -1030)])
+    def test_graded_values_keep_relative_accuracy(self, d, e):
+        # D . H has singular values exactly 2|d|; at e = -1030 every entry and
+        # value is subnormal, with at least 30 significant bits.
+        stack = np.array([np.ldexp(np.diag(d[::s]) @ HADAMARD, e) for s in (1, -1)])
+        want = np.ldexp(2.0 * np.array(d), e)
+        np.testing.assert_allclose(singular_values_stack(stack), [want, want],
+                                   rtol=1e-13 if e == 0 else 2.0 ** -28, atol=0.0)
+
+    def test_each_block_is_independent_of_the_stack(self, rng):
+        for n in (1, 2, 3, 4, 5, 6):
+            blocks = [b for _ in range(3) for b in _svd_test_blocks(rng, n).values()]
+            whole = singular_values_stack(np.array(blocks))
+            for k, b in enumerate(blocks):
+                alone = singular_values_stack(b[None])
+                assert whole[k].tobytes() == alone[0].tobytes(), (n, k)
+            for m in (2, 5, 9):
+                assert singular_values_stack(np.array(blocks[-m:])).tobytes() == \
+                    whole[-m:].tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.tuples(_square(n), st.integers(-500, 500)), min_size=1, max_size=6)))
+    def test_values_commute_with_powers_of_two(self, items):
+        blocks = [a for a, _ in items]
+        ks = [k for _, k in items] + [-500, 500]
+        blocks.append(blocks[0])
+        blocks.append(blocks[0])
+        scaled = [np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k) for a, k in zip(blocks, ks)]
+        want = np.ldexp(singular_values_stack(np.array(blocks)), np.array(ks)[:, None])
+        assert np.array_equal(singular_values_stack(np.array(scaled)), want)
+
+    def test_sweep_cap_raises_convergence_error(self, rng, monkeypatch):
+        monkeypatch.setattr(_linalg, "MAX_SWEEPS", 2)
+        g = rand_matrix(rng, 6)
+        with pytest.raises(ConvergenceError, match="in 2 sweeps"):
+            singular_values_stack(np.array([np.eye(6), g]))
+        with pytest.raises(ConvergenceError, match="in 2 sweeps"):
+            singular_values(g)
+        # Orthogonal columns need no sweep that rotates.
+        d = np.diag([3.0, 1.0, 2.0, 0.0, 5.0, 4.0])
+        assert singular_values_stack(np.array([d, np.eye(6)]))[0].tolist() == [5, 4, 3, 2, 1, 0]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_blocks_are_rejected(self, bad):
+        stack = np.array([np.eye(2), [[1.0, bad], [0.0, 1.0]]], dtype=complex)
+        with pytest.raises(ValidationError, match="non-finite"):
+            singular_values_stack(stack)
+
+    def test_values_beyond_binary64_are_rejected(self):
+        stack = np.array([np.eye(2), np.full((2, 2), 1.5e308)])
+        with pytest.raises(ValidationError, match="beyond the binary64 range"):
+            singular_values_stack(stack)
 
 
 def _eigh_test_blocks(rng, n):

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -66,6 +67,23 @@ def test_scalar_and_array_agree_across_overflow(phi, edge):
     arr = phi.eval_array(grid)
     assert np.array_equal(arr, [phi(float(t)) for t in grid])
     assert 0 < int(np.isinf(arr).sum()) < grid.size
+
+
+@pytest.mark.parametrize("phi, t", [
+    (PowerFunction(2, coef=1e-10), 1e155),
+    (young_conjugate(PowerFunction(1.5)), 6e102),  # 4/27 * t^3
+    (young_conjugate(PowerFunction(1.01)), 1150.0),  # about 3.7e-3 * t^101
+])
+def test_power_is_finite_where_only_t_to_the_p_overflows(phi, t):
+    with pytest.raises(OverflowError):
+        t ** phi.p
+    with localcontext() as ctx:
+        ctx.prec = 40
+        want = float((Decimal(phi.coef).ln() + Decimal(phi.p) * Decimal(t).ln()).exp())
+    assert want < np.finfo(float).max
+    assert phi(t) == pytest.approx(want, rel=1e-12, abs=0)
+    assert phi.eval_array(np.array([0.5, t]))[1] == phi(t)
+    assert phi(1e10 * t) == INF and phi.eval_array(np.array([1e10 * t]))[0] == INF
 
 
 def test_eval_rejects_negative():
