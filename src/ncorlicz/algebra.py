@@ -62,11 +62,6 @@ class AlgebraDescriptor:
     def nblocks(self) -> int:
         return len(self.block_dims)
 
-    @property
-    def total_dim(self) -> int:
-        """Complex dimension sum(d_i^2) of the algebra as a vector space."""
-        return sum(d * d for d in self.block_dims)
-
     def identity(self) -> "Element":
         return Element(self, [np.eye(d, dtype=np.complex128) for d in self.block_dims])
 
@@ -154,7 +149,7 @@ class Element:
         return math.hypot(*map(_linalg.frobenius, self.blocks))
 
     def is_zero(self) -> bool:
-        return all(np.all(a == 0) for a in self.blocks)
+        return not any(a.any() for a in self.blocks)
 
     def is_hermitian(self) -> bool:
         dev = math.hypot(*(_linalg.frobenius(a - a.conj().T) for a in self.blocks))

@@ -188,14 +188,14 @@ def _cmd_suite(args) -> int:
         iso = isomorphism_from_obj(alg, load_file(args.iso))
         phi = _load_phi(args) if args.phi else PowerFunction(2.0)
 
-        def file_case(rng, samples, tol, _iso=iso, _phi=phi):
+        def file_case(rng, samples, _iso=iso, _phi=phi):
             rep = verify_isometry(_iso, _phi, max(3, samples // 10), rng)
             dev = max(rep.max_base_deviation, rep.max_core_deviation)
             return rep.passed, dev, rep.witness
 
         extra.append(("functorial.file_isometry", file_case))
     t0 = time.perf_counter()
-    results = run_suite(args.seed, args.samples, args.tol, extra)
+    results = run_suite(args.seed, args.samples, extra)
     wall = time.perf_counter() - t0
     failures = [r.case_id for r in results if not r.passed]
     report = {

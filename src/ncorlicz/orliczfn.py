@@ -25,6 +25,7 @@ from .errors import ValidationError
 
 INF = math.inf
 _LOG_DBL_MAX = math.log(sys.float_info.max)  # exp(t) is finite exactly for t <= this
+_TERNARY_ITERS = 70  # ternary-search steps in a numerical conjugate: (2/3)^70 ~ 5e-13
 
 
 def _check_arg(t) -> float:
@@ -37,7 +38,8 @@ def _check_arg(t) -> float:
 class OrliczFunction:
     """Base for Young functions on [0, inf) with evaluation and metadata.
 
-    Subclasses fill in ``_eval`` / ``_eval_array`` plus the declared flags:
+    Subclasses fill in ``_eval`` only, the one definition of the function that
+    both ``__call__`` and ``eval_array`` evaluate, plus the declared flags:
     ``is_orlicz`` (continuous, positive off 0, divergent), the finiteness
     bound ``x_f`` (inf when finite-valued everywhere), and the declared
     Delta_2 verdicts where the family has a known answer.
@@ -61,14 +63,10 @@ class OrliczFunction:
         arr = np.asarray(arr, dtype=np.float64)
         if arr.size and (np.any(arr < 0) or not np.all(np.isfinite(arr))):
             raise ValidationError("eval_array takes finite nonnegative values")
-        with np.errstate(over="ignore"):
-            return self._eval_array(arr)
+        return np.array([self._eval(t) for t in arr.ravel().tolist()]).reshape(arr.shape)
 
     def _eval(self, t: float) -> float:
         raise NotImplementedError
-
-    def _eval_array(self, arr: np.ndarray) -> np.ndarray:
-        return np.array([self._eval(float(t)) for t in arr.ravel()]).reshape(arr.shape)
 
     def conjugate(self) -> "OrliczFunction":
         raise NotImplementedError
@@ -101,21 +99,9 @@ class PowerFunction(OrliczFunction):
         try:
             return self.coef * t ** self.p
         except OverflowError:
-            return self._eval_log(t)
-
-    def _eval_array(self, arr):
-        tp = np.power(arr, self.p)
-        out = self.coef * tp
-        if self.coef < 1.0:
-            over = np.isinf(tp)
-            if over.any():
-                out = np.array(out)
-                out[over] = [self._eval_log(t) for t in arr[over].tolist()]
-        return out
-
-    def _eval_log(self, t: float) -> float:
-        """coef * t^p for a t whose t^p overflows: inf for coef >= 1, otherwise
-        exp(log coef + p log t), which is finite while the product is."""
+            pass
+        # t^p overflows: inf for coef >= 1, otherwise exp(log coef + p log t),
+        # which is finite while the product is.
         if self.coef >= 1.0:
             return INF
         try:
@@ -159,9 +145,6 @@ class JumpFunction(OrliczFunction):
     def _eval(self, t):
         return 0.0 if t <= self.bound else INF
 
-    def _eval_array(self, arr):
-        return np.where(arr <= self.bound, 0.0, INF)
-
     def conjugate(self):
         return PowerFunction(1.0, coef=self.bound)
 
@@ -183,10 +166,6 @@ class CoshMinusOne(OrliczFunction):
         s = math.sinh(0.5 * t)
         return 2.0 * s * s
 
-    def _eval_array(self, arr):
-        s = np.sinh(0.5 * arr)
-        return 2.0 * s * s
-
     def conjugate(self):
         return CoshDual()
 
@@ -206,9 +185,6 @@ class CoshDual(OrliczFunction):
     def _eval(self, t):
         return t * (math.asinh(t) - t / (1.0 + math.hypot(1.0, t)))
 
-    def _eval_array(self, arr):
-        return arr * (np.arcsinh(arr) - arr / (1.0 + np.hypot(1.0, arr)))
-
     def conjugate(self):
         return CoshMinusOne()
 
@@ -222,9 +198,6 @@ class ExpMinusOne(OrliczFunction):
 
     def _eval(self, t):
         return INF if t > _LOG_DBL_MAX else math.expm1(t)
-
-    def _eval_array(self, arr):
-        return np.expm1(arr)
 
     def conjugate(self):
         return XLogX()
@@ -240,10 +213,6 @@ class XLogX(OrliczFunction):
 
     def _eval(self, t):
         return 0.0 if t <= 1.0 else t * math.log(t) - t + 1.0
-
-    def _eval_array(self, arr):
-        safe = np.maximum(arr, 1.0)
-        return np.where(arr <= 1.0, 0.0, safe * np.log(safe) - safe + 1.0)
 
     def conjugate(self):
         return ExpMinusOne()
@@ -293,9 +262,6 @@ class TabulatedFunction(OrliczFunction):
             return INF
         return float(np.interp(t, self.ts, self.vs))
 
-    def _eval_array(self, arr):
-        return np.where(arr <= self.finiteness_bound, np.interp(arr, self.ts, self.vs), INF)
-
     def conjugate(self):
         return NumericalConjugate(self)
 
@@ -325,8 +291,8 @@ class NumericalConjugate(OrliczFunction):
         return f"conj[{self.base.label()}]"
 
 
-def _ternary_max(g, lo: float, hi: float, iters: int = 70) -> float:
-    for _ in range(iters):
+def _ternary_max(g, lo: float, hi: float) -> float:
+    for _ in range(_TERNARY_ITERS):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
         if g(m1) < g(m2):
@@ -337,7 +303,7 @@ def _ternary_max(g, lo: float, hi: float, iters: int = 70) -> float:
     return max(g(lo), g(mid), g(hi))
 
 
-def numeric_conjugate_value(phi: OrliczFunction, y, iters: int = 70) -> float:
+def numeric_conjugate_value(phi: OrliczFunction, y) -> float:
     """sup_{x>=0} (x|y| - phi(x)) by bracketing plus ternary refinement."""
     y = abs(float(y))
     if y == 0.0:
@@ -349,7 +315,7 @@ def numeric_conjugate_value(phi: OrliczFunction, y, iters: int = 70) -> float:
 
     if phi.finiteness_bound != INF:
         hi = phi.finiteness_bound
-        best = _ternary_max(g, 0.0, hi, iters)
+        best = _ternary_max(g, 0.0, hi)
         knots = getattr(phi, "ts", None)
         if knots is not None:
             best = max(best, max(g(float(t)) for t in knots))
@@ -366,7 +332,7 @@ def numeric_conjugate_value(phi: OrliczFunction, y, iters: int = 70) -> float:
         hi *= 2.0
     else:
         return INF
-    return max(_ternary_max(g, 0.0, hi, iters), 0.0)
+    return max(_ternary_max(g, 0.0, hi), 0.0)
 
 
 def young_conjugate(phi: OrliczFunction) -> OrliczFunction:

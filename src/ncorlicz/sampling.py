@@ -134,8 +134,7 @@ def rand_faithful_functional(rng: SplitMix64, algebra: AlgebraDescriptor,
 
 
 def rand_core_element(rng: SplitMix64, algebra: AlgebraDescriptor,
-                      pieces: int = 3, positive: bool = False,
-                      allow_infinite: bool = True) -> CoreElement:
+                      pieces: int = 3, positive: bool = False) -> CoreElement:
     """Random step element with rational endpoints in [-4, 6], denominator 8."""
     cuts = sorted({Fraction(rng.randint(81) - 32, 8) for _ in range(2 * pieces)})
     out = []
@@ -147,7 +146,7 @@ def rand_core_element(rng: SplitMix64, algebra: AlgebraDescriptor,
             x = x.adjoint() * x
         out.append((x, Interval(a, b)))
         k += 2
-    if allow_infinite and rng.uniform() < 0.3 and cuts:
+    if rng.uniform() < 0.3 and cuts:
         x = rand_element(rng, algebra)
         if positive:
             x = x.adjoint() * x

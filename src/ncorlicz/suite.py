@@ -58,7 +58,7 @@ def _n(samples: int, lo: int, hi: int) -> int:
 # --- algebra ----------------------------------------------------------------
 
 
-def case_algebra_adjoint_involution(rng, samples, tol):
+def case_algebra_adjoint_involution(rng, samples):
     worst = 0.0
     for _ in range(_n(samples, 5, 50)):
         x = rand_element(rng, ALGEBRA)
@@ -68,7 +68,7 @@ def case_algebra_adjoint_involution(rng, samples, tol):
     return worst <= 1e-12, worst
 
 
-def case_algebra_trace_cyclic(rng, samples, tol):
+def case_algebra_trace_cyclic(rng, samples):
     worst = 0.0
     for _ in range(_n(samples, 20, 100)):
         x = rand_element(rng, ALGEBRA)
@@ -78,7 +78,7 @@ def case_algebra_trace_cyclic(rng, samples, tol):
     return worst <= 1e-12, worst
 
 
-def case_algebra_trace_faithful(rng, samples, tol):
+def case_algebra_trace_faithful(rng, samples):
     worst = 0.0
     for _ in range(_n(samples, 10, 50)):
         x = rand_element(rng, ALGEBRA)
@@ -91,7 +91,7 @@ def case_algebra_trace_faithful(rng, samples, tol):
     return worst <= 1e-12, worst
 
 
-def case_algebra_positivity_closure(rng, samples, tol):
+def case_algebra_positivity_closure(rng, samples):
     worst = 0.0
     for _ in range(_n(samples, 10, 50)):
         x = rand_element(rng, ALGEBRA)
@@ -102,7 +102,7 @@ def case_algebra_positivity_closure(rng, samples, tol):
     return worst <= 1e-12, worst
 
 
-def case_algebra_polar_uniqueness(rng, samples, tol):
+def case_algebra_polar_uniqueness(rng, samples):
     worst = 0.0
     for _ in range(_n(samples, 10, 40)):
         x = rand_element(rng, ALGEBRA) + 3.0 * ALGEBRA.identity()  # keep kernels trivial
@@ -114,7 +114,7 @@ def case_algebra_polar_uniqueness(rng, samples, tol):
     return worst <= 1e-9, worst
 
 
-def case_algebra_spectral_reconstruction(rng, samples, tol):
+def case_algebra_spectral_reconstruction(rng, samples):
     worst = 0.0
     for _ in range(_n(samples, 10, 40)):
         x = rand_hermitian(rng, ALGEBRA)
@@ -126,7 +126,7 @@ def case_algebra_spectral_reconstruction(rng, samples, tol):
     return worst <= 1e-10, worst
 
 
-def case_algebra_extended_convention(rng, samples, tol):
+def case_algebra_extended_convention(rng, samples):
     linf = JumpFunction(1.0)
     zero = ALGEBRA.zero()
     ok = (fk_integral(linf, zero) == 0.0 and luxemburg_norm(linf, zero) == 0.0)
@@ -141,7 +141,7 @@ def case_algebra_extended_convention(rng, samples, tol):
 # --- orlicz functions -------------------------------------------------------
 
 
-def case_orlicz_young_inequality(rng, samples, tol):
+def case_orlicz_young_inequality(rng, samples):
     worst = 0.0
     grid = np.arange(0.0, 10.0001, 0.05)
     for phi in registry().values():
@@ -158,7 +158,7 @@ def case_orlicz_young_inequality(rng, samples, tol):
     return worst <= 1e-9, worst
 
 
-def case_orlicz_biconjugation(rng, samples, tol):
+def case_orlicz_biconjugation(rng, samples):
     worst = 0.0
     for phi in (PowerFunction(1.5), PowerFunction(2), PowerFunction(3), CoshMinusOne()):
         bi = young_conjugate(young_conjugate(phi))
@@ -173,7 +173,7 @@ def case_orlicz_biconjugation(rng, samples, tol):
     return worst <= 1e-6, worst
 
 
-def case_orlicz_closed_vs_numeric(rng, samples, tol):
+def case_orlicz_closed_vs_numeric(rng, samples):
     worst = 0.0
     for phi in (PowerFunction(2), PowerFunction(3), PowerFunction(2, coef=0.5),
                 CoshMinusOne(), ExpMinusOne()):
@@ -187,7 +187,7 @@ def case_orlicz_closed_vs_numeric(rng, samples, tol):
     return worst <= 1e-8, worst
 
 
-def case_orlicz_conjugate_shape(rng, samples, tol):
+def case_orlicz_conjugate_shape(rng, samples):
     worst = 0.0
     for phi in registry().values():
         conj = young_conjugate(phi)
@@ -202,7 +202,7 @@ def case_orlicz_conjugate_shape(rng, samples, tol):
     return worst <= 1e-9, worst
 
 
-def case_orlicz_delta2_verdicts(rng, samples, tol):
+def case_orlicz_delta2_verdicts(rng, samples):
     for phi in (PowerFunction(1), PowerFunction(2), PowerFunction(3),
                 CoshMinusOne(), ExpMinusOne(), JumpFunction(1.0)):
         for mode in ("global", "local"):
@@ -217,7 +217,7 @@ def case_orlicz_delta2_verdicts(rng, samples, tol):
 # --- trace_orlicz -----------------------------------------------------------
 
 
-def case_to_pnorm_collapse(rng, samples, tol):
+def case_to_pnorm_collapse(rng, samples):
     worst = 0.0
     for _ in range(_n(samples // 2, 10, 50)):
         x = rand_element(rng, ALGEBRA)
@@ -228,7 +228,7 @@ def case_to_pnorm_collapse(rng, samples, tol):
     return worst <= 1e-9, worst
 
 
-def case_to_linf_collapse(rng, samples, tol):
+def case_to_linf_collapse(rng, samples):
     worst = 0.0
     for _ in range(_n(samples // 2, 10, 50)):
         x = rand_element(rng, ALGEBRA)
@@ -238,7 +238,7 @@ def case_to_linf_collapse(rng, samples, tol):
     return worst <= 1e-9, worst
 
 
-def case_to_norm_axioms(rng, samples, tol):
+def case_to_norm_axioms(rng, samples):
     worst = 0.0
     fns = list(registry().values())
     for _ in range(_n(samples // 4, 5, 50)):
@@ -257,7 +257,7 @@ def case_to_norm_axioms(rng, samples, tol):
     return worst <= 1e-9, worst
 
 
-def case_to_symmetry(rng, samples, tol):
+def case_to_symmetry(rng, samples):
     worst = 0.0
     for _ in range(_n(samples // 4, 5, 30)):
         x = rand_element(rng, ALGEBRA)
@@ -269,7 +269,7 @@ def case_to_symmetry(rng, samples, tol):
     return worst <= 1e-9, worst
 
 
-def case_to_unitary_invariance(rng, samples, tol):
+def case_to_unitary_invariance(rng, samples):
     worst = 0.0
     for _ in range(_n(samples // 4, 5, 30)):
         x = rand_element(rng, ALGEBRA)
@@ -283,7 +283,7 @@ def case_to_unitary_invariance(rng, samples, tol):
     return worst <= 1e-10, worst
 
 
-def case_to_fack_kosaki(rng, samples, tol):
+def case_to_fack_kosaki(rng, samples):
     worst = 0.0
     for _ in range(_n(samples, 20, 100)):
         x = rand_element(rng, ALGEBRA)
@@ -295,7 +295,7 @@ def case_to_fack_kosaki(rng, samples, tol):
     return worst <= 1e-10, worst
 
 
-def case_to_holder_commutative(rng, samples, tol):
+def case_to_holder_commutative(rng, samples):
     # Two-gauge bound with the sharp constant 2; the constant-1 ratio is
     # reported, not asserted (it fails already for x = y = identity).
     worst = 0.0
@@ -318,7 +318,7 @@ def case_to_holder_commutative(rng, samples, tol):
     return worst <= 1e-9, worst, f"max constant-1 ratio {ratio_max:.6f}"
 
 
-def case_to_membership(rng, samples, tol):
+def case_to_membership(rng, samples):
     linf = JumpFunction(1.0)
     x = Element(ALGEBRA, [np.diag([2.0, 0.3]), np.diag([0.1, 0.2, 0.4])])
     flags = membership(linf, x)
@@ -339,7 +339,7 @@ def case_to_membership(rng, samples, tol):
 M3 = make_algebra([3], [1.0])
 
 
-def case_mod_gns_dimension(rng, samples, tol):
+def case_mod_gns_dimension(rng, samples):
     for _ in range(_n(samples // 5, 5, 30)):
         ranks = [rng.randint(d) + 1 for d in ALGEBRA.block_dims]
         omega = rand_functional(rng, ALGEBRA, ranks)
@@ -350,7 +350,7 @@ def case_mod_gns_dimension(rng, samples, tol):
     return True, 0.0
 
 
-def case_mod_gns_state_identity(rng, samples, tol):
+def case_mod_gns_state_identity(rng, samples):
     worst = 0.0
     for _ in range(_n(samples // 10, 2, 8)):
         omega = rand_functional(rng, ALGEBRA)
@@ -362,7 +362,7 @@ def case_mod_gns_state_identity(rng, samples, tol):
     return worst <= 1e-10, worst
 
 
-def case_mod_standard_form(rng, samples, tol):
+def case_mod_standard_form(rng, samples):
     sf = standard_form(ALGEBRA)
     worst = 0.0
     cones = [rand_positive(rng, ALGEBRA) for _ in range(_n(samples // 10, 4, 10))]
@@ -387,7 +387,7 @@ def case_mod_standard_form(rng, samples, tol):
     return worst <= 1e-10, worst
 
 
-def case_mod_order_preservation(rng, samples, tol):
+def case_mod_order_preservation(rng, samples):
     sf = standard_form(ALGEBRA)
     worst = 0.0
     for _ in range(_n(samples // 5, 5, 20)):
@@ -407,7 +407,7 @@ def case_mod_order_preservation(rng, samples, tol):
     return worst <= 1e-10, worst
 
 
-def case_mod_cocycle_unitarity(rng, samples, tol):
+def case_mod_cocycle_unitarity(rng, samples):
     worst = 0.0
     for _ in range(_n(samples // 2, 10, 50)):
         phi = rand_functional(rng, M3)
@@ -418,7 +418,7 @@ def case_mod_cocycle_unitarity(rng, samples, tol):
     return worst <= 1e-10, worst
 
 
-def case_mod_cocycle_chain_rule(rng, samples, tol):
+def case_mod_cocycle_chain_rule(rng, samples):
     worst = 0.0
     for _ in range(_n(samples // 2, 10, 50)):
         f1, f2, f3 = (rand_functional(rng, M3) for _ in range(3))
@@ -429,7 +429,7 @@ def case_mod_cocycle_chain_rule(rng, samples, tol):
     return worst <= 1e-10, worst
 
 
-def case_mod_cocycle_psi_independence(rng, samples, tol):
+def case_mod_cocycle_psi_independence(rng, samples):
     sf = standard_form(M3)
     units = [e for _, _, _, e in M3.matrix_units()]
     worst = 0.0
@@ -443,7 +443,7 @@ def case_mod_cocycle_psi_independence(rng, samples, tol):
     return worst <= 1e-9, worst
 
 
-def case_mod_boundary_condition(rng, samples, tol):
+def case_mod_boundary_condition(rng, samples):
     worst = 0.0
     for _ in range(_n(samples // 2, 10, 50)):
         psi = rand_functional(rng, M3)
@@ -454,7 +454,7 @@ def case_mod_boundary_condition(rng, samples, tol):
     return worst <= 1e-9, worst
 
 
-def case_mod_flow_group_law(rng, samples, tol):
+def case_mod_flow_group_law(rng, samples):
     from .modular import modular_flow
     worst = 0.0
     for _ in range(_n(samples // 5, 5, 20)):
@@ -469,7 +469,7 @@ def case_mod_flow_group_law(rng, samples, tol):
     return worst <= 1e-10, worst
 
 
-def case_mod_relative_fixed_point(rng, samples, tol):
+def case_mod_relative_fixed_point(rng, samples):
     sf = standard_form(M3)
     worst = 0.0
     for _ in range(_n(samples // 5, 5, 20)):
@@ -483,7 +483,7 @@ def case_mod_relative_fixed_point(rng, samples, tol):
 # --- core model -------------------------------------------------------------
 
 
-def case_core_scaling_law(rng, samples, tol):
+def case_core_scaling_law(rng, samples):
     worst = 0.0
     for _ in range(_n(samples // 5, 10, 20)):
         x = rand_core_element(rng, ALGEBRA, pieces=3, positive=True)
@@ -495,7 +495,7 @@ def case_core_scaling_law(rng, samples, tol):
     return worst <= 1e-14, worst
 
 
-def case_core_traciality(rng, samples, tol):
+def case_core_traciality(rng, samples):
     worst = 0.0
     for _ in range(_n(samples // 5, 5, 20)):
         x = rand_core_element(rng, ALGEBRA, pieces=2)
@@ -505,7 +505,7 @@ def case_core_traciality(rng, samples, tol):
     return worst <= 1e-10, worst
 
 
-def case_core_dual_action_modular(rng, samples, tol):
+def case_core_dual_action_modular(rng, samples):
     worst = 0.0
     phi = PowerFunction(2)
     for _ in range(_n(samples // 10, 3, 10)):
@@ -521,7 +521,7 @@ def case_core_dual_action_modular(rng, samples, tol):
     return worst <= 1e-12, worst
 
 
-def case_core_embedding_isometry(rng, samples, tol):
+def case_core_embedding_isometry(rng, samples):
     worst = 0.0
     for _ in range(_n(samples // 4, 5, 50)):
         x = rand_element(rng, ALGEBRA)
@@ -532,7 +532,7 @@ def case_core_embedding_isometry(rng, samples, tol):
     return worst <= 1e-10, worst
 
 
-def case_core_group_law_exact(rng, samples, tol):
+def case_core_group_law_exact(rng, samples):
     for _ in range(_n(samples // 10, 3, 10)):
         x = rand_core_element(rng, ALGEBRA, pieces=3)
         back = dual_action(-math.pi, dual_action(math.pi, x))
@@ -547,7 +547,7 @@ def case_core_group_law_exact(rng, samples, tol):
 # --- functorial -------------------------------------------------------------
 
 
-def case_fun_functor_laws(rng, samples, tol):
+def case_fun_functor_laws(rng, samples):
     ide = identity_isomorphism(SWAP_ALGEBRA)
     worst = 0.0
     i1 = rand_isomorphism(rng, SWAP_ALGEBRA)
@@ -562,7 +562,7 @@ def case_fun_functor_laws(rng, samples, tol):
     return worst <= 1e-12, worst
 
 
-def case_fun_norm_isometry(rng, samples, tol):
+def case_fun_norm_isometry(rng, samples):
     worst = 0.0
     for phi in (PowerFunction(2), CoshMinusOne(), JumpFunction(1.0)):
         iso = rand_isomorphism(rng, SWAP_ALGEBRA)
@@ -573,7 +573,7 @@ def case_fun_norm_isometry(rng, samples, tol):
     return worst <= 1e-9, worst
 
 
-def case_fun_rearrangement_invariance(rng, samples, tol):
+def case_fun_rearrangement_invariance(rng, samples):
     for _ in range(_n(samples // 5, 5, 20)):
         iso = rand_isomorphism(rng, SWAP_ALGEBRA)
         x = rand_element(rng, SWAP_ALGEBRA)
@@ -582,7 +582,7 @@ def case_fun_rearrangement_invariance(rng, samples, tol):
     return True, 0.0
 
 
-def case_fun_rescaling_diagnostic(rng, samples, tol):
+def case_fun_rescaling_diagnostic(rng, samples):
     rescale = make_algebra([2, 2], [1.0, 2.0])
     iso = type(identity_isomorphism(rescale))(
         rescale, rescale, (1, 0),
@@ -635,15 +635,14 @@ CASES = [
 ]
 
 
-def run_suite(seed: int = 0, samples: int = 100, tol: float = 1e-12,
-              extra_cases=None) -> list[CaseResult]:
+def run_suite(seed: int = 0, samples: int = 100, extra_cases=None) -> list[CaseResult]:
     """Run every case with per-case derived seeds; results sorted by case id."""
     master = SplitMix64(seed)
     cases = sorted(CASES + list(extra_cases or []), key=lambda c: c[0])
     seeds = {cid: master.next_u64() for cid, _ in cases}
     results = []
     for cid, fn in cases:
-        out = fn(SplitMix64(seeds[cid]), samples, tol)
+        out = fn(SplitMix64(seeds[cid]), samples)
         passed, dev = out[0], out[1]
         detail = out[2] if len(out) > 2 else None
         results.append(CaseResult(cid, bool(passed),

@@ -171,19 +171,14 @@ def modular_value(phi: OrliczFunction, x: Element, lam: float) -> float:
 def fk_integral(phi: OrliczFunction, x: Element) -> float:
     """tau(Phi(|x|)) with the step-function route asserted against the spectral route.
 
-    Returns sum_j Phi(v_j) l_j over the rearrangement steps and checks it
-    against the blockwise spectral sum within 1e-10 relative.  The two routes
-    factor x independently: the steps come from one-sided Jacobi on each
-    block, the spectral sum from the eigenvalues of |x| = (x*x)^(1/2).
+    Returns the step sum sum_j Phi(v_j) l_j over the rearrangement steps,
+    which is the modular at lam = 1 (``modular_value(phi, x, 1.0)``, the body
+    the root-find evaluates), and checks it against the blockwise spectral sum
+    within 1e-10 relative.  The two routes factor x independently: the steps
+    come from one-sided Jacobi on each block, the spectral sum from the
+    eigenvalues of |x| = (x*x)^(1/2).
     """
-    steps = rearrangement(x).steps
-    lhs = 0.0
-    for s in steps:
-        fv = phi(s.value)
-        if fv == INF:
-            lhs = INF
-            break
-        lhs += fv * s.length
+    lhs = modular_value(phi, x, 1.0)
     ax = absolute(x)
     rhs = 0.0
     for i, vals in enumerate(positive_eigenvalues(ax)):

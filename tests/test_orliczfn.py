@@ -35,7 +35,7 @@ def test_cosh1_overflows_quietly_to_inf():
     # The test configuration turns an overflow warning into an error.
     top = math.log(np.finfo(float).max)
     with np.errstate(over="raise"):
-        assert CoshMinusOne()._eval_array(np.array([top]))[0] == pytest.approx(
+        assert CoshMinusOne().eval_array(np.array([top]))[0] == pytest.approx(
             math.cosh(top), rel=1e-12)
     assert list(CoshMinusOne().eval_array(np.array([711.0, 1e6]))) == [INF, INF]
     assert CoshMinusOne()(709.78) == pytest.approx(math.cosh(709.78), rel=1e-12)
@@ -93,13 +93,28 @@ def test_eval_rejects_negative():
         PowerFunction(2)(math.nan)
 
 
-def test_eval_array_matches_scalar(rng):
-    grid = np.geomspace(1e-6, 1e2, 40)
-    for phi in registry().values():
+def test_eval_array_matches_scalar():
+    # One Phi per family: the array route returns the scalar values bit for
+    # bit (inf where the scalar is inf), so a norm and the references and
+    # suite cases that call phi(t) evaluate the same function.
+    grid = np.concatenate([np.linspace(0.0, 5.0, 1000), np.geomspace(1e-300, 1e300, 1000)])
+    table = TabulatedFunction([(0, 0), (1, 0.5), (2, 2), (4, 7)])
+    phis = list(registry().values())
+    phis += [young_conjugate(phi) for phi in phis]
+    phis += [ExpMinusOne(), young_conjugate(ExpMinusOne()), table]
+    for phi in phis:
         arr = phi.eval_array(grid)
-        for t, v in zip(grid, arr):
-            assert phi(float(t)) == pytest.approx(float(v), rel=1e-14) or \
-                (phi(float(t)) == INF and v == INF)
+        assert arr.shape == grid.shape and arr.dtype == np.float64
+        assert np.array_equal(arr, [phi(t) for t in grid.tolist()]), phi.label()
+    assert np.array_equal(table.eval_array(grid.reshape(40, 50)),
+                          table.eval_array(grid).reshape(40, 50))
+
+
+@pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, INF, -INF])
+def test_eval_array_rejects_invalid_entries(bad):
+    for phi in registry().values():
+        with pytest.raises(ValidationError):
+            phi.eval_array(np.array([0.5, bad, 2.0]))
 
 
 def test_conjugate_closed_forms():
