@@ -538,6 +538,12 @@ def block_diag(blocks) -> np.ndarray:
     return out
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two matrices, entry [(j, m), (l, k)] = a[j, l] * b[m, k]."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def gram_schmidt(vectors: np.ndarray, pivot_tol: float) -> np.ndarray:
     """Orthonormal basis, as columns, of the span of the rows of ``vectors`` by
     modified Gram-Schmidt with one reorthogonalization; a row whose residual

@@ -13,15 +13,19 @@ Each Element factors its blocks at most once: ``_block_eigh`` stores the
 per-block eigen data on the Element the first time it is asked for, and every
 spectral routine (powers, supports, polar data, positivity, ranks) reads it
 from there (singular values likewise from ``_block_singular_values``, which
-``fill_singular_values`` can fill for many Elements at once); a Functional
-keeps its density as one such Element.  Memos fill lazily without a lock, and
-a fill never overwrites a stored memo.  Which kernel fills the singular-value
-memo depends on the call that first needs it: ``fill_singular_values`` sends
-large groups of same-size blocks to the stack kernel and the rest to the
-scalar one, and the two agree to about 1e-15 of a block's largest value, not
-bit for bit.  So the same calls in the same order always store the same
-values, but two threads that find a memo empty and fill it by different
-routes at once may leave either result.
+``fill_singular_values`` can fill for many Elements at once).  The eigenvalue
+clusters with their spectral projections (``_block_clusters``) and the
+``is_hermitian`` verdict are stored the same way, so powers, supports and the
+spectral calculus of one Element cluster its blocks once; the blocks are
+read-only, so no memo can go stale.  A Functional keeps its density as one
+such Element.  Memos fill lazily without a lock, and a fill never overwrites
+a stored memo.  Which kernel fills the singular-value memo depends on the call
+that first needs it: ``fill_singular_values`` sends large groups of same-size
+blocks to the stack kernel and the rest to the scalar one, and the two agree
+to about 1e-15 of a block's largest value, not bit for bit.  So the same
+calls in the same order always store the same values, but two threads that
+find a memo empty and fill it by different routes at once may leave either
+result.
 """
 
 from __future__ import annotations
@@ -101,13 +105,15 @@ def _freeze(blocks, dims) -> tuple[np.ndarray, ...]:
 class Element:
     """A blockwise complex matrix, the universal carrier for algebra members."""
 
-    __slots__ = ("algebra", "blocks", "_eigh", "_svals")
+    __slots__ = ("algebra", "blocks", "_eigh", "_clusters", "_svals", "_hermitian")
 
     def __init__(self, algebra: AlgebraDescriptor, blocks):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "blocks", _freeze(blocks, algebra.block_dims))
         object.__setattr__(self, "_eigh", None)
+        object.__setattr__(self, "_clusters", None)
         object.__setattr__(self, "_svals", None)
+        object.__setattr__(self, "_hermitian", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Element is immutable")
@@ -152,8 +158,13 @@ class Element:
         return not any(a.any() for a in self.blocks)
 
     def is_hermitian(self) -> bool:
-        dev = math.hypot(*(_linalg.frobenius(a - a.conj().T) for a in self.blocks))
-        return dev <= HERMITIAN_RTOL * max(self.frobenius_norm(), 0.0) or dev == 0.0
+        """||x - x*||_F at most HERMITIAN_RTOL ||x||_F; decided once and stored on x."""
+        if self._hermitian is None:
+            dev = math.hypot(*(_linalg.frobenius(a - a.conj().T) for a in self.blocks))
+            verdict = dev <= HERMITIAN_RTOL * max(self.frobenius_norm(), 0.0) or dev == 0.0
+            if self._hermitian is None:
+                object.__setattr__(self, "_hermitian", verdict)
+        return self._hermitian
 
     def is_positive(self) -> bool:
         """Hermitian, with every block positive semidefinite (see ``negative_block``)."""
@@ -279,7 +290,8 @@ def _block_eigh(x: Element) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         eig = tuple(_linalg.hermitian_eigh(b) for b in x.blocks)
         for vals, vecs in eig:
             vals.flags.writeable = vecs.flags.writeable = False
-        object.__setattr__(x, "_eigh", eig)
+        if x._eigh is None:
+            object.__setattr__(x, "_eigh", eig)
     return x._eigh
 
 
@@ -331,13 +343,27 @@ def fill_singular_values(elements) -> None:
             object.__setattr__(x, "_svals", svals)
 
 
-def _clustered(vals: np.ndarray, vecs: np.ndarray):
-    """Yield (representative value, multiplicity, projection matrix) per cluster."""
-    for group in _linalg.cluster_indices(vals):
-        rep = float(np.mean(vals[group]))
-        cols = vecs[:, group]
-        proj = cols @ cols.conj().T
-        yield rep, len(group), proj
+def _block_clusters(x: Element) -> tuple[tuple[float, tuple], ...]:
+    """Per-block (rank cut, clusters) of a Hermitian x, stored on x by the first call.
+
+    The clusters are (representative value, multiplicity, projection) for each
+    group of ``_linalg.cluster_indices``, in descending order, with read-only
+    projections; the cut is RANK_RTOL times the block's largest eigenvalue
+    (0 when that is negative).
+    """
+    if x._clusters is None:
+        out = []
+        for vals, vecs in _block_eigh(x):
+            clusters = []
+            for group in _linalg.cluster_indices(vals):
+                cols = vecs[:, group]
+                proj = cols @ cols.conj().T
+                proj.flags.writeable = False
+                clusters.append((float(np.mean(vals[group])), len(group), proj))
+            out.append((RANK_RTOL * max(float(vals[0]), 0.0), tuple(clusters)))
+        if x._clusters is None:
+            object.__setattr__(x, "_clusters", tuple(out))
+    return x._clusters
 
 
 def _on_support(x: Element, f) -> list[np.ndarray]:
@@ -345,10 +371,9 @@ def _on_support(x: Element, f) -> list[np.ndarray]:
     above RANK_RTOL times the block's largest eigenvalue (and above 0); the
     other clusters count as kernel, where f is taken to be 0."""
     out = []
-    for vals, vecs in _block_eigh(x):
-        cut = RANK_RTOL * max(float(vals[0]), 0.0)
-        acc = np.zeros(vecs.shape, dtype=np.complex128)
-        for rep, _, proj in _clustered(vals, vecs):
+    for d, (cut, clusters) in zip(x.algebra.block_dims, _block_clusters(x)):
+        acc = np.zeros((d, d), dtype=np.complex128)
+        for rep, _, proj in clusters:
             if rep > cut:
                 acc += f(rep) * proj
         out.append(acc)
@@ -375,8 +400,8 @@ def eigen_spectrum(x: Element) -> Spectrum:
     """Spectral decomposition of a Hermitian element with degeneracy merging."""
     _require_hermitian(x, "eigen_spectrum")
     lines = []
-    for i, (vals, vecs) in enumerate(_block_eigh(x)):
-        for rep, mult, proj in _clustered(vals, vecs):
+    for i, (_, clusters) in enumerate(_block_clusters(x)):
+        for rep, mult, proj in clusters:
             blocks = [np.zeros((d, d), dtype=np.complex128) for d in x.algebra.block_dims]
             blocks[i] = proj
             lines.append(SpectralLine(i, rep, mult, Element(x.algebra, blocks)))
@@ -392,10 +417,10 @@ def spectral_calculus(x: Element, f) -> Element:
     """
     _require_hermitian(x, "spectral_calculus")
     out_blocks = []
-    for i, (vals, vecs) in enumerate(_block_eigh(x)):
+    for i, (_, clusters) in enumerate(_block_clusters(x)):
         d = x.algebra.block_dims[i]
         acc = np.zeros((d, d), dtype=np.complex128)
-        for rep, _, proj in _clustered(vals, vecs):
+        for rep, _, proj in clusters:
             try:
                 y = complex(f(rep))
             except Exception as exc:

@@ -59,7 +59,7 @@ class GNSData:
 
     def represent(self, x: Element) -> np.ndarray:
         """Matrix basis* blockdiag_i kron(x_i, I) basis of left multiplication by x."""
-        act = _linalg.block_diag([np.kron(xb, np.eye(len(xb))) for xb in x.blocks])
+        act = _linalg.block_diag([_linalg.kron(xb, np.eye(len(xb))) for xb in x.blocks])
         return self.basis.conj().T @ act @ self.basis
 
 
@@ -68,7 +68,10 @@ def gns(omega: Functional) -> GNSData:
 
     Null vectors are dropped by Gram-Schmidt with a fixed pivot threshold over
     the classes of the matrix units, the rows of blockdiag_i sqrt(c_i)
-    kron(I, rho_i^(1/2)), so the dimension is sum_i d_i * rank(rho_i).
+    kron(I, rho_i^(1/2)), so the dimension is sum_i d_i * rank(rho_i).  The
+    rows are first scaled by the exact power of two of ``_linalg.pow2_prescale``,
+    which leaves the span alone, so that Gram-Schmidt's inner products neither
+    underflow nor overflow at extreme density scales.
     """
     if not omega.is_positive():
         raise ValidationError("gns needs a positive functional")
@@ -76,11 +79,12 @@ def gns(omega: Functional) -> GNSData:
         raise ValidationError("gns of the zero functional is empty")
     alg = omega.algebra
     root = tuple(_on_support(omega.density_element(), math.sqrt))
-    candidates = _linalg.block_diag([math.sqrt(c) * np.kron(np.eye(len(r)), r)
+    candidates = _linalg.block_diag([math.sqrt(c) * _linalg.kron(np.eye(len(r)), r)
                                      for c, r in zip(alg.weights, root)])
+    (candidates,), _ = _linalg.pow2_prescale([candidates])
     scale = max(float(np.linalg.norm(v)) for v in candidates)
     basis = _linalg.gram_schmidt(candidates, GNS_PIVOT_TOL * max(scale, 1e-300))
-    gram = _linalg.block_diag([c * np.kron(np.eye(len(r)), r.T)
+    gram = _linalg.block_diag([c * _linalg.kron(np.eye(len(r)), r.T)
                                for c, r in zip(alg.weights, omega.densities)])
     cyc = basis.conj().T @ _ambient(alg, root, alg.identity())
     return GNSData(alg, omega, basis.shape[1], gram, basis, cyc, root)
@@ -167,7 +171,8 @@ class ModularOperator:
         else:
             left = power_on_support(self.rho_left, z)
             right = power_on_support(self.omega.density_element(), -z)
-        return _linalg.block_diag([np.kron(a, b.T) for a, b in zip(left.blocks, right.blocks)])
+        return _linalg.block_diag([_linalg.kron(a, b.T)
+                                   for a, b in zip(left.blocks, right.blocks)])
 
 
 def relative_modular(phi: Functional, omega: Functional) -> ModularOperator:

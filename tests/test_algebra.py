@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncorlicz import (Element, Functional, StandardForm, ValidationError, absolute,
+from ncorlicz import (Element, Functional, StandardForm, ValidationError, _linalg, absolute,
                       canonical_trace, eigen_spectrum, embed, functional_polar, make_algebra,
                       operator_norm, polar_decompose, power_on_support, reduce_to_support,
                       spectral_calculus, support_projection, trace)
 from ncorlicz._linalg import (POSITIVITY_RTOL, RANK_RTOL, cluster_indices, hermitian_eigh,
                               singular_values)
-from ncorlicz.algebra import _block_eigh, _block_singular_values, fill_singular_values
-from ncorlicz.sampling import (SplitMix64, rand_element, rand_functional, rand_unitary_element,
-                               rand_unitary_matrix)
+from ncorlicz.algebra import (HERMITIAN_RTOL, _block_clusters, _block_eigh,
+                              _block_singular_values, fill_singular_values)
+from ncorlicz.sampling import (SplitMix64, rand_element, rand_functional, rand_matrix,
+                               rand_unitary_element, rand_unitary_matrix)
 
 
 def test_make_algebra_examples():
@@ -274,9 +275,49 @@ def test_memoized_eigen_data_is_bit_identical_to_a_fresh_factorisation(m2m3, rng
             fresh_vals, fresh_vecs = hermitian_eigh(block)
             assert np.array_equal(vals, fresh_vals) and np.array_equal(vecs, fresh_vecs)
             assert not (vals.flags.writeable or vecs.flags.writeable)
+        clusters = _block_clusters(rho)
+        assert _block_clusters(rho) is clusters
+        assert not any(proj.flags.writeable for _, group in clusters for _, _, proj in group)
         for z in (0.5, -1.0, 0.0, 0.7j, 0.25 - 1.5j):
-            for got, block in zip(power_on_support(rho, z).blocks, rho.blocks):
-                assert np.array_equal(got, _fresh_power(block, z))
+            first, again = power_on_support(rho, z), power_on_support(rho, z)
+            # Without a kernel the spectral calculus takes the same clusters.
+            calc = (spectral_calculus(rho, lambda t: np.exp(complex(z) * math.log(t)))
+                    if ranks == [2, 3] else first)
+            for got, repeat, via_calc, block in zip(first.blocks, again.blocks, calc.blocks,
+                                                    rho.blocks):
+                want = _fresh_power(block, z)
+                assert np.array_equal(got, want) and np.array_equal(repeat, want)
+                assert np.array_equal(via_calc, want)
+        for _ in range(2):
+            for got, block in zip(support_projection(rho).blocks, rho.blocks):
+                assert np.array_equal(got, _fresh_power(block, 0.0))
+
+
+def _hermitian_case(rel):
+    """An element of [2, 3] with ||x - x*||_F = rel ||x||_F exactly in real arithmetic."""
+    rng = SplitMix64(17)
+    alg = make_algebra([2, 3], [1.0, 0.5])
+    h = [0.5 * (b + b.conj().T) for b in (rand_matrix(rng, 2), rand_matrix(rng, 3))]
+    s = [0.5 * (b - b.conj().T) for b in (rand_matrix(rng, 2), rand_matrix(rng, 3))]
+    # x = h + t s with h Hermitian, s skew: ||x - x*|| = 2t ||s||, ||x||^2 = ||h||^2 + t^2 ||s||^2.
+    nh, ns = math.hypot(*map(np.linalg.norm, h)), math.hypot(*map(np.linalg.norm, s))
+    t = rel * nh / (ns * math.sqrt(4.0 - rel * rel))
+    return Element(alg, [a + t * b for a, b in zip(h, s)])
+
+
+@pytest.mark.parametrize("rel, hermitian", [(0.0, True), (0.9 * HERMITIAN_RTOL, True),
+                                             (1.1 * HERMITIAN_RTOL, False)])
+def test_hermitian_verdict_is_stored_once(count_calls, rel, hermitian):
+    x = _hermitian_case(rel)
+    dev = math.hypot(*(np.linalg.norm(b - b.conj().T) for b in x.blocks))
+    fresh = dev <= HERMITIAN_RTOL * math.hypot(*map(np.linalg.norm, x.blocks))
+    assert x.is_hermitian() is fresh is hermitian
+    norms = count_calls(_linalg.frobenius)
+    assert x.is_hermitian() is hermitian
+    assert norms == []
+    # The memo is sound because the blocks it was decided on cannot change.
+    with pytest.raises(ValueError):
+        x.blocks[0][0, 1] = 0.0
 
 
 def test_fill_singular_values_groups_blocks_by_size(m2m3, rng, factored_blocks):

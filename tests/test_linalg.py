@@ -277,6 +277,16 @@ def test_eigh_matches_lapack(rng, n):
         assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(n)) <= 1e-12, kind
 
 
+def test_kron_is_bit_identical_to_numpy(rng):
+    for p in range(1, 7):
+        for q in (1, 3, p, 7 - p):
+            a, b = rand_matrix(rng, p), rand_matrix(rng, q)
+            for left, right in ((a, b), (a.real, b), (np.eye(p), b.T), (a.real, b.real)):
+                got = _linalg.kron(left, right)
+                assert got.dtype == np.kron(left, right).dtype
+                assert np.array_equal(got, np.kron(left, right))
+
+
 def test_eigh_is_deterministic(rng):
     for h in _eigh_test_blocks(rng, 6).values():
         (v1, w1), (v2, w2) = hermitian_eigh(h), hermitian_eigh(h)

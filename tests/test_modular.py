@@ -8,8 +8,8 @@ from ncorlicz import (Element, Functional, ValidationError, _linalg, connes_cocy
                       standard_form, support_projection)
 from ncorlicz.algebra import _on_support
 from ncorlicz.modular import GNS_PIVOT_TOL, _ambient
-from ncorlicz.sampling import (SplitMix64, rand_element, rand_functional, rand_positive,
-                               rand_unitary_element)
+from ncorlicz.sampling import (SplitMix64, rand_element, rand_faithful_functional,
+                               rand_functional, rand_positive, rand_unitary_element)
 
 
 def faithful(rng, algebra):
@@ -19,6 +19,18 @@ def faithful(rng, algebra):
 class TestGNS:
     def test_faithful_state_m2_dimension(self, m2, rng):
         assert gns(faithful(rng, m2)).dimension == 4
+
+    def test_orthonormal_at_subnormal_density_scales(self, m2m3):
+        phi = rand_faithful_functional(SplitMix64(0), m2m3)
+        root = _on_support(phi.density_element(), math.sqrt)
+        rows = np.array([_ambient(m2m3, root, e) for _, _, _, e in m2m3.matrix_units()])
+        scale = max(float(np.linalg.norm(v)) for v in rows)
+        assert np.array_equal(gns(phi).basis, _linalg.gram_schmidt(rows, GNS_PIVOT_TOL * scale))
+        for s in (1e-310, 1e-318):
+            basis = gns(Functional(m2m3, [s * r for r in phi.densities])).basis
+            assert basis.shape[1] == 13
+            err = np.max(np.abs(basis.conj().T @ basis - np.eye(13)))
+            assert err <= 1e-14, (s, err)
 
     def test_rank_one_dimension(self, m2):
         # density diag(1,0): Gram rank oracle
@@ -280,6 +292,20 @@ def _count_during(count_calls, kernel, name, algebra):
                          ids=list(MODULAR_OPS))
 def test_each_density_is_factored_once(m2m3, count_calls, op, limit):
     assert _count_during(count_calls, _linalg.hermitian_eigh, op, m2m3) <= limit
+
+
+def test_each_density_is_clustered_once(m2m3, count_calls):
+    rng = SplitMix64(19)
+    phi, psi, omega = (faithful(rng, m2m3) for _ in range(3))
+    x = rand_element(rng, m2m3)
+    clustered = count_calls(_linalg.cluster_indices)
+    relative_modular(phi, omega).matrix()
+    for t in (-1.3, 0.4, 1.9):
+        connes_cocycle(phi, omega, t)
+    gns(phi)
+    radon_nikodym_sqrt(psi, phi)
+    modular_flow(omega, 0.4, x)
+    assert len(clustered) <= 6
 
 
 # Their positivity checks factor the densities, whose eigen data the powers
