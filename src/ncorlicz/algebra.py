@@ -31,6 +31,7 @@ result.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,7 @@ from ._linalg import RANK_RTOL, is_positive_semidefinite
 from .errors import ValidationError
 
 HERMITIAN_RTOL = 1e-12
+_LOG_DBL_MAX = math.log(sys.float_info.max)  # exp(w) is finite for Re w <= this
 
 
 @dataclass(frozen=True)
@@ -439,11 +441,22 @@ def power_on_support(x: Element, z: complex) -> Element:
 
     Eigenvalues at or below the rank threshold are sent to 0, so negative
     real parts mean Moore-Penrose pseudo-inverses and z = 0 or z = it
-    reproduce the support projection and the phase unitaries on it.
+    reproduce the support projection and the phase unitaries on it.  An
+    eigenvalue whose power lies beyond the binary64 range (a pseudo-inverse of
+    a subnormal density, say) raises ValidationError before it is formed.
     """
     _require_hermitian(x, "power_on_support")
     z = complex(z)
-    return Element(x.algebra, _on_support(x, lambda t: np.exp(z * math.log(t))))
+
+    def power(t):
+        w = z * math.log(t)
+        if w.real > _LOG_DBL_MAX:
+            raise ValidationError(
+                f"power_on_support: eigenvalue {t!r} to the power {z} has modulus "
+                f"exp({w.real:.6g}), beyond the binary64 range")
+        return np.exp(w)
+
+    return Element(x.algebra, _on_support(x, power))
 
 
 def positive_eigenvalues(x: Element) -> list[list[float]]:

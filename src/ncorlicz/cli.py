@@ -5,13 +5,16 @@ Reports go to stdout as JSON with 17-significant-digit floats; a fixed
 seed reproduces the suite report byte-for-byte (timing is written to
 stderr so it cannot break that).  Exit codes: 0 pass, 1 property
 failure, 2 input error, 3 numeric failure.
+
+A subcommand imports the library modules that only it runs when it is
+called, so a cold ``norm`` call loads neither the suite nor the core model
+nor the modular theory: without cached bytecode every imported module is
+compiled from source in every process.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import math
 import re
 import sys
 import time
@@ -19,17 +22,11 @@ import time
 import numpy as np
 
 from .algebra import Element, make_algebra
-from .core_model import core_luxemburg_report
 from .errors import ConvergenceError, InputError, ValidationError
-from .modular import gns
-from .orliczfn import JumpFunction, OrliczFunction, PowerFunction, young_conjugate
+from .orliczfn import OrliczFunction, PowerFunction, from_name, young_conjugate
 from .serialize import (algebra_from_obj, core_from_obj, dumps_report, element_from_obj,
                         element_to_obj, functional_from_obj, isomorphism_from_obj,
                         load_file, orlicz_from_obj, orlicz_to_obj, tabulate)
-from .suite import run_suite
-from .trace_orlicz import luxemburg_report, rearrangement, rearrangement_csv
-from .sampling import SplitMix64
-from .functorial import verify_isometry
 
 _DIAG_RE = re.compile(r"^diag\(([^)]*)\)$")
 
@@ -77,7 +74,6 @@ def _load_phi(args) -> OrliczFunction:
     except InputError:
         pass
     try:
-        from .orliczfn import from_name
         return from_name(spec)
     except ValidationError as exc:
         raise InputError(str(exc)) from exc
@@ -105,6 +101,8 @@ def _load_element(args) -> Element:
 
 
 def _digest(parts) -> str:
+    import hashlib
+
     h = hashlib.sha256()
     for p in parts:
         h.update(str(p).encode())
@@ -117,6 +115,8 @@ def _emit(obj) -> None:
 
 
 def _cmd_norm(args) -> int:
+    from .trace_orlicz import luxemburg_report
+
     x = _load_element(args)
     phi = _load_phi(args)
     rep = luxemburg_report(phi, x, args.tol)
@@ -125,6 +125,8 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_core_norm(args) -> int:
+    from .core_model import core_luxemburg_report
+
     alg = _load_algebra(args)
     core = core_from_obj(alg, load_file(_need(args, "core", "core-norm")))
     phi = _load_phi(args)
@@ -134,6 +136,8 @@ def _cmd_core_norm(args) -> int:
 
 
 def _cmd_rearr(args) -> int:
+    from .trace_orlicz import rearrangement, rearrangement_csv
+
     x = _load_element(args)
     mu = rearrangement(x)
     obj = {"totalMass": mu.total_mass(),
@@ -156,10 +160,11 @@ def _cmd_conjugate(args) -> int:
 
 
 def _cmd_cocycle(args) -> int:
+    from .modular import connes_cocycle
+
     alg = _load_algebra(args)
     if len(args.functional) != 2:
         raise InputError("cocycle needs --functional twice: first phi, then omega")
-    from .modular import connes_cocycle
     phi = functional_from_obj(alg, load_file(args.functional[0]))
     omega = functional_from_obj(alg, load_file(args.functional[1]))
     _emit(element_to_obj(connes_cocycle(phi, omega, args.t)))
@@ -167,6 +172,8 @@ def _cmd_cocycle(args) -> int:
 
 
 def _cmd_gns(args) -> int:
+    from .modular import gns
+
     alg = _load_algebra(args)
     if len(args.functional) != 1:
         raise InputError("gns needs exactly one --functional")
@@ -182,6 +189,9 @@ def _cmd_gns(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    from .functorial import verify_isometry
+    from .suite import run_suite
+
     extra = []
     if args.iso:
         alg = _load_algebra(args)

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg
-from .algebra import (AlgebraDescriptor, Element, Functional, _block_eigh, _on_support,
-                      power_on_support, support_projection, trace)
+from .algebra import (AlgebraDescriptor, Element, Functional, _block_eigh, _in_range,
+                      _on_support, power_on_support, support_projection, trace)
 from .errors import ValidationError
 
 GNS_PIVOT_TOL = 1e-11
@@ -215,15 +215,18 @@ def radon_nikodym_sqrt(psi: Functional, phi: Functional) -> Element:
     p = support_projection(phi)
     comp = psi.algebra.identity() - p
     rho_psi = psi.density_element()
-    leak = comp * rho_psi * comp
-    scale = max(rho_psi.frobenius_norm(), 1e-300)
+    # rho_psi / 2^e is exact and in range, so the leak test reads the same at
+    # every scale, subnormal densities included.
+    rho, e = _in_range(rho_psi)
+    leak = comp * rho * comp
+    scale = rho.frobenius_norm()
     if leak.frobenius_norm() > 1e-10 * scale:
         for i, (vals, vecs) in enumerate(_block_eigh(leak)):
             if vals[0] > 1e-10 * scale:
                 vec = np.round(vecs[:, 0], 6)
                 raise ValidationError(
-                    "support violation: psi is not dominated by phi; offending "
-                    f"eigenvector {vec.tolist()} in block {i} carries mass {float(vals[0])!r}")
+                    "support violation: psi is not dominated by phi; offending eigenvector "
+                    f"{vec.tolist()} in block {i} carries mass {math.ldexp(vals[0], e)!r}")
         raise ValidationError("support violation: psi is not dominated by phi")
     return (power_on_support(rho_psi, 0.5)
             * power_on_support(phi.density_element(), -0.5))

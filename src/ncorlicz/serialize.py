@@ -4,23 +4,27 @@ Readers reject NaN/Infinity everywhere; the only non-numeric token
 allowed is the string "inf" as the right endpoint of a core interval.
 The writer serializes floats with 17 significant digits and keeps
 dictionary insertion order, so a report built deterministically prints
-byte-identically.
+byte-identically.  The core and isomorphism readers import ``core_model``
+and ``functorial`` when called, so a command that reads neither does not
+load them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .algebra import AlgebraDescriptor, Element, Functional, make_algebra
-from .core_model import CoreElement, Interval
 from .errors import InputError
-from .functorial import Isomorphism
 from .orliczfn import (CoshMinusOne, ExpMinusOne, JumpFunction, OrliczFunction,
                        PowerFunction, TabulatedFunction, from_name)
+
+if TYPE_CHECKING:
+    from .core_model import CoreElement
+    from .functorial import Isomorphism
 
 
 def _reject_constant(token):
@@ -204,6 +208,10 @@ def tabulate(phi: OrliczFunction, lo: float = 1e-3, hi: float = 1e3,
 
 
 def core_from_obj(algebra: AlgebraDescriptor, obj) -> CoreElement:
+    from fractions import Fraction
+
+    from .core_model import CoreElement, Interval
+
     if not isinstance(obj, dict) or "pieces" not in obj:
         raise InputError('core file must look like {"pieces": [...]}')
     pieces = []
@@ -239,6 +247,8 @@ def core_to_obj(x: CoreElement) -> dict:
 
 
 def isomorphism_from_obj(source: AlgebraDescriptor, obj) -> Isomorphism:
+    from .functorial import Isomorphism
+
     if not isinstance(obj, dict) or "permutation" not in obj or "unitaries" not in obj:
         raise InputError('isomorphism file needs "permutation" and "unitaries"')
     perm = obj["permutation"]

@@ -147,6 +147,18 @@ def test_polar_uniqueness_trivial_kernel(m3, rng):
     assert (v - x * power_on_support(a, -1.0)).frobenius_norm() <= 1e-9
 
 
+def test_power_beyond_binary64_range_is_a_validation_error(m2):
+    x = Element(m2, [np.diag([1e-310, 4e-310]).astype(complex)])
+    with pytest.raises(ValidationError, match=r"eigenvalue 4e-310 to the power \(-1\+0j\)"):
+        power_on_support(x, -1.0)
+    y = Element(m2, [np.diag([1e200, 4e200]).astype(complex)])
+    with pytest.raises(ValidationError, match=r"to the power \(2\+0j\)"):
+        power_on_support(y, 2.0)
+    # Powers that binary64 represents are still formed.
+    assert np.allclose(np.diag(power_on_support(x, -0.5).blocks[0]), [1e155, 5e154], rtol=1e-12)
+    assert np.allclose(np.diag(power_on_support(y, 1.5).blocks[0]), [1e300, 8e300], rtol=1e-12)
+
+
 def test_support_projection(m2):
     x = Element(m2, [np.diag([0.0, 5.0])])
     p = support_projection(x)

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ncorlicz
 from ncorlicz.cli import main
 from ncorlicz.serialize import loads
 
@@ -168,3 +173,35 @@ def test_suite_with_iso_file(capsys, files):
     assert code == 0
     ids = [c["id"] for c in loads(out)["cases"]]
     assert "functorial.file_isometry" in ids
+
+
+# Runs cli.main quietly in a fresh interpreter and prints the ncorlicz
+# submodules it loaded.
+_COLD_CALL = """
+import contextlib, io, json, sys
+from ncorlicz.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("ncorlicz."))]))
+"""
+
+
+@pytest.mark.parametrize("argv,allowed", [
+    (["norm", "--phi", "power2", "--element", "diag(3,4)"], set()),
+    (["core-norm", "--algebra", "m2.json", "--core", "core.json", "--phi", "power2"],
+     {"core_model"}),
+    (["rearr", "--element", "diag(3,4,4)"], set()),
+    (["cocycle", "--algebra", "m2.json", "--functional", "phi.json",
+      "--functional", "omega.json", "--t", "0.5"], {"modular"}),
+    (["gns", "--algebra", "m2.json", "--functional", "phi.json"], {"modular"}),
+])
+def test_cold_call_loads_only_what_its_command_runs(files, argv, allowed):
+    argv = [str(files / a) if a.endswith(".json") else a for a in argv]
+    env = {**os.environ, "PYTHONPATH": str(Path(ncorlicz.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _COLD_CALL, *argv], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    code, loaded = json.loads(proc.stdout)
+    assert code == 0
+    never = {"suite", "sampling", "functorial", "core_model", "modular"} - allowed
+    assert not {f"ncorlicz.{m}" for m in never} & set(loaded)
+    assert {f"ncorlicz.{m}" for m in allowed} <= set(loaded)

@@ -148,6 +148,16 @@ class TestRelativeModular:
         assert vals.min() >= -1e-10
 
 
+    def test_unrepresentable_pseudo_inverse_is_a_validation_error(self, m2m3):
+        # rho_omega^-1 of a density near 1e-310 is beyond the binary64 range.
+        rng = SplitMix64(0)
+        phi, omega = (Functional(m2m3, [1e-310 * d for d in
+                                        rand_faithful_functional(rng, m2m3).densities])
+                      for _ in range(2))
+        with pytest.raises(ValidationError, match=r"to the power \(-1\+0j\)"):
+            relative_modular(phi, omega)
+
+
 class TestModularFlow:
     def test_t_zero(self, m3, rng):
         phi = faithful(rng, m3)
@@ -265,6 +275,22 @@ class TestRadonNikodym:
         h = radon_nikodym_sqrt(psi, phi)
         for _, _, _, e in m2.matrix_units():
             assert abs(psi(e) - phi(h.adjoint() * e * h)) <= 1e-10
+
+    @pytest.mark.parametrize("s", [1.0, 1e-300, 1e-305, 1e-310, 1e-318])
+    def test_support_violation_at_every_scale(self, m2, s):
+        phi = Functional(m2, [s * np.diag([1.0, 0.0])])
+        psi = Functional(m2, [s * 0.5 * np.eye(2)])
+        with pytest.raises(ValidationError, match="support violation"):
+            radon_nikodym_sqrt(psi, phi)
+
+    def test_dominated_pair_at_subnormal_scale(self, m2m3):
+        s = 1e-310
+        rng = SplitMix64(0)
+        psi, phi = (Functional(m2m3, [s * d for d in rand_faithful_functional(rng, m2m3).densities])
+                    for _ in range(2))
+        h = radon_nikodym_sqrt(psi, phi)
+        for _, _, _, e in m2m3.matrix_units():
+            assert abs(psi(e) - phi(h.adjoint() * e * h)) <= 1e-11 * s
 
 
 MODULAR_OPS = {

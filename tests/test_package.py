@@ -1,0 +1,76 @@
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ncorlicz
+
+PUBLIC_NAMES = [
+    "AlgebraDescriptor", "ConvergenceError", "CoreElement", "CoshMinusOne", "Element",
+    "ExpMinusOne", "Functional", "GNSData", "InputError", "Interval", "IsometryReport",
+    "Isomorphism", "JumpFunction", "MembershipFlags", "ModularOperator", "NormReport",
+    "OrliczFunction", "PowerFunction", "RearrangementFunction", "Reduction", "Spectrum",
+    "SplitMix64", "StandardForm", "TabulatedFunction", "ValidationError", "absolute",
+    "apply_isomorphism", "canonical_trace", "check_delta2", "check_n_function", "compose",
+    "connes_cocycle", "core_luxemburg_norm", "core_luxemburg_report", "core_modular_value",
+    "dual_action", "dual_pairing", "e_space_gauge", "eigen_spectrum", "embed", "fk_integral",
+    "functional_polar", "gns", "identity_isomorphism", "interval", "lift_to_core",
+    "luxemburg_norm", "luxemburg_report", "make_algebra", "membership",
+    "midpoint_convexity_gap", "modular_flow", "modular_value", "norm_ratio_diagnostic",
+    "numeric_conjugate_value", "operator_norm", "polar_decompose", "power_on_support",
+    "radon_nikodym_sqrt", "rearrangement", "rearrangement_csv", "reduce_to_support",
+    "registry", "relative_modular", "spectral_calculus", "standard_form",
+    "support_projection", "trace", "verify_isometry", "weighted_trace", "young_conjugate",
+]
+SUBMODULES = ["algebra", "core_model", "errors", "functorial", "modular", "orliczfn",
+              "sampling", "trace_orlicz"]
+
+
+def test_public_names_are_unchanged():
+    assert len(PUBLIC_NAMES) == 71
+    assert sorted(ncorlicz.__all__) == PUBLIC_NAMES
+    assert ncorlicz.__version__ == "0.1.0"
+
+
+@pytest.mark.parametrize("name", PUBLIC_NAMES)
+def test_each_name_is_its_defining_modules_object(name):
+    obj = getattr(ncorlicz, name)
+    assert obj.__module__.startswith("ncorlicz.")
+    assert getattr(importlib.import_module(obj.__module__), name) is obj
+
+
+def test_star_import_and_dir_list_every_name():
+    ns = {}
+    exec("from ncorlicz import *", ns)
+    assert set(PUBLIC_NAMES) <= set(ns)
+    assert all(ns[name] is getattr(ncorlicz, name) for name in PUBLIC_NAMES)
+    assert set(PUBLIC_NAMES) | set(SUBMODULES) <= set(dir(ncorlicz))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ncorlicz.no_such_name
+    with pytest.raises(ImportError):
+        exec("from ncorlicz import no_such_name", {})
+
+
+_BARE_IMPORT = """
+import json, sys
+import ncorlicz
+before = sorted(m for m in sys.modules if m.startswith("ncorlicz."))
+resolved = [getattr(ncorlicz, m).__name__ for m in sys.argv[1:]]
+print(json.dumps([before, resolved]))
+"""
+
+
+def test_bare_import_is_lazy_and_submodules_resolve():
+    env = {**os.environ, "PYTHONPATH": str(Path(ncorlicz.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _BARE_IMPORT, *SUBMODULES],
+                          capture_output=True, text=True, env=env, timeout=60, check=True)
+    before, resolved = json.loads(proc.stdout)
+    assert before == []
+    assert resolved == [f"ncorlicz.{m}" for m in SUBMODULES]
