@@ -464,11 +464,20 @@ def _stack_sweep(cols: np.ndarray, sq: np.ndarray,
 
 
 def pow2_prescale(blocks) -> tuple[list[np.ndarray], int]:
-    """(blocks / 2^e, e) for a list of matrices, exact; e = 0 while their largest
-    real or imaginary part lies in [2^-451, 2^450), so products of two of them
-    neither overflow nor underflow, and otherwise comes from ``_pow2_exponent``.
-    Non-finite entries raise ValidationError."""
-    e = _pow2_exponent(np.concatenate([np.ravel(b) for b in blocks]))
+    """(blocks / 2^e, e) for a list of complex matrices, exact; e = 0 while their
+    largest real or imaginary part lies in [2^-451, 2^450), so products of two of
+    them neither overflow nor underflow, and otherwise e is the exponent of that
+    part, as in ``_pow2_exponent``.  The part comes from one abs-max per block
+    over the block's (real, imag) float64 view, where NaN propagates; a
+    non-finite entry raises ValidationError."""
+    big = 0.0
+    for b in blocks:
+        parts = np.abs(np.asarray(b, dtype=np.complex128).ravel().view(np.float64))
+        m = float(parts.max()) if parts.size else 0.0
+        if not math.isfinite(m):
+            raise ValidationError("matrix has non-finite entries")
+        big = max(big, m)
+    e = math.frexp(big)[1]
     if abs(e) <= _SAFE_EXP:
         return list(blocks), 0
     return [_ldexp_matrix(b, -e) for b in blocks], e

@@ -16,8 +16,9 @@ from there (singular values likewise from ``_block_singular_values``, which
 ``fill_singular_values`` can fill for many Elements at once).  The eigenvalue
 clusters with their spectral projections (``_block_clusters``) and the
 ``is_hermitian`` verdict are stored the same way, so powers, supports and the
-spectral calculus of one Element cluster its blocks once; the blocks are
-read-only, so no memo can go stale.  A Functional keeps its density as one
+spectral calculus of one Element cluster its blocks once, and so is the merged
+(value, measure) singular data that ``trace_orlicz._singular_arrays`` reads for
+norms and rearrangements; the blocks are read-only, so no memo can go stale.  A Functional keeps its density as one
 such Element.  Memos fill lazily without a lock, and a fill never overwrites
 a stored memo.  Which kernel fills the singular-value memo depends on the call
 that first needs it: ``fill_singular_values`` sends large groups of same-size
@@ -107,7 +108,8 @@ def _freeze(blocks, dims) -> tuple[np.ndarray, ...]:
 class Element:
     """A blockwise complex matrix, the universal carrier for algebra members."""
 
-    __slots__ = ("algebra", "blocks", "_eigh", "_clusters", "_svals", "_hermitian")
+    __slots__ = ("algebra", "blocks", "_eigh", "_clusters", "_svals", "_singular",
+                 "_hermitian")
 
     def __init__(self, algebra: AlgebraDescriptor, blocks):
         object.__setattr__(self, "algebra", algebra)
@@ -115,6 +117,7 @@ class Element:
         object.__setattr__(self, "_eigh", None)
         object.__setattr__(self, "_clusters", None)
         object.__setattr__(self, "_svals", None)
+        object.__setattr__(self, "_singular", None)
         object.__setattr__(self, "_hermitian", None)
 
     def __setattr__(self, name, value):

@@ -8,7 +8,8 @@ failure, 2 input error, 3 numeric failure.
 
 A subcommand imports the library modules that only it runs when it is
 called, so a cold ``norm`` call loads neither the suite nor the core model
-nor the modular theory: without cached bytecode every imported module is
+nor the modular theory, and a cold ``cocycle`` or ``gns`` call does not load
+the Young functions: without cached bytecode every imported module is
 compiled from source in every process.
 """
 
@@ -18,15 +19,18 @@ import argparse
 import re
 import sys
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .algebra import Element, make_algebra
 from .errors import ConvergenceError, InputError, ValidationError
-from .orliczfn import OrliczFunction, PowerFunction, from_name, young_conjugate
 from .serialize import (algebra_from_obj, core_from_obj, dumps_report, element_from_obj,
                         element_to_obj, functional_from_obj, isomorphism_from_obj,
                         load_file, orlicz_from_obj, orlicz_to_obj, tabulate)
+
+if TYPE_CHECKING:
+    from .orliczfn import OrliczFunction
 
 _DIAG_RE = re.compile(r"^diag\(([^)]*)\)$")
 
@@ -68,6 +72,8 @@ def _load_algebra(args):
 
 
 def _load_phi(args) -> OrliczFunction:
+    from .orliczfn import from_name
+
     spec = _need(args, "phi", args.command)
     try:
         return orlicz_from_obj(load_file(spec))
@@ -150,6 +156,8 @@ def _cmd_rearr(args) -> int:
 
 
 def _cmd_conjugate(args) -> int:
+    from .orliczfn import young_conjugate
+
     phi = _load_phi(args)
     conj = young_conjugate(phi)
     try:
@@ -190,6 +198,7 @@ def _cmd_gns(args) -> int:
 
 def _cmd_suite(args) -> int:
     from .functorial import verify_isometry
+    from .orliczfn import PowerFunction
     from .suite import run_suite
 
     extra = []

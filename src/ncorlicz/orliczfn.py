@@ -60,10 +60,19 @@ class OrliczFunction:
         return self._eval(_check_arg(t))
 
     def eval_array(self, arr: np.ndarray) -> np.ndarray:
+        """Phi entrywise, in the shape of ``arr``.
+
+        The entries are checked in one pass over the Python list that feeds
+        ``_eval``: ``0 <= t < inf`` rejects negatives, NaN and +-inf and
+        accepts -0.0, for which Phi(0) is returned.  A bad entry raises
+        ValidationError.
+        """
         arr = np.asarray(arr, dtype=np.float64)
-        if arr.size and (np.any(arr < 0) or not np.all(np.isfinite(arr))):
-            raise ValidationError("eval_array takes finite nonnegative values")
-        return np.array([self._eval(t) for t in arr.ravel().tolist()]).reshape(arr.shape)
+        ts = arr.ravel().tolist()
+        for t in ts:
+            if not 0.0 <= t < INF:
+                raise ValidationError("eval_array takes finite nonnegative values")
+        return np.array([self._eval(t) for t in ts]).reshape(arr.shape)
 
     def _eval(self, t: float) -> float:
         raise NotImplementedError

@@ -4,9 +4,9 @@ Readers reject NaN/Infinity everywhere; the only non-numeric token
 allowed is the string "inf" as the right endpoint of a core interval.
 The writer serializes floats with 17 significant digits and keeps
 dictionary insertion order, so a report built deterministically prints
-byte-identically.  The core and isomorphism readers import ``core_model``
-and ``functorial`` when called, so a command that reads neither does not
-load them.
+byte-identically.  The core, isomorphism and Orlicz-function codecs import
+``core_model``, ``functorial`` and ``orliczfn`` when called, so a command
+that reads none of them does not load them.
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ import numpy as np
 
 from .algebra import AlgebraDescriptor, Element, Functional, make_algebra
 from .errors import InputError
-from .orliczfn import (CoshMinusOne, ExpMinusOne, JumpFunction, OrliczFunction,
-                       PowerFunction, TabulatedFunction, from_name)
 
 if TYPE_CHECKING:
     from .core_model import CoreElement
     from .functorial import Isomorphism
+    from .orliczfn import OrliczFunction, TabulatedFunction
 
 
 def _reject_constant(token):
@@ -142,6 +141,9 @@ def functional_to_obj(phi: Functional) -> dict:
 
 
 def orlicz_from_obj(obj) -> OrliczFunction:
+    from .orliczfn import (CoshMinusOne, ExpMinusOne, JumpFunction, PowerFunction,
+                           TabulatedFunction, from_name)
+
     if isinstance(obj, str):
         return from_name(obj)
     if not isinstance(obj, dict) or "family" not in obj:
@@ -172,6 +174,9 @@ def orlicz_from_obj(obj) -> OrliczFunction:
 
 
 def orlicz_to_obj(phi: OrliczFunction) -> dict:
+    from .orliczfn import (CoshMinusOne, ExpMinusOne, JumpFunction, PowerFunction,
+                           TabulatedFunction)
+
     if isinstance(phi, PowerFunction):
         if phi.coef == 1.0:
             return {"family": "power", "p": phi.p}
@@ -193,6 +198,8 @@ def orlicz_to_obj(phi: OrliczFunction) -> dict:
 def tabulate(phi: OrliczFunction, lo: float = 1e-3, hi: float = 1e3,
              points: int = 49) -> TabulatedFunction:
     """Sample phi on a log grid into a convex table (finite values only)."""
+    from .orliczfn import TabulatedFunction
+
     ts = [0.0] + [float(t) for t in np.geomspace(lo, hi, points)]
     rows = []
     for t in ts:

@@ -139,13 +139,23 @@ def rearrangement(x: Element) -> RearrangementFunction:
     Reproduces mu(t) = inf { s >= 0 : tau(P^{|x|}(s, inf)) <= t } exactly
     for step data.
     """
-    return RearrangementFunction(singular_value_measures(x))
+    values, measures = _singular_arrays(x)
+    return RearrangementFunction(zip(values.tolist(), measures.tolist()))
 
 
 def _singular_arrays(x: Element) -> tuple[np.ndarray, np.ndarray]:
-    """``singular_value_measures`` of x as (values, measures) arrays."""
-    data = singular_value_measures(x)
-    return np.array([v for v, _ in data]), np.array([m for _, m in data])
+    """``singular_value_measures`` of x as read-only (values, measures) arrays,
+    stored on x by the first call, so that every norm, modular value,
+    rearrangement and membership test of one Element merges its singular data
+    once.  The core model reads ``singular_value_measures`` directly and does
+    not fill this memo."""
+    if x._singular is None:
+        data = singular_value_measures(x)
+        values, measures = np.array([v for v, _ in data]), np.array([m for _, m in data])
+        values.flags.writeable = measures.flags.writeable = False
+        if x._singular is None:
+            object.__setattr__(x, "_singular", (values, measures))
+    return x._singular
 
 
 def modular_from_measures(phi: OrliczFunction, values: np.ndarray, measures: np.ndarray,
@@ -158,7 +168,7 @@ def modular_from_measures(phi: OrliczFunction, values: np.ndarray, measures: np.
     if values.size == 0:
         return 0.0
     out = phi.eval_array(values / float(lam))
-    if np.any(np.isinf(out)):
+    if out.max() == INF:  # Phi >= 0, so +inf is the only infinity
         return INF
     return float(np.dot(measures, out))
 
@@ -399,10 +409,10 @@ def membership(phi: OrliczFunction, x: Element) -> MembershipFlags:
     """Membership of x in the Orlicz class, the span space, and the all-scales space."""
     if not phi.is_young:
         raise ValidationError(f"{phi.label()} is not a Young function")
-    data = singular_value_measures(x)
-    if not data:
+    values, _ = _singular_arrays(x)
+    if not values.size:
         return MembershipFlags(True, True, True, 1.0)
-    vmax = data[0][0]
+    vmax = float(values[0])
     orlicz_class = phi.finite_valued or vmax <= phi.finiteness_bound
     witness = 1.0 if orlicz_class else _shrink_witness(phi.finiteness_bound, vmax)
     return MembershipFlags(orlicz_class, witness is not None, phi.finite_valued, witness)

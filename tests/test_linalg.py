@@ -324,6 +324,50 @@ def test_polar_routines_at_extreme_scales(s):
     assert fk_integral(PowerFunction(1.0), x) == pytest.approx(want_trace, rel=1e-12)
 
 
+def _concatenated_prescale_exponent(blocks):
+    """The prescale exponent formed from all blocks concatenated into one array."""
+    e = _linalg._pow2_exponent(np.concatenate([np.ravel(b) for b in blocks]))
+    return e if abs(e) > 450 else 0
+
+
+def _prescale_cases():
+    rng = SplitMix64(7)
+    m = [rand_matrix(rng, d) for d in (2, 3, 1, 2)]
+    real, imag = np.array([[3.0, -8.0], [0.5, 1.0]]), np.array([[1.0j, -6.0j], [0.0, 2.0j]])
+    return {
+        "random": [m[0], m[1]],
+        "subnormal": [5e-324 * m[0], 1e-310 * m[1]],
+        "1e300": [1e300 * m[0], 1e300 * m[1]],
+        "1e-300": [1e-300 * m[0], 1e-300 * m[1]],
+        "mixed": [1e300 * m[0], 1e-300 * m[1], m[2]],
+        "mixed-small": [1e-200 * m[0], 1e-140 * m[3]],
+        "real-largest": [real + 1e-3 * imag],
+        "imag-largest": [imag + 1e-3 * real],
+        "top-of-range": [np.array([[np.finfo(float).max, -np.finfo(float).max * 1j]])],
+        "zero": [np.zeros((2, 2), dtype=complex), np.zeros((1, 1), dtype=complex)],
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_prescale_cases()))
+def test_prescale_exponent_matches_the_concatenated_formula(case):
+    blocks = _prescale_cases()[case]
+    scaled, e = _linalg.pow2_prescale(blocks)
+    assert e == _concatenated_prescale_exponent(blocks)
+    for b, s in zip(blocks, scaled):
+        assert s is b if e == 0 else np.array_equal(s, _linalg._ldexp_matrix(b, -e))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan),
+                                 complex(0, -math.inf)])
+@pytest.mark.parametrize("where", [0, 1])
+def test_prescale_rejects_non_finite_entries(bad, where):
+    blocks = [np.eye(2, dtype=complex), np.ones((3, 3), dtype=complex)]
+    blocks[where] = blocks[where].copy()
+    blocks[where][-1, 0] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        _linalg.pow2_prescale(blocks)
+
+
 def test_fk_integral_is_infinite_beyond_binary64():
     alg = make_algebra([2], [1.0])
     x = Element(alg, [1e160 * np.array([[1.0, 2.0], [0.0, 1.0]])])

@@ -117,6 +117,35 @@ def test_eval_array_rejects_invalid_entries(bad):
             phi.eval_array(np.array([0.5, bad, 2.0]))
 
 
+def test_eval_array_accepts_negative_zero():
+    for phi in registry().values():
+        out = phi.eval_array(np.array([-0.0, 1.0]))
+        assert out[0] == phi(0.0) and out[1] == phi(1.0), phi.label()
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
+def test_eval_array_keeps_empty_shapes(shape):
+    for phi in registry().values():
+        out = phi.eval_array(np.zeros(shape))
+        assert out.shape == shape and out.dtype == np.float64
+
+
+def test_eval_array_keeps_two_dimensional_shape():
+    grid = np.array([[0.5, 1.0, 0.0], [2.0, 1e-300, 3.5]])
+    for phi in registry().values():
+        out = phi.eval_array(grid)
+        assert out.shape == grid.shape
+        assert np.array_equal(out, [[phi(t) for t in row] for row in grid.tolist()])
+
+
+@pytest.mark.parametrize("bad", [math.nan, INF, -1.0])
+def test_eval_array_rejects_invalid_entries_in_two_dimensions(bad):
+    grid = np.array([[0.5, 1.0], [2.0, bad]])
+    for phi in registry().values():
+        with pytest.raises(ValidationError, match="finite nonnegative"):
+            phi.eval_array(grid)
+
+
 def test_conjugate_closed_forms():
     # t^2/2 is self-conjugate
     half = PowerFunction(2, coef=0.5)

@@ -9,7 +9,9 @@ from ncorlicz import (ConvergenceError, CoshMinusOne, Element, JumpFunction, Orl
                       e_space_gauge, fk_integral, luxemburg_norm, luxemburg_report, make_algebra,
                       membership, modular_value, operator_norm, rearrangement, rearrangement_csv,
                       registry, trace, young_conjugate)
-from ncorlicz.trace_orlicz import AT_FINITENESS_BOUND, CONVERGED, ZERO, singular_value_measures
+from ncorlicz.core_model import CoreElement, core_luxemburg_report, interval
+from ncorlicz.trace_orlicz import (AT_FINITENESS_BOUND, CONVERGED, ZERO, _singular_arrays,
+                                   singular_value_measures)
 from ncorlicz.sampling import rand_element, rand_unitary_element
 from conftest import svd_singular_values
 
@@ -48,6 +50,46 @@ class TestRearrangement:
         fresh = Element(m2m3, x.blocks)
         assert [luxemburg_report(phi, fresh) for phi in registry().values()] == reports
         assert rearrangement(fresh).steps == mu.steps
+
+    def test_singular_data_merged_once_per_element(self, m2m3, rng, count_calls):
+        x = rand_element(rng, m2m3)
+        calls = count_calls(singular_value_measures)
+        for phi in registry().values():
+            luxemburg_report(phi, x)
+        rearrangement(x)
+        fk_integral(CoshMinusOne(), x)
+        modular_value(PowerFunction(2.0), x, 0.5)
+        membership(JumpFunction(1.0), x)
+        assert len(calls) == 1
+
+    def test_stored_singular_data_is_read_only(self, m2m3, rng):
+        values, measures = _singular_arrays(rand_element(rng, m2m3))
+        assert not values.flags.writeable and not measures.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+        with pytest.raises(ValueError):
+            measures[0] = 0.0
+
+    @pytest.mark.parametrize("scale", [1.0, 1e60, 1e-60])
+    def test_norms_from_stored_data_match_a_fresh_element(self, m2m3, rng, scale):
+        x = rand_element(rng, m2m3, scale)
+        first = [luxemburg_report(phi, x) for phi in registry().values()]
+        again = [luxemburg_report(phi, x) for phi in registry().values()]
+        fresh = [luxemburg_report(phi, Element(m2m3, x.blocks)) for phi in registry().values()]
+        assert first == again == fresh
+        assert rearrangement(x).steps == rearrangement(Element(m2m3, x.blocks)).steps
+        phi = CoshMinusOne()
+        assert fk_integral(phi, x) == fk_integral(phi, Element(m2m3, x.blocks))
+        assert _singular_arrays(x) is _singular_arrays(x)
+        want = singular_value_measures(Element(m2m3, x.blocks))
+        values, measures = _singular_arrays(x)
+        assert list(zip(values.tolist(), measures.tolist())) == want
+
+    def test_core_norm_leaves_the_pieces_unmemoized(self, m2m3, rng):
+        piece = rand_element(rng, m2m3)
+        core = CoreElement(m2m3, [(piece, interval(0, 1)), (piece, interval(2, "inf"))])
+        core_luxemburg_report(PowerFunction(2.0), core)
+        assert piece._singular is None
 
     def test_unitary_conjugation_invariance(self, m2m3, rng):
         x = rand_element(rng, m2m3)
