@@ -18,15 +18,15 @@ clusters with their spectral projections (``_block_clusters``) and the
 ``is_hermitian`` verdict are stored the same way, so powers, supports and the
 spectral calculus of one Element cluster its blocks once, and so is the merged
 (value, measure) singular data that ``trace_orlicz._singular_arrays`` reads for
-norms and rearrangements; the blocks are read-only, so no memo can go stale.  A Functional keeps its density as one
-such Element.  Memos fill lazily without a lock, and a fill never overwrites
-a stored memo.  Which kernel fills the singular-value memo depends on the call
-that first needs it: ``fill_singular_values`` sends large groups of same-size
-blocks to the stack kernel and the rest to the scalar one, and the two agree
-to about 1e-15 of a block's largest value, not bit for bit.  So the same
-calls in the same order always store the same values, but two threads that
-find a memo empty and fill it by different routes at once may leave either
-result.
+norms and rearrangements; the blocks are read-only, so no memo can go stale.
+A Functional keeps its density as one such Element.  Memos fill lazily
+without a lock, and a fill never overwrites a stored memo.  Which kernel fills
+the singular-value memo depends on the call that first needs it:
+``fill_singular_values`` sends large groups of same-size blocks to the stack
+kernel and the rest to the scalar one, and the two agree to about 1e-15 of a
+block's largest value, not bit for bit.  So the same calls in the same order
+always store the same values, but two threads that find a memo empty and fill
+it by different routes at once may leave either result.
 """
 
 from __future__ import annotations
