@@ -27,6 +27,12 @@ kernel and the rest to the scalar one, and the two agree to about 1e-15 of a
 block's largest value, not bit for bit.  So the same calls in the same order
 always store the same values, but two threads that find a memo empty and fill
 it by different routes at once may leave either result.
+
+The Gram route to |x| is written once: ``_gram`` forms y* y for the in-range
+multiple y = x / 2^e, ``absolute`` and ``polar_decompose`` take their one |x|
+from it (``_root``), and ``gram_singular_values`` takes the roots of its
+eigenvalues, one eigendecomposition per block, for ``operator_norm`` and for
+the spectral check of ``trace_orlicz.fk_integral``.
 """
 
 from __future__ import annotations
@@ -238,8 +244,7 @@ class Functional:
 
     def norm(self) -> float:
         """Functional norm, equal to tau(|T|) for the density T."""
-        _, a = polar_decompose(self._density)
-        return float(trace(a).real)
+        return float(trace(absolute(self._density)).real)
 
     def __repr__(self):
         return f"Functional(dims={self.algebra.block_dims})"
@@ -475,19 +480,46 @@ def _in_range(x: Element) -> tuple[Element, int]:
     return (Element(x.algebra, blocks) if e else x), e
 
 
-def absolute(x: Element) -> Element:
-    """|x| = (x* x)^(1/2), formed from an in-range power-of-two multiple of x."""
+def _gram(x: Element) -> tuple[Element, Element, int]:
+    """(y, y* y, e) for the in-range multiple y = x / 2^e of ``_in_range``: the
+    one place where |x|, polar data and the operator norm form x* x."""
     y, e = _in_range(x)
-    a = spectral_calculus(y.adjoint() * y, lambda t: math.sqrt(max(t, 0.0)))
-    return Element(x.algebra, _linalg.pow2_rescale(a.blocks, e))
+    return y, y.adjoint() * y, e
+
+
+def _root(h: Element, e: int) -> Element:
+    """2^e h^(1/2) on the support of h (see ``_on_support``)."""
+    return Element(h.algebra, _linalg.pow2_rescale(_on_support(h, math.sqrt), e))
+
+
+def absolute(x: Element) -> Element:
+    """|x| = (x* x)^(1/2), the |x| of ``polar_decompose`` bit for bit.
+
+    The root is taken on the eigenvalue clusters of y* y above the rank cut,
+    for the in-range multiple y = x / 2^e, and scaled back by 2^e; the
+    clusters at or below the cut are kernel, where |x| is 0.
+    """
+    _, h, e = _gram(x)
+    return _root(h, e)
 
 
 def polar_decompose(x: Element) -> tuple[Element, Element]:
     """Unique polar data x = v |x| with v*v = supp(|x|) and v v* = supp(|x*|)."""
-    y, e = _in_range(x)
-    h = y.adjoint() * y
+    y, h, e = _gram(x)
     v = y * Element(x.algebra, _on_support(h, lambda t: 1.0 / math.sqrt(t)))
-    return v, Element(x.algebra, _linalg.pow2_rescale(_on_support(h, math.sqrt), e))
+    return v, _root(h, e)
+
+
+def gram_singular_values(x: Element) -> tuple[np.ndarray, ...]:
+    """Per-block descending singular values of x as the roots of the eigenvalues
+    of x* x: one ``hermitian_eigh`` call per block, on the in-range multiple
+    y = x / 2^e, with the values scaled back by 2^e.  Negative rounding of an
+    eigenvalue is read as 0.  Independent of the one-sided Jacobi kernels of
+    ``_block_singular_values``."""
+    _, h, e = _gram(x)
+    return tuple(_linalg.ldexp_values([math.sqrt(max(float(t), 0.0)) for t in vals], e,
+                                      "singular values")
+                 for vals, _ in _block_eigh(h))
 
 
 def support_projection(obj) -> Element:
@@ -507,13 +539,9 @@ def support_projection(obj) -> Element:
 
 
 def operator_norm(x: Element) -> float:
-    """Largest singular value of x, the root of the top eigenvalue of x* x."""
-    y, e = _in_range(x)
-    top = 0.0
-    for vals, _ in _block_eigh(y.adjoint() * y):
-        if vals.size:
-            top = max(top, float(vals[0]))
-    return float(_linalg.ldexp_values([math.sqrt(max(top, 0.0))], e, "singular values")[0])
+    """Largest singular value of x, the root of the top eigenvalue of x* x
+    (``gram_singular_values``)."""
+    return max(float(s[0]) for s in gram_singular_values(x))
 
 
 def functional_polar(phi: Functional) -> tuple[Element, Functional]:

@@ -144,13 +144,14 @@ def verify_isometry(iso: Isomorphism, phi: OrliczFunction, samples: int,
     witness = None
     for k in range(samples):
         x = rand_element(rng, iso.source)
+        y = iso.apply(x)
         n0 = luxemburg_norm(phi, x)
-        n1 = luxemburg_norm(phi, iso.apply(x))
+        n1 = luxemburg_norm(phi, y)
         dev = abs(n0 - n1) / max(n0, n1, 1e-300)
         max_base = max(max_base, dev)
         if dev > rtol and witness is None:
             witness = f"base sample {k}: {n0!r} vs {n1!r}"
-        if not rearrangement(x).matches(rearrangement(iso.apply(x))):
+        if not rearrangement(x).matches(rearrangement(y)):
             rearr_ok = False
             if witness is None:
                 witness = f"rearrangement mismatch at base sample {k}"

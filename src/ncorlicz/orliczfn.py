@@ -492,13 +492,7 @@ _NAMED = {
 
 def registry() -> dict[str, OrliczFunction]:
     """The Young functions every norm-level property suite runs over."""
-    return {
-        "power1": PowerFunction(1.0),
-        "power2": PowerFunction(2.0),
-        "power3": PowerFunction(3.0),
-        "cosh1": CoshMinusOne(),
-        "linf": JumpFunction(1.0),
-    }
+    return {name: _NAMED[name]() for name in ("power1", "power2", "power3", "cosh1", "linf")}
 
 
 def from_name(name: str) -> OrliczFunction:

@@ -66,6 +66,8 @@ def _finite_number(value, where: str) -> float:
 def algebra_from_obj(obj) -> AlgebraDescriptor:
     if not isinstance(obj, dict) or "blocks" not in obj:
         raise InputError('algebra file must look like {"blocks": [{"dim": ..., "weight": ...}]}')
+    if not isinstance(obj["blocks"], list):
+        raise InputError("algebra blocks must be a list")
     dims, weights = [], []
     for k, blk in enumerate(obj["blocks"]):
         if not isinstance(blk, dict) or "dim" not in blk or "weight" not in blk:
@@ -221,6 +223,8 @@ def core_from_obj(algebra: AlgebraDescriptor, obj) -> CoreElement:
 
     if not isinstance(obj, dict) or "pieces" not in obj:
         raise InputError('core file must look like {"pieces": [...]}')
+    if not isinstance(obj["pieces"], list):
+        raise InputError("core pieces must be a list")
     pieces = []
     for k, piece in enumerate(obj["pieces"]):
         if not isinstance(piece, dict) or "interval" not in piece or "element" not in piece:
@@ -259,7 +263,8 @@ def isomorphism_from_obj(source: AlgebraDescriptor, obj) -> Isomorphism:
     if not isinstance(obj, dict) or "permutation" not in obj or "unitaries" not in obj:
         raise InputError('isomorphism file needs "permutation" and "unitaries"')
     perm = obj["permutation"]
-    if not isinstance(perm, list) or sorted(perm) != list(range(source.nblocks)):
+    if not isinstance(perm, list) or not all(type(p) is int for p in perm) \
+            or sorted(perm) != list(range(source.nblocks)):
         raise InputError(f"permutation must rearrange 0..{source.nblocks - 1}")
     tdims = [0] * source.nblocks
     tweights = [0.0] * source.nblocks
@@ -267,11 +272,11 @@ def isomorphism_from_obj(source: AlgebraDescriptor, obj) -> Isomorphism:
         tdims[p] = source.block_dims[i]
         tweights[p] = source.weights[i]
     target = make_algebra(tdims, tweights)
+    unitaries = obj["unitaries"]
+    if not isinstance(unitaries, list) or len(unitaries) != source.nblocks:
+        raise InputError(f"unitaries must be a list of {source.nblocks} matrices")
     us = [_matrix_from_obj(u, source.block_dims[i], f"unitaries[{i}]")
-          for i, u in enumerate(obj["unitaries"])] if len(obj["unitaries"]) == source.nblocks \
-        else None
-    if us is None:
-        raise InputError(f"expected {source.nblocks} unitaries")
+          for i, u in enumerate(unitaries)]
     try:
         return Isomorphism(source, target, perm, us)
     except Exception as exc:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import CLUSTER_RTOL, RANK_RTOL
-from .algebra import Element, _block_singular_values, absolute, positive_eigenvalues, trace
+from .algebra import Element, _block_singular_values, gram_singular_values, trace
 from .errors import ConvergenceError, ValidationError
 from .orliczfn import INF, OrliczFunction
 
@@ -185,24 +185,16 @@ def fk_integral(phi: OrliczFunction, x: Element) -> float:
     which is the modular at lam = 1 (``modular_value(phi, x, 1.0)``, the body
     the root-find evaluates), and checks it against the blockwise spectral sum
     within 1e-10 relative.  The two routes factor x independently: the steps
-    come from one-sided Jacobi on each block, the spectral sum from the
-    eigenvalues of |x| = (x*x)^(1/2).
+    come from one-sided Jacobi on each block, the spectral sum from one
+    two-sided Jacobi eigendecomposition of x*x per block
+    (``gram_singular_values``), with values at or below RANK_RTOL times the
+    block's largest counted as 0.
     """
     lhs = modular_value(phi, x, 1.0)
-    ax = absolute(x)
     rhs = 0.0
-    for i, vals in enumerate(positive_eigenvalues(ax)):
-        c = x.algebra.weights[i]
-        top = max(vals) if vals else 0.0
-        for v in vals:
-            vv = v if v > RANK_RTOL * max(top, 0.0) else 0.0
-            fv = phi(max(vv, 0.0))
-            if fv == INF:
-                rhs = INF
-                break
-            rhs += c * fv
-        if rhs == INF:
-            break
+    for c, svals in zip(x.algebra.weights, gram_singular_values(x)):
+        cut = RANK_RTOL * svals[0]
+        rhs += sum(c * phi(v if v > cut else 0.0) for v in svals.tolist())
     if lhs == INF or rhs == INF:
         if lhs != rhs:
             raise ValidationError("distribution identity violated at infinity")

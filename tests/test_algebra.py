@@ -147,6 +147,18 @@ def test_polar_uniqueness_trivial_kernel(m3, rng):
     assert (v - x * power_on_support(a, -1.0)).frobenius_norm() <= 1e-9
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e160, 1e-160])
+def test_absolute_is_the_modulus_of_polar_decompose(m2m3, rng, scale):
+    # At 1e+-160, x* x leaves the binary64 range and both go through the prescale.
+    # The kernel eigenvalue of x* x of a rank-one block is a rounding error,
+    # which |x| takes as 0 like polar's |x|.
+    rank_one = Element(m2m3, [scale * np.outer(rand_matrix(rng, d)[0], rand_matrix(rng, d)[1])
+                              for d in m2m3.block_dims])
+    for x in [rank_one] + [rand_element(rng, m2m3, scale) for _ in range(6)]:
+        got, want = absolute(x).blocks, polar_decompose(x)[1].blocks
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_power_beyond_binary64_range_is_a_validation_error(m2):
     x = Element(m2, [np.diag([1e-310, 4e-310]).astype(complex)])
     with pytest.raises(ValidationError, match=r"eigenvalue 4e-310 to the power \(-1\+0j\)"):

@@ -142,6 +142,15 @@ def test_malformed_json_exit_2(capsys, tmp_path):
     assert "line" in err
 
 
+def test_non_list_blocks_exit_2(capsys, tmp_path):
+    bad = tmp_path / "alg.json"
+    bad.write_text('{"blocks": 5}')
+    code, out, err = run_cli(capsys, "norm", "--algebra", str(bad),
+                             "--element", "diag(1)", "--phi", "power2")
+    assert code == 2 and out == ""
+    assert "input error" in err and "Traceback" not in err
+
+
 def test_unknown_phi_exit_2(capsys):
     code, _, _ = run_cli(capsys, "norm", "--phi", "mystery9", "--element", "diag(1)")
     assert code == 2

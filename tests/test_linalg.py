@@ -17,6 +17,7 @@ from ncorlicz import (ConvergenceError, Element, JumpFunction, PowerFunction, Va
                       operator_norm, polar_decompose)
 from ncorlicz._linalg import (POSITIVITY_RTOL, RANK_RTOL, certifies_positive, hermitian_eigh,
                               is_positive_semidefinite, singular_values, singular_values_stack)
+from ncorlicz.algebra import gram_singular_values
 from ncorlicz.sampling import SplitMix64, rand_matrix, rand_unitary_matrix
 from ncorlicz.trace_orlicz import singular_value_measures
 
@@ -311,12 +312,14 @@ def test_polar_routines_at_extreme_scales(s):
     x = Element(alg, [s * np.array([[1.0, 2.0], [0.0, 1.0]]), s * np.array([[3.0j]])])
     v, a = polar_decompose(x)
     tops = []
-    for b, got_abs, got_abs2, got_v in zip(x.blocks, absolute(x).blocks, a.blocks, v.blocks):
+    for b, got_abs, got_abs2, got_v, got_sv in zip(x.blocks, absolute(x).blocks, a.blocks,
+                                                   v.blocks, gram_singular_values(x)):
         u, sv, vh = np.linalg.svd(b)
         want_abs = (vh.conj().T * sv) @ vh
         np.testing.assert_allclose(got_abs, want_abs, rtol=0.0, atol=1e-12 * sv[0])
         np.testing.assert_allclose(got_abs2, want_abs, rtol=0.0, atol=1e-12 * sv[0])
         np.testing.assert_allclose(got_v, u @ vh, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(got_sv, sv, rtol=1e-12)
         tops.append(sv[0])
     assert operator_norm(x) == pytest.approx(max(tops), rel=1e-12)
     want_trace = sum(c * np.sum(np.linalg.svd(b, compute_uv=False))

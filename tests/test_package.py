@@ -74,3 +74,27 @@ def test_bare_import_is_lazy_and_submodules_resolve():
     before, resolved = json.loads(proc.stdout)
     assert before == []
     assert resolved == [f"ncorlicz.{m}" for m in SUBMODULES]
+
+
+def test_benchmark_tracer_binds_names_that_exist():
+    # perfbench/tracer.py wraps these library names at run time; renaming or
+    # deleting one breaks the traced benchmark, so it fails here first.
+    import importlib.util
+
+    from ncorlicz import _linalg, algebra, functorial, modular, orliczfn
+
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for name in tracer.ALGEBRA_SPECTRAL:
+        assert callable(getattr(algebra, name)), name
+    for mod, table in tracer.MODULE_SPANS.items():
+        module = importlib.import_module(f"ncorlicz.{mod}")
+        for name in table:
+            assert callable(getattr(module, name)), f"{mod}.{name}"
+    for owner, name in ((_linalg, "hermitian_eigh"), (orliczfn.OrliczFunction, "eval_array"),
+                        (modular.ModularOperator, "matrix"), (functorial.Isomorphism, "lift"),
+                        (algebra.Functional, "is_positive"),
+                        (algebra.Functional, "is_faithful")):
+        assert callable(getattr(owner, name)), name

@@ -113,6 +113,31 @@ def test_isomorphism_schema_errors():
         isomorphism_from_obj(alg, {"permutation": [0, 0], "unitaries": []})
 
 
+EYE2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+
+
+@pytest.mark.parametrize("obj", [{"permutation": [0, 1], "unitaries": 3},
+                                 {"permutation": [0, 1], "unitaries": [EYE2]},
+                                 {"permutation": [0, "1"], "unitaries": [EYE2, EYE2]},
+                                 {"permutation": [0, 1.0], "unitaries": [EYE2, EYE2]},
+                                 {"permutation": [False, True], "unitaries": [EYE2, EYE2]}])
+def test_isomorphism_malformed_fields_are_input_errors(obj):
+    with pytest.raises(InputError):
+        isomorphism_from_obj(make_algebra([2, 2], [1.0, 1.0]), obj)
+
+
+@pytest.mark.parametrize("blocks", [5, "blocks", {"dim": 2, "weight": 1.0}, None])
+def test_algebra_blocks_must_be_a_list(blocks):
+    with pytest.raises(InputError, match="list"):
+        algebra_from_obj({"blocks": blocks})
+
+
+@pytest.mark.parametrize("pieces", [7, "pieces", None])
+def test_core_pieces_must_be_a_list(m2, pieces):
+    with pytest.raises(InputError, match="list"):
+        core_from_obj(m2, {"pieces": pieces})
+
+
 def test_dumps_report_determinism_and_digits():
     obj = {"norm": 5.0, "tiny": 1e-300, "third": 1.0 / 3.0, "n": 3, "ok": True,
            "items": [1.5, "x", None]}

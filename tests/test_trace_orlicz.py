@@ -12,7 +12,7 @@ from ncorlicz import (ConvergenceError, CoshMinusOne, Element, JumpFunction, Orl
 from ncorlicz.core_model import CoreElement, core_luxemburg_report, interval
 from ncorlicz.trace_orlicz import (AT_FINITENESS_BOUND, CONVERGED, ZERO, _singular_arrays,
                                    singular_value_measures)
-from ncorlicz.sampling import rand_element, rand_unitary_element
+from ncorlicz.sampling import SplitMix64, rand_element, rand_unitary_element, rand_unitary_matrix
 from conftest import svd_singular_values
 
 INF = math.inf
@@ -378,3 +378,37 @@ class TestESpace:
 def m2m1_half():
     from ncorlicz import make_algebra
     return make_algebra([2, 1], [1.0, 0.5])
+
+
+def _rank_deficient_element():
+    """U diag(1, 0.5, 0) V* + [[1, 1], [1, 1]]: each block has a kernel vector."""
+    rng = SplitMix64(0)
+    u, v = rand_unitary_matrix(rng, 3), rand_unitary_matrix(rng, 3)
+    alg = make_algebra([3, 2], [1.0, 0.5])
+    return Element(alg, [(u * [1.0, 0.5, 0.0]) @ v.conj().T, np.ones((2, 2))])
+
+
+def test_absolute_is_zero_on_the_kernel():
+    # The kernel eigenvalue of x* x lies below the rank cut, so |x| is 0 there
+    # rather than the root of a rounding error.
+    x = _rank_deficient_element()
+    smax = max(np.linalg.svd(b, compute_uv=False)[0] for b in x.blocks)
+    for b in absolute(x).blocks:
+        assert np.min(np.abs(np.linalg.eigvalsh(b))) <= 1e-15 * smax
+
+
+def test_power1_norms_of_x_and_its_modulus_agree_on_a_kernel():
+    x = _rank_deficient_element()
+    n_x = luxemburg_norm(PowerFunction(1.0), x)
+    n_abs = luxemburg_norm(PowerFunction(1.0), absolute(x))
+    assert abs(n_x - n_abs) <= 1e-12 * n_x
+
+
+def test_fk_integral_factors_each_gram_block_once(m2m3, rng, count_calls):
+    x = rand_element(rng, m2m3)
+    calls = count_calls(_linalg.hermitian_eigh)
+    fk_integral(CoshMinusOne(), x)
+    assert len(calls) == m2m3.nblocks
+    for (block,), b in zip(calls, x.blocks):
+        gram = b.conj().T @ b
+        np.testing.assert_allclose(block, gram, rtol=0.0, atol=1e-15 * np.abs(gram).max())
