@@ -41,6 +41,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 
 import numpy as np
 
@@ -69,6 +70,15 @@ CLUSTER_RTOL = 1e-9
 # Below this (relative to the largest eigenvalue) an eigenvalue counts as
 # zero: it is excluded from supports, ranks and pseudo-inverses.
 RANK_RTOL = 1e-11
+
+# An eigenvalue of a computed Gram matrix y* y of order d at or below
+# GRAM_RTOL * d times its largest is read as kernel by the Gram route to |x|:
+# the rounding of y* y and of its eigendecomposition leaves kernel eigenvalues
+# of up to about 0.5 d eps (seen on random rank-deficient blocks of orders 2 to
+# 8).  Its root, sqrt(d eps) ~ 2.6e-8 of the largest singular value at d = 3,
+# is then the smallest singular value the route keeps, and also bounds the
+# root of a kept rounding error; RANK_RTOL would cut at sqrt(RANK_RTOL) ~ 3e-6.
+GRAM_RTOL = sys.float_info.epsilon
 
 # A Hermitian block counts as positive while its smallest eigenvalue is at
 # least -POSITIVITY_RTOL times its largest eigenvalue modulus.

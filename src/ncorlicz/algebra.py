@@ -354,12 +354,12 @@ def fill_singular_values(elements) -> None:
 
 
 def _block_clusters(x: Element) -> tuple[tuple[float, tuple], ...]:
-    """Per-block (rank cut, clusters) of a Hermitian x, stored on x by the first call.
+    """Per-block (top, clusters) of a Hermitian x, stored on x by the first call.
 
     The clusters are (representative value, multiplicity, projection) for each
     group of ``_linalg.cluster_indices``, in descending order, with read-only
-    projections; the cut is RANK_RTOL times the block's largest eigenvalue
-    (0 when that is negative).
+    projections; top is the block's largest eigenvalue (0 when that is
+    negative), the scale of the cuts of ``_on_support``.
     """
     if x._clusters is None:
         out = []
@@ -370,18 +370,21 @@ def _block_clusters(x: Element) -> tuple[tuple[float, tuple], ...]:
                 proj = cols @ cols.conj().T
                 proj.flags.writeable = False
                 clusters.append((float(np.mean(vals[group])), len(group), proj))
-            out.append((RANK_RTOL * max(float(vals[0]), 0.0), tuple(clusters)))
+            out.append((max(float(vals[0]), 0.0), tuple(clusters)))
         if x._clusters is None:
             object.__setattr__(x, "_clusters", tuple(out))
     return x._clusters
 
 
-def _on_support(x: Element, f) -> list[np.ndarray]:
+def _on_support(x: Element, f, gram: bool = False) -> list[np.ndarray]:
     """Blocks sum f(l) P_l over the eigenvalue clusters of a Hermitian x that lie
     above RANK_RTOL times the block's largest eigenvalue (and above 0); the
-    other clusters count as kernel, where f is taken to be 0."""
+    other clusters count as kernel, where f is taken to be 0.  For a computed
+    Gram element x = y* y (``gram``) the cut is its rounding floor instead,
+    ``GRAM_RTOL`` times d times the largest eigenvalue of the d x d block."""
     out = []
-    for d, (cut, clusters) in zip(x.algebra.block_dims, _block_clusters(x)):
+    for d, (top, clusters) in zip(x.algebra.block_dims, _block_clusters(x)):
+        cut = (_linalg.GRAM_RTOL * d if gram else RANK_RTOL) * top
         acc = np.zeros((d, d), dtype=np.complex128)
         for rep, _, proj in clusters:
             if rep > cut:
@@ -488,8 +491,8 @@ def _gram(x: Element) -> tuple[Element, Element, int]:
 
 
 def _root(h: Element, e: int) -> Element:
-    """2^e h^(1/2) on the support of h (see ``_on_support``)."""
-    return Element(h.algebra, _linalg.pow2_rescale(_on_support(h, math.sqrt), e))
+    """2^e h^(1/2) on the support of the Gram element h (``_on_support``)."""
+    return Element(h.algebra, _linalg.pow2_rescale(_on_support(h, math.sqrt, gram=True), e))
 
 
 def absolute(x: Element) -> Element:
@@ -506,7 +509,7 @@ def absolute(x: Element) -> Element:
 def polar_decompose(x: Element) -> tuple[Element, Element]:
     """Unique polar data x = v |x| with v*v = supp(|x|) and v v* = supp(|x*|)."""
     y, h, e = _gram(x)
-    v = y * Element(x.algebra, _on_support(h, lambda t: 1.0 / math.sqrt(t)))
+    v = y * Element(x.algebra, _on_support(h, lambda t: 1.0 / math.sqrt(t), gram=True))
     return v, _root(h, e)
 
 

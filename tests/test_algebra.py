@@ -159,6 +159,29 @@ def test_absolute_is_the_modulus_of_polar_decompose(m2m3, rng, scale):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+def test_absolute_keeps_a_singular_value_below_the_rank_cut(m2):
+    # 2e-6 lies below sqrt(RANK_RTOL) but far above the rounding floor of x* x,
+    # so |x| and polar's support keep it.
+    x = Element(m2, [np.diag([1.0, 2e-6]).astype(complex)])
+    assert 2e-6 ** 2 <= RANK_RTOL
+    v, a = polar_decompose(x)
+    assert np.array_equal(absolute(x).blocks[0], x.blocks[0])
+    assert np.array_equal(a.blocks[0], x.blocks[0])
+    assert np.array_equal(v.blocks[0], np.eye(2))
+
+
+def test_polar_decompose_of_a_graded_element(m3):
+    # x = U diag(1, 0.5, 1e-7) V*: the rank cut of x* x would drop 1e-7 and make
+    # v a rank-2 partial isometry; the rounding floor of x* x keeps it.
+    rng = SplitMix64(0)
+    u, w = rand_unitary_matrix(rng, 3), rand_unitary_matrix(rng, 3)
+    x = Element(m3, [(u * [1.0, 0.5, 1e-7]) @ w.conj().T])
+    v, a = polar_decompose(x)
+    assert np.linalg.eigvalsh(a.blocks[0])[0] == pytest.approx(1e-7, rel=1e-2)
+    assert np.linalg.norm(v.blocks[0].conj().T @ v.blocks[0] - np.eye(3), 2) <= 1e-2
+    assert (v * a - x).frobenius_norm() <= 1e-9
+
+
 def test_power_beyond_binary64_range_is_a_validation_error(m2):
     x = Element(m2, [np.diag([1e-310, 4e-310]).astype(complex)])
     with pytest.raises(ValidationError, match=r"eigenvalue 4e-310 to the power \(-1\+0j\)"):

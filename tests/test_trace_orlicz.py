@@ -404,6 +404,17 @@ def test_power1_norms_of_x_and_its_modulus_agree_on_a_kernel():
     assert abs(n_x - n_abs) <= 1e-12 * n_x
 
 
+def test_power1_norms_of_a_graded_element_and_its_modulus_agree():
+    # x = U diag(1, 0.5, 1e-7) V*: |x| keeps the singular value 1e-7, which
+    # lies below sqrt(RANK_RTOL) but above the rounding floor of x* x.
+    rng = SplitMix64(0)
+    u, v = rand_unitary_matrix(rng, 3), rand_unitary_matrix(rng, 3)
+    x = Element(make_algebra([3], [1.0]), [(u * [1.0, 0.5, 1e-7]) @ v.conj().T])
+    n_x = luxemburg_norm(PowerFunction(1.0), x)
+    n_abs = luxemburg_norm(PowerFunction(1.0), absolute(x))
+    assert abs(n_x - n_abs) <= 1e-9 * n_x
+
+
 def test_fk_integral_factors_each_gram_block_once(m2m3, rng, count_calls):
     x = rand_element(rng, m2m3)
     calls = count_calls(_linalg.hermitian_eigh)
