@@ -30,9 +30,10 @@ it by different routes at once may leave either result.
 
 The Gram route to |x| is written once: ``_gram`` forms y* y for the in-range
 multiple y = x / 2^e, ``absolute`` and ``polar_decompose`` take their one |x|
-from it (``_root``), and ``gram_singular_values`` takes the roots of its
-eigenvalues, one eigendecomposition per block, for ``operator_norm`` and for
-the spectral check of ``trace_orlicz.fk_integral``.
+from it (``_root``), reading as kernel only the eigenvalues of y* y at its
+rounding floor (``_linalg.GRAM_RTOL``), and ``gram_singular_values`` takes
+the roots of its eigenvalues, one eigendecomposition per block, for
+``operator_norm`` and for the spectral check of ``trace_orlicz.fk_integral``.
 """
 
 from __future__ import annotations
@@ -498,16 +499,22 @@ def _root(h: Element, e: int) -> Element:
 def absolute(x: Element) -> Element:
     """|x| = (x* x)^(1/2), the |x| of ``polar_decompose`` bit for bit.
 
-    The root is taken on the eigenvalue clusters of y* y above the rank cut,
+    The root is taken on the eigenvalue clusters of y* y above its rounding
+    floor (GRAM_RTOL times d times the largest eigenvalue of a d x d block),
     for the in-range multiple y = x / 2^e, and scaled back by 2^e; the
-    clusters at or below the cut are kernel, where |x| is 0.
+    clusters at or below the floor are kernel, where |x| is 0.  So singular
+    values down to about sqrt(d eps) times the largest are kept.
     """
     _, h, e = _gram(x)
     return _root(h, e)
 
 
 def polar_decompose(x: Element) -> tuple[Element, Element]:
-    """Unique polar data x = v |x| with v*v = supp(|x|) and v v* = supp(|x*|)."""
+    """Unique polar data x = v |x| with v*v = supp(|x|) and v v* = supp(|x*|).
+
+    The support is that of ``absolute``: the clusters of y* y above its
+    rounding floor.
+    """
     y, h, e = _gram(x)
     v = y * Element(x.algebra, _on_support(h, lambda t: 1.0 / math.sqrt(t), gram=True))
     return v, _root(h, e)

@@ -389,7 +389,7 @@ def _rank_deficient_element():
 
 
 def test_absolute_is_zero_on_the_kernel():
-    # The kernel eigenvalue of x* x lies below the rank cut, so |x| is 0 there
+    # The kernel eigenvalue of x* x lies below its rounding floor, so |x| is 0 there
     # rather than the root of a rounding error.
     x = _rank_deficient_element()
     smax = max(np.linalg.svd(b, compute_uv=False)[0] for b in x.blocks)
