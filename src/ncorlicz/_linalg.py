@@ -20,6 +20,10 @@ norm of its input, singular values from the largest entry) that is undone
 on the results, so their thresholds neither overflow nor underflow anywhere
 in the binary64 range and 2^k a gives exactly 2^k times the values of a.
 
+The one-sided iteration has two entry points: ``singular_values`` for the
+values and ``svd``, which also accumulates the right singular vectors, for
+|x| and polar data; the values are bit for bit the same.
+
 A third scalar kernel, ``certifies_positive``, runs a Cholesky factorisation
 of a slightly shifted block with the eigensolver's prescale; when it
 succeeds, the block passes the eigenvalue test of ``is_positive_semidefinite``
@@ -41,7 +45,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import sys
 
 import numpy as np
 
@@ -70,15 +73,6 @@ CLUSTER_RTOL = 1e-9
 # Below this (relative to the largest eigenvalue) an eigenvalue counts as
 # zero: it is excluded from supports, ranks and pseudo-inverses.
 RANK_RTOL = 1e-11
-
-# An eigenvalue of a computed Gram matrix y* y of order d at or below
-# GRAM_RTOL * d times its largest is read as kernel by the Gram route to |x|:
-# the rounding of y* y and of its eigendecomposition leaves kernel eigenvalues
-# of up to about 0.5 d eps (seen on random rank-deficient blocks of orders 2 to
-# 8).  Its root, sqrt(d eps) ~ 2.6e-8 of the largest singular value at d = 3,
-# is then the smallest singular value the route keeps, and also bounds the
-# root of a kept rounding error; RANK_RTOL would cut at sqrt(RANK_RTOL) ~ 3e-6.
-GRAM_RTOL = sys.float_info.epsilon
 
 # A Hermitian block counts as positive while its smallest eigenvalue is at
 # least -POSITIVITY_RTOL times its largest eigenvalue modulus.
@@ -255,40 +249,61 @@ def _jacobi_sweep(rows: list[list[complex]], vecs: list[list[complex]]) -> None:
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:
-    """Singular values (descending) of a complex matrix by one-sided Jacobi.
+    """Singular values (descending) of a complex matrix by one-sided Jacobi:
+    the norms of the final columns of ``_hestenes``, with the prescale undone.
+    Non-finite entries raise ValidationError."""
+    cols, _, e = _hestenes(a, False)
+    return ldexp_values(sorted(map(_norm, cols), reverse=True), e, "singular values")
+
+
+def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(w, s, v, e) with 2^-e a v = w, from ``_hestenes`` with v accumulated:
+    w's columns are orthogonal to ``ORTH_TOL`` with norms s, descending, and
+    v's in the same order, so ``singular_values(a)`` is 2^e s bit for bit and
+    a = 2^e u diag(s) v* with u = w / s on s > 0.  Non-finite entries raise
+    ValidationError."""
+    cols, vecs, e = _hestenes(a, True)
+    s = np.array([_norm(col) for col in cols])
+    order = sorted(range(len(s)), key=s.__getitem__, reverse=True)
+    return (np.array(cols, dtype=np.complex128).T[:, order], s[order],
+            np.array(vecs, dtype=np.complex128).T[:, order], e)
+
+
+def _hestenes(a: np.ndarray, with_v: bool) -> tuple[list, list | None, int]:
+    """(columns, v or None, e) of one-sided Jacobi on 2^-e a, v as column lists.
 
     Hestenes' method: cyclic sweeps over column pairs (p, q), p < q, in
     row-major order apply the plane rotation that makes columns p and q
     orthogonal, skipping pairs whose cosine is already at most ``ORTH_TOL``;
     a sweep with no rotation ends the iteration.  Within the sweeps the column
-    norms are updated in closed form (see ``_hestenes_sweep``); once the
-    columns are orthogonal every norm is recomputed from its final column, so
-    the results are the column norms of the final columns.  The block is
-    factored directly, never squared, so small singular values keep their
-    relative accuracy down to 2^-450 times the largest entry, below which
-    columns are left unrotated.  All arithmetic is scalar Python ``complex``
-    on column lists, after an exact power-of-two prescale of the block (see
-    ``_pow2_exponent``) that is undone on the results.  Non-finite entries
-    raise ValidationError.
+    norms are updated in closed form (see ``_hestenes_sweep``), so callers
+    recompute them from the final columns.  The block is factored directly,
+    never squared, so small singular values keep their relative accuracy down
+    to 2^-450 times the largest entry, below which columns are left unrotated.
+    All arithmetic is scalar Python ``complex`` on column lists, after the
+    exact power-of-two prescale of ``_pow2_exponent``.  With ``with_v`` every
+    rotation is also applied to the columns of the identity, which become v.
     """
     a = np.asarray(a, dtype=np.complex128)
     e = _pow2_exponent(a)
     cols = _ldexp_matrix(a, -e).T.tolist()
+    n = len(cols)
+    vecs = [[complex(i == j) for i in range(n)] for j in range(n)] if with_v else None
     norms = [_norm(col) for col in cols]
     sweeps = 0
-    while _hestenes_sweep(cols, norms):
+    while _hestenes_sweep(cols, norms, vecs):
         sweeps += 1
         if sweeps == MAX_SWEEPS:
-            raise ConvergenceError(f"one-sided Jacobi did not orthogonalize {len(cols)} "
+            raise ConvergenceError(f"one-sided Jacobi did not orthogonalize {n} "
                                    f"columns in {MAX_SWEEPS} sweeps")
-    return ldexp_values(sorted(map(_norm, cols), reverse=True), e, "singular values")
+    return cols, vecs, e
 
 
 def _norm(col: list[complex]) -> float:
     return math.hypot(*map(abs, col))
 
 
-def _hestenes_sweep(cols: list[list[complex]], norms: list[float]) -> bool:
+def _hestenes_sweep(cols: list[list[complex]], norms: list[float], vecs: list | None) -> bool:
     """One cyclic sweep of one-sided Jacobi in place; whether it rotated any pair.
 
     ``norms`` holds the column norms.  The rotation is the two-sided one of
@@ -298,7 +313,8 @@ def _hestenes_sweep(cols: list[list[complex]], norms: list[float]) -> bool:
     (de Rijk, SIAM J. Sci. Stat. Comput. 10, 1989; Drmac & Veselic, SIAM J.
     Matrix Anal. Appl. 29, 2008).  A norm whose square would fall below a
     quarter of its old value is recomputed from its column instead, since
-    the update cancels there.
+    the update cancels there.  Columns ``vecs``, when given, take the same
+    rotations.
     """
     rotated = False
     n = len(cols)
@@ -322,6 +338,10 @@ def _hestenes_sweep(cols: list[list[complex]], norms: list[float]) -> bool:
             us, uc = ub * s, ub * c
             cols[p] = new_p = [c * x - us * y for x, y in zip(cp, cq)]
             cols[q] = new_q = [s * x + uc * y for x, y in zip(cp, cq)]
+            if vecs is not None:
+                vp, vq = vecs[p], vecs[q]
+                vecs[p] = [c * x - us * y for x, y in zip(vp, vq)]
+                vecs[q] = [s * x + uc * y for x, y in zip(vp, vq)]
             new_sq_p, new_sq_q = sq_p - t * absg, sq_q + t * absg
             norms[p] = math.sqrt(new_sq_p) if new_sq_p >= 0.25 * sq_p else _norm(new_p)
             norms[q] = math.sqrt(new_sq_q) if new_sq_q >= 0.25 * sq_q else _norm(new_q)
@@ -493,13 +513,13 @@ def pow2_prescale(blocks) -> tuple[list[np.ndarray], int]:
     return [_ldexp_matrix(b, -e) for b in blocks], e
 
 
-def pow2_rescale(blocks, e: int) -> list[np.ndarray]:
-    """blocks * 2^e; an entry beyond the binary64 range raises ValidationError."""
+def pow2_rescale(a: np.ndarray, e: int) -> np.ndarray:
+    """a * 2^e; an entry beyond the binary64 range raises ValidationError."""
     if e == 0:
-        return list(blocks)
+        return a
     with np.errstate(over="ignore"):
-        out = [_ldexp_matrix(b, e) for b in blocks]
-    if not all(np.all(np.isfinite(b)) for b in out):
+        out = _ldexp_matrix(a, e)
+    if not np.all(np.isfinite(out)):
         raise ValidationError("the result has entries beyond the binary64 range")
     return out
 

@@ -11,8 +11,8 @@ the stored blocks.
 All values are immutable after construction and every operation is pure.
 Each Element factors its blocks at most once: ``_block_eigh`` stores the
 per-block eigen data on the Element the first time it is asked for, and every
-spectral routine (powers, supports, polar data, positivity, ranks) reads it
-from there (singular values likewise from ``_block_singular_values``, which
+spectral routine (powers, supports, positivity, ranks) reads it from there
+(singular values likewise from ``_block_singular_values``, which
 ``fill_singular_values`` can fill for many Elements at once).  The eigenvalue
 clusters with their spectral projections (``_block_clusters``) and the
 ``is_hermitian`` verdict are stored the same way, so powers, supports and the
@@ -28,12 +28,13 @@ block's largest value, not bit for bit.  So the same calls in the same order
 always store the same values, but two threads that find a memo empty and fill
 it by different routes at once may leave either result.
 
-The Gram route to |x| is written once: ``_gram`` forms y* y for the in-range
-multiple y = x / 2^e, ``absolute`` and ``polar_decompose`` take their one |x|
-from it (``_root``), reading as kernel only the eigenvalues of y* y at its
-rounding floor (``_linalg.GRAM_RTOL``), and ``gram_singular_values`` takes
-the roots of its eigenvalues, one eigendecomposition per block, for
-``operator_norm`` and for the spectral check of ``trace_orlicz.fk_integral``.
+|x| and polar data come from one singular value decomposition per block,
+``_linalg.svd`` (one-sided Jacobi with the right singular vectors), cut at
+RANK_RTOL times the block's largest singular value as the norms are
+(``polar_decompose``), so x is never squared on that route.  The Gram route
+stays only where an independent reference is wanted: ``gram_singular_values``
+takes the roots of the eigenvalues of x* x, one eigendecomposition per block,
+for ``operator_norm`` and for the spectral check of ``trace_orlicz.fk_integral``.
 """
 
 from __future__ import annotations
@@ -355,12 +356,12 @@ def fill_singular_values(elements) -> None:
 
 
 def _block_clusters(x: Element) -> tuple[tuple[float, tuple], ...]:
-    """Per-block (top, clusters) of a Hermitian x, stored on x by the first call.
+    """Per-block (cut, clusters) of a Hermitian x, stored on x by the first call.
 
     The clusters are (representative value, multiplicity, projection) for each
     group of ``_linalg.cluster_indices``, in descending order, with read-only
-    projections; top is the block's largest eigenvalue (0 when that is
-    negative), the scale of the cuts of ``_on_support``.
+    projections; cut is RANK_RTOL times the block's largest eigenvalue (0 when
+    that is negative), the cut of ``_on_support``.
     """
     if x._clusters is None:
         out = []
@@ -371,21 +372,18 @@ def _block_clusters(x: Element) -> tuple[tuple[float, tuple], ...]:
                 proj = cols @ cols.conj().T
                 proj.flags.writeable = False
                 clusters.append((float(np.mean(vals[group])), len(group), proj))
-            out.append((max(float(vals[0]), 0.0), tuple(clusters)))
+            out.append((RANK_RTOL * max(float(vals[0]), 0.0), tuple(clusters)))
         if x._clusters is None:
             object.__setattr__(x, "_clusters", tuple(out))
     return x._clusters
 
 
-def _on_support(x: Element, f, gram: bool = False) -> list[np.ndarray]:
+def _on_support(x: Element, f) -> list[np.ndarray]:
     """Blocks sum f(l) P_l over the eigenvalue clusters of a Hermitian x that lie
     above RANK_RTOL times the block's largest eigenvalue (and above 0); the
-    other clusters count as kernel, where f is taken to be 0.  For a computed
-    Gram element x = y* y (``gram``) the cut is its rounding floor instead,
-    ``GRAM_RTOL`` times d times the largest eigenvalue of the d x d block."""
+    other clusters count as kernel, where f is taken to be 0."""
     out = []
-    for d, (top, clusters) in zip(x.algebra.block_dims, _block_clusters(x)):
-        cut = (_linalg.GRAM_RTOL * d if gram else RANK_RTOL) * top
+    for d, (cut, clusters) in zip(x.algebra.block_dims, _block_clusters(x)):
         acc = np.zeros((d, d), dtype=np.complex128)
         for rep, _, proj in clusters:
             if rep > cut:
@@ -484,40 +482,30 @@ def _in_range(x: Element) -> tuple[Element, int]:
     return (Element(x.algebra, blocks) if e else x), e
 
 
-def _gram(x: Element) -> tuple[Element, Element, int]:
-    """(y, y* y, e) for the in-range multiple y = x / 2^e of ``_in_range``: the
-    one place where |x|, polar data and the operator norm form x* x."""
-    y, e = _in_range(x)
-    return y, y.adjoint() * y, e
-
-
-def _root(h: Element, e: int) -> Element:
-    """2^e h^(1/2) on the support of the Gram element h (``_on_support``)."""
-    return Element(h.algebra, _linalg.pow2_rescale(_on_support(h, math.sqrt, gram=True), e))
-
-
 def absolute(x: Element) -> Element:
-    """|x| = (x* x)^(1/2), the |x| of ``polar_decompose`` bit for bit.
-
-    The root is taken on the eigenvalue clusters of y* y above its rounding
-    floor (GRAM_RTOL times d times the largest eigenvalue of a d x d block),
-    for the in-range multiple y = x / 2^e, and scaled back by 2^e; the
-    clusters at or below the floor are kernel, where |x| is 0.  So singular
-    values down to about sqrt(d eps) times the largest are kept.
-    """
-    _, h, e = _gram(x)
-    return _root(h, e)
+    """|x| = (x* x)^(1/2), the |x| of ``polar_decompose``."""
+    return polar_decompose(x)[1]
 
 
 def polar_decompose(x: Element) -> tuple[Element, Element]:
     """Unique polar data x = v |x| with v*v = supp(|x|) and v v* = supp(|x*|).
 
-    The support is that of ``absolute``: the clusters of y* y above its
-    rounding floor.
+    Per block a = 2^e u diag(s) v* with u = w / s from ``_linalg.svd``, so
+    |a| = 2^e v_r s_r v_r* (the prescale undone by ``pow2_rescale``) and the
+    polar factor is u_r v_r* (Higham, "Computing the polar decomposition --
+    with applications", SIAM J. Sci. Stat. Comput. 7, 1986), on the r singular
+    values above RANK_RTOL times the largest, the cut of the norms; the rest
+    count as kernel, where |x| is 0.
     """
-    y, h, e = _gram(x)
-    v = y * Element(x.algebra, _on_support(h, lambda t: 1.0 / math.sqrt(t), gram=True))
-    return v, _root(h, e)
+    factors, moduli = [], []
+    for b in x.blocks:
+        w, s, v, e = _linalg.svd(b)
+        r = _linalg.rank_from_eigenvalues(s)
+        vr = v[:, :r]
+        vh = vr.conj().T
+        factors.append((w[:, :r] / s[:r]) @ vh)
+        moduli.append(_linalg.pow2_rescale((vr * s[:r]) @ vh, e))
+    return Element(x.algebra, factors), Element(x.algebra, moduli)
 
 
 def gram_singular_values(x: Element) -> tuple[np.ndarray, ...]:
@@ -526,7 +514,8 @@ def gram_singular_values(x: Element) -> tuple[np.ndarray, ...]:
     y = x / 2^e, with the values scaled back by 2^e.  Negative rounding of an
     eigenvalue is read as 0.  Independent of the one-sided Jacobi kernels of
     ``_block_singular_values``."""
-    _, h, e = _gram(x)
+    y, e = _in_range(x)
+    h = y.adjoint() * y
     return tuple(_linalg.ldexp_values([math.sqrt(max(float(t), 0.0)) for t in vals], e,
                                       "singular values")
                  for vals, _ in _block_eigh(h))

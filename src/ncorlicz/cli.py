@@ -16,6 +16,7 @@ compiled from source in every process.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 import time
@@ -75,10 +76,8 @@ def _load_phi(args) -> OrliczFunction:
     from .orliczfn import from_name
 
     spec = _need(args, "phi", args.command)
-    try:
+    if os.path.isfile(spec):
         return orlicz_from_obj(load_file(spec))
-    except InputError:
-        pass
     try:
         return from_name(spec)
     except ValidationError as exc:

@@ -156,6 +156,8 @@ def orlicz_from_obj(obj) -> OrliczFunction:
                              coef=_finite_number(obj.get("coef", 1.0), "coef"))
     if fam == "scaled-power":
         p = _finite_number(obj.get("p", 2.0), "p")
+        if not p >= 1.0:
+            raise InputError(f"p: scaled-power exponent must satisfy p >= 1, got {p!r}")
         return PowerFunction(p, coef=1.0 / p)
     if fam == "linf":
         return JumpFunction(1.0)
@@ -169,8 +171,11 @@ def orlicz_from_obj(obj) -> OrliczFunction:
         pts = obj.get("points")
         if not isinstance(pts, list):
             raise InputError("table family needs points")
-        return TabulatedFunction([( _finite_number(p[0], f"points[{k}][0]"),
-                                    _finite_number(p[1], f"points[{k}][1]"))
+        for k, p in enumerate(pts):
+            if not (isinstance(p, list) and len(p) == 2):
+                raise InputError(f"points[{k}]: expected a [t, value] pair, got {p!r}")
+        return TabulatedFunction([(_finite_number(p[0], f"points[{k}][0]"),
+                                   _finite_number(p[1], f"points[{k}][1]"))
                                   for k, p in enumerate(pts)])
     raise InputError(f"unknown Orlicz family {fam!r}")
 

@@ -149,9 +149,9 @@ def test_polar_uniqueness_trivial_kernel(m3, rng):
 
 @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-160])
 def test_absolute_is_the_modulus_of_polar_decompose(m2m3, rng, scale):
-    # At 1e+-160, x* x leaves the binary64 range and both go through the prescale.
-    # The kernel eigenvalue of x* x of a rank-one block is a rounding error,
-    # which |x| takes as 0 like polar's |x|.
+    # At 1e+-160, x* x would leave the binary64 range; both work on the
+    # kernel's prescaled values.  The second singular value of a rank-one
+    # block is a rounding error below the rank cut, 0 in both.
     rank_one = Element(m2m3, [scale * np.outer(rand_matrix(rng, d)[0], rand_matrix(rng, d)[1])
                               for d in m2m3.block_dims])
     for x in [rank_one] + [rand_element(rng, m2m3, scale) for _ in range(6)]:
@@ -160,7 +160,8 @@ def test_absolute_is_the_modulus_of_polar_decompose(m2m3, rng, scale):
 
 
 def test_absolute_keeps_a_singular_value_below_the_rank_cut(m2):
-    # 2e-6 lies below sqrt(RANK_RTOL) but far above the rounding floor of x* x,
+    # 2e-6 lies below sqrt(RANK_RTOL), where the rank cut of x* x would drop
+    # it, but far above RANK_RTOL, the cut on the singular values themselves,
     # so |x| and polar's support keep it.
     x = Element(m2, [np.diag([1.0, 2e-6]).astype(complex)])
     assert 2e-6 ** 2 <= RANK_RTOL
@@ -170,16 +171,29 @@ def test_absolute_keeps_a_singular_value_below_the_rank_cut(m2):
     assert np.array_equal(v.blocks[0], np.eye(2))
 
 
-def test_polar_decompose_of_a_graded_element(m3):
-    # x = U diag(1, 0.5, 1e-7) V*: the rank cut of x* x would drop 1e-7 and make
-    # v a rank-2 partial isometry; the rounding floor of x* x keeps it.
+@pytest.mark.parametrize("s", [1e-7, 1e-9, 1e-10])
+def test_polar_decompose_of_a_graded_element(m3, s):
+    # x = U diag(1, 0.5, s) W*: x* x would carry s**2 = 1e-14 ... 1e-20, near or
+    # below its rounding error of about 1e-16, so a root of x* x loses s and v's
+    # unitarity; the SVD of x keeps s to high relative accuracy.  LAPACK's SVD
+    # is the oracle only.
     rng = SplitMix64(0)
     u, w = rand_unitary_matrix(rng, 3), rand_unitary_matrix(rng, 3)
-    x = Element(m3, [(u * [1.0, 0.5, 1e-7]) @ w.conj().T])
+    x = Element(m3, [(u * [1.0, 0.5, s]) @ w.conj().T])
     v, a = polar_decompose(x)
-    assert np.linalg.eigvalsh(a.blocks[0])[0] == pytest.approx(1e-7, rel=1e-2)
-    assert np.linalg.norm(v.blocks[0].conj().T @ v.blocks[0] - np.eye(3), 2) <= 1e-2
-    assert (v * a - x).frobenius_norm() <= 1e-9
+    vb = v.blocks[0]
+    assert np.linalg.norm(vb.conj().T @ vb - np.eye(3), 2) <= 1e-12
+    assert (v * a - x).frobenius_norm() <= 1e-14
+    _, sv, wh = np.linalg.svd(x.blocks[0])
+    assert np.linalg.norm(a.blocks[0] - (wh.conj().T * sv) @ wh) <= 1e-14 * sv[0]
+
+
+def test_absolute_and_polar_make_no_eigendecomposition(m2m3, rng, count_calls):
+    x = rand_element(rng, m2m3)
+    calls = count_calls(_linalg.hermitian_eigh)
+    absolute(x)
+    polar_decompose(x)
+    assert calls == []
 
 
 def test_power_beyond_binary64_range_is_a_validation_error(m2):

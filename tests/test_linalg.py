@@ -177,6 +177,18 @@ def _svd_test_blocks(rng, n):
             "huge": 1e300 * g}
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_svd_matches_the_values_kernel_and_reconstructs_each_block(rng, n):
+    for kind, b in _svd_test_blocks(rng, n).items():
+        w, s, v, e = _linalg.svd(b)
+        assert np.array_equal(np.ldexp(s, e), singular_values(b)), kind
+        assert np.linalg.norm(v.conj().T @ v - np.eye(n), 2) <= 1e-14, kind
+        u = w[:, s > 0] / s[s > 0]
+        assert np.linalg.norm(u.conj().T @ u - np.eye(u.shape[1]), 2) <= 1e-14, kind
+        # 2^-e b = w v*, compared at the kernel's scale, where no entry is subnormal.
+        assert np.linalg.norm(w @ v.conj().T - _linalg._ldexp_matrix(b, -e)) <= 1e-14 * s[0], kind
+
+
 class TestStackKernel:
     """``singular_values_stack`` factors many blocks of one size at once."""
 

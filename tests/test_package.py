@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -98,3 +99,16 @@ def test_benchmark_tracer_binds_names_that_exist():
                         (algebra.Functional, "is_positive"),
                         (algebra.Functional, "is_faithful")):
         assert callable(getattr(owner, name)), name
+
+
+def test_library_factors_with_its_own_kernels():
+    # The _linalg kernels keep results independent of the BLAS build; numpy's
+    # LAPACK wrappers would not, so the library calls none of them but norm.
+    src = Path(ncorlicz.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        found += [f"{path.name}: {m.group(0)}" for m in re.finditer(
+            r"\b(?:np|numpy)\.linalg\.(?!norm\b)\w+|\bimport\s+numpy\.linalg\b"
+            r"|\bfrom\s+numpy(?:\.linalg\b|\s+import\s[^\n]*\blinalg\b)", text)]
+    assert found == []

@@ -71,6 +71,19 @@ def test_orlicz_round_trip():
         orlicz_from_obj({"family": "mystery"})
 
 
+@pytest.mark.parametrize("obj, match", [
+    ({"family": "scaled-power", "p": 0}, "p >= 1"),
+    ({"family": "scaled-power", "p": 0.5}, "p >= 1"),
+    ({"family": "table", "points": [1, 2]}, r"points\[0\]: expected a \[t, value\] pair"),
+    ({"family": "table", "points": [[1]]}, r"points\[0\]: expected a \[t, value\] pair"),
+    ({"family": "table", "points": [[0, 0], [1, 1, 1]]}, r"points\[1\]"),
+    ({"family": "table", "points": [[0, 0], {"t": 1}]}, r"points\[1\]")],
+    ids=["p0", "p-half", "flat-points", "short-point", "long-point", "dict-point"])
+def test_malformed_orlicz_objects_are_input_errors(obj, match):
+    with pytest.raises(InputError, match=match):
+        orlicz_from_obj(obj)
+
+
 def test_tabulate_linf_safe():
     tab = tabulate(JumpFunction(1.0))
     assert tab.finiteness_bound <= 1.0

@@ -389,8 +389,8 @@ def _rank_deficient_element():
 
 
 def test_absolute_is_zero_on_the_kernel():
-    # The kernel eigenvalue of x* x lies below its rounding floor, so |x| is 0 there
-    # rather than the root of a rounding error.
+    # The kernel singular value of x is a rounding error below the rank cut, so
+    # |x| is 0 there rather than that error.
     x = _rank_deficient_element()
     smax = max(np.linalg.svd(b, compute_uv=False)[0] for b in x.blocks)
     for b in absolute(x).blocks:
@@ -404,15 +404,16 @@ def test_power1_norms_of_x_and_its_modulus_agree_on_a_kernel():
     assert abs(n_x - n_abs) <= 1e-12 * n_x
 
 
-def test_power1_norms_of_a_graded_element_and_its_modulus_agree():
-    # x = U diag(1, 0.5, 1e-7) V*: |x| keeps the singular value 1e-7, which
-    # lies below sqrt(RANK_RTOL) but above the rounding floor of x* x.
+@pytest.mark.parametrize("s", [1e-7, 1e-9, 1e-10])
+def test_power1_norms_of_a_graded_element_and_its_modulus_agree(s):
+    # x = U diag(1, 0.5, s) V*: |x| keeps the singular value s, which lies
+    # above RANK_RTOL but near or below the rounding floor of x* x.
     rng = SplitMix64(0)
     u, v = rand_unitary_matrix(rng, 3), rand_unitary_matrix(rng, 3)
-    x = Element(make_algebra([3], [1.0]), [(u * [1.0, 0.5, 1e-7]) @ v.conj().T])
+    x = Element(make_algebra([3], [1.0]), [(u * [1.0, 0.5, s]) @ v.conj().T])
     n_x = luxemburg_norm(PowerFunction(1.0), x)
     n_abs = luxemburg_norm(PowerFunction(1.0), absolute(x))
-    assert abs(n_x - n_abs) <= 1e-9 * n_x
+    assert abs(n_x - n_abs) <= 1e-12 * n_x
 
 
 def test_fk_integral_factors_each_gram_block_once(m2m3, rng, count_calls):
