@@ -31,10 +31,10 @@ it by different routes at once may leave either result.
 |x| and polar data come from one singular value decomposition per block,
 ``_linalg.svd`` (one-sided Jacobi with the right singular vectors), cut at
 RANK_RTOL times the block's largest singular value as the norms are
-(``polar_decompose``), so x is never squared on that route.  The Gram route
-stays only where an independent reference is wanted: ``gram_singular_values``
-takes the roots of the eigenvalues of x* x, one eigendecomposition per block,
-for ``operator_norm`` and for the spectral check of ``trace_orlicz.fk_integral``.
+(``polar_decompose``), so x is never squared on that route.  Every singular
+value, ``operator_norm``'s included, comes from ``_block_singular_values``; the
+one eigendecomposition of x* x left is the spectral check of
+``trace_orlicz.fk_integral``, which compares those values against it.
 """
 
 from __future__ import annotations
@@ -508,19 +508,6 @@ def polar_decompose(x: Element) -> tuple[Element, Element]:
     return Element(x.algebra, factors), Element(x.algebra, moduli)
 
 
-def gram_singular_values(x: Element) -> tuple[np.ndarray, ...]:
-    """Per-block descending singular values of x as the roots of the eigenvalues
-    of x* x: one ``hermitian_eigh`` call per block, on the in-range multiple
-    y = x / 2^e, with the values scaled back by 2^e.  Negative rounding of an
-    eigenvalue is read as 0.  Independent of the one-sided Jacobi kernels of
-    ``_block_singular_values``."""
-    y, e = _in_range(x)
-    h = y.adjoint() * y
-    return tuple(_linalg.ldexp_values([math.sqrt(max(float(t), 0.0)) for t in vals], e,
-                                      "singular values")
-                 for vals, _ in _block_eigh(h))
-
-
 def support_projection(obj) -> Element:
     """Smallest projection carrying a positive element or positive functional."""
     if isinstance(obj, Functional):
@@ -538,9 +525,9 @@ def support_projection(obj) -> Element:
 
 
 def operator_norm(x: Element) -> float:
-    """Largest singular value of x, the root of the top eigenvalue of x* x
-    (``gram_singular_values``)."""
-    return max(float(s[0]) for s in gram_singular_values(x))
+    """Largest singular value of x, the top of the memoized one-sided Jacobi
+    values (``_block_singular_values``); no eigendecomposition is made."""
+    return max(float(s[0]) for s in _block_singular_values(x))
 
 
 def functional_polar(phi: Functional) -> tuple[Element, Functional]:

@@ -76,7 +76,7 @@ def _load_phi(args) -> OrliczFunction:
     from .orliczfn import from_name
 
     spec = _need(args, "phi", args.command)
-    if os.path.isfile(spec):
+    if os.path.exists(spec):
         return orlicz_from_obj(load_file(spec))
     try:
         return from_name(spec)

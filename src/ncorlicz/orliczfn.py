@@ -230,19 +230,19 @@ class XLogX(OrliczFunction):
 class TabulatedFunction(OrliczFunction):
     """Piecewise-linear Young function through knots (t_k, v_k), +inf beyond.
 
-    Knots must start at (0, 0), have strictly increasing t, nondecreasing v
-    and nondecreasing secant slopes (convexity); a violation is rejected with
-    the witness triple.
+    Knots must start at (0, 0), include one with t > 0, have strictly
+    increasing t, nondecreasing v and nondecreasing secant slopes (convexity);
+    a convexity violation is rejected with the witness triple.
     """
 
     family = "table"
 
     def __init__(self, points):
         pts = [(float(t), float(v)) for t, v in points]
-        if not pts:
-            raise ValidationError("table needs at least one knot")
         if any(not (math.isfinite(t) and math.isfinite(v)) for t, v in pts):
             raise ValidationError("table knots must be finite")
+        if not any(t > 0.0 for t, _ in pts):
+            raise ValidationError("table needs a knot with t > 0")
         if pts[0][0] > 0.0:
             pts.insert(0, (0.0, 0.0))
         if pts[0] != (0.0, 0.0):
@@ -264,7 +264,7 @@ class TabulatedFunction(OrliczFunction):
         self.ts = np.array(ts)
         self.vs = np.array(vs)
         self.finiteness_bound = float(ts[-1])
-        self.is_orlicz = len(vs) > 1 and all(v > 0.0 for v in vs[1:])
+        self.is_orlicz = all(v > 0.0 for v in vs[1:])
 
     def _eval(self, t):
         if t > self.finiteness_bound:

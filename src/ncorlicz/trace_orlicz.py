@@ -3,8 +3,8 @@
 The singular values of an element, weighted by the trace weights of
 their blocks, form a decreasing step function (the rearrangement); the
 distribution identity tau(f(|x|)) = integral of f along that step
-function holds exactly for step data and is asserted whenever both
-routes are computed.  The Luxemburg gauge
+function holds exactly for step data, and ``fk_integral`` checks the
+singular values it reads against the eigenvalues of x* x.  The Luxemburg gauge
 
     ||x||_Phi = inf { lam > 0 : tau(Phi(|x|/lam)) <= 1 }
 
@@ -26,11 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import CLUSTER_RTOL, RANK_RTOL
-from .algebra import Element, _block_singular_values, gram_singular_values, trace
+from .algebra import Element, _block_eigh, _block_singular_values, _in_range, trace
 from .errors import ConvergenceError, ValidationError
 from .orliczfn import INF, OrliczFunction
 
-FK_RTOL = 1e-10
 EVALUATION_CAP = 200
 _DBL_MAX = sys.float_info.max
 _U_MIN = math.log(math.ulp(0.0))  # log of the smallest positive scale
@@ -179,30 +178,32 @@ def modular_value(phi: OrliczFunction, x: Element, lam: float) -> float:
 
 
 def fk_integral(phi: OrliczFunction, x: Element) -> float:
-    """tau(Phi(|x|)) with the step-function route asserted against the spectral route.
+    """tau(Phi(|x|)) with the singular values it reads checked against x* x.
 
     Returns the step sum sum_j Phi(v_j) l_j over the rearrangement steps,
     which is the modular at lam = 1 (``modular_value(phi, x, 1.0)``, the body
-    the root-find evaluates), and checks it against the blockwise spectral sum
-    within 1e-10 relative.  The two routes factor x independently: the steps
-    come from one-sided Jacobi on each block, the spectral sum from one
-    two-sided Jacobi eigendecomposition of x*x per block
-    (``gram_singular_values``), with values at or below RANK_RTOL times the
-    block's largest counted as 0.
+    the root-find evaluates).  Before that it checks the spectrum those steps
+    come from: on each d x d block, the memoized one-sided Jacobi values s of
+    y = x / 2^e (``_in_range``) must square to the eigenvalues l of y* y, one
+    two-sided Jacobi eigendecomposition per block, within
+    16 d eps s_0^2 + 2 s_0 2^(-1074 - e).  The first term is the rounding of
+    y* y and its eigenvalues; the second is the absolute rounding of a
+    subnormal singular value of x.  The verdict does not depend on Phi.
     """
-    lhs = modular_value(phi, x, 1.0)
-    rhs = 0.0
-    for c, svals in zip(x.algebra.weights, gram_singular_values(x)):
-        cut = RANK_RTOL * svals[0]
-        rhs += sum(c * phi(v if v > cut else 0.0) for v in svals.tolist())
-    if lhs == INF or rhs == INF:
-        if lhs != rhs:
-            raise ValidationError("distribution identity violated at infinity")
-        return INF
-    if abs(lhs - rhs) > FK_RTOL * max(abs(lhs), abs(rhs), 1.0):
-        raise ValidationError(
-            f"distribution identity violated: step sum {lhs!r} vs spectral sum {rhs!r}")
-    return lhs
+    y, e = _in_range(x)
+    h = y.adjoint() * y
+    for i, ((lam, _), s) in enumerate(zip(_block_eigh(h), _block_singular_values(x))):
+        if e:
+            s = np.ldexp(s, -e)
+        gap = np.abs(s * s - lam)
+        top = float(s[0])
+        if gap.max() > top * (16 * len(s) * sys.float_info.epsilon * top
+                              + math.ldexp(2.0, -1074 - e)):
+            k = int(gap.argmax())
+            raise ValidationError(
+                f"distribution identity violated: in block {i} of y = x / 2^{e}, "
+                f"singular value {s[k]!r} squared vs eigenvalue {lam[k]!r} of y* y")
+    return modular_value(phi, x, 1.0)
 
 
 @dataclass(frozen=True)

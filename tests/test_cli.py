@@ -160,13 +160,20 @@ def test_unknown_phi_exit_2(capsys):
     ('{"family":"scaled-power","p":0}', "p >= 1"),
     ('{"family":"table","points":[1,2]}', "pair"),
     ('{"family":"table","points":[[1]]}', "pair"),
-    ("[1,2]", "family")], ids=["p0", "flat-points", "short-point", "no-family"])
+    ('{"family":"table","points":[[0,0]]}', "t > 0"),
+    ("[1,2]", "family")], ids=["p0", "flat-points", "short-point", "one-knot", "no-family"])
 def test_malformed_phi_file_reports_its_own_error(capsys, tmp_path, text, match):
     phi = tmp_path / "phi.json"
     phi.write_text(text)
     code, out, err = run_cli(capsys, "norm", "--element", "diag(1,2)", "--phi", str(phi))
     assert code == 2 and out == ""
     assert match in err and "Traceback" not in err and "unknown Orlicz function name" not in err
+
+
+def test_phi_naming_a_directory_is_unreadable(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "norm", "--element", "diag(1,2)", "--phi", str(tmp_path))
+    assert code == 2 and out == ""
+    assert "cannot read" in err and "unknown Orlicz function name" not in err
 
 
 def test_suite_green_and_deterministic(capsys):

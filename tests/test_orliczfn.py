@@ -269,6 +269,9 @@ def test_tabulated_validation_and_eval():
         TabulatedFunction([[0, 0], [1, 2], [1, 3]])
     with pytest.raises(ValidationError):
         TabulatedFunction([[0, 1], [1, 2]])
+    for points in ([], [[0, 0]], [[-1, 0], [0, 0]]):
+        with pytest.raises(ValidationError, match="t > 0"):
+            TabulatedFunction(points)
 
 
 def test_tabulated_conjugate_exact_at_knots():

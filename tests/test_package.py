@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -112,3 +113,22 @@ def test_library_factors_with_its_own_kernels():
             r"\b(?:np|numpy)\.linalg\.(?!norm\b)\w+|\bimport\s+numpy\.linalg\b"
             r"|\bfrom\s+numpy(?:\.linalg\b|\s+import\s[^\n]*\blinalg\b)", text)]
     assert found == []
+
+
+def test_only_block_eigh_calls_hermitian_eigh():
+    # algebra._block_eigh stores each eigendecomposition on its Element; any
+    # other caller outside _linalg would factor a block a second time.
+    src = Path(ncorlicz.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "_linalg.py":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom):
+                    names = [alias.name for alias in node.names]
+                else:
+                    names = [getattr(node, "id", None), getattr(node, "attr", None)]
+                if "hermitian_eigh" in names:
+                    found.append((path.name, getattr(top, "name", None)))
+    assert set(found) == {("algebra.py", "_block_eigh")}

@@ -9,6 +9,8 @@ from ncorlicz import (ConvergenceError, CoshMinusOne, Element, JumpFunction, Orl
                       e_space_gauge, fk_integral, luxemburg_norm, luxemburg_report, make_algebra,
                       membership, modular_value, operator_norm, rearrangement, rearrangement_csv,
                       registry, trace, young_conjugate)
+from ncorlicz._linalg import RANK_RTOL
+from ncorlicz.algebra import _block_singular_values
 from ncorlicz.core_model import CoreElement, core_luxemburg_report, interval
 from ncorlicz.trace_orlicz import (AT_FINITENESS_BOUND, CONVERGED, ZERO, _singular_arrays,
                                    singular_value_measures)
@@ -397,6 +399,13 @@ def test_absolute_is_zero_on_the_kernel():
         assert np.min(np.abs(np.linalg.eigvalsh(b))) <= 1e-15 * smax
 
 
+def _graded(seed, s):
+    """U diag(1, 0.5, s) W* on one 3 x 3 block, U and W from SplitMix64(seed)."""
+    rng = SplitMix64(seed)
+    u, w = rand_unitary_matrix(rng, 3), rand_unitary_matrix(rng, 3)
+    return Element(make_algebra([3], [1.0]), [(u * [1.0, 0.5, s]) @ w.conj().T])
+
+
 def test_power1_norms_of_x_and_its_modulus_agree_on_a_kernel():
     x = _rank_deficient_element()
     n_x = luxemburg_norm(PowerFunction(1.0), x)
@@ -406,11 +415,9 @@ def test_power1_norms_of_x_and_its_modulus_agree_on_a_kernel():
 
 @pytest.mark.parametrize("s", [1e-7, 1e-9, 1e-10])
 def test_power1_norms_of_a_graded_element_and_its_modulus_agree(s):
-    # x = U diag(1, 0.5, s) V*: |x| keeps the singular value s, which lies
-    # above RANK_RTOL but near or below the rounding floor of x* x.
-    rng = SplitMix64(0)
-    u, v = rand_unitary_matrix(rng, 3), rand_unitary_matrix(rng, 3)
-    x = Element(make_algebra([3], [1.0]), [(u * [1.0, 0.5, s]) @ v.conj().T])
+    # |x| keeps the singular value s, which lies above RANK_RTOL but near or
+    # below the rounding floor of x* x.
+    x = _graded(0, s)
     n_x = luxemburg_norm(PowerFunction(1.0), x)
     n_abs = luxemburg_norm(PowerFunction(1.0), absolute(x))
     assert abs(n_x - n_abs) <= 1e-12 * n_x
@@ -424,3 +431,59 @@ def test_fk_integral_factors_each_gram_block_once(m2m3, rng, count_calls):
     for (block,), b in zip(calls, x.blocks):
         gram = b.conj().T @ b
         np.testing.assert_allclose(block, gram, rtol=0.0, atol=1e-15 * np.abs(gram).max())
+
+
+@pytest.mark.parametrize("s", [1e-8, 1e-9, 1e-11, 0.0])
+def test_fk_integral_power1_on_a_graded_element(s):
+    # The roots of the eigenvalues of x* x are good only to about
+    # sqrt(eps) sigma_max, so a check through them misreads a small sigma.
+    # s = 1e-11 sits on the rank cut and may count as kernel.
+    got = fk_integral(PowerFunction(1.0), _graded(0, s))
+    assert got == pytest.approx(1.5 + s, rel=1e-12, abs=RANK_RTOL)
+
+
+def _linf_verdict(x):
+    # sigma_max = 1 up to rounding sits on linf's jump; the verdict must not
+    # depend on which side of it a second factorisation rounds to.
+    return fk_integral(JumpFunction(1.0), x) == (0.0 if operator_norm(x) <= 1.0 else INF)
+
+
+@pytest.mark.parametrize("s", [1e-7, 1e-8])
+def test_fk_integral_linf_on_a_graded_element(s):
+    assert _linf_verdict(_graded(0, s))
+
+
+def test_fk_integral_linf_with_unit_top_singular_value():
+    assert [seed for seed in range(200) if not _linf_verdict(_graded(seed, 0.25))] == []
+
+
+def test_fk_integral_on_subnormal_singular_values():
+    m = np.array([[1.0, 2.0], [-0.5, 1.0]])  # sigma_1 + sigma_2 = sqrt(10.25)
+    x = Element(make_algebra([2, 2], [1.0, 1.0]), [1e-300 * m, 1e-320 * m])
+    assert fk_integral(PowerFunction(1.0), x) == pytest.approx(3.2015621187164243e-300,
+                                                                rel=1e-12)
+    assert fk_integral(PowerFunction(2.0), x) == 0.0
+    assert fk_integral(JumpFunction(1.0), x) == 0.0
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_fk_integral_rejects_a_planted_singular_value_error(k):
+    x = _graded(0, 0.25)
+    svals = [v.copy() for v in _block_singular_values(x)]
+    svals[0][k] *= 1.0 + 1e-6
+    object.__setattr__(x, "_svals", tuple(svals))
+    with pytest.raises(ValidationError, match="distribution identity"):
+        fk_integral(PowerFunction(2.0), x)
+
+
+def test_operator_norm_reads_the_memoized_singular_values(m2m3, rng, count_calls,
+                                                           factored_blocks):
+    # A norm followed by operator_norm factors each block once, and neither
+    # makes an eigendecomposition.
+    x = rand_element(rng, m2m3)
+    eigh = count_calls(_linalg.hermitian_eigh)
+    luxemburg_report(PowerFunction(2.0), x)
+    want = max(np.linalg.svd(b, compute_uv=False)[0] for b in x.blocks)
+    assert operator_norm(x) == pytest.approx(want, rel=1e-12)
+    assert eigh == []
+    assert [kernel for kernel, _ in factored_blocks()] == ["scalar"] * m2m3.nblocks
