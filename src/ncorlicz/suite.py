@@ -290,7 +290,7 @@ def case_to_fack_kosaki(rng, samples):
         for phi in (PowerFunction(2), CoshMinusOne()):
             steps = rearrangement(x)
             lhs = sum(phi(s.value) * s.length for s in steps.steps)
-            rhs = fk_integral(phi, x)  # internally asserts the identity too
+            rhs = fk_integral(phi, x)  # checks the steps against tau(x* x) too
             worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1.0))
     return worst <= 1e-10, worst
 

@@ -4,7 +4,7 @@ The singular values of an element, weighted by the trace weights of
 their blocks, form a decreasing step function (the rearrangement); the
 distribution identity tau(f(|x|)) = integral of f along that step
 function holds exactly for step data, and ``fk_integral`` checks the
-singular values it reads against the eigenvalues of x* x.  The Luxemburg gauge
+singular data it reads against the eigenvalues of x* x.  The Luxemburg gauge
 
     ||x||_Phi = inf { lam > 0 : tau(Phi(|x|/lam)) <= 1 }
 
@@ -178,31 +178,40 @@ def modular_value(phi: OrliczFunction, x: Element, lam: float) -> float:
 
 
 def fk_integral(phi: OrliczFunction, x: Element) -> float:
-    """tau(Phi(|x|)) with the singular values it reads checked against x* x.
+    """tau(Phi(|x|)) with the singular data it reads checked against x* x.
 
-    Returns the step sum sum_j Phi(v_j) l_j over the rearrangement steps,
-    which is the modular at lam = 1 (``modular_value(phi, x, 1.0)``, the body
-    the root-find evaluates).  Before that it checks the spectrum those steps
-    come from: on each d x d block, the memoized one-sided Jacobi values s of
-    y = x / 2^e (``_in_range``) must square to the eigenvalues l of y* y, one
-    two-sided Jacobi eigendecomposition per block, within
-    16 d eps s_0^2 + 2 s_0 2^(-1074 - e).  The first term is the rounding of
-    y* y and its eigenvalues; the second is the absolute rounding of a
-    subnormal singular value of x.  The verdict does not depend on Phi.
+    Returns ``modular_value(phi, x, 1.0)``, the step sum sum_j Phi(v_j) l_j,
+    after two checks against the eigenvalues l_ik of y* y, y = x / 2^e
+    (``_in_range``), one two-sided Jacobi eigendecomposition per block.  On
+    each d x d block the memoized one-sided Jacobi values s of y must have
+    |s_k^2 - l_k| <= b = 16 d eps s_0^2 + 2 s_0 2^(-1074 - e) + 4 d^2 2^-1074,
+    the rounding of y* y and its eigenvalues, of a subnormal sigma of x and of
+    the entries of y* y on the subnormal grid.  The steps must meet the
+    identity at Phi(t) = t^2, sum_j l_j (v_j / 2^e)^2 = sum_i c_i sum_k l_ik,
+    within sum_i c_i d_i b_i, plus (n CLUSTER_RTOL)^2 relative for merged
+    clusters and n eps relative and n 2^-1073 for rounding, n values in all;
+    so the rank cut, weights and merging of ``singular_value_measures`` are
+    checked too.  Neither check reads Phi.
     """
     y, e = _in_range(x)
-    h = y.adjoint() * y
-    for i, ((lam, _), s) in enumerate(zip(_block_eigh(h), _block_singular_values(x))):
-        if e:
-            s = np.ldexp(s, -e)
+    eps, trace_h, slack, n = sys.float_info.epsilon, 0.0, 0.0, 0
+    for i, (c, (lam, _), s) in enumerate(zip(x.algebra.weights, _block_eigh(y.adjoint() * y),
+                                             _block_singular_values(x))):
+        s, d = (np.ldexp(s, -e) if e else s), len(s)
+        b = s[0] * (16 * d * eps * s[0] + math.ldexp(2.0, -1074 - e)) + math.ldexp(d * d, -1072)
         gap = np.abs(s * s - lam)
-        top = float(s[0])
-        if gap.max() > top * (16 * len(s) * sys.float_info.epsilon * top
-                              + math.ldexp(2.0, -1074 - e)):
+        if gap.max() > b:
             k = int(gap.argmax())
             raise ValidationError(
-                f"distribution identity violated: in block {i} of y = x / 2^{e}, "
+                f"singular values disagree with x* x: in block {i} of y = x / 2^{e}, "
                 f"singular value {s[k]!r} squared vs eigenvalue {lam[k]!r} of y* y")
+        trace_h, slack, n = trace_h + c * float(lam.sum()), slack + c * d * b, n + d
+    values, measures = _singular_arrays(x)
+    mass = float(np.dot(measures, np.square(np.ldexp(values, -e) if e else values)))
+    tol = slack + n * (eps + n * CLUSTER_RTOL**2) * trace_h + math.ldexp(n, -1073)
+    if abs(mass - trace_h) > tol:
+        raise ValidationError(f"distribution identity violated at Phi(t) = t^2: step sum {mass!r} "
+                              f"vs tau(y* y) = {trace_h!r} for y = x / 2^{e}")
     return modular_value(phi, x, 1.0)
 
 

@@ -472,8 +472,30 @@ def test_fk_integral_rejects_a_planted_singular_value_error(k):
     svals = [v.copy() for v in _block_singular_values(x)]
     svals[0][k] *= 1.0 + 1e-6
     object.__setattr__(x, "_svals", tuple(svals))
+    with pytest.raises(ValidationError, match="disagree with x"):
+        fk_integral(PowerFunction(2.0), x)
+
+
+@pytest.mark.parametrize("part", [0, 1])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_fk_integral_rejects_a_planted_step_error(part, k):
+    # The block values are right; a value or a measure of the merged steps
+    # the returned sum is built from is off by 1e-6.
+    x = _graded(0, 0.25)
+    steps = [a.copy() for a in _singular_arrays(x)]
+    steps[part][k] *= 1.0 + 1e-6
+    object.__setattr__(x, "_singular", tuple(steps))
     with pytest.raises(ValidationError, match="distribution identity"):
         fk_integral(PowerFunction(2.0), x)
+
+
+@pytest.mark.parametrize("scale, small", [(1.0, 1e-155), (1e300, 1e145)])
+def test_fk_integral_on_blocks_of_very_different_scales(scale, small):
+    # The small block's y* y lies on the subnormal grid of y = x / 2^e.
+    m = np.array([[1.0, 2.0], [-0.5, 1.0]])  # sigma_1 + sigma_2 = sqrt(10.25)
+    x = Element(make_algebra([2, 2], [1.0, 1.0]), [scale * m, small * m])
+    assert fk_integral(PowerFunction(1.0), x) == pytest.approx(3.2015621187164243 * scale,
+                                                               rel=1e-12)
 
 
 def test_operator_norm_reads_the_memoized_singular_values(m2m3, rng, count_calls,
