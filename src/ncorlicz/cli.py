@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: norm, core-norm, rearr, conjugate, cocycle, gns, suite.
-Reports go to stdout as JSON with 17-significant-digit floats; a fixed
-seed reproduces the suite report byte-for-byte (timing is written to
-stderr so it cannot break that).  Exit codes: 0 pass, 1 property
-failure, 2 input error, 3 numeric failure.
+Each accepts only the options it reads (``_READS``); any other option is a
+usage error.  Reports go to stdout as JSON with 17-significant-digit
+floats; a fixed seed reproduces the suite report byte-for-byte (timing is
+written to stderr so it cannot break that).  Exit codes: 0 pass, 1
+property failure, 2 input error, 3 numeric failure.
 
 A subcommand imports the library modules that only it runs when it is
 called, so a cold ``norm`` call loads neither the suite nor the core model
@@ -36,28 +37,44 @@ if TYPE_CHECKING:
 _DIAG_RE = re.compile(r"^diag\(([^)]*)\)$")
 
 
+# The argparse spec of every option.
+_OPTIONS = {
+    "algebra": dict(help="algebra JSON file"),
+    "element": dict(help="element JSON file, or diag(a,b,...) shorthand"),
+    "functional": dict(action="append", default=[],
+                       help="functional JSON file (repeat for a pair)"),
+    "phi": dict(help="Orlicz function JSON file or name (power2, linf, ...)"),
+    "core": dict(help="core element JSON file"),
+    "iso": dict(help="isomorphism JSON file"),
+    "tol": dict(type=float, default=1e-12),
+    "seed": dict(type=int, default=0),
+    "csv": dict(help="write step data as CSV to this path"),
+    "samples": dict(type=int, default=100),
+    "t": dict(type=float, default=0.0, help="cocycle parameter"),
+}
+
+# The options each subcommand reads; any other option is a usage error.
+_READS = {
+    "norm": ("algebra", "element", "phi", "tol"),
+    "core-norm": ("algebra", "core", "phi", "tol"),
+    "rearr": ("algebra", "element", "csv"),
+    "conjugate": ("phi",),
+    "cocycle": ("algebra", "functional", "t"),
+    "gns": ("algebra", "functional"),
+    "suite": ("seed", "samples", "iso", "algebra", "phi"),
+}
+
+
 def _parse_args(argv):
     parser = argparse.ArgumentParser(
         prog="ncorlicz",
         description="Orlicz-norm calculus over finite-dimensional trace algebras")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--algebra", help="algebra JSON file")
-        p.add_argument("--element", help="element JSON file, or diag(a,b,...) shorthand")
-        p.add_argument("--functional", action="append", default=[],
-                       help="functional JSON file (repeat for a pair)")
-        p.add_argument("--phi", help="Orlicz function JSON file or name (power2, linf, ...)")
-        p.add_argument("--core", help="core element JSON file")
-        p.add_argument("--iso", help="isomorphism JSON file")
-        p.add_argument("--tol", type=float, default=1e-12)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--csv", help="write step data as CSV to this path")
-        p.add_argument("--samples", type=int, default=100)
-        p.add_argument("--t", type=float, default=0.0, help="cocycle parameter")
-
-    for name in ("norm", "core-norm", "rearr", "conjugate", "cocycle", "gns", "suite"):
-        common(sub.add_parser(name))
+    for name, options in _READS.items():
+        # No abbreviations: ``norm --t`` would otherwise be read as ``--tol``.
+        p = sub.add_parser(name, allow_abbrev=False)
+        for opt in options:
+            p.add_argument(f"--{opt}", **_OPTIONS[opt])
     return parser.parse_args(argv)
 
 
@@ -148,8 +165,11 @@ def _cmd_rearr(args) -> int:
     obj = {"totalMass": mu.total_mass(),
            "steps": [{"start": a, "end": b, "value": v} for a, b, v in mu.boundaries()]}
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(rearrangement_csv(mu))
+        try:
+            with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(rearrangement_csv(mu))
+        except OSError as exc:
+            raise InputError(f"cannot write {args.csv}: {exc}") from exc
     _emit(obj)
     return 0
 
@@ -201,6 +221,8 @@ def _cmd_suite(args) -> int:
     from .suite import run_suite
 
     extra = []
+    if not args.iso and (args.algebra or args.phi):
+        raise InputError("suite reads --algebra and --phi only with --iso")
     if args.iso:
         alg = _load_algebra(args)
         iso = isomorphism_from_obj(alg, load_file(args.iso))
@@ -212,6 +234,7 @@ def _cmd_suite(args) -> int:
             return rep.passed, dev, rep.witness
 
         extra.append(("functorial.file_isometry", file_case))
+    tol = 1e-12  # every suite norm runs at the library's default tolerance
     t0 = time.perf_counter()
     results = run_suite(args.seed, args.samples, extra)
     wall = time.perf_counter() - t0
@@ -220,8 +243,8 @@ def _cmd_suite(args) -> int:
         "command": "suite",
         "seed": args.seed,
         "samples": args.samples,
-        "tol": args.tol,
-        "inputsDigest": _digest(["suite", args.seed, args.samples, args.tol,
+        "tol": tol,
+        "inputsDigest": _digest(["suite", args.seed, args.samples, tol,
                                  bool(args.iso)]),
         "model": "restricted step class over the weighted half-line",
         "cases": [r.to_obj() for r in results],

@@ -31,8 +31,8 @@ import numpy as np
 from .algebra import Element, absolute, fill_singular_values, negative_block, trace
 from .errors import ValidationError
 from .orliczfn import OrliczFunction
-from .trace_orlicz import (NormReport, modular_from_measures, report_from_measures,
-                           singular_value_measures)
+from .trace_orlicz import (NormReport, _singular_arrays, modular_from_measures,
+                           report_from_measures)
 
 
 def _to_endpoint(value) -> Fraction:
@@ -253,19 +253,15 @@ def _core_singular_data(x: CoreElement):
     each measure scaled by its interval's trace mass.
 
     The distinct piece objects are factored together first
-    (``fill_singular_values``), and their singular data is read once each.
+    (``fill_singular_values``); each then merges its singular data once, into
+    the memo that its base norms read too (``_singular_arrays``).
     """
-    pieces = dict.fromkeys(piece for piece, _ in x.pieces)  # Elements hash by identity
-    fill_singular_values(pieces)
-    data = {piece: singular_value_measures(piece) for piece in pieces}
-    values = []
-    measures = []
-    for piece, iv in x.pieces:
-        w = iv.weight()
-        for v, m in data[piece]:
-            values.append(v)
-            measures.append(m * w)
-    return np.array(values), np.array(measures)
+    if not x.pieces:
+        return np.empty(0), np.empty(0)
+    fill_singular_values(dict.fromkeys(piece for piece, _ in x.pieces))
+    data = [(_singular_arrays(piece), iv.weight()) for piece, iv in x.pieces]
+    return (np.concatenate([values for (values, _), _ in data]),
+            np.concatenate([measures * w for (_, measures), w in data]))
 
 
 def core_modular_value(phi: OrliczFunction, x: CoreElement, lam: float) -> float:

@@ -145,9 +145,8 @@ def rearrangement(x: Element) -> RearrangementFunction:
 def _singular_arrays(x: Element) -> tuple[np.ndarray, np.ndarray]:
     """``singular_value_measures`` of x as read-only (values, measures) arrays,
     stored on x by the first call, so that every norm, modular value,
-    rearrangement and membership test of one Element merges its singular data
-    once.  The core model reads ``singular_value_measures`` directly and does
-    not fill this memo."""
+    rearrangement and membership test of one Element, and every core norm
+    with it as a piece, merges its singular data once."""
     if x._singular is None:
         data = singular_value_measures(x)
         values, measures = np.array([v for v, _ in data]), np.array([m for _, m in data])
@@ -264,7 +263,9 @@ def _luxemburg_from_measures(values: np.ndarray, measures: np.ndarray,
     evaluated lo with modular(lo) > 1 has lam - lo <= tol * lam; the report
     counts the modular evaluations.  Raises ConvergenceError, naming the
     bracket, the evaluation count and the last modular values, when no
-    binary64 scale meets that.
+    binary64 scale meets that, and when a finite-valued Phi reads +inf at lo
+    (only an overflow can give that) while modular(lam) < 1/2: the bracket
+    then closed on the overflow edge, not on the root.
     """
     if values.size == 0:
         return NormReport(0.0, 0, 0.0, ZERO)
@@ -331,6 +332,9 @@ def _luxemburg_from_measures(values: np.ndarray, measures: np.ndarray,
             a, b, c = b, c, b
         lo, hi = (b[2:], c[2:]) if b[3] > 1.0 else (c[2:], b[2:])
         if hi[0] - lo[0] <= tol * hi[0]:
+            if lo[1] == INF and hi[1] < 0.5 and phi.finite_valued:
+                raise fail(f"{phi.label()} overflows binary64 at the lower end, "
+                           "so the bracket closed on the overflow, not on the root")
             return NormReport(hi[0], len(trail), hi[1], CONVERGED)
         xm = 0.5 * (c[0] - b[0])
         if b[1] == 0.0:  # modular exactly 1: step off b towards c
@@ -369,8 +373,8 @@ def report_from_measures(phi: OrliczFunction, values: np.ndarray, measures: np.n
     """Luxemburg norm of singular data with its evaluation count, the modular
     value at the norm and the termination reason; the body of
     ``luxemburg_report`` and of ``core_model.core_luxemburg_report``."""
-    if not (tol > 0):
-        raise ValidationError("tolerance must be positive")
+    if not (0 < tol < 1):
+        raise ValidationError(f"tolerance must lie in (0, 1), got {tol!r}")
     if not phi.is_young:
         raise ValidationError(f"{phi.label()} is not a Young function")
     return _luxemburg_from_measures(values, measures, phi, tol)

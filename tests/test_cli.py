@@ -127,6 +127,80 @@ def test_gns_report(capsys, files):
     assert rep["stateIdentityResidual"] <= 1e-10
 
 
+@pytest.mark.parametrize("target", ["missing/steps.csv", "."], ids=["no-such-dir", "a-dir"])
+def test_rearr_unwritable_csv_is_input_error(capsys, tmp_path, target):
+    path = tmp_path / target
+    code, out, err = run_cli(capsys, "rearr", "--element", "diag(3,4)", "--csv", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"input error: cannot write {path}") and "Traceback" not in err
+
+
+# The options each subcommand reads, 22 in all.
+READS = {
+    "norm": {"algebra", "element", "phi", "tol"},
+    "core-norm": {"algebra", "core", "phi", "tol"},
+    "rearr": {"algebra", "element", "csv"},
+    "conjugate": {"phi"},
+    "cocycle": {"algebra", "functional", "t"},
+    "gns": {"algebra", "functional"},
+    "suite": {"seed", "samples", "iso", "algebra", "phi"},
+}
+OPTIONS = {"algebra", "element", "functional", "phi", "core", "iso", "tol", "seed", "csv",
+           "samples", "t"}
+
+
+def test_each_subcommand_accepts_only_the_options_it_reads(capsys):
+    from ncorlicz.cli import _parse_args
+
+    accepted = {}
+    for command in READS:
+        accepted[command] = set()
+        for opt in OPTIONS:
+            try:
+                _parse_args([command, f"--{opt}", "1"])
+            except SystemExit as exc:
+                assert exc.code == 2
+            else:
+                accepted[command].add(opt)
+    capsys.readouterr()
+    assert accepted == READS
+    assert sum(map(len, accepted.values())) == 22
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--element", "diag(1,2)", "--phi", "power2", "--csv", "out.csv"],
+    ["norm", "--element", "diag(1,2)", "--phi", "power2", "--core", "core.json"],
+    ["norm", "--element", "diag(1,2)", "--phi", "power2", "--t", "0.5"],
+    ["core-norm", "--algebra", "m2.json", "--core", "core.json", "--phi", "power2",
+     "--element", "diag(1,2)"],
+    ["rearr", "--element", "diag(1,2)", "--phi", "power2"],
+    ["conjugate", "--phi", "power2", "--tol", "1e-6"],
+    ["cocycle", "--algebra", "m2.json", "--functional", "phi.json",
+     "--functional", "omega.json", "--csv", "out.csv"],
+    ["gns", "--algebra", "m2.json", "--functional", "phi.json", "--t", "1"],
+    ["suite", "--samples", "10", "--tol", "0.5"],
+    ["suite", "--samples", "10", "--element", "diag(1,2)"],
+    ["suite", "--samples", "10", "--phi", "power3"],
+    ["suite", "--samples", "10", "--algebra", "m2.json"],
+], ids=["norm-csv", "norm-core", "norm-t-is-not-tol", "core-norm-element", "rearr-phi",
+        "conjugate-tol", "cocycle-csv", "gns-t", "suite-tol", "suite-element",
+        "suite-phi-without-iso", "suite-algebra-without-iso"])
+def test_an_option_the_command_does_not_read_exits_2(capsys, files, argv):
+    argv = [str(files / a) if a.endswith((".json", ".csv")) else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    assert not (files / "out.csv").exists()
+
+
+@pytest.mark.parametrize("tol", ["1", "1.5", "inf"])
+def test_tolerance_outside_the_unit_interval_is_input_error(capsys, tol):
+    code, out, err = run_cli(capsys, "norm", "--element", "diag(1,2)", "--phi", "power2",
+                             "--tol", tol)
+    assert code == 2 and out == ""
+    assert "tolerance must lie in (0, 1)" in err
+
+
 def test_missing_flag_is_input_error(capsys):
     code, _, err = run_cli(capsys, "norm", "--phi", "power2")
     assert code == 2
@@ -184,6 +258,7 @@ def test_suite_green_and_deterministic(capsys):
     assert out1 == out2  # byte-identical report for a fixed seed
     rep = loads(out1)
     assert rep["pass"] is True
+    assert rep["tol"] == 1e-12  # the tolerance every suite norm runs at
     ids = [c["id"] for c in rep["cases"]]
     assert ids == sorted(ids)
     assert len(ids) >= 39
@@ -202,6 +277,10 @@ def test_suite_with_iso_file(capsys, files):
     assert code == 0
     ids = [c["id"] for c in loads(out)["cases"]]
     assert "functorial.file_isometry" in ids
+    code, out, _ = run_cli(capsys, "suite", "--seed", "0", "--samples", "10",
+                           "--algebra", str(files / "m2m2.json"),
+                           "--iso", str(files / "iso.json"), "--phi", "cosh1")
+    assert code == 0 and loads(out)["pass"] is True
 
 
 # Runs cli.main quietly in a fresh interpreter and prints the ncorlicz

@@ -11,7 +11,7 @@ from ncorlicz import (ConvergenceError, CoshMinusOne, Element, JumpFunction, Orl
                       registry, trace, young_conjugate)
 from ncorlicz._linalg import RANK_RTOL
 from ncorlicz.algebra import _block_singular_values
-from ncorlicz.core_model import CoreElement, core_luxemburg_report, interval
+from ncorlicz.core_model import CoreElement, core_luxemburg_report, embed, interval
 from ncorlicz.trace_orlicz import (AT_FINITENESS_BOUND, CONVERGED, ZERO, _singular_arrays,
                                    singular_value_measures)
 from ncorlicz.sampling import SplitMix64, rand_element, rand_unitary_element, rand_unitary_matrix
@@ -87,11 +87,15 @@ class TestRearrangement:
         values, measures = _singular_arrays(x)
         assert list(zip(values.tolist(), measures.tolist())) == want
 
-    def test_core_norm_leaves_the_pieces_unmemoized(self, m2m3, rng):
-        piece = rand_element(rng, m2m3)
-        core = CoreElement(m2m3, [(piece, interval(0, 1)), (piece, interval(2, "inf"))])
+    def test_core_and_base_norms_share_a_piece_memo(self, m2m3, rng, count_calls):
+        calls = count_calls(singular_value_measures)
+        piece, other = rand_element(rng, m2m3), rand_element(rng, m2m3)
+        core = CoreElement(m2m3, [(piece, interval(0, 1)), (other, interval(1, 2)),
+                                  (piece, interval(2, "inf"))])
         core_luxemburg_report(PowerFunction(2.0), core)
-        assert piece._singular is None
+        core_luxemburg_report(CoshMinusOne(), core)
+        luxemburg_report(PowerFunction(2.0), piece)
+        assert [args[0] for args in calls] == [piece, other]
 
     def test_unitary_conjugation_invariance(self, m2m3, rng):
         x = rand_element(rng, m2m3)
@@ -279,6 +283,19 @@ class TestRootFind:
                                                                     rel=2e-12, abs=0)
         with pytest.raises(ConvergenceError, match="binary64 range"):
             luxemburg_norm(PowerFunction(1), x)  # the norm is 2e308
+
+    @pytest.mark.parametrize("tol", [1.0, 1.5, INF, 0.0, -0.5, math.nan])
+    def test_tolerance_outside_the_unit_interval_rejected(self, m2, tol):
+        x = Element(m2, [np.diag([1.0, 2.0])])
+        with pytest.raises(ValidationError, match=r"tolerance must lie in \(0, 1\)"):
+            luxemburg_report(PowerFunction(2), x, tol)
+        with pytest.raises(ValidationError, match=r"tolerance must lie in \(0, 1\)"):
+            core_luxemburg_report(PowerFunction(2), embed(x), tol)
+
+    def test_coarse_tolerance_still_brackets_the_norm(self, m2):
+        rep = luxemburg_report(PowerFunction(2), Element(m2, [np.diag([1.0, 2.0])]), 0.5)
+        assert rep.reason == CONVERGED
+        assert math.sqrt(5.0) <= rep.norm <= math.sqrt(5.0) / 0.5
 
     def test_tolerance_below_resolution_rejected(self, m2):
         x = Element(m2, [np.diag([3.0, 1.0])])
