@@ -568,12 +568,12 @@ def rank_from_eigenvalues(vals: np.ndarray) -> int:
 
 
 def block_diag(blocks) -> np.ndarray:
-    """Complex matrix with the given square blocks along its diagonal, zeros elsewhere."""
-    out = np.zeros((sum(map(len, blocks)),) * 2, dtype=np.complex128)
-    pos = 0
+    """Complex matrix with the given blocks along its diagonal, zeros elsewhere."""
+    out = np.zeros(tuple(map(sum, zip(*(b.shape for b in blocks)))), dtype=np.complex128)
+    row = col = 0
     for b in blocks:
-        out[pos:pos + len(b), pos:pos + len(b)] = b
-        pos += len(b)
+        out[row:row + b.shape[0], col:col + b.shape[1]] = b
+        row, col = row + b.shape[0], col + b.shape[1]
     return out
 
 
@@ -582,17 +582,3 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(
         a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
-
-def gram_schmidt(vectors: np.ndarray, pivot_tol: float) -> np.ndarray:
-    """Orthonormal basis, as columns, of the span of the rows of ``vectors`` by
-    modified Gram-Schmidt with one reorthogonalization; a row whose residual
-    norm falls at or below ``pivot_tol`` counts as dependent and is dropped."""
-    basis: list[np.ndarray] = []
-    for w in vectors:
-        for _ in range(2):
-            for b in basis:
-                w = w - np.vdot(b, w) * b
-        nrm = float(np.linalg.norm(w))
-        if nrm > pivot_tol:
-            basis.append(w / nrm)
-    return np.column_stack(basis) if basis else np.zeros((vectors.shape[1], 0), np.complex128)

@@ -453,13 +453,19 @@ def power_on_support(x: Element, z: complex) -> Element:
     real parts mean Moore-Penrose pseudo-inverses and z = 0 or z = it
     reproduce the support projection and the phase unitaries on it.  An
     eigenvalue whose power lies beyond the binary64 range (a pseudo-inverse of
-    a subnormal density, say) raises ValidationError before it is formed.
+    a subnormal density, say), or whose z log t is not finite (an infinite or
+    NaN exponent, or a finite one whose product overflows), raises
+    ValidationError before it is formed.
     """
     _require_hermitian(x, "power_on_support")
     z = complex(z)
 
     def power(t):
         w = z * math.log(t)
+        if not (math.isfinite(w.real) and math.isfinite(w.imag)):
+            raise ValidationError(
+                f"power_on_support: eigenvalue {t!r} to the power {z} has exponent "
+                f"z log t = {w}, which is not finite")
         if w.real > _LOG_DBL_MAX:
             raise ValidationError(
                 f"power_on_support: eigenvalue {t!r} to the power {z} has modulus "

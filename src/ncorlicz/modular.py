@@ -13,6 +13,8 @@ Matrices use the matrix units e_jk, block by block and row-major inside a
 block (the order of ``matrix_units``); there xi -> a xi b is blockdiag_i
 kron(a_i, b_i^T), entry [(j, k), (l, m)] = a_jl b_mk, and every matrix below
 is built from that identity instead of by applying its map to each unit.
+Spectral data, the GNS basis included, comes from ``algebra._block_eigh`` and
+its memo on each density; the module calls no ``numpy.linalg``.
 """
 
 from __future__ import annotations
@@ -23,11 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg
-from .algebra import (AlgebraDescriptor, Element, Functional, _block_eigh, _in_range,
-                      _on_support, power_on_support, support_projection, trace)
+from .algebra import (AlgebraDescriptor, Element, Functional, _block_clusters, _block_eigh,
+                      _in_range, _on_support, power_on_support, support_projection, trace)
 from .errors import ValidationError
-
-GNS_PIVOT_TOL = 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -39,10 +39,11 @@ class GNSData:
     """Concrete GNS space of a positive functional.
 
     The carrier is the span of the classes [x] = x rho^(1/2) inside the
-    Hilbert-Schmidt space; ``basis`` holds an orthonormal basis of that span
-    as columns over the matrix units (block i scaled by sqrt(c_i)), ``gram``
-    the inner products omega(e_a* e_b) = blockdiag_i c_i kron(I, rho_i^T),
-    and ``cyclic_vector`` the class of the identity.
+    Hilbert-Schmidt space; ``basis`` holds the orthonormal basis
+    blockdiag_i kron(I, conj(V_i)) of that span as columns over the matrix
+    units (block i scaled by sqrt(c_i)), V_i the support eigenvectors of
+    rho_i, ``gram`` the inner products omega(e_a* e_b) = blockdiag_i
+    c_i kron(I, rho_i^T), and ``cyclic_vector`` the class of the identity.
     """
 
     algebra: AlgebraDescriptor
@@ -52,42 +53,44 @@ class GNSData:
     basis: np.ndarray
     cyclic_vector: np.ndarray
     _root: tuple[np.ndarray, ...]
+    _ranks: tuple[int, ...]
 
     def embed(self, x: Element) -> np.ndarray:
         """Coordinates of the class [x] in the orthonormal basis."""
         return self.basis.conj().T @ _ambient(self.algebra, self._root, x)
 
     def represent(self, x: Element) -> np.ndarray:
-        """Matrix basis* blockdiag_i kron(x_i, I) basis of left multiplication by x."""
-        act = _linalg.block_diag([_linalg.kron(xb, np.eye(len(xb))) for xb in x.blocks])
-        return self.basis.conj().T @ act @ self.basis
+        """Matrix blockdiag_i kron(x_i, I_{r_i}) of left multiplication by x, r_i = rank(rho_i):
+        on the basis, kron(I, W)* kron(x_i, I) kron(I, W) = kron(x_i, W* W)."""
+        return _linalg.block_diag([_linalg.kron(xb, np.eye(r))
+                                   for xb, r in zip(x.blocks, self._ranks)])
 
 
 def gns(omega: Functional) -> GNSData:
     """GNS space, representation and cyclic vector of a positive functional.
 
-    Null vectors are dropped by Gram-Schmidt with a fixed pivot threshold over
-    the classes of the matrix units, the rows of blockdiag_i sqrt(c_i)
-    kron(I, rho_i^(1/2)), so the dimension is sum_i d_i * rank(rho_i).  The
-    rows are first scaled by the exact power of two of ``_linalg.pow2_prescale``,
-    which leaves the span alone, so that Gram-Schmidt's inner products neither
-    underflow nor overflow at extreme density scales.
+    The class of e_jk is row (j, k) of blockdiag_i sqrt(c_i) kron(I, rho_i^(1/2)),
+    e_j tensor rho_i^(1/2)[k, :], and the rows of rho_i^(1/2) span conj(v) over
+    its support eigenvectors v.  So the basis is blockdiag_i kron(I, conj(V_i)),
+    V_i the first r_i columns of the density's memoized eigenvectors, r_i the
+    multiplicity of the clusters ``_on_support`` keeps; the dimension is
+    sum_i d_i r_i, and the basis is orthonormal as far as V_i is, at every scale.
     """
     if not omega.is_positive():
         raise ValidationError("gns needs a positive functional")
     if omega.is_zero():
         raise ValidationError("gns of the zero functional is empty")
     alg = omega.algebra
-    root = tuple(_on_support(omega.density_element(), math.sqrt))
-    candidates = _linalg.block_diag([math.sqrt(c) * _linalg.kron(np.eye(len(r)), r)
-                                     for c, r in zip(alg.weights, root)])
-    (candidates,), _ = _linalg.pow2_prescale([candidates])
-    scale = max(float(np.linalg.norm(v)) for v in candidates)
-    basis = _linalg.gram_schmidt(candidates, GNS_PIVOT_TOL * max(scale, 1e-300))
+    rho = omega.density_element()
+    root = tuple(_on_support(rho, math.sqrt))
+    ranks = tuple(sum(mult for rep, mult, _ in clusters if rep > cut)
+                  for cut, clusters in _block_clusters(rho))
+    basis = _linalg.block_diag([_linalg.kron(np.eye(len(vecs)), vecs[:, :r].conj())
+                                for (_, vecs), r in zip(_block_eigh(rho), ranks)])
     gram = _linalg.block_diag([c * _linalg.kron(np.eye(len(r)), r.T)
                                for c, r in zip(alg.weights, omega.densities)])
     cyc = basis.conj().T @ _ambient(alg, root, alg.identity())
-    return GNSData(alg, omega, basis.shape[1], gram, basis, cyc, root)
+    return GNSData(alg, omega, basis.shape[1], gram, basis, cyc, root, ranks)
 
 
 def _ambient(alg: AlgebraDescriptor, root, x: Element) -> np.ndarray:
@@ -186,7 +189,7 @@ def modular_flow(phi: Functional, t: float, x: Element) -> Element:
         raise ValidationError(
             "modular flow needs a faithful functional; reduce to the support corner first")
     rho = phi.density_element()
-    return power_on_support(rho, 1j * t) * x * power_on_support(rho, -1j * t)
+    return power_on_support(rho, complex(0.0, t)) * x * power_on_support(rho, complex(0.0, -t))
 
 
 def connes_cocycle(phi: Functional, omega: Functional, t: float) -> Element:
@@ -197,8 +200,8 @@ def connes_cocycle(phi: Functional, omega: Functional, t: float) -> Element:
         raise ValidationError("cocycle needs a positive first argument")
     if not omega.is_faithful():
         raise ValidationError("cocycle needs a faithful second argument")
-    return (power_on_support(phi.density_element(), 1j * t)
-            * power_on_support(omega.density_element(), -1j * t))
+    return (power_on_support(phi.density_element(), complex(0.0, t))
+            * power_on_support(omega.density_element(), complex(0.0, -t)))
 
 
 def radon_nikodym_sqrt(psi: Functional, phi: Functional) -> Element:

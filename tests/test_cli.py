@@ -118,6 +118,16 @@ def test_cocycle_t_zero_identity(capsys, files):
     assert np.allclose(np.array(blocks[0])[..., 0], np.eye(2), atol=1e-12)
 
 
+@pytest.mark.parametrize("t, power", [("inf", "infj"), ("nan", "nanj")])
+def test_cocycle_non_finite_t_names_the_exponent(capsys, files, t, power):
+    code, out, err = run_cli(capsys, "cocycle", "--algebra", str(files / "m2.json"),
+                             "--functional", str(files / "phi.json"),
+                             "--functional", str(files / "omega.json"), "--t", t)
+    assert (code, out) == (2, "")
+    assert f"to the power {power} has exponent" in err
+    assert "non-finite entries" not in err
+
+
 def test_gns_report(capsys, files):
     code, out, _ = run_cli(capsys, "gns", "--algebra", str(files / "m2.json"),
                            "--functional", str(files / "phi.json"))

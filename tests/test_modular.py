@@ -6,8 +6,6 @@ import pytest
 from ncorlicz import (Element, Functional, ValidationError, _linalg, connes_cocycle, gns,
                       make_algebra, modular_flow, radon_nikodym_sqrt, relative_modular,
                       standard_form, support_projection)
-from ncorlicz.algebra import _on_support
-from ncorlicz.modular import GNS_PIVOT_TOL, _ambient
 from ncorlicz.sampling import (SplitMix64, rand_element, rand_faithful_functional,
                                rand_functional, rand_positive, rand_unitary_element)
 
@@ -16,21 +14,59 @@ def faithful(rng, algebra):
     return rand_functional(rng, algebra)
 
 
+def class_span(omega):
+    """numpy.linalg oracle: the projector onto the span of the classes
+    e_jk rho^(1/2) of the matrix units, and the ranks of the density blocks.
+
+    Each block is first scaled by an exact power of two, which moves neither
+    its eigenvectors nor that span, so LAPACK sees normal numbers at every
+    density scale.
+    """
+    projectors, ranks = [], []
+    for rho in omega.densities:
+        k = -math.frexp(np.max(np.abs(rho)))[1]
+        vals, vecs = np.linalg.eigh(np.ldexp(rho.real, k) + 1j * np.ldexp(rho.imag, k))
+        keep = vals > 1e-11 * vals.max()
+        root = (vecs[:, keep] * np.sqrt(vals[keep])) @ vecs[:, keep].conj().T
+        classes = np.kron(np.eye(len(rho)), root)  # row (j, k): e_jk rho^(1/2), row-major
+        _, svals, vh = np.linalg.svd(classes)
+        span = vh[svals > 1e-8 * svals[0]]
+        projectors.append(span.T @ span.conj())
+        ranks.append(int(keep.sum()))
+    size = sum(len(p) for p in projectors)
+    out, pos = np.zeros((size, size), dtype=complex), 0
+    for p in projectors:
+        out[pos:pos + len(p), pos:pos + len(p)] = p
+        pos += len(p)
+    return out, ranks
+
+
 class TestGNS:
     def test_faithful_state_m2_dimension(self, m2, rng):
         assert gns(faithful(rng, m2)).dimension == 4
 
-    def test_orthonormal_at_subnormal_density_scales(self, m2m3):
-        phi = rand_faithful_functional(SplitMix64(0), m2m3)
-        root = _on_support(phi.density_element(), math.sqrt)
-        rows = np.array([_ambient(m2m3, root, e) for _, _, _, e in m2m3.matrix_units()])
-        scale = max(float(np.linalg.norm(v)) for v in rows)
-        assert np.array_equal(gns(phi).basis, _linalg.gram_schmidt(rows, GNS_PIVOT_TOL * scale))
-        for s in (1e-310, 1e-318):
-            basis = gns(Functional(m2m3, [s * r for r in phi.densities])).basis
-            assert basis.shape[1] == 13
-            err = np.max(np.abs(basis.conj().T @ basis - np.eye(13)))
-            assert err <= 1e-14, (s, err)
+    @pytest.mark.parametrize("ranks", [None, [1, 2]], ids=["faithful", "rank-deficient"])
+    @pytest.mark.parametrize("s", [1.0, 1e300, 1e-300, 1e-310, 1e-318])
+    def test_basis_spans_the_classes_at_every_density_scale(self, m2m3, ranks, s):
+        phi = rand_functional(SplitMix64(0), m2m3, ranks)
+        omega = Functional(m2m3, [s * r for r in phi.densities])
+        data = gns(omega)
+        projector, rank = class_span(omega)
+        assert data.dimension == sum(d * r for d, r in zip(m2m3.block_dims, rank))
+        assert data.basis.shape == (13, data.dimension)
+        err = np.max(np.abs(data.basis.conj().T @ data.basis - np.eye(data.dimension)))
+        assert err <= 1e-14, err
+        assert np.max(np.abs(data.basis @ data.basis.conj().T - projector)) <= 1e-12
+
+    @pytest.mark.parametrize("ranks", [None, [2, 1]], ids=["faithful", "rank-deficient"])
+    def test_embed(self, m2m3, ranks):
+        rng = SplitMix64(8)
+        omega = rand_functional(rng, m2m3, ranks)
+        data = gns(omega)
+        x, y, a = (rand_element(rng, m2m3) for _ in range(3))
+        assert abs(np.vdot(data.embed(y), data.embed(x)) - omega(y.adjoint() * x)) <= 1e-13
+        assert np.max(np.abs(data.embed(m2m3.identity()) - data.cyclic_vector)) <= 1e-15
+        assert np.max(np.abs(data.represent(a) @ data.embed(x) - data.embed(a * x))) <= 1e-13
 
     def test_rank_one_dimension(self, m2):
         # density diag(1,0): Gram rank oracle
@@ -187,6 +223,13 @@ class TestModularFlow:
         adj = modular_flow(phi, s, x.adjoint())
         assert (adj - modular_flow(phi, s, x).adjoint()).frobenius_norm() <= 1e-10
 
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, 1e308])
+    def test_non_finite_exponent_is_named(self, m2, t):
+        # At t = 1e308, t log 0.1 overflows although t is finite.
+        phi = Functional(m2, [np.diag([0.1, 0.9])])
+        with pytest.raises(ValidationError, match=r"eigenvalue .* to the power .*not finite"):
+            modular_flow(phi, t, Element(m2, [np.eye(2)]))
+
     def test_non_faithful_rejected(self, m2):
         phi = Functional(m2, [np.diag([1.0, 0.0])])
         with pytest.raises(ValidationError, match="reduce"):
@@ -236,6 +279,12 @@ class TestConnesCocycle:
             lm = np.column_stack([np.array([sf.inner(v, u12 * w) for v in units])
                                   for w in units])
             assert np.max(np.abs(m - lm)) <= 1e-9
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, 1e308])
+    def test_non_finite_exponent_is_named(self, m2, t):
+        phi, omega = Functional(m2, [np.diag([0.1, 0.9])]), Functional(m2, [0.5 * np.eye(2)])
+        with pytest.raises(ValidationError, match=r"eigenvalue .* to the power .*not finite"):
+            connes_cocycle(phi, omega, t)
 
     def test_nonfaithful_omega_rejected(self, m2, rng):
         with pytest.raises(ValidationError):
@@ -361,14 +410,6 @@ class TestClosedFormsAgainstProbing:
         oracle = np.array([[omega(ea.adjoint() * eb) for eb in units] for ea in units])
         assert np.array_equal(gns(omega).gram, oracle)
 
-    def test_basis(self, m2m3):
-        omega = rand_functional(SplitMix64(6), m2m3, [2, 1])
-        root = _on_support(omega.density_element(), math.sqrt)
-        candidates = np.array([_ambient(m2m3, root, e) for _, _, _, e in m2m3.matrix_units()])
-        scale = max(float(np.linalg.norm(v)) for v in candidates)
-        oracle = _linalg.gram_schmidt(candidates, GNS_PIVOT_TOL * scale)
-        assert np.array_equal(gns(omega).basis, oracle)
-
     def test_represent(self, m2m3):
         rng = SplitMix64(7)
         data = gns(rand_functional(rng, m2m3, [2, 1]))
@@ -382,6 +423,19 @@ class TestClosedFormsAgainstProbing:
             cols.append(data.basis.conj().T @ np.concatenate(out))
         oracle = np.column_stack(cols)
         assert np.max(np.abs(data.represent(x) - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+
+def test_gns_reads_the_density_eigen_data(m2m3, count_calls):
+    # After is_positive the density's eigenvectors are memoized: gns factors
+    # nothing and builds one Element, the identity of the cyclic vector.
+    factored = count_calls(_linalg.hermitian_eigh)
+    built = count_calls(Element.__init__)
+    for ranks in (None, [2, 1]):
+        omega = rand_functional(SplitMix64(17), m2m3, ranks)
+        assert omega.is_positive()
+        before = len(factored), len(built)
+        gns(omega)
+        assert (len(factored) - before[0], len(built) - before[1]) == (0, 1)
 
 
 @pytest.mark.parametrize("op", [
