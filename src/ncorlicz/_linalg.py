@@ -38,6 +38,9 @@ per step rather than per block, so it wins once a stack is large enough;
 the measured crossover (six even-sized or twelve odd-sized blocks), such as
 the distinct pieces of a core element, and leaves every smaller group to
 ``singular_values``.
+
+``levels`` alone decides which values count as equal and which as zero, for
+every cluster, rank and support in ``algebra`` and every singular step.
 """
 
 from __future__ import annotations
@@ -66,12 +69,12 @@ ORTH_TOL = 1e-15
 _SAFE_EXP = 450
 _SAFE_LO = 2.0 ** -_SAFE_EXP
 
-# Eigenvalues closer than this (relative) are merged into one spectral
-# projection, which stabilizes projections under degeneracy.
+# ``levels`` joins adjacent values closer than this (relative) into one group:
+# one spectral projection or one rearrangement step, stable under degeneracy.
 CLUSTER_RTOL = 1e-9
 
-# Below this (relative to the largest eigenvalue) an eigenvalue counts as
-# zero: it is excluded from supports, ranks and pseudo-inverses.
+# ``levels`` counts a group at or below this times the largest value as zero:
+# outside ranks, supports, pseudo-inverses, polar factors and singular data.
 RANK_RTOL = 1e-11
 
 # A Hermitian block counts as positive while its smallest eigenvalue is at
@@ -532,21 +535,36 @@ def ldexp_values(vals: list[float], e: int, what: str) -> np.ndarray:
         raise ValidationError(f"the matrix has {what} beyond the binary64 range") from None
 
 
-def cluster_indices(vals_desc: np.ndarray) -> list[list[int]]:
-    """Group indices of a descending eigenvalue array into near-degenerate clusters.
+def levels(vals_desc, measures=None) -> tuple[list[list[int]], list[float], int]:
+    """(groups, values, rank) of a descending array, the one rule for equal and zero values.
 
-    Adjacent values join a cluster when their gap is at most ``CLUSTER_RTOL``
-    times the larger magnitude of the two.
+    Adjacent values share a group while their gap is at most ``CLUSTER_RTOL``
+    times the larger magnitude (a chain rule); a group's value is its
+    measure-weighted mean (measures 1 by default), v1 + (v2 - v1) m2 / (m1 + m2),
+    which cannot overflow; the rank counts the values of the groups whose value
+    lies above ``RANK_RTOL`` max(v_0, 0), the leading ones, since values descend.
     """
-    groups: list[list[int]] = []
-    for k, v in enumerate(vals_desc):
-        if groups:
-            prev = vals_desc[groups[-1][-1]]
-            if abs(prev - v) <= CLUSTER_RTOL * max(abs(prev), abs(v)):
-                groups[-1].append(k)
-                continue
-        groups.append([k])
-    return groups
+    vals = vals_desc.tolist() if isinstance(vals_desc, np.ndarray) else vals_desc
+    rtol, groups, values = CLUSTER_RTOL, [], []
+    for k, v in enumerate(vals):
+        # Descending, so the gap is prev - v and the larger magnitude max(prev, -v).
+        if groups and prev - v <= rtol * (prev if prev > -v else -v):
+            group = groups[-1]
+            if len(group) == 1:
+                total = 1.0 if measures is None else measures[group[0]]
+            m = 1.0 if measures is None else measures[k]
+            total += m
+            values[-1] += (v - values[-1]) * (m / total)
+            group.append(k)
+        else:
+            groups.append([k])
+            values.append(v)
+        prev = v
+    cut = RANK_RTOL * vals[0] if groups and vals[0] > 0.0 else 0.0
+    rank = len(vals)
+    if values and not values[-1] > cut:  # the first group at or below the cut ends the rank
+        rank = next(g[0] for g, value in zip(groups, values) if not value > cut)
+    return groups, values, rank
 
 
 def is_positive_semidefinite(vals_desc) -> bool:
@@ -555,16 +573,6 @@ def is_positive_semidefinite(vals_desc) -> bool:
         return True
     low = float(vals_desc[-1])
     return low >= -POSITIVITY_RTOL * max(float(vals_desc[0]), abs(low), 1e-300)
-
-
-def rank_from_eigenvalues(vals: np.ndarray) -> int:
-    """Numerical rank of a positive semidefinite matrix from its eigenvalues (RANK_RTOL)."""
-    if vals.size == 0:
-        return 0
-    top = float(np.max(vals))
-    if top <= 0.0:
-        return 0
-    return int(np.sum(vals > RANK_RTOL * top))
 
 
 def block_diag(blocks) -> np.ndarray:

@@ -14,11 +14,14 @@ per-block eigen data on the Element the first time it is asked for, and every
 spectral routine (powers, supports, positivity, ranks) reads it from there
 (singular values likewise from ``_block_singular_values``, which
 ``fill_singular_values`` can fill for many Elements at once).  The eigenvalue
-clusters with their spectral projections (``_block_clusters``) and the
-``is_hermitian`` verdict are stored the same way, so powers, supports and the
-spectral calculus of one Element cluster its blocks once, and so is the merged
-(value, measure) singular data that ``trace_orlicz._singular_arrays`` reads for
-norms and rearrangements; the blocks are read-only, so no memo can go stale.
+clusters with their spectral projections and ranks (``_block_clusters``) and
+the ``is_hermitian`` verdict are stored the same way, so powers, supports,
+corners, faithfulness and the spectral calculus of one Element cluster its
+blocks once, and so is the merged (value, measure) singular data that
+``trace_orlicz._singular_arrays`` reads for norms and rearrangements; the
+blocks are read-only, so no memo can go stale.  ``_linalg.levels`` is the one
+rule for which values are equal and which are zero: it makes the clusters,
+their values (weighted means, which cannot overflow) and every rank here.
 A Functional keeps its density as one such Element.  Memos fill lazily
 without a lock, and a fill never overwrites a stored memo.  Which kernel fills
 the singular-value memo depends on the call that first needs it:
@@ -30,7 +33,7 @@ it by different routes at once may leave either result.
 
 |x| and polar data come from one singular value decomposition per block,
 ``_linalg.svd`` (one-sided Jacobi with the right singular vectors), cut at
-RANK_RTOL times the block's largest singular value as the norms are
+the rank ``_linalg.levels`` gives the singular values, as the norms are
 (``polar_decompose``), so x is never squared on that route.  Every singular
 value, ``operator_norm``'s included, comes from ``_block_singular_values``; the
 one eigendecomposition of x* x left is the spectral check of
@@ -46,11 +49,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg
-from ._linalg import RANK_RTOL, is_positive_semidefinite
+from ._linalg import is_positive_semidefinite
 from .errors import ValidationError
 
 HERMITIAN_RTOL = 1e-12
 _LOG_DBL_MAX = math.log(sys.float_info.max)  # exp(w) is finite for Re w <= this
+# t^z = exp(z log t) has its phase off by up to |Im(z log t)| 2^-52 rad, the rounding
+# of z log t.  Past this bound, about 1e-6 rad, power_on_support refuses it: at 2^0 rad
+# no digit is left (the modular flow at t = 1e15 misses its group law by 0.16).
+_PHASE_BOUND = 2.0 ** -20
 
 
 @dataclass(frozen=True)
@@ -240,9 +247,8 @@ class Functional:
         return negative_block(d) is None
 
     def is_faithful(self) -> bool:
-        return self.is_positive() and all(
-            _linalg.rank_from_eigenvalues(vals) == d
-            for (vals, _), d in zip(_block_eigh(self._density), self.algebra.block_dims))
+        return self.is_positive() and tuple(
+            rank for rank, _ in _block_clusters(self._density)) == self.algebra.block_dims
 
     def norm(self) -> float:
         """Functional norm, equal to tau(|T|) for the density T."""
@@ -355,39 +361,51 @@ def fill_singular_values(elements) -> None:
             object.__setattr__(x, "_svals", svals)
 
 
-def _block_clusters(x: Element) -> tuple[tuple[float, tuple], ...]:
-    """Per-block (cut, clusters) of a Hermitian x, stored on x by the first call.
+def _block_clusters(x: Element) -> tuple[tuple[int, tuple], ...]:
+    """Per-block (rank, clusters) of a Hermitian x, stored on x by the first call.
 
-    The clusters are (representative value, multiplicity, projection) for each
-    group of ``_linalg.cluster_indices``, in descending order, with read-only
-    projections; cut is RANK_RTOL times the block's largest eigenvalue (0 when
-    that is negative), the cut of ``_on_support``.
+    Both come from ``_linalg.levels`` of the block's eigenvalues: a cluster is
+    (value, multiplicity, read-only projection) for each of its groups, in
+    descending order, and the rank is the multiplicity of the support clusters.
     """
     if x._clusters is None:
         out = []
         for vals, vecs in _block_eigh(x):
+            groups, values, rank = _linalg.levels(vals)
             clusters = []
-            for group in _linalg.cluster_indices(vals):
+            for group, value in zip(groups, values):
                 cols = vecs[:, group]
                 proj = cols @ cols.conj().T
                 proj.flags.writeable = False
-                clusters.append((float(np.mean(vals[group])), len(group), proj))
-            out.append((RANK_RTOL * max(float(vals[0]), 0.0), tuple(clusters)))
+                clusters.append((value, len(group), proj))
+            out.append((rank, tuple(clusters)))
         if x._clusters is None:
             object.__setattr__(x, "_clusters", tuple(out))
     return x._clusters
 
 
-def _on_support(x: Element, f) -> list[np.ndarray]:
-    """Blocks sum f(l) P_l over the eigenvalue clusters of a Hermitian x that lie
-    above RANK_RTOL times the block's largest eigenvalue (and above 0); the
-    other clusters count as kernel, where f is taken to be 0."""
+def _on_support(x: Element, f, kernel: bool = False) -> list[np.ndarray]:
+    """Blocks sum f(l) P_l over the eigenvalue clusters of a Hermitian x within
+    its rank (``_block_clusters``), the others counting as kernel, where f is 0.
+    With ``kernel`` every cluster counts, and an f that raises or is not finite
+    there is rejected with the eigenvalue and block named (the spectral calculus)."""
     out = []
-    for d, (cut, clusters) in zip(x.algebra.block_dims, _block_clusters(x)):
+    for i, (d, (rank, clusters)) in enumerate(zip(x.algebra.block_dims, _block_clusters(x))):
         acc = np.zeros((d, d), dtype=np.complex128)
-        for rep, _, proj in clusters:
-            if rep > cut:
-                acc += f(rep) * proj
+        for value, mult, proj in clusters:
+            if kernel:
+                try:
+                    y = complex(f(value))
+                except Exception as exc:
+                    raise ValidationError(f"function undefined at eigenvalue {value!r} "
+                                          f"(block {i}): {exc}") from exc
+                if not (math.isfinite(y.real) and math.isfinite(y.imag)):
+                    raise ValidationError(
+                        f"function not finite at eigenvalue {value!r} (block {i}): {y!r}")
+                acc += y * proj
+            elif rank > 0:
+                acc += f(value) * proj
+                rank -= mult
         out.append(acc)
     return out
 
@@ -413,52 +431,39 @@ def eigen_spectrum(x: Element) -> Spectrum:
     _require_hermitian(x, "eigen_spectrum")
     lines = []
     for i, (_, clusters) in enumerate(_block_clusters(x)):
-        for rep, mult, proj in clusters:
+        for value, mult, proj in clusters:
             blocks = [np.zeros((d, d), dtype=np.complex128) for d in x.algebra.block_dims]
             blocks[i] = proj
-            lines.append(SpectralLine(i, rep, mult, Element(x.algebra, blocks)))
+            lines.append(SpectralLine(i, value, mult, Element(x.algebra, blocks)))
     return Spectrum(x.algebra, tuple(lines))
 
 
 def spectral_calculus(x: Element, f) -> Element:
     """Apply a scalar function to a Hermitian element, f(x) = sum f(l_k) P_k.
 
-    The function is evaluated once per merged eigenvalue cluster; an
-    evaluation that raises or returns a non-finite number is rejected with
-    the offending eigenvalue named.
+    The function is evaluated once per merged eigenvalue cluster, kernel
+    clusters included; an evaluation that raises or returns a non-finite
+    number is rejected with the offending eigenvalue named.
     """
     _require_hermitian(x, "spectral_calculus")
-    out_blocks = []
-    for i, (_, clusters) in enumerate(_block_clusters(x)):
-        d = x.algebra.block_dims[i]
-        acc = np.zeros((d, d), dtype=np.complex128)
-        for rep, _, proj in clusters:
-            try:
-                y = complex(f(rep))
-            except Exception as exc:
-                raise ValidationError(
-                    f"function undefined at eigenvalue {rep!r} (block {i}): {exc}") from exc
-            if not (math.isfinite(y.real) and math.isfinite(y.imag)):
-                raise ValidationError(
-                    f"function not finite at eigenvalue {rep!r} (block {i}): {y!r}")
-            acc += y * proj
-        out_blocks.append(acc)
-    return Element(x.algebra, out_blocks)
+    return Element(x.algebra, _on_support(x, f, kernel=True))
 
 
 def power_on_support(x: Element, z: complex) -> Element:
     """x^z through the spectral calculus, with 0^z := 0 on the kernel.
 
-    Eigenvalues at or below the rank threshold are sent to 0, so negative
-    real parts mean Moore-Penrose pseudo-inverses and z = 0 or z = it
-    reproduce the support projection and the phase unitaries on it.  An
-    eigenvalue whose power lies beyond the binary64 range (a pseudo-inverse of
-    a subnormal density, say), or whose z log t is not finite (an infinite or
-    NaN exponent, or a finite one whose product overflows), raises
-    ValidationError before it is formed.
+    Clusters outside the rank are sent to 0, so negative real parts mean
+    Moore-Penrose pseudo-inverses and z = 0 or z = it reproduce the support
+    projection and the phase unitaries on it.  An eigenvalue whose power lies
+    beyond the binary64 range (a pseudo-inverse of a subnormal density, say)
+    or whose z log t is not finite (an infinite or NaN exponent, or a finite
+    one whose product overflows) raises ValidationError before it is formed;
+    so does a phase whose rounding bound |Im(z log t)| 2^-52 passes
+    ``_PHASE_BOUND`` rad, once every exponent has been checked.
     """
     _require_hermitian(x, "power_on_support")
     z = complex(z)
+    blurred = []  # eigenvalues whose phase passes _PHASE_BOUND
 
     def power(t):
         w = z * math.log(t)
@@ -470,9 +475,16 @@ def power_on_support(x: Element, z: complex) -> Element:
             raise ValidationError(
                 f"power_on_support: eigenvalue {t!r} to the power {z} has modulus "
                 f"exp({w.real:.6g}), beyond the binary64 range")
+        if (bound := math.ldexp(abs(w.imag), -52)) > _PHASE_BOUND:
+            blurred.append((t, bound))
         return np.exp(w)
 
-    return Element(x.algebra, _on_support(x, power))
+    blocks = _on_support(x, power)
+    if blurred:
+        t, bound = blurred[0]
+        raise ValidationError(f"power_on_support: eigenvalue {t!r} to the power {z} has a phase "
+                              f"whose rounding bound {bound:.3g} rad exceeds {_PHASE_BOUND:.3g} rad")
+    return Element(x.algebra, blocks)
 
 
 def positive_eigenvalues(x: Element) -> list[list[float]]:
@@ -499,14 +511,13 @@ def polar_decompose(x: Element) -> tuple[Element, Element]:
     Per block a = 2^e u diag(s) v* with u = w / s from ``_linalg.svd``, so
     |a| = 2^e v_r s_r v_r* (the prescale undone by ``pow2_rescale``) and the
     polar factor is u_r v_r* (Higham, "Computing the polar decomposition --
-    with applications", SIAM J. Sci. Stat. Comput. 7, 1986), on the r singular
-    values above RANK_RTOL times the largest, the cut of the norms; the rest
-    count as kernel, where |x| is 0.
+    with applications", SIAM J. Sci. Stat. Comput. 7, 1986), on the rank r of
+    ``_linalg.levels`` of s, the cut of the norms; the rest count as kernel.
     """
     factors, moduli = [], []
     for b in x.blocks:
         w, s, v, e = _linalg.svd(b)
-        r = _linalg.rank_from_eigenvalues(s)
+        r = _linalg.levels(s)[2]
         vr = v[:, :r]
         vh = vr.conj().T
         factors.append((w[:, :r] / s[:r]) @ vh)
@@ -571,24 +582,12 @@ def reduce_to_support(phi: Functional) -> Reduction:
     """Restrict a positive functional to its support corner, where it is faithful."""
     if not phi.is_positive():
         raise ValidationError("reduce_to_support needs a positive functional")
-    dims = []
-    weights = []
-    isometries = []
-    kept = []
-    dens = []
-    for i, ((vals, vecs), c) in enumerate(zip(_block_eigh(phi.density_element()),
-                                              phi.algebra.weights)):
-        rk = _linalg.rank_from_eigenvalues(vals)
-        if rk == 0:
-            continue
-        u = vecs[:, :rk]
-        dims.append(rk)
-        weights.append(c)
-        isometries.append(u)
-        kept.append(i)
-        dens.append(np.diag(vals[:rk]).astype(np.complex128))
-    if not dims:
+    rho = phi.density_element()
+    kept = [(i, rank) for i, (rank, _) in enumerate(_block_clusters(rho)) if rank]
+    if not kept:
         raise ValidationError("functional is zero; the support corner is empty")
-    corner = make_algebra(dims, weights)
-    restricted = Functional(corner, dens)
-    return Reduction(corner, restricted, tuple(isometries), tuple(kept))
+    eig = _block_eigh(rho)
+    corner = make_algebra([r for _, r in kept], [phi.algebra.weights[i] for i, _ in kept])
+    dens = [np.diag(eig[i][0][:r]).astype(np.complex128) for i, r in kept]
+    return Reduction(corner, Functional(corner, dens), tuple(eig[i][1][:, :r] for i, r in kept),
+                     tuple(i for i, _ in kept))

@@ -73,7 +73,7 @@ def gns(omega: Functional) -> GNSData:
     e_j tensor rho_i^(1/2)[k, :], and the rows of rho_i^(1/2) span conj(v) over
     its support eigenvectors v.  So the basis is blockdiag_i kron(I, conj(V_i)),
     V_i the first r_i columns of the density's memoized eigenvectors, r_i the
-    multiplicity of the clusters ``_on_support`` keeps; the dimension is
+    rank of ``_block_clusters``, which ``_on_support`` keeps; the dimension is
     sum_i d_i r_i, and the basis is orthonormal as far as V_i is, at every scale.
     """
     if not omega.is_positive():
@@ -83,8 +83,7 @@ def gns(omega: Functional) -> GNSData:
     alg = omega.algebra
     rho = omega.density_element()
     root = tuple(_on_support(rho, math.sqrt))
-    ranks = tuple(sum(mult for rep, mult, _ in clusters if rep > cut)
-                  for cut, clusters in _block_clusters(rho))
+    ranks = tuple(rank for rank, _ in _block_clusters(rho))
     basis = _linalg.block_diag([_linalg.kron(np.eye(len(vecs)), vecs[:, :r].conj())
                                 for (_, vecs), r in zip(_block_eigh(rho), ranks)])
     gram = _linalg.block_diag([c * _linalg.kron(np.eye(len(r)), r.T)

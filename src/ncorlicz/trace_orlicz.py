@@ -1,10 +1,12 @@
 """Orlicz norms over a finite-dimensional trace algebra.
 
 The singular values of an element, weighted by the trace weights of
-their blocks, form a decreasing step function (the rearrangement); the
-distribution identity tau(f(|x|)) = integral of f along that step
-function holds exactly for step data, and ``fk_integral`` checks the
-singular data it reads against the eigenvalues of x* x.  The Luxemburg gauge
+their blocks, form a decreasing step function (the rearrangement); which
+values are zero and which share a step is decided by ``_linalg.levels``, the
+rule of the eigenvalue clusters too.  The distribution identity
+tau(f(|x|)) = integral of f along that step function holds exactly for step
+data, and ``fk_integral`` checks the singular data it reads against the
+eigenvalues of x* x.  The Luxemburg gauge
 
     ||x||_Phi = inf { lam > 0 : tau(Phi(|x|/lam)) <= 1 }
 
@@ -22,10 +24,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
-from ._linalg import CLUSTER_RTOL, RANK_RTOL
+from . import _linalg
 from .algebra import Element, _block_eigh, _block_singular_values, _in_range, trace
 from .errors import ConvergenceError, ValidationError
 from .orliczfn import INF, OrliczFunction
@@ -88,17 +91,12 @@ class RearrangementFunction:
             t += s.length
         return rows
 
-    def matches(self, other: "RearrangementFunction", rtol: float = CLUSTER_RTOL) -> bool:
-        """Step-data equality: same count, exactly equal lengths, values equal
-        up to the eigenvalue-merge tolerance."""
-        if len(self.steps) != len(other.steps):
-            return False
-        for a, b in zip(self.steps, other.steps):
-            if a.length != b.length:
-                return False
-            if abs(a.value - b.value) > rtol * max(a.value, b.value):
-                return False
-        return True
+    def matches(self, other: "RearrangementFunction") -> bool:
+        """Step-data equality: same count, exactly equal lengths, and values
+        that ``_linalg.levels`` puts in one group, as it would merge them."""
+        return len(self.steps) == len(other.steps) and all(
+            a.length == b.length and len(_linalg.levels(sorted((a.value, b.value))[::-1])[0]) == 1
+            for a, b in zip(self.steps, other.steps))
 
     def __repr__(self):
         return f"RearrangementFunction({[(s.value, s.length) for s in self.steps]})"
@@ -110,26 +108,21 @@ def singular_value_measures(x: Element) -> list[tuple[float, float]]:
     Each block x_i is factored once per Element (``_block_singular_values``),
     directly, by one-sided Jacobi (exact power-of-two prescale, so any finite
     scale works and small values keep their relative accuracy); x*x is never
-    formed.  Values at or below RANK_RTOL times the block's largest are
-    dropped.  Each remaining singular value of block i carries measure c_i
-    per multiplicity; values within the cluster tolerance are merged into
-    their measure-weighted mean, formed as v1 + (v2 - v1) m2 / (m1 + m2) so
-    that it cannot overflow.
+    formed.  ``_linalg.levels`` decides the rest: each block keeps the values
+    within its rank, each carrying measure c_i, and the levels of all kept
+    values, weighted by those measures, are the steps, each with its group's
+    total measure and weighted mean, which cannot overflow.
     """
     pairs = []
-    for c, vals in zip(x.algebra.weights, _block_singular_values(x)):
-        cut = RANK_RTOL * vals[0]
-        pairs.extend((float(v), c) for v in vals if v > cut)
-    pairs.sort(key=lambda p: -p[0])
-    merged: list[list[float]] = []
-    for v, m in pairs:
-        if merged and abs(merged[-1][0] - v) <= CLUSTER_RTOL * max(merged[-1][0], v):
-            tot = merged[-1][1] + m
-            merged[-1][0] += (v - merged[-1][0]) * (m / tot)
-            merged[-1][1] = tot
-        else:
-            merged.append([v, m])
-    return [(v, m) for v, m in merged]
+    for c, s in zip(x.algebra.weights, _block_singular_values(x)):
+        s = s.tolist()
+        pairs += [(v, c) for v in s[:_linalg.levels(s)[2]]]
+    pairs.sort(key=itemgetter(0), reverse=True)
+    values, measures = zip(*pairs) if pairs else ((), ())
+    groups, values, _ = _linalg.levels(values, measures)
+    if len(groups) < len(measures):
+        measures = [sum(measures[g[0]:g[-1] + 1]) for g in groups]
+    return list(zip(values, measures))
 
 
 def rearrangement(x: Element) -> RearrangementFunction:
@@ -207,7 +200,7 @@ def fk_integral(phi: OrliczFunction, x: Element) -> float:
         trace_h, slack, n = trace_h + c * float(lam.sum()), slack + c * d * b, n + d
     values, measures = _singular_arrays(x)
     mass = float(np.dot(measures, np.square(np.ldexp(values, -e) if e else values)))
-    tol = slack + n * (eps + n * CLUSTER_RTOL**2) * trace_h + math.ldexp(n, -1073)
+    tol = slack + n * (eps + n * _linalg.CLUSTER_RTOL**2) * trace_h + math.ldexp(n, -1073)
     if abs(mass - trace_h) > tol:
         raise ValidationError(f"distribution identity violated at Phi(t) = t^2: step sum {mass!r} "
                               f"vs tau(y* y) = {trace_h!r} for y = x / 2^{e}")

@@ -10,7 +10,7 @@ from ncorlicz import (Element, Functional, StandardForm, ValidationError, _linal
                       canonical_trace, eigen_spectrum, embed, functional_polar, make_algebra,
                       operator_norm, polar_decompose, power_on_support, reduce_to_support,
                       spectral_calculus, support_projection, trace)
-from ncorlicz._linalg import (POSITIVITY_RTOL, RANK_RTOL, cluster_indices, hermitian_eigh,
+from ncorlicz._linalg import (POSITIVITY_RTOL, RANK_RTOL, hermitian_eigh, levels,
                               singular_values)
 from ncorlicz.algebra import (HERMITIAN_RTOL, _block_clusters, _block_eigh,
                               _block_singular_values, fill_singular_values)
@@ -76,6 +76,9 @@ def test_spectral_calculus_examples(m2):
     x = Element(m2, [np.diag([1.0, 4.0])])
     root = spectral_calculus(x, math.sqrt)
     assert np.allclose(root.blocks[0], np.diag([1.0, 2.0]))
+    # A cluster at the top of binary64 keeps its value: no mean overflows.
+    top = Element(m2, [np.diag([1.7e308, 1.7e308])])
+    assert np.array_equal(spectral_calculus(top, lambda t: t / 2).blocks[0], 0.85e308 * np.eye(2))
 
 
 def test_spectral_identity_and_square(m2m3, rng):
@@ -114,6 +117,9 @@ def test_spectrum_invariants(m2m3, rng):
     merged = eigen_spectrum(Element(m2m3, [np.diag([2.0, 2.0]), np.zeros((3, 3))]))
     mults = [l.multiplicity for l in merged.lines if l.block == 0]
     assert mults == [2]
+    # ... into its weighted mean, which cannot overflow at the top of binary64
+    top = eigen_spectrum(Element(m2m3, [np.diag([1.7e308, 1.7e308]), np.zeros((3, 3))]))
+    assert [(l.value, l.multiplicity) for l in top.lines if l.block == 0] == [(1.7e308, 2)]
 
 
 def test_polar_examples(m2):
@@ -206,6 +212,9 @@ def test_power_beyond_binary64_range_is_a_validation_error(m2):
     # Powers that binary64 represents are still formed.
     assert np.allclose(np.diag(power_on_support(x, -0.5).blocks[0]), [1e155, 5e154], rtol=1e-12)
     assert np.allclose(np.diag(power_on_support(y, 1.5).blocks[0]), [1e300, 8e300], rtol=1e-12)
+    top = Element(m2, [np.diag([1.7e308, 1.7e308])])
+    assert np.allclose(power_on_support(top, 0.5).blocks[0], math.sqrt(1.7e308) * np.eye(2),
+                       rtol=1e-12, atol=0.0)
 
 
 def test_support_projection(m2):
@@ -319,8 +328,7 @@ def _fresh_power(block, z):
     """block^z on its support, computed from a fresh factorisation of the block."""
     vals, vecs = hermitian_eigh(block)
     out = np.zeros_like(block)
-    for group in cluster_indices(vals):
-        rep = float(np.mean(vals[group]))
+    for group, rep in zip(*levels(vals)[:2]):
         if rep > RANK_RTOL * max(float(vals[0]), 0.0):
             cols = vecs[:, group]
             out += np.exp(complex(z) * math.log(rep)) * (cols @ cols.conj().T)

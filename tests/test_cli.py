@@ -128,6 +128,14 @@ def test_cocycle_non_finite_t_names_the_exponent(capsys, files, t, power):
     assert "non-finite entries" not in err
 
 
+def test_cocycle_phase_without_correct_digits_is_an_input_error(capsys, files):
+    code, out, err = run_cli(capsys, "cocycle", "--algebra", str(files / "m2.json"),
+                             "--functional", str(files / "phi.json"),
+                             "--functional", str(files / "omega.json"), "--t", "1e16")
+    assert (code, out) == (2, "")
+    assert "has a phase whose rounding bound" in err
+
+
 def test_gns_report(capsys, files):
     code, out, _ = run_cli(capsys, "gns", "--algebra", str(files / "m2.json"),
                            "--functional", str(files / "phi.json"))

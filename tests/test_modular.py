@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ncorlicz import (Element, Functional, ValidationError, _linalg, connes_cocycle, gns,
-                      make_algebra, modular_flow, radon_nikodym_sqrt, relative_modular,
-                      standard_form, support_projection)
+                      make_algebra, modular_flow, radon_nikodym_sqrt, reduce_to_support,
+                      relative_modular, standard_form, support_projection, trace)
 from ncorlicz.sampling import (SplitMix64, rand_element, rand_faithful_functional,
                                rand_functional, rand_positive, rand_unitary_element)
 
@@ -111,6 +111,25 @@ class TestGNS:
     def test_zero_rejected(self, m2):
         with pytest.raises(ValidationError):
             gns(Functional(m2, [np.zeros((2, 2))]))
+
+
+# A cluster of two eigenvalues near RANK_RTOL times the largest, one on each
+# side of the cut: its mean falls below the cut in the first density and above
+# it in the second, and every support question must answer with that one rank.
+@pytest.mark.parametrize("pair, rank", [((1 + 2e-10, 1 - 6e-10), 1),
+                                        ((1 + 6e-10, 1 - 2e-10), 3)])
+def test_support_gns_corner_and_faithfulness_share_one_rank(m3, pair, rank):
+    phi = Functional(m3, [np.diag([1.0, *(1e-11 * a for a in pair)])])
+    assert trace(support_projection(phi)).real == pytest.approx(rank, abs=1e-12)
+    assert gns(phi).dimension == 3 * rank
+    assert reduce_to_support(phi).algebra.block_dims == (rank,)
+    assert phi.is_faithful() == (rank == 3)
+    x = Element(m3, [np.diag([1.0, 2.0, 3.0])])
+    if rank == 3:
+        assert modular_flow(phi, 0.5, x).allclose(x, 1e-12)
+    else:
+        with pytest.raises(ValidationError, match="needs a faithful functional"):
+            modular_flow(phi, 0.5, x)
 
 
 class TestStandardForm:
@@ -235,6 +254,22 @@ class TestModularFlow:
         with pytest.raises(ValidationError, match="reduce"):
             modular_flow(phi, 1.0, Element(m2, [np.eye(2)]))
 
+    # The phase t log(0.3) is rounded to about |t log 0.3| 2^-52 rad, which
+    # passes 2^-20 rad once |t| > 3.6e9; at t = 1e15 sigma_t would miss the
+    # group law by 0.16.
+    @pytest.mark.parametrize("t, refused", [(1e3, False), (1e12, True), (1e15, True),
+                                            (1e16, True), (-1e16, True)])
+    def test_phase_without_correct_digits_is_refused(self, m2, t, refused):
+        phi = Functional(m2, [np.diag([0.3, 0.7])])
+        x = Element(m2, [np.array([[0.0, 1.0], [0.0, 0.0]])])
+        if refused:
+            with pytest.raises(ValidationError, match=r"to the power .*j has a phase whose "
+                                                      r"rounding bound .* exceeds 9.54e-07 rad"):
+                modular_flow(phi, t, x)
+        else:
+            law = modular_flow(phi, t, x) - modular_flow(phi, t / 3, modular_flow(phi, 2 * t / 3, x))
+            assert law.frobenius_norm() <= 1e-12
+
 
 class TestConnesCocycle:
     def test_t_zero_identity(self, m3, rng):
@@ -285,6 +320,17 @@ class TestConnesCocycle:
         phi, omega = Functional(m2, [np.diag([0.1, 0.9])]), Functional(m2, [0.5 * np.eye(2)])
         with pytest.raises(ValidationError, match=r"eigenvalue .* to the power .*not finite"):
             connes_cocycle(phi, omega, t)
+
+    @pytest.mark.parametrize("t, refused", [(1e3, False), (1e12, True), (1e15, True),
+                                            (1e16, True)])
+    def test_phase_without_correct_digits_is_refused(self, m2, t, refused):
+        phi, omega = Functional(m2, [np.diag([0.3, 0.7])]), Functional(m2, [0.5 * np.eye(2)])
+        if refused:
+            with pytest.raises(ValidationError, match="rounding bound"):
+                connes_cocycle(phi, omega, t)
+        else:
+            want = np.diag(np.exp(1j * t * np.log([0.6, 1.4])))
+            assert np.max(np.abs(connes_cocycle(phi, omega, t).blocks[0] - want)) <= 1e-12
 
     def test_nonfaithful_omega_rejected(self, m2, rng):
         with pytest.raises(ValidationError):
@@ -373,7 +419,7 @@ def test_each_density_is_clustered_once(m2m3, count_calls):
     rng = SplitMix64(19)
     phi, psi, omega = (faithful(rng, m2m3) for _ in range(3))
     x = rand_element(rng, m2m3)
-    clustered = count_calls(_linalg.cluster_indices)
+    clustered = count_calls(_linalg.levels)
     relative_modular(phi, omega).matrix()
     for t in (-1.3, 0.4, 1.9):
         connes_cocycle(phi, omega, t)

@@ -115,9 +115,9 @@ def test_library_factors_with_its_own_kernels():
     assert found == []
 
 
-def test_only_block_eigh_calls_hermitian_eigh():
-    # algebra._block_eigh stores each eigendecomposition on its Element; any
-    # other caller outside _linalg would factor a block a second time.
+def _library_reads(names):
+    """(module file, top-level definition or None, name) for each place a library
+    module other than _linalg imports or reads one of ``names``."""
     src = Path(ncorlicz.__file__).parent
     found = []
     for path in sorted(src.glob("*.py")):
@@ -126,9 +126,23 @@ def test_only_block_eigh_calls_hermitian_eigh():
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             for node in ast.walk(top):
                 if isinstance(node, ast.ImportFrom):
-                    names = [alias.name for alias in node.names]
+                    read = [alias.name for alias in node.names]
                 else:
-                    names = [getattr(node, "id", None), getattr(node, "attr", None)]
-                if "hermitian_eigh" in names:
-                    found.append((path.name, getattr(top, "name", None)))
-    assert set(found) == {("algebra.py", "_block_eigh")}
+                    read = [getattr(node, "id", None), getattr(node, "attr", None)]
+                found += [(path.name, getattr(top, "name", None), n) for n in read if n in names]
+    return found
+
+
+def test_only_block_eigh_calls_hermitian_eigh():
+    # algebra._block_eigh stores each eigendecomposition on its Element; any
+    # other caller outside _linalg would factor a block a second time.
+    found = _library_reads({"hermitian_eigh"})
+    assert {(path, top) for path, top, _ in found} == {("algebra.py", "_block_eigh")}
+
+
+def test_only_linalg_decides_equal_and_zero_values():
+    # _linalg.levels decides every cluster, rank, support and singular step; a
+    # module that compared values against these tolerances itself would bring
+    # back a second rule.  fk_integral reads CLUSTER_RTOL for its error bound.
+    assert _library_reads({"RANK_RTOL", "CLUSTER_RTOL"}) == [
+        ("trace_orlicz.py", "fk_integral", "CLUSTER_RTOL")]

@@ -6,9 +6,9 @@ import pytest
 
 from ncorlicz import (ConvergenceError, CoshMinusOne, Element, JumpFunction, OrliczFunction,
                       PowerFunction, ValidationError, _linalg, absolute, dual_pairing,
-                      e_space_gauge, fk_integral, luxemburg_norm, luxemburg_report, make_algebra,
-                      membership, modular_value, operator_norm, rearrangement, rearrangement_csv,
-                      registry, trace, young_conjugate)
+                      e_space_gauge, eigen_spectrum, fk_integral, luxemburg_norm,
+                      luxemburg_report, make_algebra, membership, modular_value, operator_norm,
+                      rearrangement, rearrangement_csv, registry, trace, young_conjugate)
 from ncorlicz._linalg import RANK_RTOL
 from ncorlicz.algebra import _block_singular_values
 from ncorlicz.core_model import CoreElement, core_luxemburg_report, embed, interval
@@ -96,6 +96,14 @@ class TestRearrangement:
         core_luxemburg_report(CoshMinusOne(), core)
         luxemburg_report(PowerFunction(2.0), piece)
         assert [args[0] for args in calls] == [piece, other]
+
+    def test_steps_of_a_positive_element_are_its_spectrum(self, m3):
+        # Gaps of 0.9e-9 chain into one eigenvalue cluster; the steps merge alike.
+        x = Element(m3, [np.diag([1 + 1.8e-9, 1 + 0.9e-9, 1.0])])
+        lines = [(line.value, float(line.multiplicity)) for line in eigen_spectrum(x).lines]
+        steps = [(s.value, s.length) for s in rearrangement(x).steps]
+        assert lines == steps
+        assert steps == [(pytest.approx(1 + 0.9e-9, rel=1e-15), 3.0)]
 
     def test_unitary_conjugation_invariance(self, m2m3, rng):
         x = rand_element(rng, m2m3)
