@@ -24,10 +24,12 @@ The one-sided iteration has two entry points: ``singular_values`` for the
 values and ``svd``, which also accumulates the right singular vectors, for
 |x| and polar data; the values are bit for bit the same.
 
-A third scalar kernel, ``certifies_positive``, runs a Cholesky factorisation
-of a slightly shifted block with the eigensolver's prescale; when it
-succeeds, the block passes the eigenvalue test of ``is_positive_semidefinite``
-without an eigendecomposition.
+The third kernel, ``certifies_positive``, decides per block of a stack of
+same-size blocks whether the block is Hermitian within ``HERMITIAN_RTOL`` and
+a Cholesky factorisation of its slightly shifted Hermitian part succeeds;
+then it passes the eigenvalue test of ``is_positive_semidefinite`` without an
+eigendecomposition.  It runs in elementwise numpy on the whole stack, so a
+call costs per block size, not per block.
 
 The fourth kernel, ``singular_values_stack``, is the one-sided iteration on
 a whole stack of same-size blocks in numpy: each step rotates disjoint
@@ -77,9 +79,17 @@ CLUSTER_RTOL = 1e-9
 # outside ranks, supports, pseudo-inverses, polar factors and singular data.
 RANK_RTOL = 1e-11
 
+# An element counts as Hermitian while ||x - x*||_F is at most this times ||x||_F.
+HERMITIAN_RTOL = 1e-12
+
 # A Hermitian block counts as positive while its smallest eigenvalue is at
 # least -POSITIVITY_RTOL times its largest eigenvalue modulus.
 POSITIVITY_RTOL = 1e-10
+
+# certifies_positive accepts ||w - w*||_F^2 up to this times ||w + w*||_F^2 +
+# ||w - w*||_F^2 = 4 ||w||_F^2: HERMITIAN_RTOL less a relative 2^-20, far more
+# than the rounding of both sides here and in Element.is_hermitian.
+_HERMITIAN_SQ = (HERMITIAN_RTOL * (1.0 - 2.0 ** -20)) ** 2 / 4.0
 
 
 def frobenius(a: np.ndarray) -> float:
@@ -112,7 +122,7 @@ def _ldexp_matrix(a: np.ndarray, e: int) -> np.ndarray:
 
 def _hermitian_rows(a: np.ndarray) -> tuple[list[list[complex]], int]:
     """(rows of (a + a*) / 2^(e+1) as Python ``complex``, e) with 2^(e-1) <=
-    ||a||_F < 2^e, the exact prescale of the Hermitian kernels.  e comes from
+    ||a||_F < 2^e, the exact prescale of ``hermitian_eigh``.  e comes from
     ``_pow2_exponent`` when the norm overflows and is at least -1021, so that
     2^-(e+1) is finite: a block of subnormal norm is scaled to below 1/4.
     Non-finite entries raise ValidationError."""
@@ -160,44 +170,69 @@ def hermitian_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ldexp_values([rows[i][i].real for i in order], e, "eigenvalues"), vecs
 
 
-def certifies_positive(a: np.ndarray) -> bool:
-    """Whether a Cholesky factorisation proves (a + a*) / 2 positive in the
-    sense of ``is_positive_semidefinite``; False proves nothing.
+def certifies_positive(stack) -> np.ndarray:
+    """Per block of an (m, n, n) stack, whether it is certified Hermitian and
+    positive, as m booleans; False proves nothing.
 
-    H = (a + a*) / 2 is formed with the prescale of ``hermitian_eigh``
-    (``_hermitian_rows``), and L L* = H + delta I is factored in scalar
-    Python ``complex`` with delta = ||H||_F (POSITIVITY_RTOL / sqrt(n) - m).
-    Success gives L L* = H + delta I + E with ||E||_2 <= gamma ||L||_F^2,
-    where gamma is about (n + 1) u, u = 2^-53, and at most sqrt(2) (n + 3) u
-    with complex rounding (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., Thm 10.3; Demmel, LAPACK Working Note 14), and
-    ||L||_F^2 = tr(L L*) <= sqrt(n) ||H||_F (1 + POSITIVITY_RTOL) + n ||E||_2.
-    The margin m = 4 n^2 u bounds gamma sqrt(n) with room for that and for
-    the rounding of ||H||_F when n >= 2; n = 1 has no inner product and
-    decides the sign of h + delta exactly.  So lambda_min(H) >= -delta -
-    ||E||_2 >= -POSITIVITY_RTOL ||H||_F / sqrt(n) >= -POSITIVITY_RTOL max|lambda|.
-    A zero H is positive; a nonzero H below 2^-450 after the prescale is
-    left to the eigensolver, since underflow would void the bound.
-    Non-finite entries raise ValidationError.
+    True means both halves of ``Element.is_positive`` hold for the block a: an
+    Element whose blocks all pass is one ``is_hermitian`` accepts, and
+    H = (a + a*) / 2 passes ``is_positive_semidefinite``.  Each block is
+    prescaled exactly, to w = 2^-e a, by the power of two of its largest real
+    or imaginary part, as in ``singular_values_stack``.
+
+    The Hermitian half asks ||w - w*||_F <= (1 - 2^-20) HERMITIAN_RTOL ||w||_F,
+    on squares (see ``_HERMITIAN_SQ``).  The positive half factors
+    L L* = G + delta I, G = w + w* = 2^(1-e) H, by a right-looking Cholesky in
+    real arithmetic with delta = ||G||_F (POSITIVITY_RTOL / sqrt(n) - m).
+    Success gives L L* = G + delta I + E with ||E||_2 <= gamma ||L||_F^2, where
+    gamma is about (n + 1) u, u = 2^-53, and at most sqrt(2) (n + 3) u with
+    complex rounding, in any order of the inner products (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., Thm 10.3; Demmel, LAPACK
+    Working Note 14), and ||L||_F^2 = tr(L L*) <= sqrt(n) ||G||_F
+    (1 + POSITIVITY_RTOL) + n ||E||_2.  The margin m = 4 n^2 u bounds
+    gamma sqrt(n) with room for that and for the rounding of ||G||_F when
+    n >= 2; n = 1 has no inner product and decides the sign of g + delta
+    exactly.  So lambda_min(G) >= -delta - ||E||_2 >= -POSITIVITY_RTOL
+    ||G||_F / sqrt(n) >= -POSITIVITY_RTOL max|lambda|.  A zero block is
+    positive; a nonzero G below 2^-450 is left to the eigensolver, since
+    underflow would void the bound.
+
+    Every step is elementwise real numpy or a sum within one block, with no
+    BLAS and no fused multiply-add, so a block's verdict is bit for bit that
+    of a stack of one.  A block whose pivot fails is already declined, so the
+    NaN or inf that its later steps may carry are left unreported.  Non-finite
+    entries raise ValidationError.
     """
-    h, _ = _hermitian_rows(a)
-    n = len(h)
-    fro = math.hypot(*[abs(x) for row in h for x in row])
-    if fro < _SAFE_LO:
-        return fro == 0.0
-    delta = fro * (POSITIVITY_RTOL / math.sqrt(n) - 4 * n * n * 2.0 ** -53)
-    chol: list[list[complex]] = []
-    for j, hj in enumerate(h):
-        lj = []
-        for k, lk in enumerate(chol):
-            lj.append((hj[k] - sum(map(operator.mul, lj, map(complex.conjugate, lk[:k]))))
-                      / lk[k].real)
-        d = hj[j].real + delta - math.fsum(abs(x) ** 2 for x in lj)
-        if not d > 0.0:
-            return False
-        lj.append(complex(math.sqrt(d)))
-        chol.append(lj)
-    return True
+    a = np.asarray(stack, dtype=np.complex128)
+    m, n = a.shape[0], a.shape[-1]
+    parts = np.ascontiguousarray(a).view(np.float64)
+    big = np.abs(parts.reshape(m, 2 * n * n)).max(axis=1, initial=0.0)
+    if not math.isfinite(big.max(initial=0.0)):  # NaN propagates through max
+        raise ValidationError("matrix has non-finite entries")
+    w = np.ldexp(parts, -np.frexp(big)[1][:, None, None]).view(np.complex128)
+    wh = w.conj().transpose(0, 2, 1)
+    gk = np.empty((2, m, n, n), dtype=np.complex128)
+    np.add(w, wh, out=gk[0])
+    np.subtract(w, wh, out=gk[1])
+    gs, ks = np.square(gk.view(np.float64).reshape(2, m, 2 * n * n)).sum(axis=2)
+    fro = np.sqrt(gs)
+    ok = (ks <= _HERMITIAN_SQ * (gs + ks)) & (fro >= _SAFE_LO)
+    delta = fro * (POSITIVITY_RTOL / math.sqrt(max(n, 1)) - 4 * n * n * 2.0 ** -53)
+    g = gk[0].view(np.float64).reshape(m, n, n, 2)  # (Re, Im) of G
+    pivots = np.empty((n, m))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for j in range(n):
+            pivot = np.add(g[:, j, j, 0], delta, out=pivots[j])
+            if j + 1 == n:
+                break
+            col = g[:, j + 1:, j] / np.sqrt(pivot)[:, None, None]
+            # G[p, q] -= col_p conj(col_q) on the trailing block, as (Re, Im).
+            t = col[:, :, None, :, None] * col[:, None, :, None, :]
+            outer = np.empty(t.shape[:4])
+            np.add(t[..., 0, 0], t[..., 1, 1], out=outer[..., 0])
+            np.subtract(t[..., 1, 0], t[..., 0, 1], out=outer[..., 1])
+            g[:, j + 1:, j + 1:] -= outer
+    return (ok & (pivots > 0.0).all(axis=0)) | (big == 0.0)
 
 
 def _off_mass(rows: list[list[complex]]) -> float:
@@ -565,6 +600,23 @@ def levels(vals_desc, measures=None) -> tuple[list[list[int]], list[float], int]
     if values and not values[-1] > cut:  # the first group at or below the cut ends the rank
         rank = next(g[0] for g, value in zip(groups, values) if not value > cut)
     return groups, values, rank
+
+
+def rank(vals_desc) -> int:
+    """``levels(vals_desc)[2]``, with no grouping pass when the smallest value
+    exceeds 2 RANK_RTOL times the largest.
+
+    Then every value is positive, and so is the largest v_0, so the cut is
+    RANK_RTOL v_0.  Each group's value is a mean of members that all exceed
+    2 RANK_RTOL v_0, formed by steps v1 + (v2 - v1) m2 / (m1 + m2) that stay
+    within a few ulps of [v2, v1]; the factor 2 covers that rounding and the
+    cut's.  So no group lies at or below the cut, and the rank is the number
+    of values.  Otherwise ``levels`` decides.
+    """
+    vals = vals_desc.tolist() if isinstance(vals_desc, np.ndarray) else vals_desc
+    if not vals or vals[-1] > 2.0 * RANK_RTOL * vals[0]:
+        return len(vals)
+    return levels(vals)[2]
 
 
 def is_positive_semidefinite(vals_desc) -> bool:

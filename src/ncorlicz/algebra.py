@@ -22,7 +22,10 @@ blocks once, and so is the merged (value, measure) singular data that
 blocks are read-only, so no memo can go stale.  ``_linalg.levels`` is the one
 rule for which values are equal and which are zero: it makes the clusters,
 their values (weighted means, which cannot overflow) and every rank here.
-A Functional keeps its density as one such Element.  Memos fill lazily
+A Functional keeps its density as one such Element.  Positivity without eigen
+data comes from the stack certificate ``_linalg.certifies_positive``
+(``negative_block`` per block, ``certified_positive`` for many Elements at
+once, one call per block size), which stores nothing.  Memos fill lazily
 without a lock, and a fill never overwrites a stored memo.  Which kernel fills
 the singular-value memo depends on the call that first needs it:
 ``fill_singular_values`` sends large groups of same-size blocks to the stack
@@ -33,8 +36,9 @@ it by different routes at once may leave either result.
 
 |x| and polar data come from one singular value decomposition per block,
 ``_linalg.svd`` (one-sided Jacobi with the right singular vectors), cut at
-the rank ``_linalg.levels`` gives the singular values, as the norms are
-(``polar_decompose``), so x is never squared on that route.  Every singular
+the rank of the singular values (``_linalg.rank``, the rule of
+``_linalg.levels``), as the norms are (``polar_decompose``), so x is never
+squared on that route.  Every singular
 value, ``operator_norm``'s included, comes from ``_block_singular_values``; the
 one eigendecomposition of x* x left is the spectral check of
 ``trace_orlicz.fk_integral``, which compares those values against it.
@@ -49,10 +53,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg
-from ._linalg import is_positive_semidefinite
+from ._linalg import HERMITIAN_RTOL, is_positive_semidefinite
 from .errors import ValidationError
 
-HERMITIAN_RTOL = 1e-12
 _LOG_DBL_MAX = math.log(sys.float_info.max)  # exp(w) is finite for Re w <= this
 # t^z = exp(z log t) has its phase off by up to |Im(z log t)| 2^-52 rad, the rounding
 # of z log t.  Past this bound, about 1e-6 rad, power_on_support refuses it: at 2^0 rad
@@ -178,10 +181,11 @@ class Element:
         return not any(a.any() for a in self.blocks)
 
     def is_hermitian(self) -> bool:
-        """||x - x*||_F at most HERMITIAN_RTOL ||x||_F; decided once and stored on x."""
+        """||x - x*||_F at most HERMITIAN_RTOL ||x||_F, both taken by
+        ``_hermitian_deviation``; decided once and stored on x."""
         if self._hermitian is None:
-            dev = math.hypot(*(_linalg.frobenius(a - a.conj().T) for a in self.blocks))
-            verdict = dev <= HERMITIAN_RTOL * max(self.frobenius_norm(), 0.0) or dev == 0.0
+            dev, norm, _ = _hermitian_deviation(self)
+            verdict = dev <= HERMITIAN_RTOL * norm or dev == 0.0
             if self._hermitian is None:
                 object.__setattr__(self, "_hermitian", verdict)
         return self._hermitian
@@ -199,8 +203,15 @@ class Element:
 
 
 def trace(x: Element) -> complex:
-    """Weighted trace tau(x) = sum_i c_i Tr(x_i); tracial and faithful."""
-    return complex(sum(c * np.trace(b) for c, b in zip(x.algebra.weights, x.blocks)))
+    """Weighted trace tau(x) = sum_i c_i Tr(x_i); tracial and faithful.
+
+    A block trace or a sum beyond the binary64 range raises ValidationError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves inf or nan
+        t = complex(sum(c * np.trace(b) for c, b in zip(x.algebra.weights, x.blocks)))
+    if not (math.isfinite(t.real) and math.isfinite(t.imag)):
+        raise ValidationError("the trace is beyond the binary64 range")
+    return t
 
 
 class Functional:
@@ -291,11 +302,28 @@ class Spectrum:
         return acc
 
 
+def _hermitian_deviation(x: Element) -> tuple[float, float, int]:
+    """(||y - y*||_F, ||y||_F, e) with y = x / 2^e.  y = x unless 2 ||x||_F
+    overflows or ||x||_F is below 2^-900, where HERMITIAN_RTOL ||x||_F could
+    round in the subnormal range; then y has the exact prescale of
+    ``_linalg.pow2_prescale``, so neither norm overflows or rounds away."""
+    norm = x.frobenius_norm()
+    if 2.0 ** -900 <= norm and 2.0 * norm < math.inf:
+        blocks, e = x.blocks, 0
+    else:
+        blocks, e = _linalg.pow2_prescale(x.blocks)
+        norm = math.hypot(*map(_linalg.frobenius, blocks))
+    return math.hypot(*(_linalg.frobenius(a - a.conj().T) for a in blocks)), norm, e
+
+
 def _require_hermitian(x: Element, what: str):
     if not x.is_hermitian():
-        dev = (x - x.adjoint()).frobenius_norm()
-        raise ValidationError(f"{what} needs a Hermitian element "
-                              f"(||x - x*|| = {dev:.3e})")
+        dev, _, e = _hermitian_deviation(x)
+        try:
+            dev_text = f"{math.ldexp(dev, e):.3e}"
+        except OverflowError:
+            dev_text = f"{dev:.3e} * 2^{e}"
+        raise ValidationError(f"{what} needs a Hermitian element (||x - x*|| = {dev_text})")
 
 
 def _block_eigh(x: Element) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -416,14 +444,35 @@ def negative_block(x: Element) -> tuple[int, float] | None:
 
     Eigen data already stored on x decides; otherwise None comes without an
     eigendecomposition when ``_linalg.certifies_positive`` accepts every block,
-    and the blocks are factored only when a certificate fails.
+    each passed as a stack of one, and the blocks are factored only when a
+    certificate fails (the certificate also asks each block to be Hermitian on
+    its own, so one that is Hermitian only relative to x is factored too).
     """
-    if x._eigh is None and all(map(_linalg.certifies_positive, x.blocks)):
+    if x._eigh is None and all(_linalg.certifies_positive(b[None])[0] for b in x.blocks):
         return None
     for i, (vals, _) in enumerate(_block_eigh(x)):
         if not is_positive_semidefinite(vals):
             return i, float(vals[-1])
     return None
+
+
+def certified_positive(elements) -> list[bool]:
+    """Per element, whether ``_linalg.certifies_positive`` accepts every block,
+    with one kernel call per block size over all their blocks: True proves the
+    element Hermitian and positive, False proves nothing.  An element whose
+    eigen data is stored gets False, since that data decides for it
+    (``negative_block``).
+    """
+    elements = list(elements)
+    todo = [x for x in elements if x._eigh is None]
+    groups: dict[int, list[np.ndarray]] = {}
+    for x in todo:
+        for b in x.blocks:
+            groups.setdefault(len(b), []).append(b)
+    verdicts = {d: iter(_linalg.certifies_positive(np.array(blocks)).tolist())
+                for d, blocks in groups.items()}  # in the order the blocks were grouped
+    certified = {x: all([next(verdicts[len(b)]) for b in x.blocks]) for x in todo}
+    return [certified.get(x, False) for x in elements]  # Elements hash by identity
 
 
 def eigen_spectrum(x: Element) -> Spectrum:
@@ -512,12 +561,12 @@ def polar_decompose(x: Element) -> tuple[Element, Element]:
     |a| = 2^e v_r s_r v_r* (the prescale undone by ``pow2_rescale``) and the
     polar factor is u_r v_r* (Higham, "Computing the polar decomposition --
     with applications", SIAM J. Sci. Stat. Comput. 7, 1986), on the rank r of
-    ``_linalg.levels`` of s, the cut of the norms; the rest count as kernel.
+    s (``_linalg.rank``), the cut of the norms; the rest count as kernel.
     """
     factors, moduli = [], []
     for b in x.blocks:
         w, s, v, e = _linalg.svd(b)
-        r = _linalg.levels(s)[2]
+        r = _linalg.rank(s)
         vr = v[:, :r]
         vh = vr.conj().T
         factors.append((w[:, :r] / s[:r]) @ vh)

@@ -28,7 +28,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import Element, absolute, fill_singular_values, negative_block, trace
+from .algebra import (Element, absolute, certified_positive, fill_singular_values,
+                      negative_block, trace)
 from .errors import ValidationError
 from .orliczfn import OrliczFunction
 from .trace_orlicz import (NormReport, _singular_arrays, modular_from_measures,
@@ -220,16 +221,22 @@ def canonical_trace(x: CoreElement) -> float:
     """sum_k tau(x_k) (exp(-a_k) - exp(-b_k)) for a positive step element.
 
     Faithful and tracial on the step class; rejects non-positive input,
-    naming the first interval whose piece fails.  Positivity is checked once
-    per distinct piece object.
+    naming the first interval whose piece fails, and a sum beyond the binary64
+    range.  The distinct piece objects are certified together first
+    (``certified_positive``: one stack kernel call per block size, no memo
+    written); only a piece left uncertified is checked on its own, once, in
+    piece order, so every verdict and message is that of the check alone.
     """
+    # Elements hash by identity; pop gives each distinct piece's verdict once.
+    certified = dict(zip(pieces := dict.fromkeys(p for p, _ in x.pieces),
+                         certified_positive(pieces)))
     total = 0.0
-    checked: set[Element] = set()  # Elements hash by identity
     for piece, iv in x.pieces:
-        if piece not in checked:
+        if not certified.pop(piece, True):
             _check_piece_positive(piece, iv)
-            checked.add(piece)
         total += trace(piece).real * iv.weight()
+    if not math.isfinite(total):
+        raise ValidationError("the canonical trace is beyond the binary64 range")
     return total
 
 

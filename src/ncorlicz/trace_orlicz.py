@@ -109,14 +109,14 @@ def singular_value_measures(x: Element) -> list[tuple[float, float]]:
     directly, by one-sided Jacobi (exact power-of-two prescale, so any finite
     scale works and small values keep their relative accuracy); x*x is never
     formed.  ``_linalg.levels`` decides the rest: each block keeps the values
-    within its rank, each carrying measure c_i, and the levels of all kept
-    values, weighted by those measures, are the steps, each with its group's
-    total measure and weighted mean, which cannot overflow.
+    within its rank (``_linalg.rank``), each carrying measure c_i, and the
+    levels of all kept values, weighted by those measures, are the steps, each
+    with its group's total measure and weighted mean, which cannot overflow.
     """
     pairs = []
     for c, s in zip(x.algebra.weights, _block_singular_values(x)):
         s = s.tolist()
-        pairs += [(v, c) for v in s[:_linalg.levels(s)[2]]]
+        pairs += [(v, c) for v in s[:_linalg.rank(s)]]
     pairs.sort(key=itemgetter(0), reverse=True)
     values, measures = zip(*pairs) if pairs else ((), ())
     groups, values, _ = _linalg.levels(values, measures)

@@ -389,6 +389,47 @@ def test_hermitian_verdict_is_stored_once(count_calls, rel, hermitian):
         x.blocks[0][0, 1] = 0.0
 
 
+def test_hermitian_verdict_at_the_top_of_binary64(m2):
+    # x - x* overflows here; the verdict is taken on x / 2^1024 instead.
+    x = Element(m2, [[[1e308, 1e308], [-1e308, 1e308]]])
+    assert not x.is_hermitian()
+    assert not Element(m2, x.blocks).is_positive()
+    with pytest.raises(ValidationError, match=r"Hermitian element \(\|\|x - x\*\|\| = "
+                                              r"1\.573e\+00 \* 2\^1024\)"):
+        eigen_spectrum(x)
+    y = Element(m2, [np.diag([1e308, 1e308])])
+    assert y.is_hermitian()
+    assert [line.value for line in eigen_spectrum(y).lines] == [1e308]
+
+
+@pytest.mark.parametrize("k", [-1050, -1036, 1000])
+def test_hermitian_verdict_is_that_of_the_element_scaled_into_range(k):
+    # Near 2^-1040 the product HERMITIAN_RTOL ||x|| and the entries of x - x*
+    # round in the subnormal range; the verdict is the one taken at 2^0, where
+    # scaling the blocks back by 2^-k is exact.  Deciding on the subnormal
+    # values called 2^-1036 x Hermitian at rel = 1.3 HERMITIAN_RTOL.
+    for rel in np.linspace(0.5, 1.5, 21) * HERMITIAN_RTOL:
+        x = _hermitian_case(rel)
+        y = Element(x.algebra, [np.ldexp(b.real, k) + 1j * np.ldexp(b.imag, k)
+                                for b in x.blocks])
+        up = [np.ldexp(b.real, -k) + 1j * np.ldexp(b.imag, -k) for b in y.blocks]
+        dev = math.hypot(*(np.linalg.norm(b - b.conj().T) for b in up))
+        assert y.is_hermitian() is (dev <= HERMITIAN_RTOL * math.hypot(*map(np.linalg.norm, up)))
+
+
+def test_trace_beyond_binary64_is_a_validation_error(m2, m2m3, rng):
+    for x in (Element(m2, [np.diag([1e308, 1e308])]),
+              Element(make_algebra([2], [4.0]), [np.diag([1e308, 0.0])]),
+              Element(m2, [np.diag([1e308j, 1e308j])])):
+        with pytest.raises(ValidationError, match="trace is beyond the binary64 range"):
+            trace(x)
+    assert trace(Element(m2, [np.diag([1e308, -1e308])])) == 0.0
+    for _ in range(5):
+        x = rand_element(rng, m2m3)
+        want = complex(sum(c * np.trace(b) for c, b in zip(m2m3.weights, x.blocks)))
+        assert trace(x) == want
+
+
 def test_fill_singular_values_groups_blocks_by_size(m2m3, rng, factored_blocks):
     els = [rand_element(rng, m2m3) for _ in range(7)]
     memo = _block_singular_values(els[0])

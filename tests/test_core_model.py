@@ -11,7 +11,10 @@ from ncorlicz import (CoreElement, CoshMinusOne, Element, Interval, JumpFunction
                       core_luxemburg_norm, core_luxemburg_report, core_modular_value,
                       dual_action, embed, interval, luxemburg_norm, make_algebra, registry,
                       weighted_trace)
-from ncorlicz.sampling import SplitMix64, rand_core_element, rand_element, rand_isomorphism
+from ncorlicz._linalg import HERMITIAN_RTOL, POSITIVITY_RTOL
+from ncorlicz.algebra import certified_positive
+from ncorlicz.sampling import (SplitMix64, rand_core_element, rand_element, rand_isomorphism,
+                               rand_unitary_matrix)
 from ncorlicz.trace_orlicz import report_from_measures, singular_value_measures
 
 
@@ -45,6 +48,17 @@ class TestConstruction:
                 canonical_trace(z)
             with pytest.raises(ValidationError, match="binary64"):
                 core_luxemburg_norm(PowerFunction(2.0), z)
+
+    def test_trace_beyond_binary64_rejected(self, m2):
+        # A block trace beyond binary64, then a finite trace whose weighted sum is not.
+        for x, iv, message in ((np.diag([1e308, 1e308]), interval(0, 1), "trace is beyond"),
+                               (np.diag([1e308, 0.0]), interval(-2, -1),
+                                "canonical trace is beyond")):
+            z = CoreElement(m2, [(Element(m2, [x]), iv)])
+            with pytest.raises(ValidationError, match=message):
+                canonical_trace(z)
+        z = CoreElement(m2, [(Element(m2, [np.diag([1e308, 0.0])]), interval(-1, 0))])
+        assert canonical_trace(z) == 1e308 * interval(-1, 0).weight()
 
     def test_overlap_rejected(self, m2, rng):
         x = rand_element(rng, m2)
@@ -279,12 +293,52 @@ class TestCoreNorm:
         x = CoreElement(alg, [(pp, interval(0, 1)), (qq, interval(1, 2)), (pp, interval(3, 4))])
         calls = count_calls(_linalg.certifies_positive)
         assert canonical_trace(x) == pytest.approx(weighted_trace(x).real, rel=1e-15, abs=0)
-        assert len(calls) == 2 * alg.nblocks
+        # One kernel call per block size, over the blocks of the distinct pieces.
+        assert sorted(args[0].shape for args in calls) == [(2, 2, 2), (2, 6, 6)]
+        assert sum(len(args[0]) for args in calls) == 2 * alg.nblocks
         bad = Element(alg, [np.eye(6), np.diag([1.0, -1.0])])
         y = CoreElement(alg, [(pp, interval(0, 1)), (bad, interval(1, 2)), (pp, interval(2, 3)),
                               (bad, interval(3, 4))])
         with pytest.raises(ValidationError, match=r"^piece on \[1, 2\) is not positive"):
             canonical_trace(y)
+
+    def test_first_failing_piece_after_certified_ones_is_named(self, count_calls):
+        alg = make_algebra([6, 2], [1.0, 0.5])
+        rng = SplitMix64(10)
+        good = [p.adjoint() * p for p in (rand_element(rng, alg) for _ in range(3))]
+        g = rand_element(rng, alg).blocks
+        skew = [b - b.conj().T for b in rand_element(rng, alg).blocks]
+        rel = 1.1 * HERMITIAN_RTOL  # ||x - x*|| = rel ||x|| for x = h + t s
+        h = [b @ b.conj().T for b in g]
+        t = rel * math.hypot(*map(np.linalg.norm, h)) / (
+            math.hypot(*map(np.linalg.norm, skew)) * math.sqrt(4.0 - rel * rel))
+        skewed = Element(alg, [a + t * b for a, b in zip(h, skew)])
+        negative = Element(alg, [np.eye(6), np.diag([1.0, -1.0])])
+        # Positive, with its smallest eigenvalue at -0.9 POSITIVITY_RTOL of the
+        # largest: the certificate covers about -0.4 POSITIVITY_RTOL here, so
+        # the piece is checked alone and its eigenvalues accept it.
+        u = rand_unitary_matrix(rng, 6)
+        b = (u * [1.0, 0.1, 0.1, 0.1, 0.1, -0.9 * POSITIVITY_RTOL]) @ u.conj().T
+        edge_blocks = [(b + b.conj().T) / 2, np.eye(2)]
+        assert not certified_positive([Element(alg, edge_blocks)])[0]
+        cases = [(skewed, 6, r"^piece on \[3, 4\) is not Hermitian$"),
+                 (negative, 5, r"^piece on \[3, 4\) is not positive: block 1 eigenvalue -1\.0$")]
+        for bad, distinct, message in cases:
+            edge = Element(alg, edge_blocks)  # fresh: no eigen data stored yet
+            pieces = [(good[0], interval(0, 1)), (edge, interval(1, 2)),
+                      (good[1], interval(2, 3)), (bad, interval(3, 4)),
+                      (good[2], interval(4, 5)), (negative, interval(6, 7))]
+            calls = count_calls(_linalg.certifies_positive)
+            with pytest.raises(ValidationError, match=message):
+                canonical_trace(CoreElement(alg, pieces))
+            # The distinct pieces in one call per block size; then the uncertified
+            # ones alone, each block as a stack of one, up to the first failure.
+            assert [args[0].shape for args in calls[:2]] == [(distinct, 6, 6), (distinct, 2, 2)]
+            assert all(len(args[0]) == 1 for args in calls[2:])
+        edge = Element(alg, edge_blocks)
+        assert canonical_trace(CoreElement(alg, [(good[0], interval(0, 1)),
+                                                 (edge, interval(1, 2))])) > 0.0
+        assert edge._eigh is not None  # checked alone, by its eigenvalues
 
     def test_report_shape(self, m2m3, rng):
         x = rand_core_element(rng, m2m3, pieces=2)

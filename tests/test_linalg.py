@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from ncorlicz import (ConvergenceError, Element, JumpFunction, PowerFunction, ValidationError,
                       _linalg, absolute, fk_integral, luxemburg_norm, make_algebra,
                       operator_norm, polar_decompose)
-from ncorlicz._linalg import (POSITIVITY_RTOL, RANK_RTOL, certifies_positive, hermitian_eigh,
-                              is_positive_semidefinite, singular_values, singular_values_stack)
+from ncorlicz._linalg import (HERMITIAN_RTOL, POSITIVITY_RTOL, RANK_RTOL, certifies_positive,
+                              hermitian_eigh, is_positive_semidefinite, singular_values,
+                              singular_values_stack)
 from ncorlicz.algebra import _block_singular_values
 from ncorlicz.sampling import SplitMix64, rand_matrix, rand_unitary_matrix
 from ncorlicz.trace_orlicz import singular_value_measures
@@ -83,7 +84,7 @@ def test_eigh_of_subnormal_blocks():
         assert hermitian_eigh(np.array([[v]]))[0].tolist() == [v]
     vals, _ = hermitian_eigh(np.array([[3e-320, 1e-320], [1e-320, 3e-320]]))
     assert vals.tolist() == [4e-320, 2e-320]
-    assert not certifies_positive(np.array([[-2e-318]]))
+    assert not certifies_positive([np.array([[-2e-318]])])[0]
     assert Element(make_algebra([1], [1.0]), [[[1e-320]]]).is_positive()
 
 
@@ -97,7 +98,7 @@ def test_non_finite_blocks_are_rejected(bad):
         with pytest.raises(ValidationError):
             hermitian_eigh(block)
         with pytest.raises(ValidationError):
-            certifies_positive(block)
+            certifies_positive([block])
     alg = make_algebra([2], [1.0])
     with pytest.raises(ValidationError):
         singular_value_measures(Element(alg, [two]))
@@ -389,9 +390,52 @@ def test_fk_integral_is_infinite_beyond_binary64():
     assert fk_integral(PowerFunction(2.0), x) == math.inf
 
 
+def _eigvalsh_positive(b) -> bool:
+    """Oracle: is_positive_semidefinite of numpy's eigenvalues of (b + b*) / 2,
+    taken on b scaled exactly to a largest part in [1/2, 1)."""
+    e = math.frexp(float(np.max(np.abs(b.view(np.float64)), initial=0.0)))[1]
+    w = np.ldexp(b.real, -e) + 1j * np.ldexp(b.imag, -e)
+    return is_positive_semidefinite(np.linalg.eigvalsh((w + w.conj().T) / 2)[::-1])
+
+
+def _hermitian_within(b, rtol) -> bool:
+    e = math.frexp(float(np.max(np.abs(b.view(np.float64)), initial=0.0)))[1]
+    w = np.ldexp(b.real, -e) + 1j * np.ldexp(b.imag, -e)
+    return np.linalg.norm(w - w.conj().T) <= rtol * np.linalg.norm(w)
+
+
+def _with_anti_hermitian(h, s, rel):
+    """h + t s, with s anti-Hermitian and t such that ||a - a*|| = rel ||a||."""
+    hn, sn = np.linalg.norm(h), np.linalg.norm(s)
+    return h + (rel * hn / (sn * math.sqrt(4.0 - rel * rel))) * s
+
+
+def _mixed_blocks(rng, n):
+    """Blocks of size n of every kind the certificate must tell apart."""
+    def hermitian(b):  # exactly, so that scaling into the subnormals keeps it so
+        return (b + b.conj().T) / 2
+
+    g = rand_matrix(rng, n)
+    gram = hermitian(g @ g.conj().T)
+    low = g[:, :max(n - 1, 1)]
+    deficient = hermitian(low @ low.conj().T)
+    u = rand_unitary_matrix(rng, n)
+    graded = hermitian((u * np.geomspace(1.0, 1e-13, n)) @ u.conj().T)
+    skew = rand_matrix(rng, n)
+    skew = skew - skew.conj().T
+    blocks = [gram, deficient, graded, -gram, g, g + g.conj().T, np.zeros((n, n)),
+              gram - 1e-9 * np.linalg.norm(gram) * np.eye(n),
+              _with_anti_hermitian(gram, skew, 0.9 * HERMITIAN_RTOL),
+              _with_anti_hermitian(gram, skew, 1.1 * HERMITIAN_RTOL)]
+    for scale in (1e300, 1e-300, 1e-310, 2e-320):
+        blocks += [scale * gram, scale * deficient, -scale * gram]
+    return [np.asarray(b, dtype=np.complex128) for b in blocks]
+
+
 class TestPositivityCertificate:
-    """``certifies_positive`` may decline a positive block, but a block it
-    accepts passes the eigenvalue test of ``is_positive_semidefinite``."""
+    """``certifies_positive`` may decline a Hermitian positive block, but a
+    block it accepts is Hermitian within HERMITIAN_RTOL and passes the
+    eigenvalue test of ``is_positive_semidefinite``."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 6), st.integers(0, 2**32), st.floats(0.0, 3.0),
@@ -404,24 +448,90 @@ class TestPositivityCertificate:
         u = rand_unitary_matrix(SplitMix64(seed), n)
         b = (u * vals) @ u.conj().T
         a = np.ldexp(b.real, k) + 1j * np.ldexp(b.imag, k)
-        if certifies_positive(a):
-            assert is_positive_semidefinite(hermitian_eigh(a)[0])
+        if certifies_positive([a])[0]:
+            assert _eigvalsh_positive(a)
         if n > 1 and f > 1.01:
-            assert not certifies_positive(a)
+            assert not certifies_positive([a])[0]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_stack_verdicts_are_those_of_each_block_alone(self, n):
+        blocks = _mixed_blocks(SplitMix64(100 + n), n)
+        alone = [bool(certifies_positive([b])[0]) for b in blocks]
+        assert True in alone and False in alone
+        assert certifies_positive(np.stack(blocks)).tolist() == alone
+        order = np.argsort([hash(b.tobytes()) for b in blocks])
+        stacked = certifies_positive(np.stack([blocks[i] for i in order])).tolist()
+        assert stacked == [alone[i] for i in order]
+        assert certifies_positive(np.stack(blocks[3:5])).tolist() == alone[3:5]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_accepted_blocks_pass_the_oracle(self, n):
+        rng = SplitMix64(200 + n)
+        blocks = [b for _ in range(5) for b in _mixed_blocks(rng, n)]
+        verdicts = certifies_positive(np.stack(blocks)).tolist()
+        for b, ok in zip(blocks, verdicts):
+            if ok:
+                assert _eigvalsh_positive(b)
+                assert _hermitian_within(b, HERMITIAN_RTOL)
+        # Positive blocks that are Hermitian to rounding are certified at every scale.
+        kinds = len(blocks) // 5
+        for i in (0, 8, 10, 13, 16, 19):
+            assert all(verdicts[i::kinds]), i
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_anti_hermitian_part_beyond_the_tolerance_is_declined(self, n):
+        rng = SplitMix64(300 + n)
+        alg = make_algebra([n], [1.0])
+        for _ in range(10):
+            g = rand_matrix(rng, n)
+            skew = rand_matrix(rng, n)
+            skew = skew - skew.conj().T
+            for rel, ok in ((0.9, True), (1.1, False)):
+                a = _with_anti_hermitian(g @ g.conj().T, skew, rel * HERMITIAN_RTOL)
+                assert bool(certifies_positive([a])[0]) is ok
+                assert Element(alg, [a]).is_hermitian() is ok
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_zero_blocks_and_projections(self, n):
-        assert certifies_positive(np.zeros((n, n)))
+        assert certifies_positive([np.zeros((n, n))])[0]
         u = rand_unitary_matrix(SplitMix64(n), n)
         for rank in range(1, n + 1):
             p = u[:, :rank] @ u[:, :rank].conj().T
             for k in (-1000, 0, 1000):
-                assert certifies_positive(np.ldexp(p.real, k) + 1j * np.ldexp(p.imag, k))
-            assert not certifies_positive(-p)
-            assert rank == n or not certifies_positive(p - 1e-9 * (np.eye(n) - p))
+                assert certifies_positive([np.ldexp(p.real, k) + 1j * np.ldexp(p.imag, k)])[0]
+            assert not certifies_positive([-p])[0]
+            assert rank == n or not certifies_positive([p - 1e-9 * (np.eye(n) - p)])[0]
 
     def test_gram_matrices_are_certified(self, rng):
         for n in range(1, 7):
             g = rand_matrix(rng, n)
-            assert certifies_positive(g @ g.conj().T)
-            assert not certifies_positive(g + g.conj().T - 10.0 * np.eye(n))
+            assert certifies_positive([g @ g.conj().T])[0]
+            assert not certifies_positive([g + g.conj().T - 10.0 * np.eye(n)])[0]
+
+    def test_non_finite_block_in_a_stack_is_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="non-finite"):
+                certifies_positive(np.stack([np.eye(2), np.array([[1.0, bad], [bad, 1.0]])]))
+
+
+class TestRank:
+    """``rank`` is ``levels(s)[2]``, also where values sit at or near the cut."""
+
+    def test_rank_matches_levels_around_the_cut(self):
+        cases = [[], [0.0], [0.0, 0.0], [1.0], [1.0, 0.0], [-1.0, -2.0], [5e-324]]
+        for edge in (RANK_RTOL, 2.0 * RANK_RTOL):
+            for k in range(-3, 4):
+                v = edge + k * math.ulp(edge)
+                cases += [[1.0, v], [1.0, 0.5, v], [1.0, v, v], [2.0 ** 900, 2.0 ** 900 * v]]
+        # D11's clusters, whose members straddle the cut at 1e-11 of the top.
+        for hi, lo in ((1 + 2e-10, 1 - 6e-10), (1 + 6e-10, 1 - 2e-10), (1 + 1e-9, 1 - 1e-9)):
+            cases += [[1.0, 1e-11 * hi, 1e-11 * lo], [1.0, 2e-11 * hi, 2e-11 * lo]]
+        rng = SplitMix64(17)
+        for _ in range(200):
+            top = rng.uniform()
+            cases.append(sorted((top * RANK_RTOL * 4.0 * rng.uniform() for _ in range(3)),
+                                reverse=True))
+            cases[-1].insert(0, top)
+        for vals in cases:
+            assert _linalg.rank(np.array(vals)) == _linalg.levels(vals)[2], vals
+            assert _linalg.rank(vals) == _linalg.levels(vals)[2], vals

@@ -146,3 +146,12 @@ def test_only_linalg_decides_equal_and_zero_values():
     # back a second rule.  fk_integral reads CLUSTER_RTOL for its error bound.
     assert _library_reads({"RANK_RTOL", "CLUSTER_RTOL"}) == [
         ("trace_orlicz.py", "fk_integral", "CLUSTER_RTOL")]
+
+
+def test_only_algebra_calls_certifies_positive():
+    # algebra.negative_block and algebra.certified_positive send each block to
+    # the certificate knowing what its verdict proves (eigen data stored on an
+    # Element decides first); another caller could bypass that.
+    found = _library_reads({"certifies_positive"})
+    assert {(path, top) for path, top, _ in found} == {("algebra.py", "negative_block"),
+                                                      ("algebra.py", "certified_positive")}
