@@ -208,7 +208,7 @@ def trace(x: Element) -> complex:
     A block trace or a sum beyond the binary64 range raises ValidationError.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves inf or nan
-        t = complex(sum(c * np.trace(b) for c, b in zip(x.algebra.weights, x.blocks)))
+        t = complex(sum(c * b.trace() for c, b in zip(x.algebra.weights, x.blocks)))
     if not (math.isfinite(t.real) and math.isfinite(t.imag)):
         raise ValidationError("the trace is beyond the binary64 range")
     return t
