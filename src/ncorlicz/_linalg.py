@@ -203,9 +203,9 @@ def certifies_positive(stack) -> np.ndarray:
     NaN or inf that its later steps may carry are left unreported.  Non-finite
     entries raise ValidationError.
     """
-    a = np.asarray(stack, dtype=np.complex128)
+    a = np.ascontiguousarray(stack, dtype=np.complex128)
     m, n = a.shape[0], a.shape[-1]
-    parts = np.ascontiguousarray(a).view(np.float64)
+    parts = a.view(np.float64)
     big = np.abs(parts.reshape(m, 2 * n * n)).max(axis=1, initial=0.0)
     if not math.isfinite(big.max(initial=0.0)):  # NaN propagates through max
         raise ValidationError("matrix has non-finite entries")

@@ -227,12 +227,11 @@ def canonical_trace(x: CoreElement) -> float:
     written); only a piece left uncertified is checked on its own, once, in
     piece order, so every verdict and message is that of the check alone.
     """
-    # Elements hash by identity; pop gives each distinct piece's verdict once.
-    certified = dict(zip(pieces := dict.fromkeys(p for p, _ in x.pieces),
-                         certified_positive(pieces)))
+    pieces = list(dict.fromkeys(p for p, _ in x.pieces))  # Elements hash by identity
+    certified = dict(zip(pieces, certified_positive(pieces)))
     total = 0.0
     for piece, iv in x.pieces:
-        if not certified.pop(piece, True):
+        if not certified.pop(piece, True):  # a piece's verdict is read once, where it first sits
             _check_piece_positive(piece, iv)
         total += trace(piece).real * iv.weight()
     if not math.isfinite(total):
