@@ -81,9 +81,7 @@ class Interval:
 
 def interval(a, b) -> Interval:
     """Build [a, b); pass None, math.inf or the string "inf" for an infinite b."""
-    if b is None or b == math.inf or (isinstance(b, str) and b == "inf"):
-        return Interval(_to_endpoint(a), None)
-    return Interval(_to_endpoint(a), _to_endpoint(b))
+    return Interval(_to_endpoint(a), None if b in (None, math.inf, "inf") else _to_endpoint(b))
 
 
 class CoreElement:
@@ -144,7 +142,7 @@ class CoreElement:
 
     def __mul__(self, other):
         if isinstance(other, CoreElement):
-            return _cellwise(self, other, lambda a, b: a * b)
+            return _cellwise(self, other, lambda a, b: a * b, product=True)
         return self.scale(other)
 
     def __rmul__(self, scalar):
@@ -154,53 +152,51 @@ class CoreElement:
         return f"CoreElement({len(self.pieces)} pieces over dims {self.algebra.block_dims})"
 
 
-def _cut_points(*elements: CoreElement) -> list[Fraction]:
-    pts = set()
-    for e in elements:
-        for _, iv in e.pieces:
-            pts.add(iv.a)
-            if iv.b is not None:
-                pts.add(iv.b)
-    return sorted(pts)
+def _steps(e: CoreElement):
+    """(point, piece of e from there on or None) at each endpoint of e, ascending; None is +inf."""
+    end = None
+    for piece, iv in e.pieces:
+        if end is not None and end is not iv.a and end != iv.a:
+            yield end, None
+        yield iv.a, piece
+        end = iv.b
+    yield end, None
 
 
-def _values_at(e: CoreElement, points: list[Fraction]) -> list[Element | None]:
-    """The piece of e on each of the ascending ``points``, or None off its support,
-    by one forward walk over its sorted pieces."""
-    pieces, k, out = e.pieces, 0, []
-    for a in points:
-        while k < len(pieces) and pieces[k][1].b is not None and pieces[k][1].b <= a:
-            k += 1
-        out.append(pieces[k][0] if k < len(pieces) and pieces[k][1].a <= a else None)
-    return out
-
-
-def _cellwise(x: CoreElement, y: CoreElement, op) -> CoreElement:
+def _cellwise(x: CoreElement, y: CoreElement, op, product=False) -> CoreElement:
     """Apply a blockwise binary operation on the common interval refinement.
 
-    The cells lie between consecutive cut points of x and y, and the pieces
-    on them come from one forward walk over each operand.  ``op`` runs once
-    per distinct pair of operand objects (a missing piece counts as zero), so
-    the cells on which the same two pieces meet share one immutable result,
-    and with it its memoized spectral data.
+    One merge walk over the sorted endpoints of x and y (``_steps``) visits
+    the cells between consecutive cut points in order.  ``op`` runs once per
+    distinct pair of operand objects (a missing piece counts as zero), so the
+    cells on which the same two pieces meet share one immutable result, and
+    with it its memoized spectral data.  A ``product`` visits only the cells
+    where both operands have a piece: blocks are finite, so elsewhere it is
+    exactly zero, a piece the constructor would drop anyway.
     """
     if x.algebra != y.algebra:
         raise ValidationError("core elements live in different algebras")
-    alg = x.algebra
-    zero = alg.zero()
-    cuts = _cut_points(x, y)
-    unbounded = any(iv.b is None for _, iv in x.pieces) or \
-        any(iv.b is None for _, iv in y.pieces)
-    ends = cuts[1:] + [None] if cuts and unbounded else cuts[1:]
+    zero = None if product else x.algebra.zero()
+    xs, ys = _steps(x), _steps(y)
+    (s, xn), (t, yn) = next(xs, (None, None)), next(ys, (None, None))
+    a = xa = yb = None  # the current cell starts at a, where x has xa and y has yb
     values: dict[tuple, Element] = {}  # Elements hash by identity
     out = []
-    for a, b, xa, yb in zip(cuts, ends, _values_at(x, cuts), _values_at(y, cuts)):
-        if xa is None and yb is None:
-            continue
-        if (xa, yb) not in values:
-            values[xa, yb] = op(zero if xa is None else xa, zero if yb is None else yb)
-        out.append((values[xa, yb], Interval(a, b)))
-    return CoreElement(alg, out)
+    while True:
+        at_x = s is not None and (t is None or s is t or s <= t)
+        at_y = t is not None and (not at_x or s is t or s == t)
+        b = s if at_x else t  # the next cut point; None past the last
+        if (xa is not None and yb is not None) if product else (xa is not None or yb is not None):
+            if (xa, yb) not in values:
+                values[xa, yb] = op(zero if xa is None else xa, zero if yb is None else yb)
+            out.append((values[xa, yb], Interval(a, b)))
+        if b is None:
+            return CoreElement(x.algebra, out)
+        if at_x:
+            xa, (s, xn) = xn, next(xs, (None, None))
+        if at_y:
+            yb, (t, yn) = yn, next(ys, (None, None))
+        a = b
 
 
 def embed(x: Element) -> CoreElement:
@@ -240,8 +236,12 @@ def canonical_trace(x: CoreElement) -> float:
 
 
 def weighted_trace(x: CoreElement) -> complex:
-    """Linear extension of the canonical trace to arbitrary step elements."""
-    return complex(sum(trace(piece) * iv.weight() for piece, iv in x.pieces))
+    """Linear extension of the canonical trace to arbitrary step elements;
+    a sum beyond the binary64 range raises ValidationError."""
+    total = complex(sum(trace(piece) * iv.weight() for piece, iv in x.pieces))
+    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+        raise ValidationError("the weighted trace is beyond the binary64 range")
+    return total
 
 
 def dual_action(s, x: CoreElement) -> CoreElement:

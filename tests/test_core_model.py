@@ -1,4 +1,5 @@
 import math
+import operator
 import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -50,15 +51,25 @@ class TestConstruction:
                 core_luxemburg_norm(PowerFunction(2.0), z)
 
     def test_trace_beyond_binary64_rejected(self, m2):
-        # A block trace beyond binary64, then a finite trace whose weighted sum is not.
-        for x, iv, message in ((np.diag([1e308, 1e308]), interval(0, 1), "trace is beyond"),
-                               (np.diag([1e308, 0.0]), interval(-2, -1),
-                                "canonical trace is beyond")):
-            z = CoreElement(m2, [(Element(m2, [x]), iv)])
+        # A block trace beyond binary64, a finite trace whose weighted term is not,
+        # finite terms whose sum is not, and an imaginary part beyond binary64.
+        halves = [interval(-1.5, -1), interval(-1, -0.5)]
+        for fn, x, ivs, message in (
+                (canonical_trace, np.diag([1e308, 1e308]), [interval(0, 1)], "trace is beyond"),
+                (canonical_trace, np.diag([1e308, 0.0]), [interval(-2, -1)],
+                 "canonical trace is beyond"),
+                (weighted_trace, np.diag([1e308, 1e308]), [interval(0, 1)], "trace is beyond"),
+                (weighted_trace, np.diag([1e308, 0.0]), [interval(-2, -1)],
+                 "weighted trace is beyond"),
+                (weighted_trace, np.diag([1e308, 0.0]), halves, "weighted trace is beyond"),
+                (weighted_trace, np.diag([1e308j, 0.0]), [interval(-2, -1)],
+                 "weighted trace is beyond")):
+            z = CoreElement(m2, [(Element(m2, [x]), iv) for iv in ivs])
             with pytest.raises(ValidationError, match=message):
-                canonical_trace(z)
+                fn(z)
         z = CoreElement(m2, [(Element(m2, [np.diag([1e308, 0.0])]), interval(-1, 0))])
         assert canonical_trace(z) == 1e308 * interval(-1, 0).weight()
+        assert weighted_trace(z) == 1e308 * interval(-1, 0).weight()
 
     def test_overlap_rejected(self, m2, rng):
         x = rand_element(rng, m2)
@@ -69,6 +80,33 @@ class TestConstruction:
         x = rand_element(rng, m2)
         core = CoreElement(m2, [(x, interval(0, 1)), (m2.zero(), interval(2, 3))])
         assert len(core.pieces) == 1
+
+
+def random_layout(rng, algebra, pool):
+    """A step element on the grid 0, 1/2, ..., 4: each cell of the grid is a gap or
+    holds a piece drawn from ``pool``, so pieces abut, endpoints recur across
+    draws and one Element can sit on adjacent cells; the last piece is made
+    unbounded at random."""
+    pieces = [(pool[rng.randint(len(pool))], interval(Fraction(k, 2), Fraction(k + 1, 2)))
+              for k in range(8) if rng.randint(3) == 0]
+    if pieces and rng.randint(3) == 0:
+        pieces[-1] = (pieces[-1][0], Interval(pieces[-1][1].a, None))
+    return CoreElement(algebra, pieces)
+
+
+def reference_cells(x, y):
+    """The common refinement the slow way: the sorted set of cut points, then
+    the piece of each operand at each point, found by a search."""
+    cuts = sorted({p for e in (x, y) for _, iv in e.pieces for p in (iv.a, iv.b)
+                   if p is not None})
+    unbounded = any(iv.b is None for e in (x, y) for _, iv in e.pieces)
+    ends = cuts[1:] + [None] if unbounded else cuts[1:]
+
+    def piece_at(e, p):
+        return next((q for q, iv in e.pieces if iv.a <= p and (iv.b is None or p < iv.b)), None)
+
+    cells = [(a, b, piece_at(x, a), piece_at(y, a)) for a, b in zip(cuts, ends)]
+    return [c for c in cells if c[2] is not None or c[3] is not None]
 
 
 class TestArithmetic:
@@ -85,6 +123,64 @@ class TestArithmetic:
         cx = CoreElement(m2, [(x, interval(0, 1))])
         cy = CoreElement(m2, [(y, interval(1, 2))])
         assert (cx * cy).is_zero()
+
+    def test_merge_walk_matches_the_reference_refinement(self, m2, rng, count_calls):
+        pool = [rand_element(rng, m2) for _ in range(2)]
+        calls = {op: count_calls(getattr(Element, f"__{op.__name__}__"))
+                 for op in (operator.add, operator.sub, operator.mul)}
+        features = dict.fromkeys(("abut", "shared", "x_unbounded", "y_unbounded",
+                                  "both_unbounded", "empty", "adjacent_same"), 0)
+        for _ in range(300):
+            x, y = random_layout(rng, m2, pool), random_layout(rng, m2, pool)
+            ends = [{p for _, iv in e.pieces for p in (iv.a, iv.b)} for e in (x, y)]
+            inf = [any(iv.b is None for _, iv in e.pieces) for e in (x, y)]
+            adjacent = [(p, q) for e in (x, y) for (p, u), (q, v) in zip(e.pieces, e.pieces[1:])
+                        if u.b == v.a]
+            features["abut"] += bool(adjacent)
+            features["shared"] += bool(ends[0] & ends[1])
+            features["x_unbounded"] += inf[0] and not inf[1]
+            features["y_unbounded"] += inf[1] and not inf[0]
+            features["both_unbounded"] += inf[0] and inf[1]
+            features["empty"] += x.is_zero() or y.is_zero()
+            features["adjacent_same"] += any(p is q for p, q in adjacent)
+            for op, cells in calls.items():
+                want = [c for c in reference_cells(x, y)
+                        if op is not operator.mul or (c[2] is not None and c[3] is not None)]
+                pairs = list(dict.fromkeys((xa, yb) for _, _, xa, yb in want))
+                cells.clear()
+                out = op(x, y).pieces
+                # op ran once per distinct pair, on the operands' own pieces (zero if missing)
+                assert len(cells) == len(pairs)
+                for got, pair in zip(cells, pairs):
+                    assert all(g is w if w is not None else g.is_zero() for g, w in zip(got, pair))
+                zero = m2.zero()
+                value = {(xa, yb): op(zero if xa is None else xa, zero if yb is None else yb)
+                         for xa, yb in pairs}
+                want = [(a, b, (xa, yb)) for a, b, xa, yb in want if not value[xa, yb].is_zero()]
+                assert [(iv.a, iv.b) for _, iv in out] == [(a, b) for a, b, _ in want]
+                shared = {}
+                for (piece, _), (_, _, pair) in zip(out, want):
+                    expected = value[pair].blocks
+                    assert all(np.array_equal(u, v) for u, v in zip(piece.blocks, expected))
+                    assert shared.setdefault(pair, piece) is piece
+                assert len({id(piece) for piece, _ in out}) == len(shared)
+        assert all(features.values()), features
+
+    def test_product_works_only_on_the_overlap(self, m2, rng, count_calls):
+        pool = [rand_element(rng, m2) for _ in range(3)]
+        built = count_calls(Element.__init__)
+        products = count_calls(Element.__mul__)
+        x = CoreElement(m2, [(pool[0], interval(0, 1)), (pool[1], interval(2, "inf"))])
+        y = CoreElement(m2, [(pool[2], interval(-1, 0)), (pool[0], interval(1, 2))])
+        assert (x * y).is_zero() and (y * x).is_zero()
+        assert not built and not products
+        for _ in range(100):
+            x, y = random_layout(rng, m2, pool), random_layout(rng, m2, pool)
+            overlapping = {(xa, yb) for _, _, xa, yb in reference_cells(x, y)
+                           if xa is not None and yb is not None}
+            products.clear()
+            x * y
+            assert len(products) == len(overlapping)
 
     def test_refinement_associativity(self, m2m3, rng):
         for _ in range(10):
