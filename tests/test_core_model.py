@@ -132,7 +132,8 @@ class TestArithmetic:
                                   "both_unbounded", "empty", "adjacent_same"), 0)
         for _ in range(300):
             x, y = random_layout(rng, m2, pool), random_layout(rng, m2, pool)
-            ends = [{p for _, iv in e.pieces for p in (iv.a, iv.b)} for e in (x, y)]
+            ends = [{p for _, iv in e.pieces for p in (iv.a, iv.b) if p is not None}
+                    for e in (x, y)]
             inf = [any(iv.b is None for _, iv in e.pieces) for e in (x, y)]
             adjacent = [(p, q) for e in (x, y) for (p, u), (q, v) in zip(e.pieces, e.pieces[1:])
                         if u.b == v.a]
