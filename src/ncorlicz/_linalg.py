@@ -32,14 +32,15 @@ eigendecomposition.  It runs in elementwise numpy on the whole stack, so a
 call costs per block size, not per block.
 
 The fourth kernel, ``singular_values_stack``, is the one-sided iteration on
-a whole stack of same-size blocks in numpy: each step rotates disjoint
-column pairs of every block at once, in round-robin order, with the
-prescale, thresholds and norm update of ``singular_values``.  Its cost is
-per step rather than per block, so it wins once a stack is large enough;
-``algebra.fill_singular_values`` sends it the groups of blocks at or above
-the measured crossover (six even-sized or twelve odd-sized blocks), such as
-the distinct pieces of a core element, and leaves every smaller group to
-``singular_values``.
+a whole stack of same-size blocks in numpy.  The columns of all blocks form
+one complex array, and each round rotates disjoint column pairs of every
+block at once, in round-robin order, with the prescale, thresholds and norm
+update of ``singular_values``; one tournament in which no block rotated ends
+it.  Its cost is per round rather than per block, so it wins once a stack is
+large enough; ``algebra.fill_singular_values`` sends it the groups of blocks
+at or above the measured crossover (six even-sized or twelve odd-sized
+blocks), such as the distinct pieces of a core element, and leaves every
+smaller group to ``singular_values``.
 
 ``levels`` alone decides which values count as equal and which as zero, for
 every cluster, rank and support in ``algebra`` and every singular step.
@@ -390,48 +391,77 @@ def singular_values_stack(stack) -> np.ndarray:
     """Descending singular values of every block of an (m, n, n) stack, as an
     (m, n) array, by one-sided Jacobi on all blocks at once.
 
-    Each step rotates the floor(n/2) disjoint column pairs of one round of
-    the round-robin (tournament) ordering in every block of the stack
-    (Brent & Luk, SIAM J. Sci. Stat. Comput. 6, 1985); a sweep is one
-    tournament, in which every pair of columns meets once.  Per block the
-    rest is as in ``singular_values``: the exact power-of-two prescale by the
-    block's largest entry and its undo, ``_SAFE_LO``, ``ORTH_TOL``, the
-    closed-form norm update with its cancellation guard (see
-    ``_stack_sweep``), ``MAX_SWEEPS``, and final norms recomputed from the
-    columns.  A pair that needs no rotation, in particular every pair of a
-    block whose last sweep rotated nothing, takes the identity rotation.
-    Every step is a sequence of elementwise real numpy operations and of
-    sums along single columns, with no BLAS and no fused multiply-add, so a
-    block's values do not depend on the rest of the stack: they are bit for
-    bit those of a stack of one.  Non-finite entries raise ValidationError.
+    The columns of all blocks are held as one complex array, seated for the
+    round-robin (tournament) ordering (Brent & Luk, SIAM J. Sci. Stat.
+    Comput. 6, 1985).  Each round rotates the floor(n/2) disjoint column
+    pairs p = cols[i], q = cols[h + i] of every block by the rotation of
+    ``_hestenes_sweep`` for g = sum conj(p) q, then multiplies q by the phase
+    u = g / |g|, which changes no norm, so that all columns move in one step,
+    c cols + k cols[swap]: p' = c p - s conj(u) q and q' = c q + s u p.  A
+    pair that needs no rotation takes t = 0, the identity.  The iteration
+    stops after one tournament (n - 1 rounds, n rounded up to even) in which
+    no block rotated: then every pair was found orthogonal since the last
+    rotation.  Per block the rest is as in ``singular_values``: the exact
+    power-of-two prescale by the block's largest entry and its undo,
+    ``_SAFE_LO``, ``ORTH_TOL``, the closed-form norm update with its
+    cancellation guard (a squared norm that would fall below a quarter of its
+    old value is recomputed from its column), at most ``MAX_SWEEPS``
+    tournaments, and final norms recomputed from the columns.  Every step is
+    elementwise numpy or a sum within one block, with no BLAS, so a block's
+    values do not depend on the rest of the stack: they are bit for bit those
+    of a stack of one.  Non-finite entries raise ValidationError.
     """
-    a = np.asarray(stack, dtype=np.complex128)
+    a = np.ascontiguousarray(stack, dtype=np.complex128)
     m, n = a.shape[0], a.shape[-1]
-    if not np.all(np.isfinite(a)):
+    parts = a.view(np.float64)
+    big = np.abs(parts.reshape(m, 2 * n * n)).max(axis=1, initial=0.0)
+    if not math.isfinite(big.max(initial=0.0)):  # NaN propagates through max
         raise ValidationError("matrix has non-finite entries")
     if a.size == 0:
         return np.zeros((m, n))
-    big = np.maximum(np.abs(a.real).max(axis=(1, 2)), np.abs(a.imag).max(axis=(1, 2)))
     e = np.frexp(big)[1]
-    # cols[k, b] is column k of block b as the real vector (Re, Im); odd n
-    # gets a zero column, which never rotates and adds one zero value.
-    cols = np.zeros((n + n % 2, m, 2 * n))
-    at = a.transpose(2, 0, 1)
-    cols[:n, :, :n] = np.ldexp(at.real, -e[:, None])
-    cols[:n, :, n:] = np.ldexp(at.imag, -e[:, None])
-    seats, perm = _tournament(len(cols))
+    # cols[k, b] is column k of block b; odd n gets a zero column, which
+    # never rotates and adds one zero value.
+    h2 = n + n % 2
+    h = h2 // 2
+    cols = np.zeros((h2, m, n), dtype=np.complex128)
+    cols[:n] = np.ldexp(parts, -e[:, None, None]).view(np.complex128).transpose(2, 0, 1)
+    seats, perm = _tournament(h2)
     cols = cols[seats]
-    sq = _stack_norms(cols) ** 2
-    sweeps = 0
-    while True:
-        cols, sq, rotated = _stack_sweep(cols, sq, perm)
-        if not rotated:
-            break
-        sweeps += 1
-        if sweeps == MAX_SWEEPS:
+    sq = _col_norms(cols) ** 2
+    rounds = quiet = 0
+    while quiet < h2 - 1:
+        if rounds == MAX_SWEEPS * (h2 - 1):
             raise ConvergenceError(f"one-sided Jacobi did not orthogonalize {n} columns "
                                    f"in {MAX_SWEEPS} sweeps")
-    vals = -np.sort(-_stack_norms(cols).T, axis=1)[:, :n]
+        rounds += 1
+        norms = np.sqrt(sq)
+        g = np.add.reduce(cols[:h].conj() * cols[h:], axis=-1)
+        absg = np.abs(g)
+        active = (np.minimum(sq[:h], sq[h:]) >= _SAFE_LO * _SAFE_LO) & \
+            (absg > ORTH_TOL * (norms[:h] * norms[h:]))
+        if not np.count_nonzero(active):
+            quiet += 1
+        else:
+            quiet = 0
+            # Idle pairs divide by a safe |g| of 1 and take t = 0: the identity.
+            safe = np.where(active, absg, 1.0)
+            tau = (sq[h:] - sq[:h]) / (2.0 * safe)
+            t = np.where(active, 1.0 / (tau + np.copysign(np.hypot(1.0, tau), tau)), 0.0)
+            c = 1.0 / np.hypot(1.0, t)
+            su = (t * c) * (g / safe)
+            # p' = c p - s conj(u) q and q' = c q + s u p in one step.
+            k = np.concatenate((-su.conj(), su)).reshape(2, h, m, 1)
+            pairs = cols.reshape(2, h, m, n)
+            new = (c[..., None] * pairs + k * pairs[::-1]).reshape(h2, m, n)
+            step = t * absg
+            new_sq = np.concatenate((sq[:h] - step, sq[h:] + step))
+            ok = new_sq >= 0.25 * sq
+            if np.count_nonzero(ok) < ok.size:
+                new_sq = np.where(ok, new_sq, _col_norms(new) ** 2)
+            cols, sq = new, new_sq
+        cols, sq = cols[perm], sq[perm]
+    vals = -np.sort(-_col_norms(cols).T, axis=1)[:, :n]
     with np.errstate(over="ignore"):
         vals = np.ldexp(vals, e[:, None])
     if not np.all(np.isfinite(vals)):
@@ -439,11 +469,13 @@ def singular_values_stack(stack) -> np.ndarray:
     return vals
 
 
-def _stack_norms(cols: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis, each formed at the exact power-of-two
-    scale of its largest component, so that no square that matters underflows."""
-    f = np.frexp(np.abs(cols).max(axis=-1))[1]
-    scaled = np.ldexp(cols, -f[..., None])
+def _col_norms(cols: np.ndarray) -> np.ndarray:
+    """Euclidean norms of complex vectors along the last axis, each formed at the
+    exact power-of-two scale of its largest real or imaginary part, so that no
+    square that matters underflows."""
+    parts = cols.view(np.float64)
+    f = np.frexp(np.abs(parts).max(axis=-1))[1]
+    scaled = np.ldexp(parts, -f[..., None])
     return np.ldexp(np.sqrt((scaled * scaled).sum(axis=-1)), f)
 
 
@@ -465,70 +497,6 @@ def _tournament(n: int) -> tuple[np.ndarray, np.ndarray]:
     for a in out:
         a.flags.writeable = False  # cached and shared by every call
     return out
-
-
-def _stack_sweep(cols: np.ndarray, sq: np.ndarray,
-                 perm: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """One tournament sweep over the seated columns ``cols`` (2h, m, 2d) and
-    their squared norms ``sq`` (2h, m); (cols, sq, whether any pair rotated).
-
-    A round rotates p = cols[i] against q = cols[h + i] by the rotation of
-    ``_hestenes_sweep``, then multiplies q by the phase u = g / |g| of
-    g = <p, q>, which changes no norm and makes c = 1, s = 0 the identity:
-    p' = c p - s conj(u) q and q' = c q + s u p.  A column is the real
-    vector (Re a, Im a), so with K(a) = (Im a, -Re a), g is (p . q, p . K q),
-    conj(u) q is Re u q + Im u K q and u p is Re u p - Im u K p.  The squared
-    norms take the closed-form update sq_p - t|g|, sq_q + t|g|; where one
-    would fall below a quarter of its old value (cancellation) it is
-    recomputed from its column.  All per-pair quantities are (h, m) arrays,
-    spread over the 2d components of a column by one ``np.repeat``.
-    """
-    h2, m, d2 = cols.shape
-    h, d = h2 // 2, d2 // 2
-    rotated = False
-    for _ in range(h2 - 1):
-        norms = np.sqrt(sq)
-        kcols = np.concatenate((cols[..., d:], -cols[..., :d]), axis=-1)
-        p, q, kp, kq = cols[:h], cols[h:], kcols[:h], kcols[h:]
-        prods = np.empty((2, h, m, d2))
-        np.multiply(p, q, out=prods[0])
-        np.multiply(p, kq, out=prods[1])
-        g = prods.sum(axis=-1)
-        absg = np.hypot(g[0], g[1])
-        active = (np.minimum(sq[:h], sq[h:]) >= _SAFE_LO * _SAFE_LO) & \
-            (absg > ORTH_TOL * (norms[:h] * norms[h:]))
-        if np.count_nonzero(active):
-            rotated = True
-            # tau = inf gives t = 0, the identity, on the pairs left alone.
-            tau = np.full((h, m), np.inf)
-            np.divide(sq[h:] - sq[:h], 2.0 * absg, out=tau, where=active)
-            t = 1.0 / (tau + np.copysign(np.hypot(1.0, tau), tau))
-            coef = np.zeros((4, h, m))
-            np.divide(1.0, np.hypot(1.0, t), out=coef[0])
-            np.multiply(t, coef[0], out=coef[1])
-            np.divide(g, absg, out=coef[2:], where=active)
-            c, s, ur, ui = np.repeat(coef[..., None], d2, axis=-1)
-            new = np.empty_like(cols)
-            uq = ur * q
-            uq += ui * kq
-            uq *= s
-            np.multiply(c, p, out=new[:h])
-            new[:h] -= uq
-            up = ur * p
-            up -= ui * kp
-            up *= s
-            np.multiply(c, q, out=new[h:])
-            new[h:] += up
-            step = t * absg
-            new_sq = np.empty_like(sq)
-            np.subtract(sq[:h], step, out=new_sq[:h])
-            np.add(sq[h:], step, out=new_sq[h:])
-            ok = new_sq >= 0.25 * sq
-            if np.count_nonzero(ok) < ok.size:
-                new_sq = np.where(ok, new_sq, _stack_norms(new) ** 2)
-            cols, sq = new, new_sq
-        cols, sq = cols[perm], sq[perm]
-    return cols, sq, rotated
 
 
 def pow2_prescale(blocks) -> tuple[list[np.ndarray], int]:

@@ -207,17 +207,25 @@ def trace(x: Element) -> complex:
 
     A block trace or a sum beyond the binary64 range raises ValidationError.
     """
+    return _finite_sum((c * b.trace() for c, b in zip(x.algebra.weights, x.blocks)),
+                       "the trace")
+
+
+def _finite_sum(terms, what: str) -> complex:
+    """complex(sum(terms)), the terms formed under ``np.errstate``; a sum that
+    is not finite raises ValidationError naming ``what``."""
     with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves inf or nan
-        t = complex(sum(c * b.trace() for c, b in zip(x.algebra.weights, x.blocks)))
+        t = complex(sum(terms))
     if not (math.isfinite(t.real) and math.isfinite(t.imag)):
-        raise ValidationError("the trace is beyond the binary64 range")
+        raise ValidationError(f"{what} is beyond the binary64 range")
     return t
 
 
 class Functional:
     """A normal functional stored through its density blocks against tau.
 
-    Evaluation is ``phi(x) = sum_i c_i Tr(rho_i x_i)``; phi is positive
+    Evaluation is ``phi(x) = sum_i c_i Tr(rho_i x_i)``, and a value beyond the
+    binary64 range raises ValidationError.  phi is positive
     exactly when every density block is positive semidefinite, and faithful
     when every block is definite.  The densities are held as one Element,
     so their blocks are factored at most once per functional.
@@ -235,8 +243,9 @@ class Functional:
     def __call__(self, x: Element) -> complex:
         if x.algebra != self.algebra:
             raise ValidationError("functional applied to element of a different algebra")
-        return complex(sum(c * np.trace(r @ b)
-                           for c, r, b in zip(self.algebra.weights, self.densities, x.blocks)))
+        return _finite_sum((c * np.trace(r @ b) for c, r, b in
+                            zip(self.algebra.weights, self.densities, x.blocks)),
+                           "the value of the functional")
 
     @property
     def densities(self) -> tuple[np.ndarray, ...]:
@@ -351,10 +360,11 @@ def _block_singular_values(x: Element) -> tuple[np.ndarray, ...]:
 
 # Fewest blocks of one dimension that fill_singular_values sends to
 # _linalg.singular_values_stack.  Measured through fill_singular_values on
-# random blocks, the stack kernel overtakes the scalar one from 4, 6, 12,
-# 7, 7 and 4 blocks for n = 1, ..., 6; odd n pays more, since a round
-# rotates only (n - 1) / 2 pairs of n columns.  Near the crossover the two
-# cost about the same.
+# random blocks, the stack kernel overtakes the scalar one from 4, 4, 8-9,
+# 4, 4-5 and 3 blocks for n = 1, ..., 6 (two runs); odd n pays more, since a
+# round rotates only (n - 1) / 2 pairs of n columns.  Both bounds lie above
+# that crossover: lowering them would move blocks to the other kernel, whose
+# values differ at the rounding level.
 _STACK_MIN_EVEN = 6
 _STACK_MIN_ODD = 12
 

@@ -430,6 +430,19 @@ def test_trace_beyond_binary64_is_a_validation_error(m2, m2m3, rng):
         assert trace(x) == want
 
 
+def test_functional_value_beyond_binary64_is_a_validation_error(m2, m2m3, rng):
+    # The products 1e200 * 1e200 overflow inside the matmul; numpy's warnings
+    # are errors under the test configuration, so none may escape either.
+    phi = Functional(m2, [np.diag([1e200, 1e200])])
+    with pytest.raises(ValidationError, match="functional is beyond the binary64 range"):
+        phi(Element(m2, [np.diag([1e200, 1e200])]))
+    for _ in range(5):
+        phi, x = rand_functional(rng, m2m3), rand_element(rng, m2m3)
+        want = complex(sum(c * np.trace(r @ b)
+                           for c, r, b in zip(m2m3.weights, phi.densities, x.blocks)))
+        assert phi(x) == want
+
+
 def test_fill_singular_values_groups_blocks_by_size(m2m3, rng, factored_blocks):
     els = [rand_element(rng, m2m3) for _ in range(7)]
     memo = _block_singular_values(els[0])

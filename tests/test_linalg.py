@@ -220,16 +220,30 @@ class TestStackKernel:
         np.testing.assert_allclose(singular_values_stack(stack), [want, want],
                                    rtol=1e-13 if e == 0 else 2.0 ** -28, atol=0.0)
 
+    @pytest.mark.parametrize("d, e", [((1.0, 1e-3, 1e-10, 2e-11), 0),
+                                      ((1.0, 2.0 ** -4, 2.0 ** -8, 2.0 ** -12), -1030)])
+    def test_graded_complex_values_keep_relative_accuracy(self, d, e):
+        # Multiplying the columns of D . H by phases keeps the values 2|d|, and
+        # makes every entry non-real, so each rotation carries a complex phase.
+        phases = np.exp(1j * np.array([0.3, 1.9, -2.4, 4.0]))
+        blocks = [np.diag(d[::s]) @ HADAMARD * phases for s in (1, -1)]
+        stack = np.array([np.ldexp(b.real, e) + 1j * np.ldexp(b.imag, e) for b in blocks])
+        want = np.ldexp(2.0 * np.array(d), e)
+        np.testing.assert_allclose(singular_values_stack(stack), [want, want],
+                                   rtol=1e-13 if e == 0 else 2.0 ** -28, atol=0.0)
+
     def test_each_block_is_independent_of_the_stack(self, rng):
+        # Elementwise numpy loops may take vector or tail paths by length, so
+        # every height from 1 to 17 is tried at both ends of an 18-block stack.
         for n in (1, 2, 3, 4, 5, 6):
             blocks = [b for _ in range(3) for b in _svd_test_blocks(rng, n).values()]
+            alone = [singular_values_stack(b[None])[0].tobytes() for b in blocks]
             whole = singular_values_stack(np.array(blocks))
-            for k, b in enumerate(blocks):
-                alone = singular_values_stack(b[None])
-                assert whole[k].tobytes() == alone[0].tobytes(), (n, k)
-            for m in (2, 5, 9):
-                assert singular_values_stack(np.array(blocks[-m:])).tobytes() == \
-                    whole[-m:].tobytes()
+            assert [v.tobytes() for v in whole] == alone, n
+            for m in range(1, 18):
+                for part in (slice(None, m), slice(-m, None)):
+                    got = singular_values_stack(np.array(blocks[part]))
+                    assert [v.tobytes() for v in got] == alone[part], (n, m, part)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 6).flatmap(lambda n: st.lists(

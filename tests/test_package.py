@@ -155,3 +155,28 @@ def test_only_algebra_calls_certifies_positive():
     found = _library_reads({"certifies_positive"})
     assert {(path, top) for path, top, _ in found} == {("algebra.py", "negative_block"),
                                                       ("algebra.py", "certified_positive")}
+
+
+def test_stack_kernels_make_no_blas_call():
+    # singular_values_stack and certifies_positive give each block the result
+    # of a stack of one, bit for bit; a BLAS product would tie it to the
+    # shape of the stack and to the BLAS build.  Their helpers count too.
+    tree = ast.parse((Path(ncorlicz.__file__).parent / "_linalg.py").read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    todo, scanned = ["singular_values_stack", "certifies_positive"], set()
+    while todo:
+        name = todo.pop()
+        if name not in scanned:
+            scanned.add(name)
+            todo += [n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name) and n.id in defs]
+    assert {"_col_norms", "_tournament"} <= scanned
+    blas = {"matmul", "dot", "vdot", "inner", "einsum", "tensordot"}
+    found = []
+    for name in sorted(scanned):
+        for node in ast.walk(defs[name]):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append((name, "@"))
+            elif isinstance(node, ast.Call):
+                called = getattr(node.func, "attr", getattr(node.func, "id", None))
+                found += [(name, called)] if called in blas else []
+    assert found == []
