@@ -178,5 +178,6 @@ def test_stack_kernels_make_no_blas_call():
                 found.append((name, "@"))
             elif isinstance(node, ast.Call):
                 called = getattr(node.func, "attr", getattr(node.func, "id", None))
-                found += [(name, called)] if called in blas else []
+                if called in blas:
+                    found.append((name, called))
     assert found == []
