@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from ncorlicz import (ConvergenceError, CoshMinusOne, Element, JumpFunction, OrliczFunction,
-                      PowerFunction, ValidationError, _linalg, absolute, dual_pairing,
-                      e_space_gauge, eigen_spectrum, fk_integral, luxemburg_norm,
+                      PowerFunction, RearrangementFunction, ValidationError, _linalg, absolute,
+                      dual_pairing, e_space_gauge, eigen_spectrum, fk_integral, luxemburg_norm,
                       luxemburg_report, make_algebra, membership, modular_value, operator_norm,
                       rearrangement, rearrangement_csv, registry, trace, young_conjugate)
 from ncorlicz._linalg import RANK_RTOL
@@ -124,6 +124,51 @@ class TestRearrangement:
         assert lines[0] == "t_start,t_end,value"
         assert lines[1] == "0,1,3"
         assert csv.endswith("\n") and "\r" not in csv
+
+
+class TestRearrangementFunction:
+    """The public step-function API on hand-made steps."""
+
+    STEPS = [(2 / 3, 0.1), (0.1, 0.2), (1e-300, 5)]
+
+    @pytest.mark.parametrize("steps, message", [
+        ([(1.0, 0.0)], "step Step(value=1.0, length=0.0) must have positive value and length"),
+        ([(0.0, 1.0)], "step Step(value=0.0, length=1.0) must have positive value and length"),
+        ([(-1, 1)], "step Step(value=-1.0, length=1.0) must have positive value and length"),
+        ([(1.0, math.nan)], "step Step(value=1.0, length=nan) must have positive value and length"),
+        ([(1.0, 1.0), (1.0, 2.0)], "step values must decrease strictly"),
+        ([(1.0, 1.0), (2.0, 1.0)], "step values must decrease strictly"),
+    ])
+    def test_constructor_rejections(self, steps, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            RearrangementFunction(steps)
+
+    def test_value_at_step_ends_and_past_the_mass(self):
+        mu = RearrangementFunction([(3.0, 1.0), (2.0, 0.5), (1.0, 1.0)])
+        assert [mu(t) for t in (0.0, 0.999, 1.0, 1.4, 1.5, 2.4, 2.5, 1e300, INF)] == \
+            [3.0, 3.0, 2.0, 2.0, 1.0, 1.0, 0.0, 0.0, 0.0]
+        for t in (-1.0, math.nan):
+            with pytest.raises(ValidationError, match="^rearrangement argument must be >= 0$"):
+                mu(t)
+
+    def test_boundaries_mass_and_repr(self):
+        mu = RearrangementFunction(self.STEPS)
+        assert mu.boundaries() == [(0.0, 0.1, 2 / 3), (0.1, 0.30000000000000004, 0.1),
+                                   (0.30000000000000004, 5.3, 1e-300)]
+        assert mu.total_mass() == 5.3
+        assert repr(mu) == "RearrangementFunction([(0.6666666666666666, 0.1), (0.1, 0.2), " \
+                           "(1e-300, 5.0)])"
+        empty = RearrangementFunction([])
+        assert (empty.boundaries(), empty.total_mass(), empty(0.0)) == ([], 0, 0.0)
+        assert repr(empty) == "RearrangementFunction([])"
+
+    def test_csv_bytes(self):
+        assert rearrangement_csv(RearrangementFunction(self.STEPS)) == (
+            "t_start,t_end,value\n"
+            "0,0.10000000000000001,0.66666666666666663\n"
+            "0.10000000000000001,0.30000000000000004,0.10000000000000001\n"
+            "0.30000000000000004,5.2999999999999998,1e-300\n")
+        assert rearrangement_csv(RearrangementFunction([])) == "t_start,t_end,value\n"
 
 
 class TestFkIntegral:
