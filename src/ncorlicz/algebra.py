@@ -9,12 +9,12 @@ with respect to tau, so ``phi(x) = tau(rho x)`` holds as an identity of
 the stored blocks.
 
 All values are immutable after construction and every operation is pure.
-Each Element factors its blocks at most once: ``_block_eigh`` stores the
+Each Element factors its blocks at most once: ``block_eigh`` stores the
 per-block eigen data on the Element the first time it is asked for, and every
 spectral routine (powers, supports, positivity, ranks) reads it from there
-(singular values likewise from ``_block_singular_values``, which
+(singular values likewise from ``block_singular_values``, which
 ``fill_singular_values`` can fill for many Elements at once).  The eigenvalue
-clusters with their spectral projections and ranks (``_block_clusters``) and
+clusters with their spectral projections and ranks (``block_clusters``) and
 the ``is_hermitian`` verdict are stored the same way, so powers, supports,
 corners, faithfulness and the spectral calculus of one Element cluster its
 blocks once, and so is the merged (value, measure) singular data that
@@ -39,7 +39,7 @@ it by different routes at once may leave either result.
 the rank of the singular values (``_linalg.rank``, the rule of
 ``_linalg.levels``), as the norms are (``polar_decompose``), so x is never
 squared on that route.  Every singular
-value, ``operator_norm``'s included, comes from ``_block_singular_values``; the
+value, ``operator_norm``'s included, comes from ``block_singular_values``; the
 one eigendecomposition of x* x left is the spectral check of
 ``trace_orlicz.fk_integral``, which compares those values against it.
 """
@@ -263,12 +263,12 @@ class Functional:
             return False
         # Every caller goes on to read the eigen data (powers, supports, ranks),
         # so factor now and let negative_block read it rather than certify.
-        _block_eigh(d)
+        block_eigh(d)
         return negative_block(d) is None
 
     def is_faithful(self) -> bool:
         return self.is_positive() and tuple(
-            rank for rank, _ in _block_clusters(self._density)) == self.algebra.block_dims
+            rank for rank, _ in block_clusters(self._density)) == self.algebra.block_dims
 
     def norm(self) -> float:
         """Functional norm, equal to tau(|T|) for the density T."""
@@ -335,7 +335,7 @@ def _require_hermitian(x: Element, what: str):
         raise ValidationError(f"{what} needs a Hermitian element (||x - x*|| = {dev_text})")
 
 
-def _block_eigh(x: Element) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+def block_eigh(x: Element) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Per-block (descending eigenvalues, eigenvectors) of a Hermitian x, read-only.
 
     The only caller of ``_linalg.hermitian_eigh`` outside ``_linalg``: the
@@ -350,7 +350,7 @@ def _block_eigh(x: Element) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return x._eigh
 
 
-def _block_singular_values(x: Element) -> tuple[np.ndarray, ...]:
+def block_singular_values(x: Element) -> tuple[np.ndarray, ...]:
     """Per-block descending singular values of x, read-only, stored on x by the
     first call (see ``fill_singular_values``)."""
     if x._svals is None:
@@ -399,7 +399,7 @@ def fill_singular_values(elements) -> None:
             object.__setattr__(x, "_svals", svals)
 
 
-def _block_clusters(x: Element) -> tuple[tuple[int, tuple], ...]:
+def block_clusters(x: Element) -> tuple[tuple[int, tuple], ...]:
     """Per-block (rank, clusters) of a Hermitian x, stored on x by the first call.
 
     Both come from ``_linalg.levels`` of the block's eigenvalues: a cluster is
@@ -408,7 +408,7 @@ def _block_clusters(x: Element) -> tuple[tuple[int, tuple], ...]:
     """
     if x._clusters is None:
         out = []
-        for vals, vecs in _block_eigh(x):
+        for vals, vecs in block_eigh(x):
             groups, values, rank = _linalg.levels(vals)
             clusters = []
             for group, value in zip(groups, values):
@@ -422,13 +422,13 @@ def _block_clusters(x: Element) -> tuple[tuple[int, tuple], ...]:
     return x._clusters
 
 
-def _on_support(x: Element, f, kernel: bool = False) -> list[np.ndarray]:
+def on_support(x: Element, f, kernel: bool = False) -> list[np.ndarray]:
     """Blocks sum f(l) P_l over the eigenvalue clusters of a Hermitian x within
-    its rank (``_block_clusters``), the others counting as kernel, where f is 0.
+    its rank (``block_clusters``), the others counting as kernel, where f is 0.
     With ``kernel`` every cluster counts, and an f that raises or is not finite
     there is rejected with the eigenvalue and block named (the spectral calculus)."""
     out = []
-    for i, (d, (rank, clusters)) in enumerate(zip(x.algebra.block_dims, _block_clusters(x))):
+    for i, (d, (rank, clusters)) in enumerate(zip(x.algebra.block_dims, block_clusters(x))):
         acc = np.zeros((d, d), dtype=np.complex128)
         for value, mult, proj in clusters:
             if kernel:
@@ -460,7 +460,7 @@ def negative_block(x: Element) -> tuple[int, float] | None:
     """
     if x._eigh is None and all(_linalg.certifies_positive(b[None])[0] for b in x.blocks):
         return None
-    for i, (vals, _) in enumerate(_block_eigh(x)):
+    for i, (vals, _) in enumerate(block_eigh(x)):
         if not is_positive_semidefinite(vals):
             return i, float(vals[-1])
     return None
@@ -489,7 +489,7 @@ def eigen_spectrum(x: Element) -> Spectrum:
     """Spectral decomposition of a Hermitian element with degeneracy merging."""
     _require_hermitian(x, "eigen_spectrum")
     lines = []
-    for i, (_, clusters) in enumerate(_block_clusters(x)):
+    for i, (_, clusters) in enumerate(block_clusters(x)):
         for value, mult, proj in clusters:
             blocks = [np.zeros((d, d), dtype=np.complex128) for d in x.algebra.block_dims]
             blocks[i] = proj
@@ -505,7 +505,7 @@ def spectral_calculus(x: Element, f) -> Element:
     number is rejected with the offending eigenvalue named.
     """
     _require_hermitian(x, "spectral_calculus")
-    return Element(x.algebra, _on_support(x, f, kernel=True))
+    return Element(x.algebra, on_support(x, f, kernel=True))
 
 
 def power_on_support(x: Element, z: complex) -> Element:
@@ -538,7 +538,7 @@ def power_on_support(x: Element, z: complex) -> Element:
             blurred.append((t, bound))
         return np.exp(w)
 
-    blocks = _on_support(x, power)
+    blocks = on_support(x, power)
     if blurred:
         t, bound = blurred[0]
         raise ValidationError(f"power_on_support: eigenvalue {t!r} to the power {z} has a phase "
@@ -549,10 +549,10 @@ def power_on_support(x: Element, z: complex) -> Element:
 def positive_eigenvalues(x: Element) -> list[list[float]]:
     """Per-block descending eigenvalues of a Hermitian element (no merging)."""
     _require_hermitian(x, "positive_eigenvalues")
-    return [[float(v) for v in vals] for vals, _ in _block_eigh(x)]
+    return [[float(v) for v in vals] for vals, _ in block_eigh(x)]
 
 
-def _in_range(x: Element) -> tuple[Element, int]:
+def in_range(x: Element) -> tuple[Element, int]:
     """(x / 2^e, e) with the exact prescale of ``_linalg.pow2_prescale``, so that
     x* x neither overflows nor underflows; e = 0 leaves x as it is."""
     blocks, e = _linalg.pow2_prescale(x.blocks)
@@ -592,18 +592,18 @@ def support_projection(obj) -> Element:
         obj = obj.density_element()
     else:
         _require_hermitian(obj, "support_projection")
-        _block_eigh(obj)  # read next by _on_support: factor rather than certify
+        block_eigh(obj)  # read next by on_support: factor rather than certify
         bad = negative_block(obj)
         if bad is not None:
             raise ValidationError(f"support_projection needs a positive input; "
                                   f"block {bad[0]} has eigenvalue {bad[1]!r}")
-    return Element(obj.algebra, _on_support(obj, lambda t: 1.0))
+    return Element(obj.algebra, on_support(obj, lambda t: 1.0))
 
 
 def operator_norm(x: Element) -> float:
     """Largest singular value of x, the top of the memoized one-sided Jacobi
-    values (``_block_singular_values``); no eigendecomposition is made."""
-    return max(float(s[0]) for s in _block_singular_values(x))
+    values (``block_singular_values``); no eigendecomposition is made."""
+    return max(float(s[0]) for s in block_singular_values(x))
 
 
 def functional_polar(phi: Functional) -> tuple[Element, Functional]:
@@ -642,10 +642,10 @@ def reduce_to_support(phi: Functional) -> Reduction:
     if not phi.is_positive():
         raise ValidationError("reduce_to_support needs a positive functional")
     rho = phi.density_element()
-    kept = [(i, rank) for i, (rank, _) in enumerate(_block_clusters(rho)) if rank]
+    kept = [(i, rank) for i, (rank, _) in enumerate(block_clusters(rho)) if rank]
     if not kept:
         raise ValidationError("functional is zero; the support corner is empty")
-    eig = _block_eigh(rho)
+    eig = block_eigh(rho)
     corner = make_algebra([r for _, r in kept], [phi.algebra.weights[i] for i, _ in kept])
     dens = [np.diag(eig[i][0][:r]).astype(np.complex128) for i, r in kept]
     return Reduction(corner, Functional(corner, dens), tuple(eig[i][1][:, :r] for i, r in kept),

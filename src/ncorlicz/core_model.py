@@ -32,8 +32,7 @@ from .algebra import (Element, absolute, certified_positive, fill_singular_value
                       negative_block, trace)
 from .errors import ValidationError
 from .orliczfn import OrliczFunction
-from .trace_orlicz import (NormReport, _singular_arrays, modular_from_measures,
-                           report_from_measures)
+from .trace_orlicz import NormReport, modular_from_measures, rearrangement, report_from_measures
 
 
 def _to_endpoint(value) -> Fraction:
@@ -256,18 +255,23 @@ def dual_action(s, x: CoreElement) -> CoreElement:
 
 def _core_singular_data(x: CoreElement):
     """(values, measures) of the singular data of every piece, in piece order,
-    each measure scaled by its interval's trace mass.
+    each measure scaled by its interval's trace mass; ValidationError when a
+    scaled measure is beyond the binary64 range.
 
     The distinct piece objects are factored together first
     (``fill_singular_values``); each then merges its singular data once, into
-    the memo that its base norms read too (``_singular_arrays``).
+    the memo that its base norms read too (``rearrangement``).
     """
     if not x.pieces:
         return np.empty(0), np.empty(0)
     fill_singular_values(dict.fromkeys(piece for piece, _ in x.pieces))
-    data = [(_singular_arrays(piece), iv.weight()) for piece, iv in x.pieces]
-    return (np.concatenate([values for (values, _), _ in data]),
-            np.concatenate([measures * w for (_, measures), w in data]))
+    data = [(rearrangement(piece), iv.weight()) for piece, iv in x.pieces]
+    with np.errstate(over="ignore"):  # an overflow leaves inf, rejected below
+        measures = np.concatenate([mu.measures * w for mu, w in data])
+    if not measures.max() < math.inf:
+        raise ValidationError("a piece measure scaled by its interval's trace mass "
+                              "is beyond the binary64 range")
+    return np.concatenate([mu.values for mu, _ in data]), measures
 
 
 def core_modular_value(phi: OrliczFunction, x: CoreElement, lam: float) -> float:

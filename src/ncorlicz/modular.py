@@ -13,7 +13,7 @@ Matrices use the matrix units e_jk, block by block and row-major inside a
 block (the order of ``matrix_units``); there xi -> a xi b is blockdiag_i
 kron(a_i, b_i^T), entry [(j, k), (l, m)] = a_jl b_mk, and every matrix below
 is built from that identity instead of by applying its map to each unit.
-Spectral data, the GNS basis included, comes from ``algebra._block_eigh`` and
+Spectral data, the GNS basis included, comes from ``algebra.block_eigh`` and
 its memo on each density; the module calls no ``numpy.linalg``.
 """
 
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg
-from .algebra import (AlgebraDescriptor, Element, Functional, _block_clusters, _block_eigh,
-                      _in_range, _on_support, power_on_support, support_projection, trace)
+from .algebra import (AlgebraDescriptor, Element, Functional, block_clusters, block_eigh,
+                      in_range, on_support, power_on_support, support_projection, trace)
 from .errors import ValidationError
 
 
@@ -73,7 +73,7 @@ def gns(omega: Functional) -> GNSData:
     e_j tensor rho_i^(1/2)[k, :], and the rows of rho_i^(1/2) span conj(v) over
     its support eigenvectors v.  So the basis is blockdiag_i kron(I, conj(V_i)),
     V_i the first r_i columns of the density's memoized eigenvectors, r_i the
-    rank of ``_block_clusters``, which ``_on_support`` keeps; the dimension is
+    rank of ``block_clusters``, which ``on_support`` keeps; the dimension is
     sum_i d_i r_i, and the basis is orthonormal as far as V_i is, at every scale.
     """
     if not omega.is_positive():
@@ -82,10 +82,10 @@ def gns(omega: Functional) -> GNSData:
         raise ValidationError("gns of the zero functional is empty")
     alg = omega.algebra
     rho = omega.density_element()
-    root = tuple(_on_support(rho, math.sqrt))
-    ranks = tuple(rank for rank, _ in _block_clusters(rho))
+    root = tuple(on_support(rho, math.sqrt))
+    ranks = tuple(rank for rank, _ in block_clusters(rho))
     basis = _linalg.block_diag([_linalg.kron(np.eye(len(vecs)), vecs[:, :r].conj())
-                                for (_, vecs), r in zip(_block_eigh(rho), ranks)])
+                                for (_, vecs), r in zip(block_eigh(rho), ranks)])
     gram = _linalg.block_diag([c * _linalg.kron(np.eye(len(r)), r.T)
                                for c, r in zip(alg.weights, omega.densities)])
     cyc = basis.conj().T @ _ambient(alg, root, alg.identity())
@@ -126,7 +126,7 @@ class StandardForm:
         """The cone vector xi(phi) = rho^(1/2) with phi(x) = <xi, x xi>."""
         if not phi.is_positive():
             raise ValidationError("vector representative needs a positive functional")
-        return Element(self.algebra, _on_support(phi.density_element(), math.sqrt))
+        return Element(self.algebra, on_support(phi.density_element(), math.sqrt))
 
 
 def standard_form(algebra: AlgebraDescriptor) -> StandardForm:
@@ -219,11 +219,11 @@ def radon_nikodym_sqrt(psi: Functional, phi: Functional) -> Element:
     rho_psi = psi.density_element()
     # rho_psi / 2^e is exact and in range, so the leak test reads the same at
     # every scale, subnormal densities included.
-    rho, e = _in_range(rho_psi)
+    rho, e = in_range(rho_psi)
     leak = comp * rho * comp
     scale = rho.frobenius_norm()
     if leak.frobenius_norm() > 1e-10 * scale:
-        for i, (vals, vecs) in enumerate(_block_eigh(leak)):
+        for i, (vals, vecs) in enumerate(block_eigh(leak)):
             if vals[0] > 1e-10 * scale:
                 vec = np.round(vecs[:, 0], 6)
                 raise ValidationError(

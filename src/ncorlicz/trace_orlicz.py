@@ -29,7 +29,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import _linalg
-from .algebra import Element, _block_eigh, _block_singular_values, _in_range, trace
+from .algebra import Element, block_eigh, block_singular_values, in_range, trace
 from .errors import ConvergenceError, ValidationError
 from .orliczfn import INF, OrliczFunction
 
@@ -52,60 +52,68 @@ class Step:
 class RearrangementFunction:
     """Right-continuous nonincreasing step function of singular values.
 
-    Steps carry strictly decreasing values; the total mass equals the
-    trace of the support projection of |x|, and the function vanishes
-    beyond it.
+    The one form of the distribution of |x|: read-only arrays of strictly
+    decreasing positive ``values`` and of positive finite ``measures`` (the
+    ``steps``); the total mass equals the trace of the support projection
+    of |x|, and the function vanishes beyond it.
     """
 
-    __slots__ = ("steps",)
+    __slots__ = ("values", "measures")
 
     def __init__(self, steps):
-        steps = tuple(Step(float(v), float(l)) for v, l in steps)
-        for s in steps:
-            if not (s.value > 0.0 and s.length > 0.0):
-                raise ValidationError(f"step {s} must have positive value and length")
-        for a, b in zip(steps, steps[1:]):
-            if b.value >= a.value:
+        values, measures = [], []  # one pass: rearrangement builds one per Element
+        for v, l in steps:
+            v, l = float(v), float(l)
+            if not (v > 0.0 and l > 0.0):
+                raise ValidationError(f"step {Step(v, l)} must have positive value and length")
+            if l == INF:
+                raise ValidationError(f"step {Step(v, l)} has a measure beyond the binary64 range")
+            if values and v >= values[-1]:
                 raise ValidationError("step values must decrease strictly")
-        self.steps = steps
+            values.append(v)
+            measures.append(l)
+        self.values, self.measures = np.array(values), np.array(measures)
+        self.values.flags.writeable = self.measures.flags.writeable = False
+
+    @property
+    def steps(self) -> tuple[Step, ...]:
+        return tuple(map(Step, self.values.tolist(), self.measures.tolist()))
 
     def __call__(self, t: float) -> float:
         if not (t >= 0):
             raise ValidationError("rearrangement argument must be >= 0")
-        acc = 0.0
-        for s in self.steps:
-            acc += s.length
-            if t < acc:
-                return s.value
+        for _, end, v in self.boundaries():
+            if t < end:
+                return v
         return 0.0
 
     def total_mass(self) -> float:
-        return sum(s.length for s in self.steps)
+        return sum(self.measures.tolist())
 
     def boundaries(self) -> list[tuple[float, float, float]]:
         """(t_start, t_end, value) triples of the steps."""
         rows = []
         t = 0.0
-        for s in self.steps:
-            rows.append((t, t + s.length, s.value))
-            t += s.length
+        for v, l in zip(self.values.tolist(), self.measures.tolist()):
+            rows.append((t, t + l, v))
+            t += l
         return rows
 
     def matches(self, other: "RearrangementFunction") -> bool:
         """Step-data equality: same count, exactly equal lengths, and values
         that ``_linalg.levels`` puts in one group, as it would merge them."""
-        return len(self.steps) == len(other.steps) and all(
-            a.length == b.length and len(_linalg.levels(sorted((a.value, b.value))[::-1])[0]) == 1
-            for a, b in zip(self.steps, other.steps))
+        return self.measures.tolist() == other.measures.tolist() and all(
+            len(_linalg.levels(sorted(pair)[::-1])[0]) == 1
+            for pair in zip(self.values.tolist(), other.values.tolist()))
 
     def __repr__(self):
-        return f"RearrangementFunction({[(s.value, s.length) for s in self.steps]})"
+        return f"RearrangementFunction({list(zip(self.values.tolist(), self.measures.tolist()))})"
 
 
 def singular_value_measures(x: Element) -> list[tuple[float, float]]:
     """Nonzero singular values of x with their tau-measures, merged descending.
 
-    Each block x_i is factored once per Element (``_block_singular_values``),
+    Each block x_i is factored once per Element (``block_singular_values``),
     directly, by one-sided Jacobi (exact power-of-two prescale, so any finite
     scale works and small values keep their relative accuracy); x*x is never
     formed.  ``_linalg.levels`` decides the rest: each block keeps the values
@@ -114,7 +122,7 @@ def singular_value_measures(x: Element) -> list[tuple[float, float]]:
     with its group's total measure and weighted mean, which cannot overflow.
     """
     pairs = []
-    for c, s in zip(x.algebra.weights, _block_singular_values(x)):
+    for c, s in zip(x.algebra.weights, block_singular_values(x)):
         s = s.tolist()
         pairs += [(v, c) for v in s[:_linalg.rank(s)]]
     pairs.sort(key=itemgetter(0), reverse=True)
@@ -129,23 +137,14 @@ def rearrangement(x: Element) -> RearrangementFunction:
     """Decreasing singular-value step function mu of x against tau.
 
     Reproduces mu(t) = inf { s >= 0 : tau(P^{|x|}(s, inf)) <= t } exactly
-    for step data.
+    for step data.  The first call stores mu on x, so that every norm, modular
+    value, rearrangement and membership test of one Element, and every core
+    norm with it as a piece, merges its singular data once.
     """
-    values, measures = _singular_arrays(x)
-    return RearrangementFunction(zip(values.tolist(), measures.tolist()))
-
-
-def _singular_arrays(x: Element) -> tuple[np.ndarray, np.ndarray]:
-    """``singular_value_measures`` of x as read-only (values, measures) arrays,
-    stored on x by the first call, so that every norm, modular value,
-    rearrangement and membership test of one Element, and every core norm
-    with it as a piece, merges its singular data once."""
     if x._singular is None:
-        data = singular_value_measures(x)
-        values, measures = np.array([v for v, _ in data]), np.array([m for _, m in data])
-        values.flags.writeable = measures.flags.writeable = False
+        mu = RearrangementFunction(singular_value_measures(x))
         if x._singular is None:
-            object.__setattr__(x, "_singular", (values, measures))
+            object.__setattr__(x, "_singular", mu)
     return x._singular
 
 
@@ -166,7 +165,8 @@ def modular_from_measures(phi: OrliczFunction, values: np.ndarray, measures: np.
 
 def modular_value(phi: OrliczFunction, x: Element, lam: float) -> float:
     """tau(Phi(|x|/lam)) as an extended real."""
-    return modular_from_measures(phi, *_singular_arrays(x), lam)
+    mu = rearrangement(x)
+    return modular_from_measures(phi, mu.values, mu.measures, lam)
 
 
 def fk_integral(phi: OrliczFunction, x: Element) -> float:
@@ -174,7 +174,7 @@ def fk_integral(phi: OrliczFunction, x: Element) -> float:
 
     Returns ``modular_value(phi, x, 1.0)``, the step sum sum_j Phi(v_j) l_j,
     after two checks against the eigenvalues l_ik of y* y, y = x / 2^e
-    (``_in_range``), one two-sided Jacobi eigendecomposition per block.  On
+    (``in_range``), one two-sided Jacobi eigendecomposition per block.  On
     each d x d block the memoized one-sided Jacobi values s of y must have
     |s_k^2 - l_k| <= b = 16 d eps s_0^2 + 2 s_0 2^(-1074 - e) + 4 d^2 2^-1074,
     the rounding of y* y and its eigenvalues, of a subnormal sigma of x and of
@@ -185,10 +185,10 @@ def fk_integral(phi: OrliczFunction, x: Element) -> float:
     so the rank cut, weights and merging of ``singular_value_measures`` are
     checked too.  Neither check reads Phi.
     """
-    y, e = _in_range(x)
+    y, e = in_range(x)
     eps, trace_h, slack, n = sys.float_info.epsilon, 0.0, 0.0, 0
-    for i, (c, (lam, _), s) in enumerate(zip(x.algebra.weights, _block_eigh(y.adjoint() * y),
-                                             _block_singular_values(x))):
+    for i, (c, (lam, _), s) in enumerate(zip(x.algebra.weights, block_eigh(y.adjoint() * y),
+                                             block_singular_values(x))):
         s, d = (np.ldexp(s, -e) if e else s), len(s)
         b = s[0] * (16 * d * eps * s[0] + math.ldexp(2.0, -1074 - e)) + math.ldexp(d * d, -1072)
         gap = np.abs(s * s - lam)
@@ -198,8 +198,8 @@ def fk_integral(phi: OrliczFunction, x: Element) -> float:
                 f"singular values disagree with x* x: in block {i} of y = x / 2^{e}, "
                 f"singular value {s[k]!r} squared vs eigenvalue {lam[k]!r} of y* y")
         trace_h, slack, n = trace_h + c * float(lam.sum()), slack + c * d * b, n + d
-    values, measures = _singular_arrays(x)
-    mass = float(np.dot(measures, np.square(np.ldexp(values, -e) if e else values)))
+    mu = rearrangement(x)
+    mass = float(np.dot(mu.measures, np.square(np.ldexp(mu.values, -e) if e else mu.values)))
     tol = slack + n * (eps + n * _linalg.CLUSTER_RTOL**2) * trace_h + math.ldexp(n, -1073)
     if abs(mass - trace_h) > tol:
         raise ValidationError(f"distribution identity violated at Phi(t) = t^2: step sum {mass!r} "
@@ -376,7 +376,8 @@ def report_from_measures(phi: OrliczFunction, values: np.ndarray, measures: np.n
 def luxemburg_report(phi: OrliczFunction, x: Element, tol: float = 1e-12) -> NormReport:
     """Luxemburg norm with its evaluation count, the modular value at the norm
     and the termination reason."""
-    return report_from_measures(phi, *_singular_arrays(x), tol)
+    mu = rearrangement(x)
+    return report_from_measures(phi, mu.values, mu.measures, tol)
 
 
 def luxemburg_norm(phi: OrliczFunction, x: Element, tol: float = 1e-12) -> float:
@@ -408,7 +409,7 @@ def membership(phi: OrliczFunction, x: Element) -> MembershipFlags:
     """Membership of x in the Orlicz class, the span space, and the all-scales space."""
     if not phi.is_young:
         raise ValidationError(f"{phi.label()} is not a Young function")
-    values, _ = _singular_arrays(x)
+    values = rearrangement(x).values
     if not values.size:
         return MembershipFlags(True, True, True, 1.0)
     vmax = float(values[0])

@@ -12,8 +12,8 @@ from ncorlicz import (Element, Functional, StandardForm, ValidationError, _linal
                       spectral_calculus, support_projection, trace)
 from ncorlicz._linalg import (POSITIVITY_RTOL, RANK_RTOL, hermitian_eigh, levels,
                               singular_values)
-from ncorlicz.algebra import (HERMITIAN_RTOL, _block_clusters, _block_eigh,
-                              _block_singular_values, fill_singular_values)
+from ncorlicz.algebra import (HERMITIAN_RTOL, block_clusters, block_eigh,
+                              block_singular_values, fill_singular_values)
 from ncorlicz.sampling import (SplitMix64, rand_element, rand_functional, rand_matrix,
                                rand_unitary_element, rand_unitary_matrix)
 
@@ -338,14 +338,14 @@ def _fresh_power(block, z):
 def test_memoized_eigen_data_is_bit_identical_to_a_fresh_factorisation(m2m3, rng):
     for ranks in ([2, 3], [1, 2], [2, 1]):
         rho = rand_functional(rng, m2m3, ranks).density_element()
-        memo = _block_eigh(rho)
-        assert _block_eigh(rho) is memo
+        memo = block_eigh(rho)
+        assert block_eigh(rho) is memo
         for (vals, vecs), block in zip(memo, rho.blocks):
             fresh_vals, fresh_vecs = hermitian_eigh(block)
             assert np.array_equal(vals, fresh_vals) and np.array_equal(vecs, fresh_vecs)
             assert not (vals.flags.writeable or vecs.flags.writeable)
-        clusters = _block_clusters(rho)
-        assert _block_clusters(rho) is clusters
+        clusters = block_clusters(rho)
+        assert block_clusters(rho) is clusters
         assert not any(proj.flags.writeable for _, group in clusters for _, _, proj in group)
         for z in (0.5, -1.0, 0.0, 0.7j, 0.25 - 1.5j):
             first, again = power_on_support(rho, z), power_on_support(rho, z)
@@ -445,7 +445,7 @@ def test_functional_value_beyond_binary64_is_a_validation_error(m2, m2m3, rng):
 
 def test_fill_singular_values_groups_blocks_by_size(m2m3, rng, factored_blocks):
     els = [rand_element(rng, m2m3) for _ in range(7)]
-    memo = _block_singular_values(els[0])
+    memo = block_singular_values(els[0])
     fill_singular_values(els + els[1:3])
     assert els[0]._svals is memo
     # Six 2x2 blocks reach the even crossover, six 3x3 blocks not the odd one.

@@ -18,7 +18,7 @@ from ncorlicz import (ConvergenceError, Element, JumpFunction, PowerFunction, Va
 from ncorlicz._linalg import (HERMITIAN_RTOL, POSITIVITY_RTOL, RANK_RTOL, certifies_positive,
                               hermitian_eigh, is_positive_semidefinite, singular_values,
                               singular_values_stack)
-from ncorlicz.algebra import _block_singular_values
+from ncorlicz.algebra import block_singular_values
 from ncorlicz.sampling import SplitMix64, rand_matrix, rand_unitary_matrix
 from ncorlicz.trace_orlicz import singular_value_measures
 
@@ -340,7 +340,7 @@ def test_polar_routines_at_extreme_scales(s):
     v, a = polar_decompose(x)
     tops = []
     for b, got_abs, got_abs2, got_v, got_sv in zip(x.blocks, absolute(x).blocks, a.blocks,
-                                                   v.blocks, _block_singular_values(x)):
+                                                   v.blocks, block_singular_values(x)):
         u, sv, vh = np.linalg.svd(b)
         want_abs = (vh.conj().T * sv) @ vh
         np.testing.assert_allclose(got_abs, want_abs, rtol=0.0, atol=1e-12 * sv[0])

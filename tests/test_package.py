@@ -133,11 +133,25 @@ def _library_reads(names):
     return found
 
 
+def test_no_private_name_is_imported_across_modules():
+    # An underscore name belongs to its module; a module that another one
+    # needs names it without the underscore.  `from . import _linalg` imports
+    # a module, not a name, and stays allowed.
+    src = Path(ncorlicz.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module is not None:
+                found += [(path.name, node.module, alias.name) for alias in node.names
+                          if alias.name.startswith("_")]
+    assert found == []
+
+
 def test_only_block_eigh_calls_hermitian_eigh():
-    # algebra._block_eigh stores each eigendecomposition on its Element; any
+    # algebra.block_eigh stores each eigendecomposition on its Element; any
     # other caller outside _linalg would factor a block a second time.
     found = _library_reads({"hermitian_eigh"})
-    assert {(path, top) for path, top, _ in found} == {("algebra.py", "_block_eigh")}
+    assert {(path, top) for path, top, _ in found} == {("algebra.py", "block_eigh")}
 
 
 def test_only_linalg_decides_equal_and_zero_values():

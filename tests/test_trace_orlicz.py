@@ -10,10 +10,9 @@ from ncorlicz import (ConvergenceError, CoshMinusOne, Element, JumpFunction, Orl
                       luxemburg_report, make_algebra, membership, modular_value, operator_norm,
                       rearrangement, rearrangement_csv, registry, trace, young_conjugate)
 from ncorlicz._linalg import RANK_RTOL
-from ncorlicz.algebra import _block_singular_values
+from ncorlicz.algebra import block_singular_values
 from ncorlicz.core_model import CoreElement, core_luxemburg_report, embed, interval
-from ncorlicz.trace_orlicz import (AT_FINITENESS_BOUND, CONVERGED, ZERO, _singular_arrays,
-                                   singular_value_measures)
+from ncorlicz.trace_orlicz import AT_FINITENESS_BOUND, CONVERGED, ZERO, singular_value_measures
 from ncorlicz.sampling import SplitMix64, rand_element, rand_unitary_element, rand_unitary_matrix
 from conftest import svd_singular_values
 
@@ -65,7 +64,8 @@ class TestRearrangement:
         assert len(calls) == 1
 
     def test_stored_singular_data_is_read_only(self, m2m3, rng):
-        values, measures = _singular_arrays(rand_element(rng, m2m3))
+        mu = rearrangement(rand_element(rng, m2m3))
+        values, measures = mu.values, mu.measures
         assert not values.flags.writeable and not measures.flags.writeable
         with pytest.raises(ValueError):
             values[0] = 0.0
@@ -82,10 +82,10 @@ class TestRearrangement:
         assert rearrangement(x).steps == rearrangement(Element(m2m3, x.blocks)).steps
         phi = CoshMinusOne()
         assert fk_integral(phi, x) == fk_integral(phi, Element(m2m3, x.blocks))
-        assert _singular_arrays(x) is _singular_arrays(x)
+        assert rearrangement(x) is rearrangement(x)
         want = singular_value_measures(Element(m2m3, x.blocks))
-        values, measures = _singular_arrays(x)
-        assert list(zip(values.tolist(), measures.tolist())) == want
+        mu = rearrangement(x)
+        assert list(zip(mu.values.tolist(), mu.measures.tolist())) == want
 
     def test_core_and_base_norms_share_a_piece_memo(self, m2m3, rng, count_calls):
         calls = count_calls(singular_value_measures)
@@ -135,7 +135,8 @@ class TestRearrangementFunction:
         ([(1.0, 0.0)], "step Step(value=1.0, length=0.0) must have positive value and length"),
         ([(0.0, 1.0)], "step Step(value=0.0, length=1.0) must have positive value and length"),
         ([(-1, 1)], "step Step(value=-1.0, length=1.0) must have positive value and length"),
-        ([(1.0, math.nan)], "step Step(value=1.0, length=nan) must have positive value and length"),
+        ([(1.0, math.nan)],
+         "step Step(value=1.0, length=nan) must have positive value and length"),
         ([(1.0, 1.0), (1.0, 2.0)], "step values must decrease strictly"),
         ([(1.0, 1.0), (2.0, 1.0)], "step values must decrease strictly"),
     ])
@@ -536,21 +537,50 @@ def test_fk_integral_on_subnormal_singular_values():
     assert fk_integral(JumpFunction(1.0), x) == 0.0
 
 
-@pytest.mark.parametrize("memo, read, part", [
+def _step_arrays(x):
+    mu = rearrangement(x)
+    return mu.values, mu.measures
+
+
+def _steps_of(data):
+    return RearrangementFunction(zip(*data))
+
+
+@pytest.mark.parametrize("memo, read, plant, part", [
     # a singular value of the block: caught against y* y
-    ("_svals", _block_singular_values, 0),
+    ("_svals", block_singular_values, tuple, 0),
     # a value or a measure of the merged steps: caught against tau(y* y)
-    ("_singular", _singular_arrays, 0),
-    ("_singular", _singular_arrays, 1),
+    ("_singular", _step_arrays, _steps_of, 0),
+    ("_singular", _step_arrays, _steps_of, 1),
 ], ids=["svals", "step-values", "step-measures"])
 @pytest.mark.parametrize("k", [0, 1, 2])
-def test_fk_integral_rejects_a_planted_error(memo, read, part, k):
+def test_fk_integral_rejects_a_planted_error(memo, read, plant, part, k):
     x = _graded(0, 0.25)
     data = [a.copy() for a in read(x)]
     data[part][k] *= 1.0 + 1e-6
-    object.__setattr__(x, memo, tuple(data))
+    object.__setattr__(x, memo, plant(data))
     with pytest.raises(ValidationError):
         fk_integral(PowerFunction(2.0), x)
+
+
+@pytest.mark.parametrize("name", ["power1", "power2", "power3", "cosh1", "linf"])
+@pytest.mark.parametrize("case", ["base", "core"])
+def test_step_measure_beyond_binary64_is_a_validation_error(case, name):
+    # The two unit singular values of the identity merge into one step of
+    # measure 2 c.  On the base c = 1e308, so the step's measure is 2e308; on
+    # the core c = 5, scaled by the trace mass 5.2e307 of [-709, -708).  Either
+    # sum leaves binary64, and a norm read from it was silently wrong.
+    phi = registry()[name]
+    if case == "base":
+        x = make_algebra([2], [1e308]).identity()
+        for read in (luxemburg_report, fk_integral):
+            with pytest.raises(ValidationError, match="beyond the binary64 range"):
+                read(phi, x)
+    else:
+        x = make_algebra([2], [5.0]).identity()
+        core = CoreElement(x.algebra, [(x, interval(-709, -708))])
+        with pytest.raises(ValidationError, match="beyond the binary64 range"):
+            core_luxemburg_report(phi, core)
 
 
 @pytest.mark.parametrize("scale, small", [(1.0, 1e-155), (1e300, 1e145)])
