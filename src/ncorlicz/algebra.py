@@ -17,9 +17,10 @@ spectral routine (powers, supports, positivity, ranks) reads it from there
 clusters with their spectral projections and ranks (``block_clusters``) and
 the ``is_hermitian`` verdict are stored the same way, so powers, supports,
 corners, faithfulness and the spectral calculus of one Element cluster its
-blocks once, and so is the merged (value, measure) singular data that
-``trace_orlicz._singular_arrays`` reads for norms and rearrangements; the
-blocks are read-only, so no memo can go stale.  ``_linalg.levels`` is the one
+blocks once, and so is the distribution of |x| (``trace_orlicz.rearrangement``)
+that the norms read; the blocks are read-only, so no memo can go stale.  The
+three memo readers, ``on_support`` and ``in_range`` are the interface that the
+other modules use; the package does not export them.  ``_linalg.levels`` is the one
 rule for which values are equal and which are zero: it makes the clusters,
 their values (weighted means, which cannot overflow) and every rank here.
 A Functional keeps its density as one such Element.  Positivity without eigen

@@ -1,7 +1,8 @@
 """Orlicz norms over a finite-dimensional trace algebra.
 
 The singular values of an element, weighted by the trace weights of
-their blocks, form a decreasing step function (the rearrangement); which
+their blocks, form a decreasing step function, the one ``RearrangementFunction``
+that ``rearrangement`` stores on the element and every norm here reads; which
 values are zero and which share a step is decided by ``_linalg.levels``, the
 rule of the eigenvalue clusters too.  The distribution identity
 tau(f(|x|)) = integral of f along that step function holds exactly for step
