@@ -10,10 +10,11 @@ from ncorlicz import (Element, Functional, StandardForm, ValidationError, _linal
                       canonical_trace, eigen_spectrum, embed, functional_polar, make_algebra,
                       operator_norm, polar_decompose, power_on_support, reduce_to_support,
                       spectral_calculus, support_projection, trace)
-from ncorlicz._linalg import (POSITIVITY_RTOL, RANK_RTOL, hermitian_eigh, levels,
-                              singular_values)
+from ncorlicz._linalg import (POSITIVITY_RTOL, RANK_RTOL, hermitian_eigh,
+                              is_positive_semidefinite, levels, singular_values)
 from ncorlicz.algebra import (HERMITIAN_RTOL, block_clusters, block_eigh,
-                              block_singular_values, fill_singular_values)
+                              block_singular_values, certified_positive, fill_singular_values,
+                              negative_block)
 from ncorlicz.sampling import (SplitMix64, rand_element, rand_functional, rand_matrix,
                                rand_unitary_element, rand_unitary_matrix)
 
@@ -312,6 +313,50 @@ def test_positivity_checks_agree_at_the_tolerance(factor, positive):
         except ValidationError:
             verdicts.append(False)
     assert verdicts == [positive] * 4
+
+
+def _positivity_case(case):
+    """An Element of M_6 + M_2 of one kind that the positivity checks tell apart."""
+    alg = make_algebra([6, 2], [1.0, 0.5])
+    rng = SplitMix64(10)
+    g = rand_element(rng, alg)
+    if case == "certified":
+        return g.adjoint() * g
+    if case == "edge":
+        # Positive, with its smallest eigenvalue at -0.9 POSITIVITY_RTOL of the
+        # largest: the certificate covers about -0.4 POSITIVITY_RTOL here.
+        u = rand_unitary_matrix(rng, 6)
+        b = (u * [1.0, 0.1, 0.1, 0.1, 0.1, -0.9 * POSITIVITY_RTOL]) @ u.conj().T
+        return Element(alg, [(b + b.conj().T) / 2, np.eye(2)])
+    if case == "negative":
+        return Element(alg, [np.eye(6), np.diag([1.0, -1.0])])
+    return g  # not Hermitian
+
+
+@pytest.mark.parametrize("case, certified, positive", [
+    ("certified", True, True), ("edge", False, True), ("negative", False, False),
+    ("non-hermitian", False, False)])
+def test_positivity_verdicts_with_and_without_eigen_data(case, certified, positive):
+    x = _positivity_case(case)
+    assert certified_positive([x]) == [certified]
+    # The eigenvalue test on the eigen data of each block, the oracle of
+    # negative_block; for a non-Hermitian x the data are those of (x + x*) / 2.
+    eig = block_eigh(_positivity_case(case))
+    want = next(((i, float(vals[-1])) for i, (vals, _) in enumerate(eig)
+                 if not is_positive_semidefinite(vals)), None)
+    assert (want is None) == (case in ("certified", "edge"))
+    for stored in (False, True):
+        y, z = _positivity_case(case), _positivity_case(case)
+        if stored:
+            block_eigh(y)
+            block_eigh(z)
+        assert y.is_positive() is positive
+        assert negative_block(z) == want
+    if case == "negative":
+        assert want == (1, -1.0)
+    elif case == "non-hermitian":
+        h = [(b + b.conj().T) / 2 for b in x.blocks]
+        assert want[1] == pytest.approx(np.linalg.eigvalsh(h[want[0]])[0], rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])

@@ -71,6 +71,26 @@ class TestConstruction:
         assert canonical_trace(z) == 1e308 * interval(-1, 0).weight()
         assert weighted_trace(z) == 1e308 * interval(-1, 0).weight()
 
+    def test_trace_messages_and_the_first_error_raised(self, m2):
+        big = Element(m2, [np.diag([1e308, 0.0])])
+        negative = Element(m2, [np.diag([1.0, -1.0])])
+        for fn, what in ((canonical_trace, "canonical"), (weighted_trace, "weighted")):
+            with pytest.raises(ValidationError,
+                               match=rf"^the {what} trace is beyond the binary64 range$"):
+                fn(CoreElement(m2, [(big, interval(-2, -1))]))
+        # canonical_trace checks each piece before its term, and the sum last.
+        for pieces, message in (
+                ([(big, interval(-2, -1)), (negative, interval(0, 1))],
+                 r"^piece on \[0, 1\) is not positive: block 0 eigenvalue -1\.0$"),
+                ([(negative, interval(-1000, -999))],
+                 r"^piece on \[-1000, -999\) is not positive"),
+                ([(m2.identity(), interval(-1000, 0)), (negative, interval(1, 2))],
+                 r"^trace mass of \[-1000, 0\) is beyond the binary64 range$")):
+            with pytest.raises(ValidationError, match=message):
+                canonical_trace(CoreElement(m2, pieces))
+        with pytest.raises(ValidationError, match=r"^trace mass of \[-1000, 0\) is beyond"):
+            weighted_trace(CoreElement(m2, [(m2.identity(), interval(-1000, 0))]))
+
     def test_overlap_rejected(self, m2, rng):
         x = rand_element(rng, m2)
         with pytest.raises(ValidationError, match="overlap"):
