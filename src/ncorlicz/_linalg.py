@@ -15,10 +15,12 @@ rotation makes a numpy call.  The one-sided kernel carries the column norms
 through a sweep by the closed-form update of the rotated diagonal, as
 LAPACK's xGESVJ does, recomputing a norm from its column only where the
 update would cancel, and recomputes every norm from the final columns.
-Both prescale by an exact power of two (the eigensolver from the Frobenius
-norm of its input, singular values from the largest entry) that is undone
-on the results, so their thresholds neither overflow nor underflow anywhere
-in the binary64 range and 2^k a gives exactly 2^k times the values of a.
+Both prescale by an exact power of two that is undone on the results, so
+their thresholds neither overflow nor underflow anywhere in the binary64
+range and 2^k a gives exactly 2^k times the values of a.  The eigensolver
+takes it from the Frobenius norm of its input; every other kernel here, and
+``pow2_prescale``, from the largest real or imaginary part of each block,
+by the one routine ``_pow2_scale``, which also rejects non-finite entries.
 
 The one-sided iteration has two entry points: ``singular_values`` for the
 values and ``svd``, which also accumulates the right singular vectors, for
@@ -98,19 +100,18 @@ def frobenius(a: np.ndarray) -> float:
     return math.hypot(*map(abs, np.ravel(a).tolist()))
 
 
-def _pow2_exponent(a: np.ndarray) -> int:
-    """e with every real and imaginary part of ``a`` below 2^e in magnitude.
-
-    The largest part m satisfies 2^(e-1) <= m < 2^e, so scaling by 2^-e is
-    exact and brings the entries to at most sqrt(2) in modulus.  Non-finite
-    entries raise ValidationError; an all-zero matrix gives 0.
-    """
-    if not np.all(np.isfinite(a)):
+def _pow2_scale(stack) -> tuple[np.ndarray, np.ndarray]:
+    """(w, e) for a stack of complex blocks along the first axis: e[b] is the
+    exponent of the largest real or imaginary part m of block b, 2^(e-1) <= m
+    < 2^e (0 for a zero block), and w[b] = 2^-e[b] a[b], exact, with every
+    entry at most sqrt(2) in modulus.  The one prescale of every kernel here
+    but the eigensolver's.  Non-finite entries raise ValidationError."""
+    parts = np.ascontiguousarray(stack, dtype=np.complex128).view(np.float64)
+    big = np.abs(parts).max(axis=tuple(range(1, parts.ndim)), initial=0.0)
+    if not math.isfinite(big.max(initial=0.0)):  # NaN propagates through max
         raise ValidationError("matrix has non-finite entries")
-    if a.size == 0:
-        return 0
-    big = max(float(np.max(np.abs(a.real))), float(np.max(np.abs(a.imag))))
-    return math.frexp(big)[1]
+    e = np.frexp(big)[1]
+    return np.ldexp(parts, -e.reshape((-1,) + (1,) * (parts.ndim - 1))).view(np.complex128), e
 
 
 def _ldexp_matrix(a: np.ndarray, e: int) -> np.ndarray:
@@ -124,13 +125,14 @@ def _ldexp_matrix(a: np.ndarray, e: int) -> np.ndarray:
 def _hermitian_rows(a: np.ndarray) -> tuple[list[list[complex]], int]:
     """(rows of (a + a*) / 2^(e+1) as Python ``complex``, e) with 2^(e-1) <=
     ||a||_F < 2^e, the exact prescale of ``hermitian_eigh``.  e comes from
-    ``_pow2_exponent`` when the norm overflows and is at least -1021, so that
+    ``_pow2_scale`` when the norm overflows and is at least -1021, so that
     2^-(e+1) is finite: a block of subnormal norm is scaled to below 1/4.
     Non-finite entries raise ValidationError."""
     w = np.asarray(a, dtype=np.complex128)
     rows = w.tolist()
     scale = math.hypot(*[abs(x) for row in rows for x in row])
-    e = max(math.frexp(scale)[1], -1021) if math.isfinite(scale) else _pow2_exponent(w)
+    e = (max(math.frexp(scale)[1], -1021) if math.isfinite(scale)
+         else int(_pow2_scale(w[None])[1][0]))
     half = math.ldexp(0.5, -e)
     return [[half * x + half * y.conjugate() for x, y in zip(row, col)]
             for row, col in zip(rows, zip(*rows))], e
@@ -178,8 +180,7 @@ def certifies_positive(stack) -> np.ndarray:
     True means both halves of ``Element.is_positive`` hold for the block a: an
     Element whose blocks all pass is one ``is_hermitian`` accepts, and
     H = (a + a*) / 2 passes ``is_positive_semidefinite``.  Each block is
-    prescaled exactly, to w = 2^-e a, by the power of two of its largest real
-    or imaginary part, as in ``singular_values_stack``.
+    prescaled exactly, to w = 2^-e a, by ``_pow2_scale``.
 
     The Hermitian half asks ||w - w*||_F <= (1 - 2^-20) HERMITIAN_RTOL ||w||_F,
     on squares (see ``_HERMITIAN_SQ``).  The positive half factors
@@ -204,13 +205,8 @@ def certifies_positive(stack) -> np.ndarray:
     NaN or inf that its later steps may carry are left unreported.  Non-finite
     entries raise ValidationError.
     """
-    a = np.ascontiguousarray(stack, dtype=np.complex128)
-    m, n = a.shape[0], a.shape[-1]
-    parts = a.view(np.float64)
-    big = np.abs(parts.reshape(m, 2 * n * n)).max(axis=1, initial=0.0)
-    if not math.isfinite(big.max(initial=0.0)):  # NaN propagates through max
-        raise ValidationError("matrix has non-finite entries")
-    w = np.ldexp(parts, -np.frexp(big)[1][:, None, None]).view(np.complex128)
+    w = _pow2_scale(stack)[0]
+    m, n = w.shape[0], w.shape[-1]
     wh = w.conj().transpose(0, 2, 1)
     gk = np.empty((2, m, n, n), dtype=np.complex128)
     np.add(w, wh, out=gk[0])
@@ -233,7 +229,8 @@ def certifies_positive(stack) -> np.ndarray:
             np.add(t[..., 0, 0], t[..., 1, 1], out=outer[..., 0])
             np.subtract(t[..., 1, 0], t[..., 0, 1], out=outer[..., 1])
             g[:, j + 1:, j + 1:] -= outer
-    return (ok & (pivots > 0.0).all(axis=0)) | (big == 0.0)
+    # gs + ks = 4 ||w||_F^2 is 0 exactly for a zero block: any other has a part of at least 1/2.
+    return (ok & (pivots > 0.0).all(axis=0)) | (gs + ks == 0.0)
 
 
 def _off_mass(rows: list[list[complex]]) -> float:
@@ -320,12 +317,11 @@ def _hestenes(a: np.ndarray, with_v: bool) -> tuple[list, list | None, int]:
     never squared, so small singular values keep their relative accuracy down
     to 2^-450 times the largest entry, below which columns are left unrotated.
     All arithmetic is scalar Python ``complex`` on column lists, after the
-    exact power-of-two prescale of ``_pow2_exponent``.  With ``with_v`` every
+    exact power-of-two prescale of ``_pow2_scale``.  With ``with_v`` every
     rotation is also applied to the columns of the identity, which become v.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    e = _pow2_exponent(a)
-    cols = _ldexp_matrix(a, -e).T.tolist()
+    w, e = _pow2_scale(np.asarray(a, dtype=np.complex128)[None])
+    cols = w[0].T.tolist()
     n = len(cols)
     vecs = [[complex(i == j) for i in range(n)] for j in range(n)] if with_v else None
     norms = [_norm(col) for col in cols]
@@ -335,7 +331,7 @@ def _hestenes(a: np.ndarray, with_v: bool) -> tuple[list, list | None, int]:
         if sweeps == MAX_SWEEPS:
             raise ConvergenceError(f"one-sided Jacobi did not orthogonalize {n} "
                                    f"columns in {MAX_SWEEPS} sweeps")
-    return cols, vecs, e
+    return cols, vecs, int(e[0])
 
 
 def _norm(col: list[complex]) -> float:
@@ -401,31 +397,26 @@ def singular_values_stack(stack) -> np.ndarray:
     pair that needs no rotation takes t = 0, the identity.  The iteration
     stops after one tournament (n - 1 rounds, n rounded up to even) in which
     no block rotated: then every pair was found orthogonal since the last
-    rotation.  Per block the rest is as in ``singular_values``: the exact
-    power-of-two prescale by the block's largest entry and its undo,
-    ``_SAFE_LO``, ``ORTH_TOL``, the closed-form norm update with its
-    cancellation guard (a squared norm that would fall below a quarter of its
-    old value is recomputed from its column), at most ``MAX_SWEEPS``
-    tournaments, and final norms recomputed from the columns.  Every step is
-    elementwise numpy or a sum within one block, with no BLAS, so a block's
-    values do not depend on the rest of the stack: they are bit for bit those
-    of a stack of one.  Non-finite entries raise ValidationError.
+    rotation.  Per block the rest is as in ``singular_values``: the prescale
+    of ``_pow2_scale`` and its undo, ``_SAFE_LO``, ``ORTH_TOL``, the
+    closed-form norm update with its cancellation guard (a squared norm that
+    would fall below a quarter of its old value is recomputed from its
+    column), at most ``MAX_SWEEPS`` tournaments, and final norms recomputed
+    from the columns.  Every step is elementwise numpy or a sum within one
+    block, with no BLAS, so a block's values do not depend on the rest of the
+    stack: they are bit for bit those of a stack of one.  Non-finite entries
+    raise ValidationError.
     """
-    a = np.ascontiguousarray(stack, dtype=np.complex128)
-    m, n = a.shape[0], a.shape[-1]
-    parts = a.view(np.float64)
-    big = np.abs(parts.reshape(m, 2 * n * n)).max(axis=1, initial=0.0)
-    if not math.isfinite(big.max(initial=0.0)):  # NaN propagates through max
-        raise ValidationError("matrix has non-finite entries")
-    if a.size == 0:
+    w, e = _pow2_scale(stack)
+    m, n = w.shape[0], w.shape[-1]
+    if w.size == 0:
         return np.zeros((m, n))
-    e = np.frexp(big)[1]
     # cols[k, b] is column k of block b; odd n gets a zero column, which
     # never rotates and adds one zero value.
     h2 = n + n % 2
     h = h2 // 2
     cols = np.zeros((h2, m, n), dtype=np.complex128)
-    cols[:n] = np.ldexp(parts, -e[:, None, None]).view(np.complex128).transpose(2, 0, 1)
+    cols[:n] = w.transpose(2, 0, 1)
     seats, perm = _tournament(h2)
     cols = cols[seats]
     sq = _col_norms(cols) ** 2
@@ -503,17 +494,9 @@ def pow2_prescale(blocks) -> tuple[list[np.ndarray], int]:
     """(blocks / 2^e, e) for a list of complex matrices, exact; e = 0 while their
     largest real or imaginary part lies in [2^-451, 2^450), so products of two of
     them neither overflow nor underflow, and otherwise e is the exponent of that
-    part, as in ``_pow2_exponent``.  The part comes from one abs-max per block
-    over the block's (real, imag) float64 view, where NaN propagates; a
-    non-finite entry raises ValidationError."""
-    big = 0.0
-    for b in blocks:
-        parts = np.abs(np.asarray(b, dtype=np.complex128).ravel().view(np.float64))
-        m = float(parts.max()) if parts.size else 0.0
-        if not math.isfinite(m):
-            raise ValidationError("matrix has non-finite entries")
-        big = max(big, m)
-    e = math.frexp(big)[1]
+    part, the ``_pow2_scale`` exponent of all blocks taken as one.  A non-finite
+    entry raises ValidationError."""
+    e = int(_pow2_scale(np.concatenate([np.ravel(b) for b in blocks])[None])[1][0])
     if abs(e) <= _SAFE_EXP:
         return list(blocks), 0
     return [_ldexp_matrix(b, -e) for b in blocks], e

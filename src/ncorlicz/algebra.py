@@ -19,21 +19,23 @@ the ``is_hermitian`` verdict are stored the same way, so powers, supports,
 corners, faithfulness and the spectral calculus of one Element cluster its
 blocks once, and so is the distribution of |x| (``trace_orlicz.rearrangement``)
 that the norms read; the blocks are read-only, so no memo can go stale.  The
-three memo readers, ``on_support`` and ``in_range`` are the interface that the
-other modules use; the package does not export them.  ``_linalg.levels`` is the one
-rule for which values are equal and which are zero: it makes the clusters,
-their values (weighted means, which cannot overflow) and every rank here.
-A Functional keeps its density as one such Element.  Positivity without eigen
-data comes from the stack certificate ``_linalg.certifies_positive``
-(``negative_block`` per block, ``certified_positive`` for many Elements at
-once, one call per block size), which stores nothing.  Memos fill lazily
-without a lock, and a fill never overwrites a stored memo.  Which kernel fills
-the singular-value memo depends on the call that first needs it:
-``fill_singular_values`` sends large groups of same-size blocks to the stack
-kernel and the rest to the scalar one, and the two agree to about 1e-15 of a
-block's largest value, not bit for bit.  So the same calls in the same order
-always store the same values, but two threads that find a memo empty and fill
-it by different routes at once may leave either result.
+three memo readers, ``on_support``, ``in_range`` and ``finite_sum`` are the
+interface that the other modules use; the package does not export them.
+``_linalg.levels`` is the one rule for which values are equal and which are
+zero: it makes the clusters, their values (weighted means, which cannot
+overflow) and every rank here.  A Functional keeps its density as one such
+Element.  Positivity without eigen data comes from the stack certificate
+``_linalg.certifies_positive``, whose one caller is ``certified_positive``
+(one call per block size for many Elements at once; ``Element.is_positive``
+asks it first), which stores nothing; ``negative_block`` is the eigenvalue
+test on the eigen data.  Memos fill lazily without a lock, and a fill never
+overwrites a stored memo.  Which kernel fills the singular-value memo depends
+on the call that first needs it: ``fill_singular_values`` sends large groups
+of same-size blocks to the stack kernel and the rest to the scalar one, and
+the two agree to about 1e-15 of a block's largest value, not bit for bit.  So
+the same calls in the same order always store the same values, but two
+threads that find a memo empty and fill it by different routes at once may
+leave either result.
 
 |x| and polar data come from one singular value decomposition per block,
 ``_linalg.svd`` (one-sided Jacobi with the right singular vectors), cut at
@@ -192,8 +194,10 @@ class Element:
         return self._hermitian
 
     def is_positive(self) -> bool:
-        """Hermitian, with every block positive semidefinite (see ``negative_block``)."""
-        return self.is_hermitian() and negative_block(self) is None
+        """Hermitian, with every block positive semidefinite: certified without
+        eigen data when ``certified_positive`` can, else by ``negative_block``."""
+        return self.is_hermitian() and (certified_positive((self,))[0]
+                                        or negative_block(self) is None)
 
     def allclose(self, other: "Element", tol: float = 1e-12) -> bool:
         self._check_same(other)
@@ -208,11 +212,11 @@ def trace(x: Element) -> complex:
 
     A block trace or a sum beyond the binary64 range raises ValidationError.
     """
-    return _finite_sum((c * b.trace() for c, b in zip(x.algebra.weights, x.blocks)),
-                       "the trace")
+    return finite_sum((c * b.trace() for c, b in zip(x.algebra.weights, x.blocks)),
+                      "the trace")
 
 
-def _finite_sum(terms, what: str) -> complex:
+def finite_sum(terms, what: str) -> complex:
     """complex(sum(terms)), the terms formed under ``np.errstate``; a sum that
     is not finite raises ValidationError naming ``what``."""
     with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves inf or nan
@@ -244,9 +248,9 @@ class Functional:
     def __call__(self, x: Element) -> complex:
         if x.algebra != self.algebra:
             raise ValidationError("functional applied to element of a different algebra")
-        return _finite_sum((c * np.trace(r @ b) for c, r, b in
-                            zip(self.algebra.weights, self.densities, x.blocks)),
-                           "the value of the functional")
+        return finite_sum((c * np.trace(r @ b) for c, r, b in
+                           zip(self.algebra.weights, self.densities, x.blocks)),
+                          "the value of the functional")
 
     @property
     def densities(self) -> tuple[np.ndarray, ...]:
@@ -259,13 +263,7 @@ class Functional:
         return self._density.is_zero()
 
     def is_positive(self) -> bool:
-        d = self._density
-        if not d.is_hermitian():
-            return False
-        # Every caller goes on to read the eigen data (powers, supports, ranks),
-        # so factor now and let negative_block read it rather than certify.
-        block_eigh(d)
-        return negative_block(d) is None
+        return self._density.is_hermitian() and negative_block(self._density) is None
 
     def is_faithful(self) -> bool:
         return self.is_positive() and tuple(
@@ -451,16 +449,9 @@ def on_support(x: Element, f, kernel: bool = False) -> list[np.ndarray]:
 
 def negative_block(x: Element) -> tuple[int, float] | None:
     """(block, smallest eigenvalue) of the first block of a Hermitian x that is
-    not positive semidefinite (see ``_linalg.is_positive_semidefinite``), or None.
-
-    Eigen data already stored on x decides; otherwise None comes without an
-    eigendecomposition when ``_linalg.certifies_positive`` accepts every block,
-    each passed as a stack of one, and the blocks are factored only when a
-    certificate fails (the certificate also asks each block to be Hermitian on
-    its own, so one that is Hermitian only relative to x is factored too).
+    not positive semidefinite (see ``_linalg.is_positive_semidefinite``), or
+    None: the eigenvalue test on the eigen data of x (``block_eigh``).
     """
-    if x._eigh is None and all(_linalg.certifies_positive(b[None])[0] for b in x.blocks):
-        return None
     for i, (vals, _) in enumerate(block_eigh(x)):
         if not is_positive_semidefinite(vals):
             return i, float(vals[-1])
@@ -470,9 +461,11 @@ def negative_block(x: Element) -> tuple[int, float] | None:
 def certified_positive(elements) -> list[bool]:
     """Per element, whether ``_linalg.certifies_positive`` accepts every block,
     with one kernel call per block size over all their blocks: True proves the
-    element Hermitian and positive, False proves nothing.  An element whose
-    eigen data is stored gets False, since that data decides for it
-    (``negative_block``).
+    element Hermitian and positive, False proves nothing.  The only caller of
+    the certificate: an element whose eigen data is stored gets False, since
+    that data decides for it (``negative_block``), and so does one whose
+    block the certificate declines (it also asks each block to be Hermitian on
+    its own, so an element Hermitian only as a whole is declined too).
     """
     elements = list(elements)
     todo = [x for x in elements if x._eigh is None]
@@ -593,7 +586,6 @@ def support_projection(obj) -> Element:
         obj = obj.density_element()
     else:
         _require_hermitian(obj, "support_projection")
-        block_eigh(obj)  # read next by on_support: factor rather than certify
         bad = negative_block(obj)
         if bad is not None:
             raise ValidationError(f"support_projection needs a positive input; "

@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import (Element, absolute, certified_positive, fill_singular_values,
-                      negative_block, trace)
+                      finite_sum, negative_block, trace)
 from .errors import ValidationError
 from .orliczfn import OrliczFunction
 from .trace_orlicz import NormReport, modular_from_measures, rearrangement, report_from_measures
@@ -217,30 +217,27 @@ def canonical_trace(x: CoreElement) -> float:
 
     Faithful and tracial on the step class; rejects non-positive input,
     naming the first interval whose piece fails, and a sum beyond the binary64
-    range.  The distinct piece objects are certified together first
-    (``certified_positive``: one stack kernel call per block size, no memo
-    written); only a piece left uncertified is checked on its own, once, in
-    piece order, so every verdict and message is that of the check alone.
+    range (``finite_sum``).  The distinct piece objects are certified together
+    first (``certified_positive``: one stack kernel call per block size, no
+    memo written); only a piece left uncertified is checked on its own, by its
+    eigenvalues (``negative_block``), once, in piece order, before its term, so
+    every verdict and message is that of the check alone.
     """
     pieces = list(dict.fromkeys(p for p, _ in x.pieces))  # Elements hash by identity
     certified = dict(zip(pieces, certified_positive(pieces)))
-    total = 0.0
+    terms = []
     for piece, iv in x.pieces:
         if not certified.pop(piece, True):  # a piece's verdict is read once, where it first sits
             _check_piece_positive(piece, iv)
-        total += trace(piece).real * iv.weight()
-    if not math.isfinite(total):
-        raise ValidationError("the canonical trace is beyond the binary64 range")
-    return total
+        terms.append(trace(piece).real * iv.weight())
+    return finite_sum(terms, "the canonical trace").real
 
 
 def weighted_trace(x: CoreElement) -> complex:
     """Linear extension of the canonical trace to arbitrary step elements;
-    a sum beyond the binary64 range raises ValidationError."""
-    total = complex(sum(trace(piece) * iv.weight() for piece, iv in x.pieces))
-    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
-        raise ValidationError("the weighted trace is beyond the binary64 range")
-    return total
+    a sum beyond the binary64 range raises ValidationError (``finite_sum``)."""
+    return finite_sum((trace(piece) * iv.weight() for piece, iv in x.pieces),
+                      "the weighted trace")
 
 
 def dual_action(s, x: CoreElement) -> CoreElement:

@@ -30,7 +30,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import _linalg
-from .algebra import Element, block_eigh, block_singular_values, in_range, trace
+from .algebra import Element, block_eigh, block_singular_values, in_range, operator_norm, trace
 from .errors import ConvergenceError, ValidationError
 from .orliczfn import INF, OrliczFunction
 
@@ -73,8 +73,13 @@ class RearrangementFunction:
                 raise ValidationError("step values must decrease strictly")
             values.append(v)
             measures.append(l)
-        self.values, self.measures = np.array(values), np.array(measures)
-        self.values.flags.writeable = self.measures.flags.writeable = False
+        values, measures = np.array(values), np.array(measures)
+        values.flags.writeable = measures.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "measures", measures)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RearrangementFunction is immutable")
 
     @property
     def steps(self) -> tuple[Step, ...]:
@@ -407,13 +412,15 @@ class MembershipFlags:
 
 
 def membership(phi: OrliczFunction, x: Element) -> MembershipFlags:
-    """Membership of x in the Orlicz class, the span space, and the all-scales space."""
+    """Membership of x in the Orlicz class, the span space, and the all-scales space.
+
+    The flags read x only through v_max = ``operator_norm(x)``, so they need
+    no distribution: a step measure beyond binary64 does not stop them."""
     if not phi.is_young:
         raise ValidationError(f"{phi.label()} is not a Young function")
-    values = rearrangement(x).values
-    if not values.size:
+    vmax = operator_norm(x)
+    if vmax == 0.0:
         return MembershipFlags(True, True, True, 1.0)
-    vmax = float(values[0])
     orlicz_class = phi.finite_valued or vmax <= phi.finiteness_bound
     witness = 1.0 if orlicz_class else _shrink_witness(phi.finiteness_bound, vmax)
     return MembershipFlags(orlicz_class, witness is not None, phi.finite_valued, witness)

@@ -355,8 +355,10 @@ def test_polar_routines_at_extreme_scales(s):
 
 
 def _concatenated_prescale_exponent(blocks):
-    """The prescale exponent formed from all blocks concatenated into one array."""
-    e = _linalg._pow2_exponent(np.concatenate([np.ravel(b) for b in blocks]))
+    """The prescale exponent formed from all blocks concatenated into one array:
+    that of their largest real or imaginary part, 0 while it is at most 450."""
+    parts = np.concatenate([np.ravel(b).astype(complex).view(np.float64) for b in blocks])
+    e = math.frexp(float(np.max(np.abs(parts), initial=0.0)))[1]
     return e if abs(e) > 450 else 0
 
 

@@ -163,12 +163,28 @@ def test_only_linalg_decides_equal_and_zero_values():
 
 
 def test_only_algebra_calls_certifies_positive():
-    # algebra.negative_block and algebra.certified_positive send each block to
-    # the certificate knowing what its verdict proves (eigen data stored on an
-    # Element decides first); another caller could bypass that.
+    # algebra.certified_positive alone sends blocks to the certificate, knowing
+    # what its verdict proves (eigen data stored on an Element decides first);
+    # another caller could bypass that or certify a block a second time.
     found = _library_reads({"certifies_positive"})
-    assert {(path, top) for path, top, _ in found} == {("algebra.py", "negative_block"),
-                                                      ("algebra.py", "certified_positive")}
+    assert {(path, top) for path, top, _ in found} == {("algebra.py", "certified_positive")}
+
+
+def test_only_pow2_scale_takes_a_prescale_exponent():
+    # _linalg._pow2_scale is the one exact power-of-two prescale of a block by
+    # its largest real or imaginary part; besides it, only _col_norms (per
+    # vector) and _hermitian_rows (the eigensolver's Frobenius exponent) call
+    # frexp, so no kernel scales its input by a rule of its own.
+    src = Path(ncorlicz.__file__).parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "frexp" in (
+                        getattr(node.func, "attr", None), getattr(node.func, "id", None)):
+                    found.add((path.name, getattr(top, "name", None)))
+    assert found == {("_linalg.py", "_pow2_scale"), ("_linalg.py", "_col_norms"),
+                     ("_linalg.py", "_hermitian_rows")}
 
 
 def test_stack_kernels_make_no_blas_call():

@@ -163,6 +163,17 @@ class TestRearrangementFunction:
         assert (empty.boundaries(), empty.total_mass(), empty(0.0)) == ([], 0, 0.0)
         assert repr(empty) == "RearrangementFunction([])"
 
+    def test_attributes_cannot_be_reassigned(self, m2):
+        x = Element(m2, [np.diag([3.0, 4.0])])
+        mu = rearrangement(x)
+        norm = luxemburg_norm(PowerFunction(2), x)
+        assert norm == pytest.approx(5.0, rel=1e-12)
+        for name in ("values", "measures"):
+            with pytest.raises(AttributeError, match="^RearrangementFunction is immutable$"):
+                setattr(mu, name, np.array([4.0, 4.0]))
+        assert rearrangement(x) is mu and mu.measures.tolist() == [1.0, 1.0]
+        assert luxemburg_norm(PowerFunction(2), x) == norm
+
     def test_csv_bytes(self):
         assert rearrangement_csv(RearrangementFunction(self.STEPS)) == (
             "t_start,t_end,value\n"
@@ -388,6 +399,15 @@ class TestMembership:
     def test_linf_zero(self, m2):
         flags = membership(JumpFunction(1.0), m2.zero())
         assert flags.orlicz_class and flags.kunze_space and flags.mtkr_space
+
+    @pytest.mark.parametrize("name", sorted(registry()))
+    def test_flags_need_no_distribution(self, name):
+        # The identity on make_algebra([2], [1e308]) has a merged step measure
+        # of 2e308, beyond binary64, but v_max = 1 decides every flag.
+        phi = registry()[name]
+        x = make_algebra([2], [1e308]).identity()
+        assert operator_norm(x) == 1.0
+        assert membership(phi, x) == membership(phi, make_algebra([2], [1.0]).identity())
 
     def test_linf_boundary_left_continuity(self, m2):
         x = Element(m2, [np.diag([1.0, 0.5])])
