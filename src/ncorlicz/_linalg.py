@@ -320,7 +320,7 @@ def _hestenes(a: np.ndarray, with_v: bool) -> tuple[list, list | None, int]:
     exact power-of-two prescale of ``_pow2_scale``.  With ``with_v`` every
     rotation is also applied to the columns of the identity, which become v.
     """
-    w, e = _pow2_scale(np.asarray(a, dtype=np.complex128)[None])
+    w, e = _pow2_scale(np.asarray(a)[None])
     cols = w[0].T.tolist()
     n = len(cols)
     vecs = [[complex(i == j) for i in range(n)] for j in range(n)] if with_v else None
