@@ -5,7 +5,9 @@ RuntimeWarning into an error, so these tests also show that no overflow
 warning escapes the kernels or the polar routines.
 """
 
+import hashlib
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -319,6 +321,65 @@ def test_eigh_is_deterministic(rng):
     for h in _eigh_test_blocks(rng, 6).values():
         (v1, w1), (v2, w2) = hermitian_eigh(h), hermitian_eigh(h)
         assert v1.tobytes() == v2.tobytes() and w1.tobytes() == w2.tobytes()
+
+
+_PINNED_EXPONENTS = (0, 300, -300, 600, -600, -1000, -1060, 1000, 1020)
+
+
+def _pinned_blocks():
+    """432 seeded blocks for ``test_eigh_bits_are_pinned``: n = 1..6 cycling
+    fastest, then Hermitian, positive (g g*), graded (D h D with D = diag(2^-12j))
+    and degenerate (I + v v*, or I + v v* + w w* on the second half) blocks,
+    each scaled by 2^k for k in ``_PINNED_EXPONENTS``; every 61st block gets a
+    NaN.  Entries come from SplitMix64 uniforms and Python arithmetic, so the
+    inputs do not depend on numpy's generators or BLAS."""
+    rng = SplitMix64(25)
+    out = []
+    for b in range(432):
+        n, kind = 1 + b % 6, (b // 6) % 4
+        k = _PINNED_EXPONENTS[(b // 24) % len(_PINNED_EXPONENTS)]
+        g = [[complex(2.0 * rng.uniform() - 1.0, 2.0 * rng.uniform() - 1.0)
+              for _ in range(n)] for _ in range(n)]
+        herm = [[g[i][j] + g[j][i].conjugate() for j in range(n)] for i in range(n)]
+        if kind == 0:
+            h = herm
+        elif kind == 1:
+            h = [[sum(x * y.conjugate() for x, y in zip(g[i], g[j])) for j in range(n)]
+                 for i in range(n)]
+        elif kind == 2:
+            h = [[math.ldexp(1.0, -12 * (i + j)) * herm[i][j] for j in range(n)]
+                 for i in range(n)]
+        else:
+            vs = g[:1] if b < 216 else g[:2]
+            h = [[float(i == j) + sum(v[i] * v[j].conjugate() for v in vs) for j in range(n)]
+                 for i in range(n)]
+        a = np.array(h, dtype=np.complex128)
+        a = np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k)
+        if b % 61 == 60:
+            a[0, n - 1] = math.nan
+        out.append(a)
+    return out
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64")
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="abs() of a complex calls the C library's hypot; the digest "
+                           "was taken with glibc on x86-64")
+def test_eigh_bits_are_pinned():
+    # Any change to the eigensolver that moves one bit of an eigenvalue or an
+    # eigenvector, or the text of an error, changes this digest.  Rewrites
+    # that keep every operation and its order keep it.
+    digest, raised = hashlib.sha256(), 0
+    for a in _pinned_blocks():
+        try:
+            vals, vecs = hermitian_eigh(a)
+        except (ValidationError, ConvergenceError) as exc:
+            raised += 1
+            digest.update(f"{type(exc).__name__}: {exc}".encode())
+        else:
+            digest.update(vals.tobytes() + vecs.tobytes())
+    assert raised == 7  # the NaN blocks
+    assert digest.hexdigest() == "158f6703340267f37b09ffddf0b17b283eebc47c4bdc0b460e2adb12713da949"
 
 
 @settings(max_examples=60, deadline=None)
