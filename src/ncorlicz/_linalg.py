@@ -11,10 +11,12 @@ accurate than QR", SIAM J. Matrix Anal. Appl. 13, 1992).
 Both kernels run in scalar Python ``complex`` arithmetic on lists (rows for
 the eigensolver, columns for singular values and eigenvectors) and use the
 same plane rotation (``_rotation``, inlined in the one-sided sweep); no
-rotation makes a numpy call.  The one-sided kernel carries the column norms
-through a sweep by the closed-form update of the rotated diagonal, as
-LAPACK's xGESVJ does, recomputing a norm from its column only where the
-update would cancel, and recomputes every norm from the final columns.
+rotation makes a numpy call.  An eigensolver rotation in the (p, q) plane
+rewrites only rows and columns p and q of the block, in place.  The
+one-sided kernel carries the column norms through a sweep by the
+closed-form update of the rotated diagonal, as LAPACK's xGESVJ does,
+recomputing a norm from its column only where the update would cancel, and
+recomputes every norm from the final columns.
 Both prescale by an exact power of two that is undone on the results, so
 their thresholds neither overflow nor underflow anywhere in the binary64
 range and 2^k a gives exactly 2^k times the values of a.  The eigensolver
@@ -150,10 +152,12 @@ def hermitian_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The block is taken as (a + a*) / 2 after an exact power-of-two prescale
     by its Frobenius norm (see ``_hermitian_rows``), and held as rows of
     Python ``complex``, the eigenvectors as column lists.
-    A rotation rebuilds rows p and q, sets the two diagonal entries by
-    Rutishauser's update, zeroes (p, q) and mirrors the conjugates into
-    columns p and q, so no rotation makes a numpy call.  The eigenvalues are
-    scaled back at the end.  Non-finite entries raise ValidationError.
+    A rotation in the (p, q) plane rewrites rows and columns p and q in
+    place: the n - 2 entries (p, k) and (q, k), k not p or q, and their
+    conjugates at (k, p) and (k, q); then it sets the two diagonal entries by
+    Rutishauser's update and zeroes (p, q) and (q, p), so no rotation makes a
+    numpy call.  The eigenvalues are scaled back at the end.  Non-finite
+    entries raise ValidationError.
     """
     rows, e = _hermitian_rows(a)
     n = len(rows)
@@ -257,8 +261,9 @@ def _jacobi_sweep(rows: list[list[complex]], vecs: list[list[complex]]) -> None:
     """One cyclic sweep of two-sided Jacobi on ``rows`` and the columns ``vecs``, in place."""
     n = len(rows)
     for p in range(n - 1):
+        rp = rows[p]
         for q in range(p + 1, n):
-            rp, rq = rows[p], rows[q]
+            rq = rows[q]
             apq = rp[q]
             absa = abs(apq)
             if absa == 0.0:
@@ -267,17 +272,14 @@ def _jacobi_sweep(rows: list[list[complex]], vecs: list[list[complex]]) -> None:
             t, c, s, u = _rotation(aqq - app, apq, absa)
             # J* A J with J = [[c, s], [-conj(u) s, conj(u) c]] in the (p, q) plane.
             us, uc = u * s, u * c
-            new_p = [c * x - us * y for x, y in zip(rp, rq)]
-            new_q = [s * x + uc * y for x, y in zip(rp, rq)]
-            new_p[p] = app - t * absa
-            new_q[q] = aqq + t * absa
-            new_p[q] = new_q[p] = 0j
-            rows[p], rows[q] = new_p, new_q
-            # Columns p and q are the conjugates of rows p and q (diagonal real, (p, q) zero).
-            for k, row in enumerate(rows):
+            for k, rk in enumerate(rows):
                 if k != p and k != q:
-                    row[p] = new_p[k].conjugate()
-                    row[q] = new_q[k].conjugate()
+                    x, y = rp[k], rq[k]
+                    rp[k] = xp = c * x - us * y
+                    rq[k] = xq = s * x + uc * y
+                    rk[p], rk[q] = xp.conjugate(), xq.conjugate()
+            rp[p], rq[q] = app - t * absa, aqq + t * absa
+            rp[q] = rq[p] = 0j
             vp, vq = vecs[p], vecs[q]
             ubs, ubc = us.conjugate(), uc.conjugate()
             vecs[p] = [c * x - ubs * y for x, y in zip(vp, vq)]
