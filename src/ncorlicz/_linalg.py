@@ -98,8 +98,16 @@ _HERMITIAN_SQ = (HERMITIAN_RTOL * (1.0 - 2.0 ** -20)) ** 2 / 4.0
 
 
 def frobenius(a: np.ndarray) -> float:
-    """Frobenius norm; finite whenever it is representable (no squares are formed)."""
-    return math.hypot(*map(abs, np.ravel(a).tolist()))
+    """Frobenius norm; finite whenever it is representable (no squares are
+    formed), and +inf when it, or the modulus of an entry, is beyond binary64."""
+    return _hypot_abs(np.ravel(a).tolist())
+
+
+def _hypot_abs(entries) -> float:
+    try:
+        return math.hypot(*map(abs, entries))
+    except OverflowError:  # abs of a complex whose modulus is beyond binary64
+        return math.inf
 
 
 def _pow2_scale(stack) -> tuple[np.ndarray, np.ndarray]:
@@ -132,7 +140,7 @@ def _hermitian_rows(a: np.ndarray) -> tuple[list[list[complex]], int]:
     Non-finite entries raise ValidationError."""
     w = np.asarray(a, dtype=np.complex128)
     rows = w.tolist()
-    scale = math.hypot(*[abs(x) for row in rows for x in row])
+    scale = _hypot_abs(x for row in rows for x in row)
     e = (max(math.frexp(scale)[1], -1021) if math.isfinite(scale)
          else int(_pow2_scale(w[None])[1][0]))
     half = math.ldexp(0.5, -e)

@@ -119,6 +119,26 @@ def test_values_beyond_binary64_are_rejected():
             f(x)
 
 
+def test_entries_of_modulus_beyond_binary64():
+    # Both parts are finite but the modulus is not, so abs() of the Python
+    # complex overflows: the norm is +inf and the prescale takes over.
+    x = Element(make_algebra([1], [1.0]), [[[1.5e308 + 1.5e308j]]])
+    assert x.frobenius_norm() == math.inf
+    assert not x.is_hermitian()
+    assert not x.is_positive()
+    off = 1e308 + 1e308j
+    block = np.array([[0.0, off], [off.conjugate(), 0.0]])
+    assert _linalg.frobenius(block) == math.inf
+    vals, vecs = hermitian_eigh(block)
+    np.testing.assert_allclose(vals, [math.sqrt(2.0) * 1e308, -math.sqrt(2.0) * 1e308],
+                               rtol=1e-15)
+    np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(2), atol=1e-15)
+    y = Element(make_algebra([2], [1.0]), [block])
+    assert y.is_hermitian() and not y.is_positive()
+    with pytest.raises(ValidationError, match="eigenvalues beyond the binary64 range"):
+        hermitian_eigh(1.5 * block)
+
+
 def test_kernel_matches_lapack_on_random_blocks(rng):
     from ncorlicz.sampling import rand_element
     alg = make_algebra([1, 2, 3, 6], [1.0, 1.0, 1.0, 1.0])
