@@ -187,6 +187,19 @@ def test_only_pow2_scale_takes_a_prescale_exponent():
                      ("_linalg.py", "_hermitian_rows")}
 
 
+def test_scalar_rotations_make_no_numpy_call():
+    # The eigensolver's and the one-sided kernel's rotations run in scalar
+    # Python complex arithmetic on lists; a numpy call per rotation would cost
+    # more than the rotation on these block sizes.
+    tree = ast.parse((Path(ncorlicz.__file__).parent / "_linalg.py").read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    found = [(name, node.attr) for name in ("_jacobi_sweep", "_rotation", "_hestenes_sweep")
+             for node in ast.walk(defs[name])
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id == "np"]
+    assert found == []
+
+
 def test_stack_kernels_make_no_blas_call():
     # singular_values_stack and certifies_positive give each block the result
     # of a stack of one, bit for bit; a BLAS product would tie it to the
