@@ -100,12 +100,8 @@ _HERMITIAN_SQ = (HERMITIAN_RTOL * (1.0 - 2.0 ** -20)) ** 2 / 4.0
 def frobenius(a: np.ndarray) -> float:
     """Frobenius norm; finite whenever it is representable (no squares are
     formed), and +inf when it, or the modulus of an entry, is beyond binary64."""
-    return _hypot_abs(np.ravel(a).tolist())
-
-
-def _hypot_abs(entries) -> float:
     try:
-        return math.hypot(*map(abs, entries))
+        return math.hypot(*map(abs, np.ravel(a).tolist()))
     except OverflowError:  # abs of a complex whose modulus is beyond binary64
         return math.inf
 
@@ -140,7 +136,7 @@ def _hermitian_rows(a: np.ndarray) -> tuple[list[list[complex]], int]:
     Non-finite entries raise ValidationError."""
     w = np.asarray(a, dtype=np.complex128)
     rows = w.tolist()
-    scale = _hypot_abs(x for row in rows for x in row)
+    scale = frobenius(w)
     e = (max(math.frexp(scale)[1], -1021) if math.isfinite(scale)
          else int(_pow2_scale(w[None])[1][0]))
     half = math.ldexp(0.5, -e)
