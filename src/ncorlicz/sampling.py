@@ -5,6 +5,14 @@ generator, so a fixed seed reproduces every sample exactly.  SplitMix64
 advances a 64-bit counter by the golden-ratio increment and mixes it
 through two xor-multiply rounds; uniforms take the top 53 bits, normals
 come from Box-Muller.
+
+Output k of the stream depends only on seed + k * increment mod 2^64, so
+``SplitMix64.normals`` computes a whole batch of outputs in numpy
+``uint64`` and still equals that many ``normal()`` calls bit for bit; the
+random elements and matrices draw their entries that way, one batch per
+call.  Box-Muller's log, sin and cos come from the C library through
+``math`` in both paths, never from numpy, whose vectorised transcendentals
+may round differently.
 """
 
 from __future__ import annotations
@@ -20,6 +28,20 @@ from .errors import ValidationError
 from .functorial import Isomorphism
 
 _MASK = (1 << 64) - 1
+_GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_GAMMA_U64, _MIX1_U64, _MIX2_U64 = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX2)
+_TWO_PI = 2.0 * math.pi
+
+
+def _box_muller(u_open: list[float], u: list[float]) -> list[float]:
+    """Box-Muller on pairs (u_open in (0, 1], u in [0, 1)): r cos theta, r sin theta
+    for each pair in turn, with r = sqrt(-2 log u_open) and theta = 2 pi u."""
+    out = []
+    for a, b in zip(u_open, u):
+        r = math.sqrt(-2.0 * math.log(a))
+        theta = _TWO_PI * b
+        out += (r * math.cos(theta), r * math.sin(theta))
+    return out
 
 
 class SplitMix64:
@@ -28,10 +50,10 @@ class SplitMix64:
         self._spare: float | None = None
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
+        self.state = (self.state + _GAMMA) & _MASK
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
         return (z ^ (z >> 31)) & _MASK
 
     def uniform(self) -> float:
@@ -53,25 +75,51 @@ class SplitMix64:
             v = self._spare
             self._spare = None
             return v
-        r = math.sqrt(-2.0 * math.log(self.uniform_open()))
-        theta = 2.0 * math.pi * self.uniform()
-        self._spare = r * math.sin(theta)
-        return r * math.cos(theta)
+        v, self._spare = _box_muller([self.uniform_open()], [self.uniform()])
+        return v
 
-    def complex_normal(self) -> complex:
-        return complex(self.normal(), self.normal())
+    def normals(self, count: int) -> np.ndarray:
+        """The next ``count`` normals as a float64 array: bit for bit those of
+        ``count`` calls of ``normal()``, leaving the same state and spare."""
+        if count < 0:
+            raise ValidationError("normals needs count >= 0")
+        out = []
+        if count and self._spare is not None:
+            out.append(self._spare)
+            self._spare = None
+        pairs = (count - len(out) + 1) // 2
+        if pairs:
+            # Outputs 1 .. 2 * pairs of the stream at once; uint64 array
+            # arithmetic wraps mod 2^64 as the scalar stream does.
+            z = np.arange(1, 2 * pairs + 1, dtype=np.uint64)
+            z *= _GAMMA_U64
+            z += np.uint64(self.state)
+            self.state = (self.state + 2 * pairs * _GAMMA) & _MASK
+            z ^= z >> 30
+            z *= _MIX1_U64
+            z ^= z >> 27
+            z *= _MIX2_U64
+            z ^= z >> 31
+            u = (z >> 11).astype(np.float64) * 2.0 ** -53
+            out += _box_muller((u[0::2] + 2.0 ** -53).tolist(), u[1::2].tolist())
+            if len(out) > count:
+                self._spare = out.pop()
+        return np.array(out, dtype=np.float64)
 
 
 def rand_matrix(rng: SplitMix64, n: int, scale: float = 1.0) -> np.ndarray:
-    m = np.empty((n, n), dtype=np.complex128)
-    for j in range(n):
-        for k in range(n):
-            m[j, k] = rng.complex_normal()
-    return scale * m
+    """n x n complex Gaussian matrix, entries (re, im) in row-major order."""
+    return scale * rng.normals(2 * n * n).view(np.complex128).reshape(n, n)
 
 
 def rand_element(rng: SplitMix64, algebra: AlgebraDescriptor, scale: float = 1.0) -> Element:
-    return Element(algebra, [rand_matrix(rng, d, scale) for d in algebra.block_dims])
+    """Blocks of ``rand_matrix`` draws in block order, all from one batch."""
+    flat = rng.normals(2 * sum(d * d for d in algebra.block_dims)).view(np.complex128)
+    blocks, start = [], 0
+    for d in algebra.block_dims:
+        blocks.append(scale * flat[start:start + d * d].reshape(d, d))
+        start += d * d
+    return Element(algebra, blocks)
 
 
 def rand_hermitian(rng: SplitMix64, algebra: AlgebraDescriptor) -> Element:

@@ -157,8 +157,17 @@ def rearrangement(x: Element) -> RearrangementFunction:
 def modular_from_measures(phi: OrliczFunction, values: np.ndarray, measures: np.ndarray,
                           lam: float) -> float:
     """tau(Phi(|x|/lam)) from the singular data of x, as an extended real; 0*inf = 0
-    is honored because only strictly positive measures enter.  The body of
-    ``modular_value`` and of ``core_model.core_modular_value``."""
+    is honored because only strictly positive measures enter, and a sum beyond
+    binary64 is +inf.  The body of ``modular_value`` and of
+    ``core_model.core_modular_value``."""
+    with np.errstate(over="ignore"):
+        return _modular_sum(phi, values, measures, lam)
+
+
+def _modular_sum(phi: OrliczFunction, values: np.ndarray, measures: np.ndarray,
+                 lam: float) -> float:
+    """``modular_from_measures`` for callers that hold np.errstate(over="ignore"),
+    under which a step sum beyond binary64 is +inf without a warning."""
     if not (lam > 0):
         raise ValidationError("scale must be positive")
     if values.size == 0:
@@ -205,7 +214,8 @@ def fk_integral(phi: OrliczFunction, x: Element) -> float:
                 f"singular value {s[k]!r} squared vs eigenvalue {lam[k]!r} of y* y")
         trace_h, slack, n = trace_h + c * float(lam.sum()), slack + c * d * b, n + d
     mu = rearrangement(x)
-    mass = float(np.dot(mu.measures, np.square(np.ldexp(mu.values, -e) if e else mu.values)))
+    with np.errstate(over="ignore"):  # a step sum beyond binary64 is +inf
+        mass = float(np.dot(mu.measures, np.square(np.ldexp(mu.values, -e) if e else mu.values)))
     tol = slack + n * (eps + n * _linalg.CLUSTER_RTOL**2) * trace_h + math.ldexp(n, -1073)
     if abs(mass - trace_h) > tol:
         raise ValidationError(f"distribution identity violated at Phi(t) = t^2: step sum {mass!r} "
@@ -283,7 +293,7 @@ def _luxemburg_from_measures(values: np.ndarray, measures: np.ndarray,
             return INF
         if len(trail) == EVALUATION_CAP:
             raise fail("evaluation cap reached")
-        m = modular_from_measures(phi, values, measures, lam)
+        m = _modular_sum(phi, values, measures, lam)
         trail.append((lam, m))
         return m
 
@@ -376,7 +386,8 @@ def report_from_measures(phi: OrliczFunction, values: np.ndarray, measures: np.n
         raise ValidationError(f"tolerance must lie in (0, 1), got {tol!r}")
     if not phi.is_young:
         raise ValidationError(f"{phi.label()} is not a Young function")
-    return _luxemburg_from_measures(values, measures, phi, tol)
+    with np.errstate(over="ignore"):  # once per root-find, for every _modular_sum in it
+        return _luxemburg_from_measures(values, measures, phi, tol)
 
 
 def luxemburg_report(phi: OrliczFunction, x: Element, tol: float = 1e-12) -> NormReport:

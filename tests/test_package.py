@@ -200,6 +200,26 @@ def test_scalar_rotations_make_no_numpy_call():
     assert found == []
 
 
+def test_sampling_makes_no_numpy_transcendental_call():
+    # Box-Muller takes log, sin and cos from the C library through math, in
+    # the scalar and the batched draw alike.  numpy's vectorised versions may
+    # round differently, and one moved bit would change every seeded draw.
+    tree = ast.parse((Path(ncorlicz.__file__).parent / "sampling.py").read_text(encoding="utf-8"))
+    transcendental = {"log", "log1p", "log2", "log10", "exp", "expm1", "exp2", "sin", "cos",
+                      "tan", "sinh", "cosh", "tanh", "arctan2", "hypot", "power", "float_power"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            found.append(f"from {node.module} import")
+        elif isinstance(node, ast.Attribute) and node.attr in transcendental:
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in ("np", "numpy"):
+                found.append(node.attr)
+    assert found == []
+
+
 def test_stack_kernels_make_no_blas_call():
     # singular_values_stack and certifies_positive give each block the result
     # of a stack of one, bit for bit; a BLAS product would tie it to the

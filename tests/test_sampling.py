@@ -11,10 +11,11 @@ import platform
 import numpy as np
 import pytest
 
-from ncorlicz import make_algebra
+from ncorlicz import ValidationError, make_algebra
 from ncorlicz.sampling import (SplitMix64, rand_core_element, rand_element, rand_functional,
                                rand_isomorphism, rand_matrix, rand_unitary_matrix)
 
+_GAMMA = 0x9E3779B97F4A7C15  # the stream's increment
 _PINNED_SEEDS = (0, 1, 7, 20240811, 2 ** 64 - 1)
 _PINNED_ALGEBRAS = (([6, 2], [1.0, 0.5]), ([2, 3], [1.0, 0.5]), ([1], [1.0]))
 
@@ -66,3 +67,37 @@ def test_draws_are_pinned():
         for dims, weights in _PINNED_ALGEBRAS:
             _pinned_draws(digest, seed, dims, weights)
     assert digest.hexdigest() == "04abcef1ab6028e236a1f6d42e0709c1dc29bcbb6efb9cffe313b6b1a2e3a8e4"
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1, (2 ** 64 - 3 * _GAMMA) % 2 ** 64])
+def test_batch_equals_the_scalar_stream(seed):
+    # Counts 0..9 and back on one stream: after an odd count a spare is
+    # pending, so every count is drawn both with and without one.  From the
+    # last two seeds the counter wraps past 2^64 within the first batch.
+    batch, scalar = SplitMix64(seed), SplitMix64(seed)
+    for count in [*range(10), *range(9, -1, -1)]:
+        got = batch.normals(count)
+        want = np.array([scalar.normal() for _ in range(count)], dtype=np.float64)
+        assert got.dtype == np.float64 and got.shape == (count,)
+        assert got.tobytes() == want.tobytes()
+        assert batch.state == scalar.state
+    assert [batch.normal(), batch.normal(), batch.uniform()] == \
+        [scalar.normal(), scalar.normal(), scalar.uniform()]
+
+
+def test_negative_batch_is_rejected():
+    with pytest.raises(ValidationError, match="count >= 0"):
+        SplitMix64(0).normals(-1)
+
+
+def test_entries_are_normal_pairs_in_row_major_order():
+    # Block by block, each entry is (re, im) = two consecutive normals.
+    alg = make_algebra([2, 3], [1.0, 0.5])
+    batch, scalar = SplitMix64(3), SplitMix64(3)
+    batch.normal(), scalar.normal()  # start with a spare pending
+    got = [rand_matrix(batch, 2, 0.5), *rand_element(batch, alg).blocks]
+    for b, scale in zip(got, (0.5, 1.0, 1.0)):
+        n = b.shape[0]
+        want = [[complex(scalar.normal(), scalar.normal()) for _ in range(n)] for _ in range(n)]
+        assert b.tobytes() == (scale * np.array(want, dtype=np.complex128)).tobytes()
+    assert batch.state == scalar.state and batch.normal() == scalar.normal()

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from ncorlicz import (ConvergenceError, CoshMinusOne, Element, JumpFunction, Orl
                       rearrangement, rearrangement_csv, registry, trace, young_conjugate)
 from ncorlicz._linalg import RANK_RTOL
 from ncorlicz.algebra import block_singular_values
-from ncorlicz.core_model import CoreElement, core_luxemburg_report, embed, interval
+from ncorlicz.core_model import (CoreElement, core_luxemburg_report, core_modular_value, embed,
+                                 interval)
 from ncorlicz.trace_orlicz import AT_FINITENESS_BOUND, CONVERGED, ZERO, singular_value_measures
 from ncorlicz.sampling import SplitMix64, rand_element, rand_unitary_element, rand_unitary_matrix
 from conftest import svd_singular_values
@@ -601,6 +603,26 @@ def test_step_measure_beyond_binary64_is_a_validation_error(case, name):
         core = CoreElement(x.algebra, [(x, interval(-709, -708))])
         with pytest.raises(ValidationError, match="beyond the binary64 range"):
             core_luxemburg_report(phi, core)
+
+
+@pytest.mark.parametrize("case", ["base", "core"])
+def test_modular_sum_beyond_binary64_is_infinite(case):
+    # Every step measure and every term is finite, but their sum leaves
+    # binary64: the modular at lam = 1 is +inf and the norm converges,
+    # sqrt(c (1 + 0.999^2)) with c the step measure, and numpy's overflow
+    # warning is not raised.
+    phi = PowerFunction(2.0)
+    x = Element(make_algebra([1, 1], [1e308, 1e308]), [np.array([[1.0]]), np.array([[0.999]])])
+    if case == "base":
+        assert modular_value(phi, x, 1.0) == INF
+        assert fk_integral(phi, x) == INF
+        report, c = luxemburg_report(phi, x), 1e308
+    else:
+        core = CoreElement(x.algebra, [(x, interval(Fraction(-3, 4), 0))])
+        assert core_modular_value(phi, core, 1.0) == INF
+        report, c = core_luxemburg_report(phi, core), 1e308 * math.expm1(0.75)
+    assert report.reason == CONVERGED
+    assert report.norm == pytest.approx(math.sqrt(c) * math.sqrt(1.0 + 0.999 ** 2), rel=1e-11)
 
 
 @pytest.mark.parametrize("scale, small", [(1.0, 1e-155), (1e300, 1e145)])
