@@ -160,22 +160,28 @@ def modular_from_measures(phi: OrliczFunction, values: np.ndarray, measures: np.
     is honored because only strictly positive measures enter, and a sum beyond
     binary64 is +inf.  The body of ``modular_value`` and of
     ``core_model.core_modular_value``."""
-    with np.errstate(over="ignore"):
-        return _modular_sum(phi, values, measures, lam)
-
-
-def _modular_sum(phi: OrliczFunction, values: np.ndarray, measures: np.ndarray,
-                 lam: float) -> float:
-    """``modular_from_measures`` for callers that hold np.errstate(over="ignore"),
-    under which a step sum beyond binary64 is +inf without a warning."""
     if not (lam > 0):
         raise ValidationError("scale must be positive")
     if values.size == 0:
         return 0.0
-    out = phi.eval_array(values / float(lam))
-    if out.max() == INF:  # Phi >= 0, so +inf is the only infinity
+    return _step_sum(measures, phi.eval_array(values / float(lam)), sum(measures.tolist()))
+
+
+def _step_sum(measures: np.ndarray, terms: np.ndarray, mass: float) -> float:
+    """sum_j measures_j terms_j for terms >= 0, as an extended real: +inf when a
+    term is +inf or the sum is beyond binary64.  ``mass`` = sum_j measures_j
+    bounds the sum by max(terms) * mass.  Only when that bound nears the
+    binary64 range is numpy's overflow warning silenced: an np.errstate costs
+    more than the sum of a few terms, and the root-find sums on every step.
+    The maximum is taken over a list, which on a few terms is cheaper than
+    numpy's reduction."""
+    top = max(terms.tolist(), default=0.0)
+    if top == INF:
         return INF
-    return float(np.dot(measures, out))
+    if top * mass < 0.5 * _DBL_MAX:  # the sum, and its rounding, stay finite
+        return float(np.dot(measures, terms))
+    with np.errstate(over="ignore"):
+        return float(np.dot(measures, terms))
 
 
 def modular_value(phi: OrliczFunction, x: Element, lam: float) -> float:
@@ -214,8 +220,8 @@ def fk_integral(phi: OrliczFunction, x: Element) -> float:
                 f"singular value {s[k]!r} squared vs eigenvalue {lam[k]!r} of y* y")
         trace_h, slack, n = trace_h + c * float(lam.sum()), slack + c * d * b, n + d
     mu = rearrangement(x)
-    with np.errstate(over="ignore"):  # a step sum beyond binary64 is +inf
-        mass = float(np.dot(mu.measures, np.square(np.ldexp(mu.values, -e) if e else mu.values)))
+    mass = _step_sum(mu.measures, np.square(np.ldexp(mu.values, -e) if e else mu.values),
+                     mu.total_mass())
     tol = slack + n * (eps + n * _linalg.CLUSTER_RTOL**2) * trace_h + math.ldexp(n, -1073)
     if abs(mass - trace_h) > tol:
         raise ValidationError(f"distribution identity violated at Phi(t) = t^2: step sum {mass!r} "
@@ -279,6 +285,7 @@ def _luxemburg_from_measures(values: np.ndarray, measures: np.ndarray,
     if values.size == 0:
         return NormReport(0.0, 0, 0.0, ZERO)
     vmax = float(np.max(values))
+    mass = sum(measures.tolist())
     xf = phi.finiteness_bound
     trail: list[tuple[float, float]] = []  # (lam, modular) per evaluation
     lo = hi = None  # (lam, modular) at the ends of the bracket
@@ -293,7 +300,7 @@ def _luxemburg_from_measures(values: np.ndarray, measures: np.ndarray,
             return INF
         if len(trail) == EVALUATION_CAP:
             raise fail("evaluation cap reached")
-        m = _modular_sum(phi, values, measures, lam)
+        m = _step_sum(measures, phi.eval_array(values / lam), mass)
         trail.append((lam, m))
         return m
 
@@ -386,8 +393,7 @@ def report_from_measures(phi: OrliczFunction, values: np.ndarray, measures: np.n
         raise ValidationError(f"tolerance must lie in (0, 1), got {tol!r}")
     if not phi.is_young:
         raise ValidationError(f"{phi.label()} is not a Young function")
-    with np.errstate(over="ignore"):  # once per root-find, for every _modular_sum in it
-        return _luxemburg_from_measures(values, measures, phi, tol)
+    return _luxemburg_from_measures(values, measures, phi, tol)
 
 
 def luxemburg_report(phi: OrliczFunction, x: Element, tol: float = 1e-12) -> NormReport:
