@@ -70,19 +70,21 @@ def test_draws_are_pinned():
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1, (2 ** 64 - 3 * _GAMMA) % 2 ** 64])
-def test_batch_equals_the_scalar_stream(seed):
-    # Counts 0..9 and back on one stream: after an odd count a spare is
-    # pending, so every count is drawn both with and without one.  From the
-    # last two seeds the counter wraps past 2^64 within the first batch.
-    batch, scalar = SplitMix64(seed), SplitMix64(seed)
-    for count in [*range(10), *range(9, -1, -1)]:
+@pytest.mark.parametrize("pending", [False, True])
+def test_batch_equals_the_scalar_stream(seed, pending):
+    # From the last two seeds the counter wraps past 2^64 within the first
+    # few outputs.  With ``pending`` one normal() call first leaves a spare.
+    for count in range(10):
+        batch, scalar = SplitMix64(seed), SplitMix64(seed)
+        if pending:
+            assert batch.normal() == scalar.normal()
         got = batch.normals(count)
         want = np.array([scalar.normal() for _ in range(count)], dtype=np.float64)
         assert got.dtype == np.float64 and got.shape == (count,)
         assert got.tobytes() == want.tobytes()
         assert batch.state == scalar.state
-    assert [batch.normal(), batch.normal(), batch.uniform()] == \
-        [scalar.normal(), scalar.normal(), scalar.uniform()]
+        assert [batch.normal(), batch.normal(), batch.uniform()] == \
+            [scalar.normal(), scalar.normal(), scalar.uniform()]
 
 
 def test_negative_batch_is_rejected():
