@@ -19,8 +19,8 @@ _EXPORTS = {
                 "operator_norm", "polar_decompose", "power_on_support",
                 "reduce_to_support", "spectral_calculus", "support_projection", "trace"),
     "core_model": ("CoreElement", "Interval", "canonical_trace", "core_luxemburg_norm",
-                   "core_luxemburg_report", "core_modular_value", "dual_action", "embed",
-                   "interval", "weighted_trace"),
+                   "core_luxemburg_report", "core_modular_value", "core_rearrangement",
+                   "dual_action", "embed", "interval", "weighted_trace"),
     "errors": ("ConvergenceError", "InputError", "ValidationError"),
     "functorial": ("Isomorphism", "IsometryReport", "apply_isomorphism", "compose",
                    "identity_isomorphism", "lift_to_core", "norm_ratio_diagnostic",

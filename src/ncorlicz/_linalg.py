@@ -527,36 +527,35 @@ def ldexp_values(vals: list[float], e: int, what: str) -> np.ndarray:
         raise ValidationError(f"the matrix has {what} beyond the binary64 range") from None
 
 
-def levels(vals_desc, measures=None) -> tuple[list[list[int]], list[float], int]:
-    """(groups, values, rank) of a descending array, the one rule for equal and zero values.
+def levels(vals_desc, measures=None) -> tuple[list[list[int]], list[float], int, list[float]]:
+    """(groups, values, rank, totals) of descending values, the one rule for equal and zero values.
 
     Adjacent values share a group while their gap is at most ``CLUSTER_RTOL``
     times the larger magnitude (a chain rule); a group's value is its
     measure-weighted mean (measures 1 by default), v1 + (v2 - v1) m2 / (m1 + m2),
-    which cannot overflow; the rank counts the values of the groups whose value
-    lies above ``RANK_RTOL`` max(v_0, 0), the leading ones, since values descend.
+    which cannot overflow, and its total is the sum of its measures, added in
+    order; the rank counts the values of the groups whose value lies above
+    ``RANK_RTOL`` max(v_0, 0), the leading ones, since values descend.
     """
     vals = vals_desc.tolist() if isinstance(vals_desc, np.ndarray) else vals_desc
-    rtol, groups, values = CLUSTER_RTOL, [], []
+    rtol, groups, values, totals = CLUSTER_RTOL, [], [], []
     for k, v in enumerate(vals):
+        m = 1.0 if measures is None else measures[k]
         # Descending, so the gap is prev - v and the larger magnitude max(prev, -v).
         if groups and prev - v <= rtol * (prev if prev > -v else -v):
-            group = groups[-1]
-            if len(group) == 1:
-                total = 1.0 if measures is None else measures[group[0]]
-            m = 1.0 if measures is None else measures[k]
-            total += m
+            total = totals[-1] = totals[-1] + m
             values[-1] += (v - values[-1]) * (m / total)
-            group.append(k)
+            groups[-1].append(k)
         else:
             groups.append([k])
             values.append(v)
+            totals.append(m)
         prev = v
     cut = RANK_RTOL * vals[0] if groups and vals[0] > 0.0 else 0.0
     rank = len(vals)
     if values and not values[-1] > cut:  # the first group at or below the cut ends the rank
         rank = next(g[0] for g, value in zip(groups, values) if not value > cut)
-    return groups, values, rank
+    return groups, values, rank, totals
 
 
 def rank(vals_desc) -> int:

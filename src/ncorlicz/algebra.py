@@ -408,7 +408,7 @@ def block_clusters(x: Element) -> tuple[tuple[int, tuple], ...]:
     if x._clusters is None:
         out = []
         for vals, vecs in block_eigh(x):
-            groups, values, rank = _linalg.levels(vals)
+            groups, values, rank, _ = _linalg.levels(vals)
             clusters = []
             for group, value in zip(groups, values):
                 cols = vecs[:, group]

@@ -18,6 +18,10 @@ cellwise, shifts move endpoints by exact Fraction arithmetic, and each
 piece contributes tau(x_k) * (exp(-a_k) - exp(-b_k)) to the trace.
 Intervals must have finite left endpoints because the exp(-s) mass
 diverges toward -infinity.
+
+The distribution of |x| against that trace is a ``RearrangementFunction``
+(``core_rearrangement``), merged from the pieces' steps as the base merges
+blocks, and the core norm and modular value read it as the base ones do.
 """
 
 from __future__ import annotations
@@ -26,13 +30,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .algebra import (Element, absolute, certified_positive, fill_singular_values,
                       finite_sum, negative_block, trace)
 from .errors import ValidationError
-from .orliczfn import OrliczFunction
-from .trace_orlicz import NormReport, modular_from_measures, rearrangement, report_from_measures
+from .orliczfn import INF, OrliczFunction
+from .trace_orlicz import NormReport, RearrangementFunction, merged_steps, rearrangement
 
 
 def _to_endpoint(value) -> Fraction:
@@ -61,12 +63,17 @@ class Interval:
     def weight(self) -> float:
         """exp(-a) - exp(-b), the trace mass of the interval; ValidationError beyond binary64.
 
-        Computed as exp(-a) * -expm1(-(b - a)) with b - a exact, so a short
-        interval keeps its relative accuracy instead of cancelling.
+        Computed as exp(-a) * -expm1(-(b - a)) with b - a rounded once, so a
+        short interval keeps its relative accuracy instead of cancelling; the
+        integer quotient rounds as float(b - a) would, with no Fraction built.
         """
+        a, b = self.a, self.b
         try:
-            left = math.exp(-float(self.a))
-            return left if self.b is None else left * -math.expm1(-float(self.b - self.a))
+            left = math.exp(-(a.numerator / a.denominator))
+            if b is None:
+                return left
+            return left * -math.expm1(-((b.numerator * a.denominator - a.numerator * b.denominator)
+                                        / (a.denominator * b.denominator)))
         except OverflowError:
             raise ValidationError(f"trace mass of {self} is beyond the binary64 range") from None
 
@@ -250,35 +257,37 @@ def dual_action(s, x: CoreElement) -> CoreElement:
     return CoreElement(x.algebra, [(piece, iv.shift(shift)) for piece, iv in x.pieces])
 
 
-def _core_singular_data(x: CoreElement):
-    """(values, measures) of the singular data of every piece, in piece order,
-    each measure scaled by its interval's trace mass; ValidationError when a
-    scaled measure is beyond the binary64 range.
+def core_rearrangement(x: CoreElement) -> RearrangementFunction:
+    """Decreasing singular-value step function mu of x against the canonical trace.
 
-    The distinct piece objects are factored together first
-    (``fill_singular_values``); each then merges its singular data once, into
-    the memo that its base norms read too (``rearrangement``).
+    Each piece x_k on [a_k, b_k) gives its own steps (``rearrangement``), each
+    measure scaled by the interval's trace mass, and ``merged_steps`` merges
+    them as ``singular_value_measures`` merges blocks, so a piece that sits on
+    several intervals gives each of its values once.  The distinct piece
+    objects are factored together first (``fill_singular_values``).  A scaled
+    measure that is not a positive binary64 number raises ValidationError.
     """
-    if not x.pieces:
-        return np.empty(0), np.empty(0)
     fill_singular_values(dict.fromkeys(piece for piece, _ in x.pieces))
-    data = [(rearrangement(piece), iv.weight()) for piece, iv in x.pieces]
-    with np.errstate(over="ignore"):  # an overflow leaves inf, rejected below
-        measures = np.concatenate([mu.measures * w for mu, w in data])
-    if not measures.max() < math.inf:
-        raise ValidationError("a piece measure scaled by its interval's trace mass "
-                              "is beyond the binary64 range")
-    return np.concatenate([mu.values for mu, _ in data]), measures
+    values, measures = [], []
+    for piece, iv in x.pieces:
+        mu, w = rearrangement(piece), iv.weight()
+        values += mu.values.tolist()
+        measures += [m * w for m in mu.measures.tolist()]
+    where = "below" if 0.0 in measures else "beyond" if INF in measures else None
+    if where:
+        raise ValidationError(f"a piece measure scaled by its interval's trace mass is {where} "
+                              "the binary64 range")
+    return RearrangementFunction(merged_steps(list(zip(values, measures))))
 
 
 def core_modular_value(phi: OrliczFunction, x: CoreElement, lam: float) -> float:
     """Canonical-trace modular sum w_k tau(Phi(|x_k|/lam)) as an extended real."""
-    return modular_from_measures(phi, *_core_singular_data(x), lam)
+    return core_rearrangement(x).modular(phi, lam)
 
 
 def core_luxemburg_report(phi: OrliczFunction, x: CoreElement,
                           tol: float = 1e-12) -> NormReport:
-    return report_from_measures(phi, *_core_singular_data(x), tol)
+    return core_rearrangement(x).luxemburg(phi, tol)
 
 
 def core_luxemburg_norm(phi: OrliczFunction, x: CoreElement, tol: float = 1e-12) -> float:

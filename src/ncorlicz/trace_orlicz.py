@@ -1,10 +1,12 @@
 """Orlicz norms over a finite-dimensional trace algebra.
 
 The singular values of an element, weighted by the trace weights of
-their blocks, form a decreasing step function, the one ``RearrangementFunction``
-that ``rearrangement`` stores on the element and every norm here reads; which
-values are zero and which share a step is decided by ``_linalg.levels``, the
-rule of the eigenvalue clusters too.  The distribution identity
+their blocks, form a decreasing step function, the ``RearrangementFunction``
+that ``rearrangement`` stores on the element; every norm and modular value,
+here and on the core, is one of its methods.  ``merged_steps`` builds it, and
+``core_model.core_rearrangement`` merges a core element's pieces with it too;
+which values are zero and which share a step is decided by ``_linalg.levels``,
+the rule of the eigenvalue clusters too.  The distribution identity
 tau(f(|x|)) = integral of f along that step function holds exactly for step
 data, and ``fk_integral`` checks the singular data it reads against the
 eigenvalues of x* x.  The Luxemburg gauge
@@ -105,6 +107,25 @@ class RearrangementFunction:
             t += l
         return rows
 
+    def modular(self, phi: OrliczFunction, lam: float) -> float:
+        """tau(Phi(mu/lam)) as an extended real; 0*inf = 0 is honored because
+        only strictly positive measures enter, and a sum beyond binary64 is +inf."""
+        if not (lam > 0):
+            raise ValidationError("scale must be positive")
+        if self.values.size == 0:
+            return 0.0
+        return _step_sum(self.measures, phi.eval_array(self.values / float(lam)),
+                         self.total_mass())
+
+    def luxemburg(self, phi: OrliczFunction, tol: float) -> "NormReport":
+        """Luxemburg norm of the steps with its evaluation count, the modular
+        value at the norm and the termination reason (``_luxemburg_from_measures``)."""
+        if not (0 < tol < 1):
+            raise ValidationError(f"tolerance must lie in (0, 1), got {tol!r}")
+        if not phi.is_young:
+            raise ValidationError(f"{phi.label()} is not a Young function")
+        return _luxemburg_from_measures(self.values, self.measures, phi, tol)
+
     def matches(self, other: "RearrangementFunction") -> bool:
         """Step-data equality: same count, exactly equal lengths, and values
         that ``_linalg.levels`` puts in one group, as it would merge them."""
@@ -116,27 +137,31 @@ class RearrangementFunction:
         return f"RearrangementFunction({list(zip(self.values.tolist(), self.measures.tolist()))})"
 
 
+def merged_steps(pairs: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """The steps of (value, measure) pairs: sorted descending and grouped by
+    ``_linalg.levels``, each step with its group's weighted mean, which cannot
+    overflow, and total measure.  The one merge of the base's blocks and of
+    the core's pieces; sorts ``pairs`` in place."""
+    pairs.sort(key=itemgetter(0), reverse=True)
+    values, measures = zip(*pairs) if pairs else ((), ())
+    _, values, _, totals = _linalg.levels(values, measures)
+    return list(zip(values, totals))
+
+
 def singular_value_measures(x: Element) -> list[tuple[float, float]]:
     """Nonzero singular values of x with their tau-measures, merged descending.
 
     Each block x_i is factored once per Element (``block_singular_values``),
     directly, by one-sided Jacobi (exact power-of-two prescale, so any finite
     scale works and small values keep their relative accuracy); x*x is never
-    formed.  ``_linalg.levels`` decides the rest: each block keeps the values
-    within its rank (``_linalg.rank``), each carrying measure c_i, and the
-    levels of all kept values, weighted by those measures, are the steps, each
-    with its group's total measure and weighted mean, which cannot overflow.
+    formed.  Each block keeps the values within its rank (``_linalg.rank``),
+    each carrying measure c_i, and ``merged_steps`` merges them.
     """
     pairs = []
     for c, s in zip(x.algebra.weights, block_singular_values(x)):
         s = s.tolist()
         pairs += [(v, c) for v in s[:_linalg.rank(s)]]
-    pairs.sort(key=itemgetter(0), reverse=True)
-    values, measures = zip(*pairs) if pairs else ((), ())
-    groups, values, _ = _linalg.levels(values, measures)
-    if len(groups) < len(measures):
-        measures = [sum(measures[g[0]:g[-1] + 1]) for g in groups]
-    return list(zip(values, measures))
+    return merged_steps(pairs)
 
 
 def rearrangement(x: Element) -> RearrangementFunction:
@@ -152,19 +177,6 @@ def rearrangement(x: Element) -> RearrangementFunction:
         if x._singular is None:
             object.__setattr__(x, "_singular", mu)
     return x._singular
-
-
-def modular_from_measures(phi: OrliczFunction, values: np.ndarray, measures: np.ndarray,
-                          lam: float) -> float:
-    """tau(Phi(|x|/lam)) from the singular data of x, as an extended real; 0*inf = 0
-    is honored because only strictly positive measures enter, and a sum beyond
-    binary64 is +inf.  The body of ``modular_value`` and of
-    ``core_model.core_modular_value``."""
-    if not (lam > 0):
-        raise ValidationError("scale must be positive")
-    if values.size == 0:
-        return 0.0
-    return _step_sum(measures, phi.eval_array(values / float(lam)), sum(measures.tolist()))
 
 
 def _step_sum(measures: np.ndarray, terms: np.ndarray, mass: float) -> float:
@@ -186,8 +198,7 @@ def _step_sum(measures: np.ndarray, terms: np.ndarray, mass: float) -> float:
 
 def modular_value(phi: OrliczFunction, x: Element, lam: float) -> float:
     """tau(Phi(|x|/lam)) as an extended real."""
-    mu = rearrangement(x)
-    return modular_from_measures(phi, mu.values, mu.measures, lam)
+    return rearrangement(x).modular(phi, lam)
 
 
 def fk_integral(phi: OrliczFunction, x: Element) -> float:
@@ -204,9 +215,13 @@ def fk_integral(phi: OrliczFunction, x: Element) -> float:
     within sum_i c_i d_i b_i, plus (n CLUSTER_RTOL)^2 relative for merged
     clusters and n eps relative and n 2^-1073 for rounding, n values in all;
     so the rank cut, weights and merging of ``singular_value_measures`` are
-    checked too.  Neither check reads Phi.
+    checked too.  Neither check reads Phi.  Both sides and the bound are taken
+    in units of 2^k, k = ceil(log2) of the largest weight, so that they stay
+    finite; a weight that this takes below the normal range rounds by at most
+    2^-1075, which adds 2^-1073 sum_i sum_k l_ik.
     """
     y, e = in_range(x)
+    k = math.ceil(math.log2(max(x.algebra.weights)))  # every weight / 2^k is at most about 1
     eps, trace_h, slack, n = sys.float_info.epsilon, 0.0, 0.0, 0
     for i, (c, (lam, _), s) in enumerate(zip(x.algebra.weights, block_eigh(y.adjoint() * y),
                                              block_singular_values(x))):
@@ -214,19 +229,20 @@ def fk_integral(phi: OrliczFunction, x: Element) -> float:
         b = s[0] * (16 * d * eps * s[0] + math.ldexp(2.0, -1074 - e)) + math.ldexp(d * d, -1072)
         gap = np.abs(s * s - lam)
         if gap.max() > b:
-            k = int(gap.argmax())
+            j = int(gap.argmax())
             raise ValidationError(
                 f"singular values disagree with x* x: in block {i} of y = x / 2^{e}, "
-                f"singular value {s[k]!r} squared vs eigenvalue {lam[k]!r} of y* y")
-        trace_h, slack, n = trace_h + c * float(lam.sum()), slack + c * d * b, n + d
+                f"singular value {s[j]!r} squared vs eigenvalue {lam[j]!r} of y* y")
+        c, h = math.ldexp(c, -k), float(lam.sum())
+        trace_h, slack, n = trace_h + c * h, slack + c * d * b + math.ldexp(h, -1073), n + d
     mu = rearrangement(x)
-    mass = _step_sum(mu.measures, np.square(np.ldexp(mu.values, -e) if e else mu.values),
-                     mu.total_mass())
+    mass = float(np.dot(np.ldexp(mu.measures, -k),
+                        np.square(np.ldexp(mu.values, -e) if e else mu.values)))
     tol = slack + n * (eps + n * _linalg.CLUSTER_RTOL**2) * trace_h + math.ldexp(n, -1073)
     if abs(mass - trace_h) > tol:
         raise ValidationError(f"distribution identity violated at Phi(t) = t^2: step sum {mass!r} "
-                              f"vs tau(y* y) = {trace_h!r} for y = x / 2^{e}")
-    return modular_value(phi, x, 1.0)
+                              f"vs tau(y* y) = {trace_h!r} for y = x / 2^{e}, in units of 2^{k}")
+    return mu.modular(phi, 1.0)
 
 
 @dataclass(frozen=True)
@@ -384,23 +400,10 @@ def _luxemburg_from_measures(values: np.ndarray, measures: np.ndarray,
             d = e = b[0] - a[0]
 
 
-def report_from_measures(phi: OrliczFunction, values: np.ndarray, measures: np.ndarray,
-                         tol: float) -> NormReport:
-    """Luxemburg norm of singular data with its evaluation count, the modular
-    value at the norm and the termination reason; the body of
-    ``luxemburg_report`` and of ``core_model.core_luxemburg_report``."""
-    if not (0 < tol < 1):
-        raise ValidationError(f"tolerance must lie in (0, 1), got {tol!r}")
-    if not phi.is_young:
-        raise ValidationError(f"{phi.label()} is not a Young function")
-    return _luxemburg_from_measures(values, measures, phi, tol)
-
-
 def luxemburg_report(phi: OrliczFunction, x: Element, tol: float = 1e-12) -> NormReport:
     """Luxemburg norm with its evaluation count, the modular value at the norm
     and the termination reason."""
-    mu = rearrangement(x)
-    return report_from_measures(phi, mu.values, mu.measures, tol)
+    return rearrangement(x).luxemburg(phi, tol)
 
 
 def luxemburg_norm(phi: OrliczFunction, x: Element, tol: float = 1e-12) -> float:

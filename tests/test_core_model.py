@@ -1,6 +1,7 @@
 import math
 import operator
 import re
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -8,15 +9,15 @@ import numpy as np
 import pytest
 
 from ncorlicz import (CoreElement, CoshMinusOne, Element, Interval, JumpFunction,
-                      PowerFunction, ValidationError, _linalg, canonical_trace,
-                      core_luxemburg_norm, core_luxemburg_report, core_modular_value,
-                      dual_action, embed, interval, luxemburg_norm, make_algebra, registry,
-                      weighted_trace)
+                      OrliczFunction, PowerFunction, RearrangementFunction, ValidationError,
+                      _linalg, canonical_trace, core_luxemburg_norm, core_luxemburg_report,
+                      core_modular_value, core_rearrangement, dual_action, embed, interval,
+                      luxemburg_norm, make_algebra, rearrangement, registry, weighted_trace)
 from ncorlicz._linalg import HERMITIAN_RTOL, POSITIVITY_RTOL
 from ncorlicz.algebra import certified_positive
 from ncorlicz.sampling import (SplitMix64, rand_core_element, rand_element, rand_isomorphism,
                                rand_unitary_matrix)
-from ncorlicz.trace_orlicz import report_from_measures, singular_value_measures
+from ncorlicz.trace_orlicz import merged_steps, singular_value_measures
 
 
 class TestConstruction:
@@ -311,6 +312,42 @@ class TestDualAction:
                 assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+class TestCoreRearrangement:
+    def test_embedding_keeps_the_distribution(self, m2m3):
+        # [0, inf) has trace mass exactly 1, and a merge of merged steps keeps them.
+        rng = SplitMix64(27)
+        xs = [rand_element(rng, m2m3) for _ in range(199)]
+        clustered = Element(m2m3, [np.diag([2.0, 1.0]), np.diag([2.0 + 4e-10, 0.5, 0.0])])
+        assert len(rearrangement(clustered).values) == 3
+        for x in xs + [clustered]:
+            mu, core = rearrangement(x), core_rearrangement(embed(x))
+            assert core.values.tolist() == mu.values.tolist()
+            assert core.measures.tolist() == mu.measures.tolist()
+
+    @pytest.mark.parametrize("s", [Fraction(-7, 2), Fraction(1, 3), 5, 600])
+    def test_shift_scales_every_measure(self, m2m3, s):
+        # theta_s moves every interval by s, so each measure takes the factor
+        # e^-s and no value moves; the sums share pieces across cells.
+        rng, scale = SplitMix64(28), math.exp(-s)
+        for _ in range(10):
+            x = rand_core_element(rng, m2m3, pieces=4)
+            for z in (x, x + dual_action(Fraction(3, 8), x)):
+                mu, shifted = core_rearrangement(z), core_rearrangement(dual_action(s, z))
+                assert shifted.values.tolist() == mu.values.tolist()
+                assert shifted.measures == pytest.approx(
+                    scale * mu.measures, rel=4 * sys.float_info.epsilon, abs=0)
+
+    def test_a_piece_on_two_intervals_is_evaluated_once(self, m2m3, count_calls):
+        rng = SplitMix64(29)
+        p, q = rand_element(rng, m2m3), rand_element(rng, m2m3)
+        x = CoreElement(m2m3, [(p, interval(0, 1)), (q, interval(1, 2)), (p, interval(3, 4))])
+        calls = count_calls(OrliczFunction.eval_array)
+        core_luxemburg_report(PowerFunction(2.0), x)
+        core_modular_value(CoshMinusOne(), x, 1.0)
+        assert len(calls) > 2
+        assert [len(args[1]) for args in calls] == [10] * len(calls)
+
+
 class TestCoreNorm:
     def test_identity_block_sqrt2(self, m2):
         got = core_luxemburg_norm(PowerFunction(2), embed(m2.identity()))
@@ -393,13 +430,15 @@ class TestCoreNorm:
         assert [kernel for kernel, _ in got] == ["stack"] * 20
         distinct = [b for p in values for b in p.blocks]
         assert sorted(b.tobytes() for _, b in got) == sorted(b.tobytes() for b in distinct)
-        # Per piece and by the scalar kernel alone: fresh single Elements.
-        ref = [(v, m * iv.weight()) for p, iv in x.pieces
-               for v, m in singular_value_measures(Element(alg, p.blocks))]
+        # Per piece and by the scalar kernel alone: fresh single Elements,
+        # merged by the routine that merges the core's pieces.
+        ref = RearrangementFunction(merged_steps(
+            [(v, m * iv.weight()) for p, iv in x.pieces
+             for v, m in singular_value_measures(Element(alg, p.blocks))]))
         assert len(factored_blocks()) == 20 + 12 * alg.nblocks
-        values_ref, measures_ref = (np.array(col) for col in zip(*ref))
+        assert core_rearrangement(x).matches(ref)
         for phi, norm in zip(registry().values(), norms):
-            want = report_from_measures(phi, values_ref, measures_ref, 1e-15).norm
+            want = ref.luxemburg(phi, 1e-15).norm
             assert norm == pytest.approx(want, rel=1e-13, abs=0)
 
     def test_positivity_checked_once_per_distinct_piece(self, count_calls):

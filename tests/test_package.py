@@ -19,21 +19,21 @@ PUBLIC_NAMES = [
     "SplitMix64", "StandardForm", "TabulatedFunction", "ValidationError", "absolute",
     "apply_isomorphism", "canonical_trace", "check_delta2", "check_n_function", "compose",
     "connes_cocycle", "core_luxemburg_norm", "core_luxemburg_report", "core_modular_value",
-    "dual_action", "dual_pairing", "e_space_gauge", "eigen_spectrum", "embed", "fk_integral",
-    "functional_polar", "gns", "identity_isomorphism", "interval", "lift_to_core",
-    "luxemburg_norm", "luxemburg_report", "make_algebra", "membership",
+    "core_rearrangement", "dual_action", "dual_pairing", "e_space_gauge", "eigen_spectrum",
+    "embed", "fk_integral", "functional_polar", "gns", "identity_isomorphism", "interval",
+    "lift_to_core", "luxemburg_norm", "luxemburg_report", "make_algebra", "membership",
     "midpoint_convexity_gap", "modular_flow", "modular_value", "norm_ratio_diagnostic",
     "numeric_conjugate_value", "operator_norm", "polar_decompose", "power_on_support",
-    "radon_nikodym_sqrt", "rearrangement", "rearrangement_csv", "reduce_to_support",
-    "registry", "relative_modular", "spectral_calculus", "standard_form",
-    "support_projection", "trace", "verify_isometry", "weighted_trace", "young_conjugate",
+    "radon_nikodym_sqrt", "rearrangement", "rearrangement_csv", "reduce_to_support", "registry",
+    "relative_modular", "spectral_calculus", "standard_form", "support_projection", "trace",
+    "verify_isometry", "weighted_trace", "young_conjugate",
 ]
 SUBMODULES = ["algebra", "core_model", "errors", "functorial", "modular", "orliczfn",
               "sampling", "trace_orlicz"]
 
 
 def test_public_names_are_unchanged():
-    assert len(PUBLIC_NAMES) == 71
+    assert len(PUBLIC_NAMES) == 72
     assert sorted(ncorlicz.__all__) == PUBLIC_NAMES
     assert ncorlicz.__version__ == "0.1.0"
 
@@ -160,6 +160,21 @@ def test_only_linalg_decides_equal_and_zero_values():
     # back a second rule.  fk_integral reads CLUSTER_RTOL for its error bound.
     assert _library_reads({"RANK_RTOL", "CLUSTER_RTOL"}) == [
         ("trace_orlicz.py", "fk_integral", "CLUSTER_RTOL")]
+
+
+def test_one_merge_builds_every_distribution():
+    # trace_orlicz.merged_steps sorts and groups (value, measure) pairs into
+    # steps, for the blocks of an Element and for the pieces of a core
+    # element alike.  Besides it, _linalg.levels groups only eigenvalues into
+    # clusters and compares two values in RearrangementFunction.matches, so no
+    # third distribution builder, with a merge of its own, can appear.
+    found = _library_reads({"merged_steps", "levels"})
+    assert {(path, top) for path, top, name in found if name == "merged_steps"} == {
+        ("trace_orlicz.py", "singular_value_measures"), ("core_model.py", None),
+        ("core_model.py", "core_rearrangement")}
+    assert {(path, top) for path, top, name in found if name == "levels"} == {
+        ("trace_orlicz.py", "merged_steps"), ("trace_orlicz.py", "RearrangementFunction"),
+        ("algebra.py", "block_clusters")}
 
 
 def test_only_algebra_calls_certifies_positive():

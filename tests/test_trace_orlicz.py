@@ -625,6 +625,23 @@ def test_modular_sum_beyond_binary64_is_infinite(case):
     assert report.norm == pytest.approx(math.sqrt(c) * math.sqrt(1.0 + 0.999 ** 2), rel=1e-11)
 
 
+@pytest.mark.parametrize("weight", [1.0, 1e300, 1e308])
+def test_fk_integral_checks_the_identity_beyond_binary64(weight):
+    # On weights 1e308 both sides of the identity at Phi(t) = t^2 leave
+    # binary64 unless they are taken in units of the largest weight; a step
+    # measure planted 1.5 times too large is caught at every scale.
+    phi = PowerFunction(2.0)
+    alg = make_algebra([1, 1], [weight, weight])
+    blocks = [np.array([[1.0]]), np.array([[0.999]])]
+    want = INF if weight == 1e308 else pytest.approx(weight * (1.0 + 0.999 ** 2), rel=1e-15)
+    assert fk_integral(phi, Element(alg, blocks)) == want
+    x = Element(alg, blocks)
+    mu = rearrangement(x)
+    object.__setattr__(x, "_singular", RearrangementFunction(zip(mu.values, 1.5 * mu.measures)))
+    with pytest.raises(ValidationError, match="^distribution identity violated"):
+        fk_integral(phi, x)
+
+
 @pytest.mark.parametrize("scale, small", [(1.0, 1e-155), (1e300, 1e145)])
 def test_fk_integral_on_blocks_of_very_different_scales(scale, small):
     # The small block's y* y lies on the subnormal grid of y = x / 2^e.
