@@ -20,8 +20,8 @@ Intervals must have finite left endpoints because the exp(-s) mass
 diverges toward -infinity.
 
 The distribution of |x| against that trace is a ``RearrangementFunction``
-(``core_rearrangement``), merged from the pieces' steps as the base merges
-blocks, and the core norm and modular value read it as the base ones do.
+(``core_rearrangement``), one merge of every piece's block pairs, as the base
+merges blocks, and the core norm and modular value read it as the base ones do.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .algebra import (Element, absolute, certified_positive, fill_singular_value
                       finite_sum, negative_block, trace)
 from .errors import ValidationError
 from .orliczfn import INF, OrliczFunction
-from .trace_orlicz import NormReport, RearrangementFunction, merged_steps, rearrangement
+from .trace_orlicz import NormReport, RearrangementFunction, merged_steps, singular_pairs
 
 
 def _to_endpoint(value) -> Fraction:
@@ -260,24 +260,22 @@ def dual_action(s, x: CoreElement) -> CoreElement:
 def core_rearrangement(x: CoreElement) -> RearrangementFunction:
     """Decreasing singular-value step function mu of x against the canonical trace.
 
-    Each piece x_k on [a_k, b_k) gives its own steps (``rearrangement``), each
-    measure scaled by the interval's trace mass, and ``merged_steps`` merges
-    them as ``singular_value_measures`` merges blocks, so a piece that sits on
-    several intervals gives each of its values once.  The distinct piece
-    objects are factored together first (``fill_singular_values``).  A scaled
-    measure that is not a positive binary64 number raises ValidationError.
+    Each piece x_k on [a_k, b_k) gives its blocks' values with measures c_i
+    times the interval's trace mass (``singular_pairs``), and ``merged_steps``
+    merges all pieces' pairs at once, as it merges an Element's blocks; the
+    distinct pieces are factored together first (``fill_singular_values``).
+    A measure that is not a positive binary64 number raises ValidationError.
     """
     fill_singular_values(dict.fromkeys(piece for piece, _ in x.pieces))
-    values, measures = [], []
+    pairs = []
     for piece, iv in x.pieces:
-        mu, w = rearrangement(piece), iv.weight()
-        values += mu.values.tolist()
-        measures += [m * w for m in mu.measures.tolist()]
+        pairs += singular_pairs(piece, iv.weight())
+    measures = {m for _, m in pairs}
     where = "below" if 0.0 in measures else "beyond" if INF in measures else None
     if where:
         raise ValidationError(f"a piece measure scaled by its interval's trace mass is {where} "
                               "the binary64 range")
-    return RearrangementFunction(merged_steps(list(zip(values, measures))))
+    return RearrangementFunction(merged_steps(pairs))
 
 
 def core_modular_value(phi: OrliczFunction, x: CoreElement, lam: float) -> float:

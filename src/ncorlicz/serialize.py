@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .algebra import AlgebraDescriptor, Element, Functional, make_algebra
-from .errors import InputError
+from .errors import InputError, ValidationError
 
 if TYPE_CHECKING:
     from .core_model import CoreElement
@@ -246,7 +246,7 @@ def core_from_obj(algebra: AlgebraDescriptor, obj) -> CoreElement:
         pieces.append((elem, Interval(a, b)))
     try:
         return CoreElement(algebra, pieces)
-    except Exception as exc:
+    except ValidationError as exc:
         raise InputError(f"invalid core element: {exc}") from exc
 
 
@@ -284,7 +284,7 @@ def isomorphism_from_obj(source: AlgebraDescriptor, obj) -> Isomorphism:
           for i, u in enumerate(unitaries)]
     try:
         return Isomorphism(source, target, perm, us)
-    except Exception as exc:
+    except ValidationError as exc:
         raise InputError(f"invalid isomorphism: {exc}") from exc
 
 

@@ -19,7 +19,8 @@ from .algebra import (Element, Functional, absolute, eigen_spectrum, make_algebr
                       spectral_calculus, support_projection, trace)
 from .core_model import (Interval, canonical_trace, core_luxemburg_norm,
                          core_modular_value, dual_action, embed, weighted_trace)
-from .functorial import compose, identity_isomorphism, norm_ratio_diagnostic, verify_isometry
+from .functorial import (Isomorphism, compose, identity_isomorphism, norm_ratio_diagnostic,
+                         verify_isometry)
 from .modular import (connes_cocycle, gns, radon_nikodym_sqrt, relative_modular,
                       standard_form)
 from .orliczfn import (INF, CoshMinusOne, ExpMinusOne, JumpFunction, PowerFunction,
@@ -535,12 +536,11 @@ def case_core_embedding_isometry(rng, samples):
 def case_core_group_law_exact(rng, samples):
     for _ in range(_n(samples // 10, 3, 10)):
         x = rand_core_element(rng, ALGEBRA, pieces=3)
-        back = dual_action(-math.pi, dual_action(math.pi, x))
-        for (_, u), (_, v) in zip(back.pieces, x.pieces):
-            if u.a != v.a or u.b != v.b:
-                return False, None, "endpoint drift under shift round-trip"
-        if dual_action(0, x) is not x and len(dual_action(0, x).pieces) != len(x.pieces):
-            return False, None, "identity shift changed the piece count"
+        # Elements compare by identity: the same piece objects on equal intervals.
+        if dual_action(-math.pi, dual_action(math.pi, x)).pieces != x.pieces:
+            return False, None, "pieces changed under shift round-trip"
+        if dual_action(0, x).pieces != x.pieces:
+            return False, None, "identity shift changed the pieces"
     return True, 0.0
 
 
@@ -584,9 +584,8 @@ def case_fun_rearrangement_invariance(rng, samples):
 
 def case_fun_rescaling_diagnostic(rng, samples):
     rescale = make_algebra([2, 2], [1.0, 2.0])
-    iso = type(identity_isomorphism(rescale))(
-        rescale, rescale, (1, 0),
-        [np.eye(2, dtype=complex), np.eye(2, dtype=complex)])
+    iso = Isomorphism(rescale, rescale, (1, 0),
+                      [np.eye(2, dtype=complex), np.eye(2, dtype=complex)])
     lo, hi = norm_ratio_diagnostic(iso, PowerFunction(2), _n(samples // 10, 5, 10), rng)
     # reported, never asserted: weight rescaling changes norms
     return True, None, f"norm ratio range under weight swap: [{lo:.6f}, {hi:.6f}]"

@@ -3,8 +3,8 @@
 The singular values of an element, weighted by the trace weights of
 their blocks, form a decreasing step function, the ``RearrangementFunction``
 that ``rearrangement`` stores on the element; every norm and modular value,
-here and on the core, is one of its methods.  ``merged_steps`` builds it, and
-``core_model.core_rearrangement`` merges a core element's pieces with it too;
+here and on the core, is one of its methods.  ``merged_steps`` builds it from
+``singular_pairs``, once, over an Element's blocks or a core element's pieces;
 which values are zero and which share a step is decided by ``_linalg.levels``,
 the rule of the eigenvalue clusters too.  The distribution identity
 tau(f(|x|)) = integral of f along that step function holds exactly for step
@@ -69,8 +69,9 @@ class RearrangementFunction:
             v, l = float(v), float(l)
             if not (v > 0.0 and l > 0.0):
                 raise ValidationError(f"step {Step(v, l)} must have positive value and length")
-            if l == INF:
-                raise ValidationError(f"step {Step(v, l)} has a measure beyond the binary64 range")
+            if INF in (v, l):
+                what = "value" if v == INF else "measure"
+                raise ValidationError(f"step {Step(v, l)} has a {what} beyond the binary64 range")
             if values and v >= values[-1]:
                 raise ValidationError("step values must decrease strictly")
             values.append(v)
@@ -141,27 +142,28 @@ def merged_steps(pairs: list[tuple[float, float]]) -> list[tuple[float, float]]:
     """The steps of (value, measure) pairs: sorted descending and grouped by
     ``_linalg.levels``, each step with its group's weighted mean, which cannot
     overflow, and total measure.  The one merge of the base's blocks and of
-    the core's pieces; sorts ``pairs`` in place."""
+    every block of the core's pieces at once; sorts ``pairs`` in place."""
     pairs.sort(key=itemgetter(0), reverse=True)
     values, measures = zip(*pairs) if pairs else ((), ())
     _, values, _, totals = _linalg.levels(values, measures)
     return list(zip(values, totals))
 
 
-def singular_value_measures(x: Element) -> list[tuple[float, float]]:
-    """Nonzero singular values of x with their tau-measures, merged descending.
-
-    Each block x_i is factored once per Element (``block_singular_values``),
-    directly, by one-sided Jacobi (exact power-of-two prescale, so any finite
-    scale works and small values keep their relative accuracy); x*x is never
-    formed.  Each block keeps the values within its rank (``_linalg.rank``),
-    each carrying measure c_i, and ``merged_steps`` merges them.
-    """
+def singular_pairs(x: Element, mass: float = 1.0) -> list[tuple[float, float]]:
+    """The rank-cut (value, c_i * mass) pairs of x's blocks, unmerged: the one
+    place where a measure is formed.  The blocks are factored once per Element,
+    directly, by one-sided Jacobi (``block_singular_values``); x*x is never
+    formed, and each block keeps the values within its rank (``_linalg.rank``)."""
     pairs = []
     for c, s in zip(x.algebra.weights, block_singular_values(x)):
-        s = s.tolist()
-        pairs += [(v, c) for v in s[:_linalg.rank(s)]]
-    return merged_steps(pairs)
+        s, m = s.tolist(), c * mass
+        pairs += [(v, m) for v in s[:_linalg.rank(s)]]
+    return pairs
+
+
+def singular_value_measures(x: Element) -> list[tuple[float, float]]:
+    """Nonzero singular values of x with their tau-measures, merged descending."""
+    return merged_steps(singular_pairs(x))
 
 
 def rearrangement(x: Element) -> RearrangementFunction:
@@ -169,8 +171,7 @@ def rearrangement(x: Element) -> RearrangementFunction:
 
     Reproduces mu(t) = inf { s >= 0 : tau(P^{|x|}(s, inf)) <= t } exactly
     for step data.  The first call stores mu on x, so that every norm, modular
-    value, rearrangement and membership test of one Element, and every core
-    norm with it as a piece, merges its singular data once.
+    value, rearrangement and membership test of x merges its singular data once.
     """
     if x._singular is None:
         mu = RearrangementFunction(singular_value_measures(x))

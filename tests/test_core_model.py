@@ -296,8 +296,25 @@ class TestDualAction:
     def test_group_law_exact(self, m2m3, rng):
         x = rand_core_element(rng, m2m3, pieces=3)
         back = dual_action(-math.pi, dual_action(math.pi, x))
-        for (_, u), (_, v) in zip(back.pieces, x.pieces):
-            assert u.a == v.a and u.b == v.b  # exact Fraction round trip
+        assert back.pieces == x.pieces  # the same pieces, on exact Fraction endpoints
+
+    @pytest.mark.parametrize("shift", [-math.pi, 0])
+    def test_suite_group_law_case_sees_changed_pieces(self, monkeypatch, shift):
+        # A shift that loses the last piece (round trip) or copies every piece
+        # (identity) keeps every endpoint it returns, yet the case must fail.
+        from ncorlicz import suite
+        exact = suite.dual_action
+
+        def faulty(s, x):
+            y = exact(s, x)
+            if s != shift:
+                return y
+            if shift:
+                return CoreElement(y.algebra, y.pieces[:-1])
+            return y.map_pieces(lambda p: Element(p.algebra, p.blocks))
+
+        monkeypatch.setattr(suite, "dual_action", faulty)
+        assert suite.case_core_group_law_exact(SplitMix64(0), 30)[0] is False
 
     def test_modular_rescaling_identity(self, m2m3, rng):
         phi = PowerFunction(2)
@@ -336,6 +353,30 @@ class TestCoreRearrangement:
                 assert shifted.values.tolist() == mu.values.tolist()
                 assert shifted.measures == pytest.approx(
                     scale * mu.measures, rel=4 * sys.float_info.epsilon, abs=0)
+
+    @pytest.mark.parametrize("a, b", [(2, 3), (Fraction(1, 3), Fraction(5, 2)), (-7, 40)])
+    def test_identity_like_pieces_merge_as_blocks(self, a, b):
+        # One merge of all blocks' (v, c_i w) pairs: a value repeated across
+        # blocks takes sum_i c_i w, within a few ulp of (sum_i c_i) w, the
+        # measure of the piece's own step scaled by w; no value moves.
+        rng, alg, iv = SplitMix64(30), make_algebra([2, 3, 1], [0.7, 1.3, 0.45]), interval(a, b)
+        w = iv.weight()
+        for k in range(200):
+            s, t = (1.0 + 9.0 * rng.uniform() for _ in range(2))
+            diag = [[s, s], [s, t, s], [t]] if k % 2 else [[s, -s], [s, s, -s], [s]]
+            x = Element(alg, [np.diag(d).astype(complex) for d in diag])
+            mu, core = rearrangement(x), core_rearrangement(CoreElement(alg, [(x, iv)]))
+            assert core.values.tolist() == mu.values.tolist()
+            assert core.measures == pytest.approx(
+                w * mu.measures, rel=4 * sys.float_info.epsilon, abs=0)
+
+    def test_one_merge_and_no_piece_distribution_per_core_norm(self, m2m3, count_calls):
+        x = rand_core_element(SplitMix64(31), m2m3, pieces=4)
+        merges, memos = count_calls(merged_steps), count_calls(rearrangement)
+        core_luxemburg_report(PowerFunction(2.0), x)
+        core_modular_value(CoshMinusOne(), x, 1.0)
+        assert len(merges) == 2 and memos == []
+        assert all(piece._singular is None for piece, _ in x.pieces)
 
     def test_a_piece_on_two_intervals_is_evaluated_once(self, m2m3, count_calls):
         rng = SplitMix64(29)

@@ -168,10 +168,16 @@ def test_one_merge_builds_every_distribution():
     # element alike.  Besides it, _linalg.levels groups only eigenvalues into
     # clusters and compares two values in RearrangementFunction.matches, so no
     # third distribution builder, with a merge of its own, can appear.
-    found = _library_reads({"merged_steps", "levels"})
-    assert {(path, top) for path, top, name in found if name == "merged_steps"} == {
-        ("trace_orlicz.py", "singular_value_measures"), ("core_model.py", None),
-        ("core_model.py", "core_rearrangement")}
+    # trace_orlicz.singular_pairs forms every (value, c_i * mass) pair, and a
+    # core element merges all its pieces' pairs at once, with no distribution
+    # of a piece in between.
+    found = _library_reads({"merged_steps", "levels", "singular_pairs", "rearrangement"})
+    readers = {("trace_orlicz.py", "singular_value_measures"), ("core_model.py", None),
+               ("core_model.py", "core_rearrangement")}
+    assert {(path, top) for path, top, name in found if name == "merged_steps"} == readers
+    assert {(path, top) for path, top, name in found if name == "singular_pairs"} == readers
+    assert [top for path, top, name in found
+            if name == "rearrangement" and path == "core_model.py"] == []
     assert {(path, top) for path, top, name in found if name == "levels"} == {
         ("trace_orlicz.py", "merged_steps"), ("trace_orlicz.py", "RearrangementFunction"),
         ("algebra.py", "block_clusters")}

@@ -129,6 +129,33 @@ def test_isomorphism_schema_errors():
 EYE2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
 
 
+OVERLAPPING_CORE = {"pieces": [{"interval": [0, 2], "element": {"blocks": [EYE2, EYE2]}},
+                               {"interval": [1, 3], "element": {"blocks": [EYE2, EYE2]}}]}
+NON_UNITARY_ISO = {"permutation": [0, 1],
+                   "unitaries": [EYE2, [[[2, 0], [0, 0]], [[0, 0], [1, 0]]]]}
+
+
+@pytest.mark.parametrize("read, obj, cls, module, message", [
+    (core_from_obj, OVERLAPPING_CORE, "CoreElement", "ncorlicz.core_model",
+     r"^invalid core element: intervals \[0, 2\) and \[1, 3\) overlap$"),
+    (isomorphism_from_obj, NON_UNITARY_ISO, "Isomorphism", "ncorlicz.functorial",
+     r"^invalid isomorphism: matrix 1 is not unitary$")])
+def test_only_validation_errors_become_input_errors(read, obj, cls, module, message,
+                                                    monkeypatch):
+    # A constructor's ValidationError is bad input; any other exception is a
+    # fault in the library and must not be reported as an input error.
+    alg = make_algebra([2, 2], [1.0, 1.0])
+    with pytest.raises(InputError, match=message):
+        read(alg, obj)
+
+    def broken(self, *args):
+        raise TypeError(f"a bug in {cls}")
+
+    monkeypatch.setattr(f"{module}.{cls}.__init__", broken)
+    with pytest.raises(TypeError, match=f"^a bug in {cls}$"):
+        read(alg, obj)
+
+
 @pytest.mark.parametrize("obj", [{"permutation": [0, 1], "unitaries": 3},
                                  {"permutation": [0, 1], "unitaries": [EYE2]},
                                  {"permutation": [0, "1"], "unitaries": [EYE2, EYE2]},

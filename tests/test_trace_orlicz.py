@@ -89,7 +89,11 @@ class TestRearrangement:
         mu = rearrangement(x)
         assert list(zip(mu.values.tolist(), mu.measures.tolist())) == want
 
-    def test_core_and_base_norms_share_a_piece_memo(self, m2m3, rng, count_calls):
+    def test_core_and_base_norms_share_a_piece_factorization(self, m2m3, rng, count_calls,
+                                                              factored_blocks):
+        # A core norm merges its pieces' block pairs itself and builds no
+        # distribution of a piece, so only the base norm merges the piece's
+        # steps; each distinct piece's blocks are factored once for all three.
         calls = count_calls(singular_value_measures)
         piece, other = rand_element(rng, m2m3), rand_element(rng, m2m3)
         core = CoreElement(m2m3, [(piece, interval(0, 1)), (other, interval(1, 2)),
@@ -97,7 +101,9 @@ class TestRearrangement:
         core_luxemburg_report(PowerFunction(2.0), core)
         core_luxemburg_report(CoshMinusOne(), core)
         luxemburg_report(PowerFunction(2.0), piece)
-        assert [args[0] for args in calls] == [piece, other]
+        assert [args[0] for args in calls] == [piece]
+        got = sorted(b.tobytes() for _, b in factored_blocks())
+        assert got == sorted(b.tobytes() for b in piece.blocks + other.blocks)
 
     def test_steps_of_a_positive_element_are_its_spectrum(self, m3):
         # Gaps of 0.9e-9 chain into one eigenvalue cluster; the steps merge alike.
@@ -141,6 +147,9 @@ class TestRearrangementFunction:
          "step Step(value=1.0, length=nan) must have positive value and length"),
         ([(1.0, 1.0), (1.0, 2.0)], "step values must decrease strictly"),
         ([(1.0, 1.0), (2.0, 1.0)], "step values must decrease strictly"),
+        ([(INF, 1.0), (1.0, 1.0)],
+         "step Step(value=inf, length=1.0) has a value beyond the binary64 range"),
+        ([(1.0, INF)], "step Step(value=1.0, length=inf) has a measure beyond the binary64 range"),
     ])
     def test_constructor_rejections(self, steps, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
