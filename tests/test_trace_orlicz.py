@@ -586,11 +586,18 @@ def _steps_of(data):
 ], ids=["svals", "step-values", "step-measures"])
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_fk_integral_rejects_a_planted_error(memo, read, plant, part, k):
+    # x has top singular value 1, so y = x and e = 0.  A planted singular
+    # value has the largest gap in its block, and the message names it.
     x = _graded(0, 0.25)
     data = [a.copy() for a in read(x)]
     data[part][k] *= 1.0 + 1e-6
     object.__setattr__(x, memo, plant(data))
-    with pytest.raises(ValidationError):
+    if memo == "_svals":
+        match = (r"^singular values disagree with x\* x: in block 0 of y = x / 2\^0, "
+                 rf"singular value \S*{re.escape(repr(float(data[0][k])))}\)? squared")
+    else:
+        match = "^distribution identity violated"
+    with pytest.raises(ValidationError, match=match):
         fk_integral(PowerFunction(2.0), x)
 
 
