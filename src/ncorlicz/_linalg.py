@@ -26,7 +26,10 @@ by the one routine ``_pow2_scale``, which also rejects non-finite entries.
 
 The one-sided iteration has two entry points: ``singular_values`` for the
 values and ``svd``, which also accumulates the right singular vectors, for
-|x| and polar data; the values are bit for bit the same.
+|x| and polar data; the values are bit for bit the same.  The two-sided one
+likewise: ``hermitian_eigh(a, vectors=False)`` forms no eigenvector, for a
+caller that reads only the eigenvalues, and gives the values of the full
+solve bit for bit.
 
 The third kernel, ``certifies_positive``, decides per block of a stack of
 same-size blocks whether the block is Hermitian within ``HERMITIAN_RTOL`` and
@@ -144,7 +147,8 @@ def _hermitian_rows(a: np.ndarray) -> tuple[list[list[complex]], int]:
             for row, col in zip(rows, zip(*rows))], e
 
 
-def hermitian_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigh(a: np.ndarray, *,
+                   vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigenvalues (descending) and orthonormal eigenvectors of a Hermitian matrix.
 
     Cyclic Jacobi: sweeps run over pairs (p, q), p < q, in row-major order,
@@ -162,10 +166,14 @@ def hermitian_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Rutishauser's update and zeroes (p, q) and (q, p), so no rotation makes a
     numpy call.  The eigenvalues are scaled back at the end.  Non-finite
     entries raise ValidationError.
+
+    With ``vectors=False`` no eigenvector is formed and the result is
+    (values, None); no row update reads the vectors, so the values, and any
+    error, are bit for bit those of the full solve.
     """
     rows, e = _hermitian_rows(a)
     n = len(rows)
-    vecs = [[complex(i == j) for i in range(n)] for j in range(n)]
+    vecs = [[complex(i == j) for i in range(n)] for j in range(n)] if vectors else None
     thresh = JACOBI_REL_OFF * math.hypot(*[abs(x) for row in rows for x in row])
     sweeps = 0
     while (off := _off_mass(rows)) > thresh:
@@ -177,7 +185,8 @@ def hermitian_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         sweeps += 1
     # sorted() is stable with reverse=True: equal eigenvalues keep their order.
     order = sorted(range(n), key=lambda i: rows[i][i].real, reverse=True)
-    vecs = np.array([vecs[i] for i in order], dtype=np.complex128).reshape(n, n).T
+    if vectors:
+        vecs = np.array([vecs[i] for i in order], dtype=np.complex128).reshape(n, n).T
     return ldexp_values([rows[i][i].real for i in order], e, "eigenvalues"), vecs
 
 
@@ -261,8 +270,9 @@ def _rotation(d: float, g: complex, absg: float) -> tuple[float, float, float, c
     return t, c, t * c, u
 
 
-def _jacobi_sweep(rows: list[list[complex]], vecs: list[list[complex]]) -> None:
-    """One cyclic sweep of two-sided Jacobi on ``rows`` and the columns ``vecs``, in place."""
+def _jacobi_sweep(rows: list[list[complex]], vecs: list[list[complex]] | None) -> None:
+    """One cyclic sweep of two-sided Jacobi on ``rows`` and, when given, the
+    columns ``vecs``, in place."""
     n = len(rows)
     for p in range(n - 1):
         rp = rows[p]
@@ -284,10 +294,11 @@ def _jacobi_sweep(rows: list[list[complex]], vecs: list[list[complex]]) -> None:
                     rk[p], rk[q] = xp.conjugate(), xq.conjugate()
             rp[p], rq[q] = app - t * absa, aqq + t * absa
             rp[q] = rq[p] = 0j
-            vp, vq = vecs[p], vecs[q]
-            ubs, ubc = us.conjugate(), uc.conjugate()
-            vecs[p] = [c * x - ubs * y for x, y in zip(vp, vq)]
-            vecs[q] = [s * x + ubc * y for x, y in zip(vp, vq)]
+            if vecs is not None:
+                vp, vq = vecs[p], vecs[q]
+                ubs, ubc = us.conjugate(), uc.conjugate()
+                vecs[p] = [c * x - ubs * y for x, y in zip(vp, vq)]
+                vecs[q] = [s * x + ubc * y for x, y in zip(vp, vq)]
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:

@@ -334,12 +334,19 @@ def _require_hermitian(x: Element, what: str):
         raise ValidationError(f"{what} needs a Hermitian element (||x - x*|| = {dev_text})")
 
 
-def block_eigh(x: Element) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+def block_eigh(x: Element, *,
+               vectors: bool = True) -> tuple[tuple[np.ndarray, np.ndarray | None], ...]:
     """Per-block (descending eigenvalues, eigenvectors) of a Hermitian x, read-only.
 
     The only caller of ``_linalg.hermitian_eigh`` outside ``_linalg``: the
-    first call stores the factorisation on x, later calls return it.
+    first call stores the factorisation on x, later calls return it.  With
+    ``vectors=False`` a stored factorisation is returned as it is; without
+    one, fresh per-block (eigenvalues, None) from the values-only solve, the
+    same values bit for bit, and nothing is stored: for a caller that reads
+    the eigenvalues of an Element once, such as ``fk_integral``'s y* y.
     """
+    if x._eigh is None and not vectors:
+        return tuple(_linalg.hermitian_eigh(b, vectors=False) for b in x.blocks)
     if x._eigh is None:
         eig = tuple(_linalg.hermitian_eigh(b) for b in x.blocks)
         for vals, vecs in eig:

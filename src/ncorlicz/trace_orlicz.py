@@ -207,7 +207,9 @@ def fk_integral(phi: OrliczFunction, x: Element) -> float:
 
     Returns ``modular_value(phi, x, 1.0)``, the step sum sum_j Phi(v_j) l_j,
     after two checks against the eigenvalues l_ik of y* y, y = x / 2^e
-    (``in_range``), one two-sided Jacobi eigendecomposition per block.  On
+    (``in_range``): one Element holds the blocks of y* y, and a values-only
+    two-sided Jacobi solve per block (``block_eigh(..., vectors=False)``)
+    reads them, forming no eigenvector and storing nothing.  On
     each d x d block the memoized one-sided Jacobi values s of y must have
     |s_k^2 - l_k| <= b = 16 d eps s_0^2 + 2 s_0 2^(-1074 - e) + 4 d^2 2^-1074,
     the rounding of y* y and its eigenvalues, of a subnormal sigma of x and of
@@ -219,26 +221,29 @@ def fk_integral(phi: OrliczFunction, x: Element) -> float:
     checked too.  Neither check reads Phi.  Both sides and the bound are taken
     in units of 2^k, k = ceil(log2) of the largest weight, so that they stay
     finite; a weight that this takes below the normal range rounds by at most
-    2^-1075, which adds 2^-1073 sum_i sum_k l_ik.
+    2^-1075, which adds 2^-1073 sum_i sum_k l_ik.  Both checks run on Python
+    floats; a failed block check names the value with the largest gap.
     """
     y, e = in_range(x)
+    gram = Element(x.algebra, [b.conj().T @ b for b in y.blocks])  # y* y
     k = math.ceil(math.log2(max(x.algebra.weights)))  # every weight / 2^k is at most about 1
     eps, trace_h, slack, n = sys.float_info.epsilon, 0.0, 0.0, 0
-    for i, (c, (lam, _), s) in enumerate(zip(x.algebra.weights, block_eigh(y.adjoint() * y),
+    for i, (c, (lam, _), s) in enumerate(zip(x.algebra.weights, block_eigh(gram, vectors=False),
                                              block_singular_values(x))):
-        s, d = (np.ldexp(s, -e) if e else s), len(s)
+        lam, s = lam.tolist(), [math.ldexp(v, -e) for v in s.tolist()]
+        d = len(s)
         b = s[0] * (16 * d * eps * s[0] + math.ldexp(2.0, -1074 - e)) + math.ldexp(d * d, -1072)
-        gap = np.abs(s * s - lam)
-        if gap.max() > b:
-            j = int(gap.argmax())
+        gap = [abs(v * v - l) for v, l in zip(s, lam)]
+        if (top := max(gap)) > b:
+            j = gap.index(top)
             raise ValidationError(
                 f"singular values disagree with x* x: in block {i} of y = x / 2^{e}, "
                 f"singular value {s[j]!r} squared vs eigenvalue {lam[j]!r} of y* y")
-        c, h = math.ldexp(c, -k), float(lam.sum())
+        c, h = math.ldexp(c, -k), sum(lam)
         trace_h, slack, n = trace_h + c * h, slack + c * d * b + math.ldexp(h, -1073), n + d
     mu = rearrangement(x)
-    mass = float(np.dot(np.ldexp(mu.measures, -k),
-                        np.square(np.ldexp(mu.values, -e) if e else mu.values)))
+    values = [math.ldexp(v, -e) for v in mu.values.tolist()]
+    mass = sum(math.ldexp(m, -k) * (t * t) for t, m in zip(values, mu.measures.tolist()))
     tol = slack + n * (eps + n * _linalg.CLUSTER_RTOL**2) * trace_h + math.ldexp(n, -1073)
     if abs(mass - trace_h) > tol:
         raise ValidationError(f"distribution identity violated at Phi(t) = t^2: step sum {mass!r} "

@@ -380,6 +380,16 @@ def _fresh_power(block, z):
     return out
 
 
+def test_values_only_block_eigh_reads_the_memo_and_stores_nothing(m2m3, rng):
+    rho = rand_functional(rng, m2m3, [2, 3]).density_element()
+    bare = block_eigh(rho, vectors=False)
+    assert rho._eigh is None
+    for (vals, vecs), block in zip(bare, rho.blocks):
+        assert vecs is None and vals.tobytes() == hermitian_eigh(block)[0].tobytes()
+    memo = block_eigh(rho)
+    assert block_eigh(rho, vectors=False) is memo
+
+
 def test_memoized_eigen_data_is_bit_identical_to_a_fresh_factorisation(m2m3, rng):
     for ranks in ([2, 3], [1, 2], [2, 1]):
         rho = rand_functional(rng, m2m3, ranks).density_element()

@@ -402,6 +402,27 @@ def test_eigh_bits_are_pinned():
     assert digest.hexdigest() == "158f6703340267f37b09ffddf0b17b283eebc47c4bdc0b460e2adb12713da949"
 
 
+def _eigh_outcome(a, **kwargs):
+    try:
+        return hermitian_eigh(a, **kwargs)
+    except (ValidationError, ConvergenceError) as exc:
+        return type(exc), str(exc)
+
+
+def test_values_only_eigh_matches_the_full_solve():
+    # Both paths run on this machine, so no C library pins the comparison.
+    raised = 0
+    for a in _pinned_blocks():
+        full, bare = _eigh_outcome(a), _eigh_outcome(a, vectors=False)
+        if isinstance(full[0], type):
+            raised += 1
+            assert bare == full
+        else:
+            assert bare[0].tobytes() == full[0].tobytes()
+            assert bare[1] is None
+    assert raised == 7
+
+
 @settings(max_examples=60, deadline=None)
 @given(_blocks(), st.integers(-500, 500))
 def test_eigh_commutes_with_powers_of_two(a, k):

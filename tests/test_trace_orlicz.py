@@ -535,6 +535,26 @@ def test_fk_integral_factors_each_gram_block_once(m2m3, rng, count_calls):
         np.testing.assert_allclose(block, gram, rtol=0.0, atol=1e-15 * np.abs(gram).max())
 
 
+@pytest.mark.parametrize("scale, built", [(1.0, 1), (2.0 ** 600, 2)], ids=["e0", "e600"])
+def test_fk_integral_builds_one_gram_element_and_no_eigenvectors(m2m3, rng, monkeypatch,
+                                                                 count_calls, scale, built):
+    # y = x / 2^e is an Element of its own only when e != 0; y* y is one more,
+    # and only its eigenvalues are read.
+    x = scale * rand_element(rng, m2m3)
+    rearrangement(x)
+    eigh, kwargs = _linalg.hermitian_eigh, []
+
+    def recorded(*args, **kw):
+        kwargs.append(kw)
+        return eigh(*args, **kw)
+
+    monkeypatch.setattr(_linalg, "hermitian_eigh", recorded)
+    inits = count_calls(Element.__init__)
+    fk_integral(CoshMinusOne(), x)
+    assert len(inits) == built
+    assert kwargs == [{"vectors": False}] * m2m3.nblocks
+
+
 @pytest.mark.parametrize("s", [1e-8, 1e-9, 1e-11, 0.0])
 def test_fk_integral_power1_on_a_graded_element(s):
     # The roots of the eigenvalues of x* x are good only to about
