@@ -10,9 +10,10 @@ the stored blocks.
 
 All values are immutable after construction and every operation is pure.
 Each Element factors its blocks at most once: ``block_eigh`` stores the
-per-block eigen data on the Element the first time it is asked for, and every
-spectral routine (powers, supports, positivity, ranks) reads it from there
-(singular values likewise from ``block_singular_values``, which
+per-block eigen data on the Element the first time it is asked for (a
+values-only call stores nothing), and every spectral routine (powers,
+supports, positivity, ranks) reads it from there (singular values likewise
+from ``block_singular_values``, which
 ``fill_singular_values`` can fill for many Elements at once).  The eigenvalue
 clusters with their spectral projections and ranks (``block_clusters``) and
 the ``is_hermitian`` verdict are stored the same way, so powers, supports,
@@ -345,9 +346,9 @@ def block_eigh(x: Element, *,
     same values bit for bit, and nothing is stored: for a caller that reads
     the eigenvalues of an Element once, such as ``fk_integral``'s y* y.
     """
-    if x._eigh is None and not vectors:
-        return tuple(_linalg.hermitian_eigh(b, vectors=False) for b in x.blocks)
     if x._eigh is None:
+        if not vectors:
+            return tuple(_linalg.hermitian_eigh(b, vectors=False) for b in x.blocks)
         eig = tuple(_linalg.hermitian_eigh(b) for b in x.blocks)
         for vals, vecs in eig:
             vals.flags.writeable = vecs.flags.writeable = False

@@ -410,7 +410,7 @@ def _eigh_outcome(a, **kwargs):
 
 
 def test_values_only_eigh_matches_the_full_solve():
-    # Both paths run on this machine, so no C library pins the comparison.
+    # Both paths run in one process, so the comparison needs no platform skip.
     raised = 0
     for a in _pinned_blocks():
         full, bare = _eigh_outcome(a), _eigh_outcome(a, vectors=False)

@@ -541,7 +541,6 @@ def test_fk_integral_builds_one_gram_element_and_no_eigenvectors(m2m3, rng, monk
     # y = x / 2^e is an Element of its own only when e != 0; y* y is one more,
     # and only its eigenvalues are read.
     x = scale * rand_element(rng, m2m3)
-    rearrangement(x)
     eigh, kwargs = _linalg.hermitian_eigh, []
 
     def recorded(*args, **kw):
