@@ -1,4 +1,6 @@
+import hashlib
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -494,3 +496,65 @@ def test_standard_form_matrices_build_few_elements(m2m3, count_calls, op):
     built = count_calls(Element.__init__)
     op(phi, omega)
     assert len(built) <= 10
+
+
+def _pinned_modular_calls():
+    """(name, thunk) for the five routines that compose spectral powers, on
+    seeded functionals of three algebras, faithful and rank-deficient phi,
+    densities scaled across the binary64 range and four flow times."""
+    calls = []
+    for k, (dims, weights) in enumerate([([2, 3], [1.0, 0.5]), ([1, 4], [2.0, 0.25]),
+                                         ([3, 3], [1.0, 3.0])]):
+        alg = make_algebra(dims, weights)
+        for deficient in (False, True):
+            ranks = [d - 1 if d > 1 else 1 for d in dims] if deficient else None
+            rng = SplitMix64(100 + 2 * k + deficient)
+            base_phi = rand_functional(rng, alg, ranks)
+            base_omega = rand_faithful_functional(rng, alg)
+            base_psi = rand_functional(rng, alg)
+            x = rand_element(rng, alg)
+            for s in (1.0, 1e-300, 1e300, 1e-160):
+                phi, omega, psi = (Functional(alg, [s * b for b in f.densities])
+                                   for f in (base_phi, base_omega, base_psi))
+                # same support as phi, so the root exists
+                below = Functional(alg, [s * (b @ b) for b in base_phi.densities])
+                calls += [
+                    ("rn", lambda a=below, b=phi: radon_nikodym_sqrt(a, b)),
+                    ("rn", lambda a=phi, b=omega: radon_nikodym_sqrt(a, b)),
+                    ("rn", lambda a=psi, b=phi: radon_nikodym_sqrt(a, b)),
+                    ("apply", lambda a=phi, b=omega, x=x: relative_modular(a, b).apply(x)),
+                    ("apply", lambda a=omega, b=phi, x=x: relative_modular(a, b).apply(x)),
+                ]
+                for t in (0.0, 0.37, -1.9, 25.0):
+                    calls += [
+                        ("cocycle", lambda t=t, a=phi, b=omega: connes_cocycle(a, b, t)),
+                        ("cocycle", lambda t=t, a=omega, b=phi: connes_cocycle(a, b, t)),
+                        ("cocycle", lambda t=t, a=psi, b=omega: connes_cocycle(a, b, t)),
+                        ("flow", lambda t=t, a=phi, x=x: modular_flow(a, t, x)),
+                        ("flow", lambda t=t, a=omega, x=x: modular_flow(a, t, x)),
+                    ] + [("power_apply", lambda z=z, a=phi, b=omega, x=x:
+                          relative_modular(a, b).power_apply(z, x))
+                         for z in (t, complex(0.0, t), complex(0.5, t), 2.0 - t)]
+    return calls
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64")
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="abs() of a complex calls the C library's hypot; the digest "
+                           "was taken with glibc on x86-64")
+def test_modular_bits_are_pinned():
+    # Any change to the modular routines or the powers they compose that moves
+    # one bit of a result, or the text of an error, changes this digest.
+    digest, raised = hashlib.sha256(), 0
+    calls = _pinned_modular_calls()
+    for name, call in calls:
+        digest.update(name.encode())
+        try:
+            out = call()
+        except ValidationError as exc:
+            raised += 1
+            digest.update(f"{type(exc).__name__}: {exc}".encode())
+        else:
+            digest.update(b"".join(b.tobytes() for b in out.blocks))
+    assert (len(calls), raised) == (984, 204)
+    assert digest.hexdigest() == "a2531c9e7f667bcd5c795be7c9cb98255f003942608782e12cd8b8506f9da85c"
