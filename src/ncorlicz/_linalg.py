@@ -519,6 +519,15 @@ def pow2_prescale(blocks) -> tuple[list[np.ndarray], int]:
     return [_ldexp_matrix(b, -e) for b in blocks], e
 
 
+def needs_no_prescale(top: float, d: int) -> bool:
+    """Whether ``pow2_prescale`` returns e = 0 for blocks of dimension at most d
+    whose largest singular value is ``top``, up to rounding: their largest real
+    or imaginary part lies in [top / (d sqrt 2), top], so with a factor 2 to
+    spare, top in [2^-450 d sqrt 2, 2^449) puts it in [2^-451, 2^450).  A top of
+    0 proves nothing."""
+    return _SAFE_LO * d * math.sqrt(2.0) <= top < 2.0 ** (_SAFE_EXP - 1)
+
+
 def pow2_rescale(a: np.ndarray, e: int) -> np.ndarray:
     """a * 2^e; an entry beyond the binary64 range raises ValidationError."""
     if e == 0:

@@ -20,8 +20,10 @@ the ``is_hermitian`` verdict are stored the same way, so powers, supports,
 corners, faithfulness and the spectral calculus of one Element cluster its
 blocks once, and so is the distribution of |x| (``trace_orlicz.rearrangement``)
 that the norms read; the blocks are read-only, so no memo can go stale.  The
-three memo readers, ``on_support``, ``in_range`` and ``finite_sum`` are the
-interface that the other modules use; the package does not export them.
+memo readers ``on_support``, ``power_blocks`` (the blocks of a spectral power,
+which ``power_on_support`` wraps in an Element) and ``in_range``, with
+``finite_sum``, are the interface that the other modules use; the package does
+not export them.
 ``_linalg.levels`` is the one rule for which values are equal and which are
 zero: it makes the clusters, their values (weighted means, which cannot
 overflow) and every rank here.  A Functional keeps its density as one such
@@ -511,7 +513,13 @@ def spectral_calculus(x: Element, f) -> Element:
 
 
 def power_on_support(x: Element, z: complex) -> Element:
-    """x^z through the spectral calculus, with 0^z := 0 on the kernel.
+    """x^z through the spectral calculus, with 0^z := 0 on the kernel: the
+    Element of ``power_blocks``."""
+    return Element(x.algebra, power_blocks(x, z))
+
+
+def power_blocks(x: Element, z: complex) -> list[np.ndarray]:
+    """Blocks of x^z through the spectral calculus, with 0^z := 0 on the kernel.
 
     Clusters outside the rank are sent to 0, so negative real parts mean
     Moore-Penrose pseudo-inverses and z = 0 or z = it reproduce the support
@@ -545,7 +553,7 @@ def power_on_support(x: Element, z: complex) -> Element:
         t, bound = blurred[0]
         raise ValidationError(f"power_on_support: eigenvalue {t!r} to the power {z} has a phase "
                               f"whose rounding bound {bound:.3g} rad exceeds {_PHASE_BOUND:.3g} rad")
-    return Element(x.algebra, blocks)
+    return blocks
 
 
 def positive_eigenvalues(x: Element) -> list[list[float]]:
@@ -556,7 +564,18 @@ def positive_eigenvalues(x: Element) -> list[list[float]]:
 
 def in_range(x: Element) -> tuple[Element, int]:
     """(x / 2^e, e) with the exact prescale of ``_linalg.pow2_prescale``, so that
-    x* x neither overflows nor underflows; e = 0 leaves x as it is."""
+    x* x neither overflows nor underflows; e = 0 leaves x as it is.  The stored
+    singular values, or the stored eigenvalues of an x found Hermitian, bound
+    the entries of x, and when that bound proves e = 0
+    (``_linalg.needs_no_prescale``) no prescale pass runs."""
+    if x._svals is not None:
+        top = max(float(s[0]) for s in x._svals)
+    elif x._eigh is not None and x._hermitian:
+        top = max(max(float(vals[0]), -float(vals[-1])) for vals, _ in x._eigh)
+    else:
+        top = 0.0
+    if _linalg.needs_no_prescale(top, max(x.algebra.block_dims)):
+        return x, 0
     blocks, e = _linalg.pow2_prescale(x.blocks)
     return (Element(x.algebra, blocks) if e else x), e
 

@@ -14,7 +14,9 @@ block (the order of ``matrix_units``); there xi -> a xi b is blockdiag_i
 kron(a_i, b_i^T), entry [(j, k), (l, m)] = a_jl b_mk, and every matrix below
 is built from that identity instead of by applying its map to each unit.
 Spectral data, the GNS basis included, comes from ``algebra.block_eigh`` and
-its memo on each density; the module calls no ``numpy.linalg``.
+its memo on each density; the module calls no ``numpy.linalg``.  Powers stay
+blocks (``algebra.power_blocks``) and products are formed block by block, so
+each routine builds one Element per value it returns.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import _linalg
 from .algebra import (AlgebraDescriptor, Element, Functional, block_clusters, block_eigh,
-                      in_range, on_support, power_on_support, support_projection, trace)
+                      in_range, on_support, power_blocks, power_on_support, trace)
 from .errors import ValidationError
 
 
@@ -158,23 +160,30 @@ class ModularOperator:
         self.rho_right_pinv = power_on_support(omega.density_element(), -1.0)
 
     def apply(self, xi: Element) -> Element:
-        return self.rho_left * xi * self.rho_right_pinv
+        return _sandwich(self.algebra, self.rho_left.blocks, xi, self.rho_right_pinv.blocks)
 
     def power_apply(self, z: complex, xi: Element) -> Element:
-        left = power_on_support(self.rho_left, z)
-        right = power_on_support(self.omega.density_element(), -z)
-        return left * xi * right
+        left = power_blocks(self.rho_left, z)
+        right = power_blocks(self.omega.density_element(), -z)
+        return _sandwich(self.algebra, left, xi, right)
 
     def matrix(self, z: complex = 1.0) -> np.ndarray:
         """blockdiag_i kron(L_i, R_i^T), L = rho_phi^z, R = rho_omega^-z: the z-th power on
         the units e_jk / sqrt(c_i) in matrix-unit order, whose weights cancel tau's."""
         if z == 1.0:
-            left, right = self.rho_left, self.rho_right_pinv
+            left, right = self.rho_left.blocks, self.rho_right_pinv.blocks
         else:
-            left = power_on_support(self.rho_left, z)
-            right = power_on_support(self.omega.density_element(), -z)
-        return _linalg.block_diag([_linalg.kron(a, b.T)
-                                   for a, b in zip(left.blocks, right.blocks)])
+            left = power_blocks(self.rho_left, z)
+            right = power_blocks(self.omega.density_element(), -z)
+        return _linalg.block_diag([_linalg.kron(a, b.T) for a, b in zip(left, right)])
+
+
+def _sandwich(algebra: AlgebraDescriptor, left, x: Element, right) -> Element:
+    """The Element of blocks (a_i x_i) b_i, the product a * x * b of Elements,
+    for an x of ``algebra``."""
+    if x.algebra != algebra:
+        raise ValidationError("elements live in different algebras")
+    return Element(algebra, [(a @ xb) @ b for a, xb, b in zip(left, x.blocks, right)])
 
 
 def relative_modular(phi: Functional, omega: Functional) -> ModularOperator:
@@ -188,7 +197,8 @@ def modular_flow(phi: Functional, t: float, x: Element) -> Element:
         raise ValidationError(
             "modular flow needs a faithful functional; reduce to the support corner first")
     rho = phi.density_element()
-    return power_on_support(rho, complex(0.0, t)) * x * power_on_support(rho, complex(0.0, -t))
+    return _sandwich(phi.algebra, power_blocks(rho, complex(0.0, t)), x,
+                     power_blocks(rho, complex(0.0, -t)))
 
 
 def connes_cocycle(phi: Functional, omega: Functional, t: float) -> Element:
@@ -199,8 +209,11 @@ def connes_cocycle(phi: Functional, omega: Functional, t: float) -> Element:
         raise ValidationError("cocycle needs a positive first argument")
     if not omega.is_faithful():
         raise ValidationError("cocycle needs a faithful second argument")
-    return (power_on_support(phi.density_element(), complex(0.0, t))
-            * power_on_support(omega.density_element(), complex(0.0, -t)))
+    left = power_blocks(phi.density_element(), complex(0.0, t))
+    right = power_blocks(omega.density_element(), complex(0.0, -t))
+    if phi.algebra != omega.algebra:
+        raise ValidationError("elements live in different algebras")
+    return Element(phi.algebra, [a @ b for a, b in zip(left, right)])
 
 
 def radon_nikodym_sqrt(psi: Functional, phi: Functional) -> Element:
@@ -214,21 +227,22 @@ def radon_nikodym_sqrt(psi: Functional, phi: Functional) -> Element:
         raise ValidationError("radon_nikodym_sqrt needs positive functionals")
     if psi.algebra != phi.algebra:
         raise ValidationError("functionals live in different algebras")
-    p = support_projection(phi)
-    comp = psi.algebra.identity() - p
+    comp = [np.eye(len(q), dtype=np.complex128) - q
+            for q in on_support(phi.density_element(), lambda t: 1.0)]  # I - supp(phi)
     rho_psi = psi.density_element()
     # rho_psi / 2^e is exact and in range, so the leak test reads the same at
     # every scale, subnormal densities included.
     rho, e = in_range(rho_psi)
-    leak = comp * rho * comp
+    leak = [(c @ r) @ c for c, r in zip(comp, rho.blocks)]
     scale = rho.frobenius_norm()
-    if leak.frobenius_norm() > 1e-10 * scale:
-        for i, (vals, vecs) in enumerate(block_eigh(leak)):
+    if math.hypot(*map(_linalg.frobenius, leak)) > 1e-10 * scale:
+        for i, (vals, vecs) in enumerate(block_eigh(Element(psi.algebra, leak))):
             if vals[0] > 1e-10 * scale:
                 vec = np.round(vecs[:, 0], 6)
                 raise ValidationError(
                     "support violation: psi is not dominated by phi; offending eigenvector "
                     f"{vec.tolist()} in block {i} carries mass {math.ldexp(vals[0], e)!r}")
         raise ValidationError("support violation: psi is not dominated by phi")
-    return (power_on_support(rho_psi, 0.5)
-            * power_on_support(phi.density_element(), -0.5))
+    left = power_blocks(rho_psi, 0.5)
+    right = power_blocks(phi.density_element(), -0.5)
+    return Element(psi.algebra, [a @ b for a, b in zip(left, right)])

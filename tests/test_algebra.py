@@ -14,7 +14,7 @@ from ncorlicz._linalg import (POSITIVITY_RTOL, RANK_RTOL, hermitian_eigh,
                               is_positive_semidefinite, levels, singular_values)
 from ncorlicz.algebra import (HERMITIAN_RTOL, block_clusters, block_eigh,
                               block_singular_values, certified_positive, fill_singular_values,
-                              negative_block)
+                              in_range, negative_block)
 from ncorlicz.sampling import (SplitMix64, rand_element, rand_functional, rand_matrix,
                                rand_unitary_element, rand_unitary_matrix)
 
@@ -511,3 +511,42 @@ def test_fill_singular_values_groups_blocks_by_size(m2m3, rng, factored_blocks):
             assert not vals.flags.writeable
             want = singular_values(b)
             assert np.max(np.abs(vals - want)) <= 1e-14 * want[0]
+
+
+def _in_range_cases():
+    alg = make_algebra([2, 3], [1.0, 0.5])
+    x = rand_element(SplitMix64(31), alg)
+    for base in (x, x + x.adjoint()):
+        for k in (0, 447, 448, 449, 450, 451, 452, -447, -448, -449, -450, -451, -452, -1060):
+            yield Element(alg, [np.ldexp(b.real, k) + 1j * np.ldexp(b.imag, k)
+                                for b in base.blocks])
+    yield alg.zero()
+    yield Element(alg, [np.zeros((2, 2)), math.ldexp(1.0, -1074) * np.eye(3)])
+    yield Element(alg, [[[1.0, 2.0 ** 460], [-2.0 ** 460, 1.0]], np.eye(3)])  # (x + x*) / 2 = 1
+
+
+@pytest.mark.parametrize("memo", [None, "singular values", "eigen data"])
+def test_in_range_is_the_prescale_bit_for_bit(memo):
+    # Every result, e included, is that of pow2_prescale, with or without a
+    # memo, at the edges of its range [2^-451, 2^450) too.
+    for x in _in_range_cases():
+        if memo == "singular values":
+            block_singular_values(x)
+        elif memo == "eigen data":
+            x.is_hermitian()
+            block_eigh(x)
+        y, e = in_range(x)
+        blocks, want = _linalg.pow2_prescale(x.blocks)
+        assert e == want and (y is x) == (e == 0)
+        assert [b.tobytes() for b in y.blocks] == [b.tobytes() for b in blocks]
+
+
+def test_in_range_reads_the_memo(count_calls):
+    alg = make_algebra([2, 3], [1.0, 0.5])
+    x = rand_element(SplitMix64(31), alg)
+    h = x + x.adjoint()
+    block_singular_values(x)
+    assert h.is_hermitian() and block_eigh(h)
+    prescaled = count_calls(_linalg.pow2_prescale)
+    assert in_range(x) == (x, 0) and in_range(h) == (h, 0)
+    assert prescaled == []

@@ -558,3 +558,43 @@ def test_modular_bits_are_pinned():
             digest.update(b"".join(b.tobytes() for b in out.blocks))
     assert (len(calls), raised) == (984, 204)
     assert digest.hexdigest() == "a2531c9e7f667bcd5c795be7c9cb98255f003942608782e12cd8b8506f9da85c"
+
+
+# The second algebra of each pair: other block dims, fewer blocks, and the
+# same block dims with other weights, whose blocks would zip cleanly.
+FOREIGN = {"dims": make_algebra([3, 2], [1.0, 0.5]), "blocks": make_algebra([2], [1.0]),
+           "weights": make_algebra([2, 3], [1.0, 2.0])}
+
+
+@pytest.mark.parametrize("other", list(FOREIGN))
+@pytest.mark.parametrize("call", [
+    lambda phi, omega, x, y, w: connes_cocycle(phi, w, 0.4),
+    lambda phi, omega, x, y, w: modular_flow(omega, 0.4, y),
+    lambda phi, omega, x, y, w: relative_modular(phi, omega).apply(y),
+    lambda phi, omega, x, y, w: relative_modular(phi, omega).power_apply(0.5j, y),
+], ids=["cocycle", "flow", "apply", "power_apply"])
+def test_arguments_from_another_algebra_are_rejected(m2m3, other, call):
+    rng = SplitMix64(23)
+    phi, omega, x = faithful(rng, m2m3), faithful(rng, m2m3), rand_element(rng, m2m3)
+    y, w = rand_element(rng, FOREIGN[other]), faithful(rng, FOREIGN[other])
+    call(phi, omega, x, x, omega)  # the same call within one algebra runs
+    with pytest.raises(ValidationError, match="different algebras"):
+        call(phi, omega, x, y, w)
+
+
+@pytest.mark.parametrize("ranks", [None, [1, 2]], ids=["faithful", "rank-deficient"])
+def test_each_routine_builds_one_element(m2m3, count_calls, ranks):
+    # With the densities' eigen data memoized, the powers stay blocks: every
+    # routine builds only the Element it returns.
+    rng = SplitMix64(29)
+    phi, omega, x = rand_functional(rng, m2m3, ranks), faithful(rng, m2m3), rand_element(rng, m2m3)
+    psi = Functional(m2m3, [b @ b for b in phi.densities])  # supp(psi) = supp(phi)
+    assert phi.is_positive() and omega.is_positive() and psi.is_positive()
+    op = relative_modular(phi, omega)
+    built = count_calls(Element.__init__)
+    for call in (lambda: connes_cocycle(phi, omega, 0.4), lambda: modular_flow(omega, 0.4, x),
+                 lambda: radon_nikodym_sqrt(psi, phi), lambda: op.apply(x),
+                 lambda: op.power_apply(0.5 + 0.3j, x)):
+        before = len(built)
+        assert isinstance(call(), Element)
+        assert len(built) - before == 1
