@@ -16,7 +16,8 @@ is built from that identity instead of by applying its map to each unit.
 Spectral data, the GNS basis included, comes from ``algebra.block_eigh`` and
 its memo on each density; the module calls no ``numpy.linalg``.  Powers stay
 blocks (``algebra.power_blocks``) and products are formed block by block, so
-each routine builds one Element per value it returns.
+the cocycle, the flow, the Radon-Nikodym root and ``ModularOperator.apply`` /
+``power_apply`` each build one Element, the one they return.
 """
 
 from __future__ import annotations

@@ -499,7 +499,7 @@ def test_standard_form_matrices_build_few_elements(m2m3, count_calls, op):
 
 
 def _pinned_modular_calls():
-    """(name, thunk) for the five routines that compose spectral powers, on
+    """(name, thunk) for the routines that compose spectral powers, on
     seeded functionals of three algebras, faithful and rank-deficient phi,
     densities scaled across the binary64 range and four flow times."""
     calls = []
@@ -535,6 +535,8 @@ def _pinned_modular_calls():
                     ] + [("power_apply", lambda z=z, a=phi, b=omega, x=x:
                           relative_modular(a, b).power_apply(z, x))
                          for z in (t, complex(0.0, t), complex(0.5, t), 2.0 - t)]
+                    calls.append(("matrix", lambda t=t, a=phi, b=omega:
+                                  relative_modular(a, b).matrix(complex(0.5, t))))
     return calls
 
 
@@ -555,9 +557,10 @@ def test_modular_bits_are_pinned():
             raised += 1
             digest.update(f"{type(exc).__name__}: {exc}".encode())
         else:
-            digest.update(b"".join(b.tobytes() for b in out.blocks))
-    assert (len(calls), raised) == (984, 204)
-    assert digest.hexdigest() == "a2531c9e7f667bcd5c795be7c9cb98255f003942608782e12cd8b8506f9da85c"
+            arrays = out.blocks if isinstance(out, Element) else (out,)
+            digest.update(b"".join(a.tobytes() for a in arrays))
+    assert (len(calls), raised) == (1080, 204)
+    assert digest.hexdigest() == "2634654bcc68d4327c71519bfe3e665e4cbc825ae11c2d77a9f25f232300fd18"
 
 
 # The second algebra of each pair: other block dims, fewer blocks, and the
