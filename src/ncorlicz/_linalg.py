@@ -50,7 +50,8 @@ blocks), such as the distinct pieces of a core element, and leaves every
 smaller group to ``singular_values``.
 
 ``levels`` alone decides which values count as equal and which as zero, for
-every cluster, rank and support in ``algebra`` and every singular step.
+every cluster, rank and support in ``algebra``; the distribution of |x| keeps
+the singular values that ``above_floor`` counts.
 """
 
 from __future__ import annotations
@@ -75,16 +76,16 @@ ORTH_TOL = 1e-15
 # pow2_prescale leaves matrices alone while their largest entry lies in
 # [2^-451, 2^450): there products of two entries stay normal.  After its
 # prescale, singular_values leaves columns of norm below 2^-450 unrotated:
-# their cosines would underflow, and such values lie far below RANK_RTOL.
+# their cosines would underflow, and such values lie far below every cut here.
 _SAFE_EXP = 450
 _SAFE_LO = 2.0 ** -_SAFE_EXP
 
 # ``levels`` joins adjacent values closer than this (relative) into one group:
-# one spectral projection or one rearrangement step, stable under degeneracy.
+# one spectral projection, stable under degeneracy.
 CLUSTER_RTOL = 1e-9
 
 # ``levels`` counts a group at or below this times the largest value as zero:
-# outside ranks, supports, pseudo-inverses, polar factors and singular data.
+# outside ranks, supports, pseudo-inverses and polar factors.
 RANK_RTOL = 1e-11
 
 # An element counts as Hermitian while ||x - x*||_F is at most this times ||x||_F.
@@ -547,52 +548,41 @@ def ldexp_values(vals: list[float], e: int, what: str) -> np.ndarray:
         raise ValidationError(f"the matrix has {what} beyond the binary64 range") from None
 
 
-def levels(vals_desc, measures=None) -> tuple[list[list[int]], list[float], int, list[float]]:
-    """(groups, values, rank, totals) of descending values, the one rule for equal and zero values.
+def levels(vals_desc) -> tuple[list[list[int]], list[float], int]:
+    """(groups, values, rank) of descending values, the one rule for equal and zero values.
 
     Adjacent values share a group while their gap is at most ``CLUSTER_RTOL``
-    times the larger magnitude (a chain rule); a group's value is its
-    measure-weighted mean (measures 1 by default), v1 + (v2 - v1) m2 / (m1 + m2),
-    which cannot overflow, and its total is the sum of its measures, added in
-    order; the rank counts the values of the groups whose value lies above
+    times the larger magnitude (a chain rule); a group's value is the plain
+    mean of its members, formed as a running mean, which cannot overflow; the
+    rank counts the values of the groups whose value lies above
     ``RANK_RTOL`` max(v_0, 0), the leading ones, since values descend.
     """
     vals = vals_desc.tolist() if isinstance(vals_desc, np.ndarray) else vals_desc
-    rtol, groups, values, totals = CLUSTER_RTOL, [], [], []
+    rtol, groups, values = CLUSTER_RTOL, [], []
     for k, v in enumerate(vals):
-        m = 1.0 if measures is None else measures[k]
         # Descending, so the gap is prev - v and the larger magnitude max(prev, -v).
         if groups and prev - v <= rtol * (prev if prev > -v else -v):
-            total = totals[-1] = totals[-1] + m
-            values[-1] += (v - values[-1]) * (m / total)
             groups[-1].append(k)
+            values[-1] += (v - values[-1]) * (1.0 / len(groups[-1]))
         else:
             groups.append([k])
             values.append(v)
-            totals.append(m)
         prev = v
     cut = RANK_RTOL * vals[0] if groups and vals[0] > 0.0 else 0.0
     rank = len(vals)
     if values and not values[-1] > cut:  # the first group at or below the cut ends the rank
         rank = next(g[0] for g, value in zip(groups, values) if not value > cut)
-    return groups, values, rank, totals
+    return groups, values, rank
 
 
-def rank(vals_desc) -> int:
-    """``levels(vals_desc)[2]``, with no grouping pass when the smallest value
-    exceeds 2 RANK_RTOL times the largest.
-
-    Then every value is positive, and so is the largest v_0, so the cut is
-    RANK_RTOL v_0.  Each group's value is a mean of members that all exceed
-    2 RANK_RTOL v_0, formed by steps v1 + (v2 - v1) m2 / (m1 + m2) that stay
-    within a few ulps of [v2, v1]; the factor 2 covers that rounding and the
-    cut's.  So no group lies at or below the cut, and the rank is the number
-    of values.  Otherwise ``levels`` decides.
-    """
+def above_floor(vals_desc) -> int:
+    """How many of a block's d descending singular values lie above the
+    one-sided kernels' rounding floor, 64 d 2^-52 times the largest: a computed
+    zero stays below it, and the values above it are computed to high relative
+    accuracy (Demmel & Veselic 1992).  The distribution of |x| keeps those."""
     vals = vals_desc.tolist() if isinstance(vals_desc, np.ndarray) else vals_desc
-    if not vals or vals[-1] > 2.0 * RANK_RTOL * vals[0]:
-        return len(vals)
-    return levels(vals)[2]
+    floor = math.ldexp(64 * len(vals), -52) * vals[0] if vals else 0.0
+    return next((k for k, v in enumerate(vals) if not v > floor), len(vals))
 
 
 def is_positive_semidefinite(vals_desc) -> bool:

@@ -25,9 +25,9 @@ which ``power_on_support`` wraps in an Element) and ``in_range``, with
 ``finite_sum``, are the interface that the other modules use; the package does
 not export them.
 ``_linalg.levels`` is the one rule for which values are equal and which are
-zero: it makes the clusters, their values (weighted means, which cannot
-overflow) and every rank here.  A Functional keeps its density as one such
-Element.  Positivity without eigen data comes from the stack certificate
+zero: it makes the clusters, their values (means, which cannot overflow) and
+every rank here.  A Functional keeps its density as one such Element.
+Positivity without eigen data comes from the stack certificate
 ``_linalg.certifies_positive``, whose one caller is ``certified_positive``
 (one call per block size for many Elements at once; ``Element.is_positive``
 asks it first), which stores nothing; ``negative_block`` is the eigenvalue
@@ -42,9 +42,8 @@ leave either result.
 
 |x| and polar data come from one singular value decomposition per block,
 ``_linalg.svd`` (one-sided Jacobi with the right singular vectors), cut at
-the rank of the singular values (``_linalg.rank``, the rule of
-``_linalg.levels``), as the norms are (``polar_decompose``), so x is never
-squared on that route.  Every singular
+the rank that ``_linalg.levels`` gives the singular values
+(``polar_decompose``), so x is never squared on that route.  Every singular
 value, ``operator_norm``'s included, comes from ``block_singular_values``; the
 one eigendecomposition of x* x left is the spectral check of
 ``trace_orlicz.fk_integral``, which compares those values against it.
@@ -418,7 +417,7 @@ def block_clusters(x: Element) -> tuple[tuple[int, tuple], ...]:
     if x._clusters is None:
         out = []
         for vals, vecs in block_eigh(x):
-            groups, values, rank, _ = _linalg.levels(vals)
+            groups, values, rank = _linalg.levels(vals)
             clusters = []
             for group, value in zip(groups, values):
                 cols = vecs[:, group]
@@ -592,12 +591,12 @@ def polar_decompose(x: Element) -> tuple[Element, Element]:
     |a| = 2^e v_r s_r v_r* (the prescale undone by ``pow2_rescale``) and the
     polar factor is u_r v_r* (Higham, "Computing the polar decomposition --
     with applications", SIAM J. Sci. Stat. Comput. 7, 1986), on the rank r of
-    s (``_linalg.rank``), the cut of the norms; the rest count as kernel.
+    s (``_linalg.levels``), the cut of supports; the rest count as kernel.
     """
     factors, moduli = [], []
     for b in x.blocks:
         w, s, v, e = _linalg.svd(b)
-        r = _linalg.rank(s)
+        r = _linalg.levels(s)[2]
         vr = v[:, :r]
         vh = vr.conj().T
         factors.append((w[:, :r] / s[:r]) @ vh)

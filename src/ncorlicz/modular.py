@@ -78,6 +78,7 @@ def gns(omega: Functional) -> GNSData:
     V_i the first r_i columns of the density's memoized eigenvectors, r_i the
     rank of ``block_clusters``, which ``on_support`` keeps; the dimension is
     sum_i d_i r_i, and the basis is orthonormal as far as V_i is, at every scale.
+    The cyclic vector, the class of 1, is read off the blocks sqrt(c_i) rho_i^(1/2).
     """
     if not omega.is_positive():
         raise ValidationError("gns needs a positive functional")
@@ -91,7 +92,8 @@ def gns(omega: Functional) -> GNSData:
                                 for (_, vecs), r in zip(block_eigh(rho), ranks)])
     gram = _linalg.block_diag([c * _linalg.kron(np.eye(len(r)), r.T)
                                for c, r in zip(alg.weights, omega.densities)])
-    cyc = basis.conj().T @ _ambient(alg, root, alg.identity())
+    cyc = basis.conj().T @ np.concatenate([math.sqrt(c) * r.ravel()
+                                           for c, r in zip(alg.weights, root)])
     return GNSData(alg, omega, basis.shape[1], gram, basis, cyc, root, ranks)
 
 

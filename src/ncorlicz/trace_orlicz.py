@@ -4,9 +4,10 @@ The singular values of an element, weighted by the trace weights of
 their blocks, form a decreasing step function, the ``RearrangementFunction``
 that ``rearrangement`` stores on the element; every norm and modular value,
 here and on the core, is one of its methods.  ``merged_steps`` builds it from
-``singular_pairs``, once, over an Element's blocks or a core element's pieces;
-which values are zero and which share a step is decided by ``_linalg.levels``,
-the rule of the eigenvalue clusters too.  The distribution identity
+``singular_pairs``, once, over an Element's blocks or a core element's pieces,
+as computed: each block keeps its singular values above the kernels' rounding
+floor (``_linalg.above_floor``), and only equal values share a step; no
+tolerance of the spectral side shapes it.  The distribution identity
 tau(f(|x|)) = integral of f along that step function holds exactly for step
 data, and ``fk_integral`` checks the singular data it reads against the
 eigenvalues of x* x.  The Luxemburg gauge
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import groupby
 from operator import itemgetter
 
 import numpy as np
@@ -57,8 +59,9 @@ class RearrangementFunction:
 
     The one form of the distribution of |x|: read-only arrays of strictly
     decreasing positive ``values`` and of positive finite ``measures`` (the
-    ``steps``); the total mass equals the trace of the support projection
-    of |x|, and the function vanishes beyond it.
+    ``steps``); the total mass is the trace of the spectral projection of |x|
+    on its singular values above the kernels' rounding floor, and the
+    function vanishes beyond it.
     """
 
     __slots__ = ("values", "measures")
@@ -128,36 +131,42 @@ class RearrangementFunction:
         return _luxemburg_from_measures(self.values, self.measures, phi, tol)
 
     def matches(self, other: "RearrangementFunction") -> bool:
-        """Step-data equality: same count, exactly equal lengths, and values
-        that ``_linalg.levels`` puts in one group, as it would merge them."""
-        return self.measures.tolist() == other.measures.tolist() and all(
-            len(_linalg.levels(sorted(pair)[::-1])[0]) == 1
-            for pair in zip(self.values.tolist(), other.values.tolist()))
+        """Whether two distributions agree up to rounding: the values of both,
+        sorted together and grouped by ``_linalg.levels``, carry in every
+        group the same measure from each side, within n eps relative for n
+        values in all."""
+        steps = sorted([(v, m, side) for side, mu in enumerate((self, other))
+                        for v, m in zip(mu.values.tolist(), mu.measures.tolist())], reverse=True)
+        rtol = len(steps) * sys.float_info.epsilon
+        for group in _linalg.levels([v for v, _, _ in steps])[0]:
+            a, b = (sum(steps[k][1] for k in group if steps[k][2] == side) for side in (0, 1))
+            if abs(a - b) > rtol * max(a, b):
+                return False
+        return True
 
     def __repr__(self):
         return f"RearrangementFunction({list(zip(self.values.tolist(), self.measures.tolist()))})"
 
 
 def merged_steps(pairs: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """The steps of (value, measure) pairs: sorted descending and grouped by
-    ``_linalg.levels``, each step with its group's weighted mean, which cannot
-    overflow, and total measure.  The one merge of the base's blocks and of
-    every block of the core's pieces at once; sorts ``pairs`` in place."""
+    """The steps of (value, measure) pairs: sorted descending, with the
+    measures of equal values added; values that differ, by however little,
+    stay apart.  The one merge of the base's blocks and of every block
+    of the core's pieces at once; sorts ``pairs`` in place."""
     pairs.sort(key=itemgetter(0), reverse=True)
-    values, measures = zip(*pairs) if pairs else ((), ())
-    _, values, _, totals = _linalg.levels(values, measures)
-    return list(zip(values, totals))
+    return [(v, sum(m for _, m in tied)) for v, tied in groupby(pairs, key=itemgetter(0))]
 
 
 def singular_pairs(x: Element, mass: float = 1.0) -> list[tuple[float, float]]:
-    """The rank-cut (value, c_i * mass) pairs of x's blocks, unmerged: the one
-    place where a measure is formed.  The blocks are factored once per Element,
+    """The (value, c_i * mass) pairs of x's blocks, unmerged: the one place
+    where a measure is formed.  The blocks are factored once per Element,
     directly, by one-sided Jacobi (``block_singular_values``); x*x is never
-    formed, and each block keeps the values within its rank (``_linalg.rank``)."""
+    formed, and each block keeps the values above the kernels' rounding floor
+    (``_linalg.above_floor``)."""
     pairs = []
     for c, s in zip(x.algebra.weights, block_singular_values(x)):
         s, m = s.tolist(), c * mass
-        pairs += [(v, m) for v in s[:_linalg.rank(s)]]
+        pairs += [(v, m) for v in s[:_linalg.above_floor(s)]]
     return pairs
 
 
@@ -215,14 +224,14 @@ def fk_integral(phi: OrliczFunction, x: Element) -> float:
     the rounding of y* y and its eigenvalues, of a subnormal sigma of x and of
     the entries of y* y on the subnormal grid.  The steps must meet the
     identity at Phi(t) = t^2, sum_j l_j (v_j / 2^e)^2 = sum_i c_i sum_k l_ik,
-    within sum_i c_i d_i b_i, plus (n CLUSTER_RTOL)^2 relative for merged
-    clusters and n eps relative and n 2^-1073 for rounding, n values in all;
-    so the rank cut, weights and merging of ``singular_value_measures`` are
-    checked too.  Neither check reads Phi.  Both sides and the bound are taken
-    in units of 2^k, k = ceil(log2) of the largest weight, so that they stay
-    finite; a weight that this takes below the normal range rounds by at most
-    2^-1075, which adds 2^-1073 sum_i sum_k l_ik.  Both checks run on Python
-    floats; a failed block check names the value with the largest gap.
+    within sum_i c_i d_i b_i, plus n eps relative and n 2^-1073 for rounding,
+    n values in all; so the floor, weights and merging of
+    ``singular_value_measures`` are checked too.  Neither check reads Phi.
+    Both sides and the bound are taken in units of 2^k, k = ceil(log2) of the
+    largest weight, so that they stay finite; a weight that this takes below
+    the normal range rounds by at most 2^-1075, which adds 2^-1073 sum_i sum_k
+    l_ik.  Both checks run on Python floats; a failed block check names the
+    value with the largest gap.
     """
     y, e = in_range(x)
     gram = Element(x.algebra, [b.conj().T @ b for b in y.blocks])  # y* y
@@ -244,7 +253,7 @@ def fk_integral(phi: OrliczFunction, x: Element) -> float:
     mu = rearrangement(x)
     values = [math.ldexp(v, -e) for v in mu.values.tolist()]
     mass = sum(math.ldexp(m, -k) * (t * t) for t, m in zip(values, mu.measures.tolist()))
-    tol = slack + n * (eps + n * _linalg.CLUSTER_RTOL**2) * trace_h + math.ldexp(n, -1073)
+    tol = slack + n * eps * trace_h + math.ldexp(n, -1073)
     if abs(mass - trace_h) > tol:
         raise ValidationError(f"distribution identity violated at Phi(t) = t^2: step sum {mass!r} "
                               f"vs tau(y* y) = {trace_h!r} for y = x / 2^{e}, in units of 2^{k}")

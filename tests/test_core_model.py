@@ -332,11 +332,15 @@ class TestDualAction:
 class TestCoreRearrangement:
     def test_embedding_keeps_the_distribution(self, m2m3):
         # [0, inf) has trace mass exactly 1, and a merge of merged steps keeps them.
+        # Values 4e-10 apart stay two steps; an exact tie across blocks is one.
         rng = SplitMix64(27)
         xs = [rand_element(rng, m2m3) for _ in range(199)]
-        clustered = Element(m2m3, [np.diag([2.0, 1.0]), np.diag([2.0 + 4e-10, 0.5, 0.0])])
-        assert len(rearrangement(clustered).values) == 3
-        for x in xs + [clustered]:
+        close = Element(m2m3, [np.diag([2.0, 1.0]), np.diag([2.0 + 4e-10, 0.5, 0.0])])
+        assert rearrangement(close).values.tolist() == [2.0 + 4e-10, 2.0, 1.0, 0.5]
+        tied = Element(m2m3, [np.diag([2.0, 1.0]), np.diag([2.0, 0.5, 0.0])])
+        assert [(s.value, s.length) for s in rearrangement(tied).steps] == [
+            (2.0, 1.5), (1.0, 1.0), (0.5, 0.5)]
+        for x in xs + [close, tied]:
             mu, core = rearrangement(x), core_rearrangement(embed(x))
             assert core.values.tolist() == mu.values.tolist()
             assert core.measures.tolist() == mu.measures.tolist()

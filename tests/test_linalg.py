@@ -44,11 +44,17 @@ class TestGradedSingularValues:
         np.testing.assert_allclose([v for v, _ in data], 2.0 * np.array(self.D),
                                    rtol=1e-13, atol=0.0)
 
-    def test_value_below_rank_cut_is_dropped(self):
+    def test_only_a_value_below_the_kernel_floor_is_dropped(self):
+        # The distribution keeps a value below the spectral rank cut; only one
+        # below the kernels' rounding floor, 64 d 2^-52 of the largest, goes.
         alg = make_algebra([4], [1.0])
         d = (1.0, 1e-3, 1e-10, 0.25 * RANK_RTOL)
         data = singular_value_measures(Element(alg, [np.diag(d) @ HADAMARD]))
-        assert len(data) == 3
+        assert [m for _, m in data] == [1.0] * 4
+        np.testing.assert_allclose([v for v, _ in data], 2.0 * np.array(d),
+                                   rtol=1e-13, atol=0.0)
+        d = (1.0, 1e-3, 1e-10, 1e-17)
+        data = singular_value_measures(Element(alg, [np.diag(d) @ HADAMARD]))
         np.testing.assert_allclose([v for v, _ in data], 2.0 * np.array(d[:3]),
                                    rtol=1e-13, atol=0.0)
 
@@ -632,24 +638,25 @@ class TestPositivityCertificate:
                 certifies_positive(np.stack([np.eye(2), np.array([[1.0, bad], [bad, 1.0]])]))
 
 
-class TestRank:
-    """``rank`` is ``levels(s)[2]``, also where values sit at or near the cut."""
+class TestAboveFloor:
+    """``above_floor`` counts the singular values that the distribution keeps."""
 
-    def test_rank_matches_levels_around_the_cut(self):
-        cases = [[], [0.0], [0.0, 0.0], [1.0], [1.0, 0.0], [-1.0, -2.0], [5e-324]]
-        for edge in (RANK_RTOL, 2.0 * RANK_RTOL):
-            for k in range(-3, 4):
-                v = edge + k * math.ulp(edge)
-                cases += [[1.0, v], [1.0, 0.5, v], [1.0, v, v], [2.0 ** 900, 2.0 ** 900 * v]]
-        # D11's clusters, whose members straddle the cut at 1e-11 of the top.
-        for hi, lo in ((1 + 2e-10, 1 - 6e-10), (1 + 6e-10, 1 - 2e-10), (1 + 1e-9, 1 - 1e-9)):
-            cases += [[1.0, 1e-11 * hi, 1e-11 * lo], [1.0, 2e-11 * hi, 2e-11 * lo]]
-        rng = SplitMix64(17)
-        for _ in range(200):
-            top = rng.uniform()
-            cases.append(sorted((top * RANK_RTOL * 4.0 * rng.uniform() for _ in range(3)),
-                                reverse=True))
-            cases[-1].insert(0, top)
-        for vals in cases:
-            assert _linalg.rank(np.array(vals)) == _linalg.levels(vals)[2], vals
-            assert _linalg.rank(vals) == _linalg.levels(vals)[2], vals
+    def test_computed_zeros_stay_below_the_floor(self):
+        # 30 blocks of every rank r < d for d = 2..8: both one-sided kernels
+        # leave the d - r computed zeros below the floor and keep the r others.
+        rng = SplitMix64(31)
+        for d in range(2, 9):
+            for r in range(d):
+                blocks = [rand_matrix(rng, d)[:, :r] @ rand_matrix(rng, d)[:r, :]
+                          for _ in range(30)]
+                for s in [singular_values(b) for b in blocks] + list(
+                        singular_values_stack(np.array(blocks))):
+                    assert _linalg.above_floor(s) == r, (d, r, s)
+
+    def test_floor_edges(self):
+        floor = math.ldexp(64 * 3, -52)
+        assert _linalg.above_floor([]) == 0
+        assert _linalg.above_floor([0.0, 0.0]) == 0
+        assert _linalg.above_floor(np.array([1.0, floor, 0.0])) == 1
+        assert _linalg.above_floor([1.0, math.nextafter(floor, 1.0), 0.0]) == 2
+        assert _linalg.above_floor([2.0 ** -1070, 2.0 ** -1074]) == 2

@@ -475,7 +475,7 @@ class TestClosedFormsAgainstProbing:
 
 def test_gns_reads_the_density_eigen_data(m2m3, count_calls):
     # After is_positive the density's eigenvectors are memoized: gns factors
-    # nothing and builds one Element, the identity of the cyclic vector.
+    # nothing and builds no Element; the cyclic vector comes from the root blocks.
     factored = count_calls(_linalg.hermitian_eigh)
     built = count_calls(Element.__init__)
     for ranks in (None, [2, 1]):
@@ -483,7 +483,7 @@ def test_gns_reads_the_density_eigen_data(m2m3, count_calls):
         assert omega.is_positive()
         before = len(factored), len(built)
         gns(omega)
-        assert (len(factored) - before[0], len(built) - before[1]) == (0, 1)
+        assert (len(factored) - before[0], len(built) - before[1]) == (0, 0)
 
 
 @pytest.mark.parametrize("op", [

@@ -155,19 +155,23 @@ def test_only_block_eigh_calls_hermitian_eigh():
 
 
 def test_only_linalg_decides_equal_and_zero_values():
-    # _linalg.levels decides every cluster, rank, support and singular step; a
+    # _linalg.levels decides every cluster, rank and support, and
+    # _linalg.above_floor which singular values the distribution keeps; a
     # module that compared values against these tolerances itself would bring
-    # back a second rule.  fk_integral reads CLUSTER_RTOL for its error bound.
-    assert _library_reads({"RANK_RTOL", "CLUSTER_RTOL"}) == [
-        ("trace_orlicz.py", "fk_integral", "CLUSTER_RTOL")]
+    # back a second rule.  singular_pairs alone asks for the floor.
+    assert _library_reads({"RANK_RTOL", "CLUSTER_RTOL"}) == []
+    assert {(path, top) for path, top, _ in _library_reads({"above_floor"})} == {
+        ("trace_orlicz.py", "singular_pairs")}
 
 
 def test_one_merge_builds_every_distribution():
-    # trace_orlicz.merged_steps sorts and groups (value, measure) pairs into
-    # steps, for the blocks of an Element and for the pieces of a core
-    # element alike.  Besides it, _linalg.levels groups only eigenvalues into
-    # clusters and compares two values in RearrangementFunction.matches, so no
-    # third distribution builder, with a merge of its own, can appear.
+    # trace_orlicz.merged_steps sorts (value, measure) pairs into steps and
+    # adds the measures of equal values, for the blocks of an Element and for
+    # the pieces of a core element alike, with no tolerance rule.
+    # _linalg.levels groups eigenvalues into clusters, singular values into a
+    # rank in polar_decompose and the values of two distributions in
+    # RearrangementFunction.matches, so no third distribution builder, with a
+    # merge of its own, can appear.
     # trace_orlicz.singular_pairs forms every (value, c_i * mass) pair, and a
     # core element merges all its pieces' pairs at once, with no distribution
     # of a piece in between.
@@ -179,8 +183,8 @@ def test_one_merge_builds_every_distribution():
     assert [top for path, top, name in found
             if name == "rearrangement" and path == "core_model.py"] == []
     assert {(path, top) for path, top, name in found if name == "levels"} == {
-        ("trace_orlicz.py", "merged_steps"), ("trace_orlicz.py", "RearrangementFunction"),
-        ("algebra.py", "block_clusters")}
+        ("trace_orlicz.py", "RearrangementFunction"), ("algebra.py", "block_clusters"),
+        ("algebra.py", "polar_decompose")}
 
 
 def test_only_algebra_calls_certifies_positive():

@@ -10,11 +10,11 @@ from ncorlicz import (ConvergenceError, CoshMinusOne, Element, JumpFunction, Orl
                       dual_pairing, e_space_gauge, eigen_spectrum, fk_integral, luxemburg_norm,
                       luxemburg_report, make_algebra, membership, modular_value, operator_norm,
                       rearrangement, rearrangement_csv, registry, trace, young_conjugate)
-from ncorlicz._linalg import RANK_RTOL
 from ncorlicz.algebra import block_singular_values
 from ncorlicz.core_model import (CoreElement, core_luxemburg_report, core_modular_value, embed,
                                  interval)
-from ncorlicz.trace_orlicz import AT_FINITENESS_BOUND, CONVERGED, ZERO, singular_value_measures
+from ncorlicz.trace_orlicz import (AT_FINITENESS_BOUND, CONVERGED, ZERO, merged_steps,
+                                   singular_value_measures)
 from ncorlicz.sampling import SplitMix64, rand_element, rand_unitary_element, rand_unitary_matrix
 from conftest import svd_singular_values
 
@@ -106,17 +106,29 @@ class TestRearrangement:
         assert got == sorted(b.tobytes() for b in piece.blocks + other.blocks)
 
     def test_steps_of_a_positive_element_are_its_spectrum(self, m3):
-        # Gaps of 0.9e-9 chain into one eigenvalue cluster; the steps merge alike.
-        x = Element(m3, [np.diag([1 + 1.8e-9, 1 + 0.9e-9, 1.0])])
-        lines = [(line.value, float(line.multiplicity)) for line in eigen_spectrum(x).lines]
-        steps = [(s.value, s.length) for s in rearrangement(x).steps]
-        assert lines == steps
-        assert steps == [(pytest.approx(1 + 0.9e-9, rel=1e-15), 3.0)]
+        # Gaps of 0.9e-9 chain into one eigenvalue cluster, but the steps are
+        # the distribution as computed: three values, each of measure 1.
+        d = [1 + 1.8e-9, 1 + 0.9e-9, 1.0]
+        x = Element(m3, [np.diag(d)])
+        lines = [(line.value, line.multiplicity) for line in eigen_spectrum(x).lines]
+        assert lines == [(pytest.approx(1 + 0.9e-9, rel=1e-15), 3)]
+        assert [(s.value, s.length) for s in rearrangement(x).steps] == [(v, 1.0) for v in d]
 
     def test_unitary_conjugation_invariance(self, m2m3, rng):
         x = rand_element(rng, m2m3)
         u = rand_unitary_element(rng, m2m3)
         assert rearrangement(x).matches(rearrangement(u * x * u.adjoint()))
+
+    def test_conjugates_with_repeated_singular_values_match(self, m2m3):
+        # Repeated values come out of each conjugate a few ulp apart, as
+        # separate steps; matches still sees one distribution.
+        rng = SplitMix64(5)
+        x = Element(m2m3, [np.diag([2.0, 2.0]), np.diag([3.0, 3.0, 1.0])])
+        mu = rearrangement(x)
+        assert [(s.value, s.length) for s in mu.steps] == [(3.0, 1.0), (2.0, 2.0), (1.0, 0.5)]
+        for _ in range(300):
+            u = rand_unitary_element(rng, m2m3)
+            assert mu.matches(rearrangement(u * x * u.adjoint()))
 
     def test_total_mass_is_support_trace(self, m2m3, rng):
         x = rand_element(rng, m2m3)
@@ -192,6 +204,23 @@ class TestRearrangementFunction:
             "0.10000000000000001,0.30000000000000004,0.10000000000000001\n"
             "0.30000000000000004,5.2999999999999998,1e-300\n")
         assert rearrangement_csv(RearrangementFunction([])) == "t_start,t_end,value\n"
+
+    def test_matches_compares_the_measure_near_each_value(self):
+        mu = RearrangementFunction([(3.0, 1.0), (2.0, 0.5)])
+        assert mu.matches(RearrangementFunction([(3.0, 1.0), (2.0, 0.5)]))
+        # Values within the cluster tolerance compare by their summed measure.
+        assert mu.matches(RearrangementFunction([(3.0 + 1e-12, 0.25), (3.0, 0.75), (2.0, 0.5)]))
+        # Moving mass between two steps, or dropping a step, is a mismatch.
+        assert not mu.matches(RearrangementFunction([(3.0, 0.5), (2.0, 1.0)]))
+        assert not mu.matches(RearrangementFunction([(3.0, 1.0)]))
+        assert not mu.matches(RearrangementFunction([(3.0, 1.0), (2.0, 0.5), (1.0, 0.5)]))
+        assert RearrangementFunction([]).matches(RearrangementFunction([]))
+
+    def test_merged_steps_adds_only_exact_ties(self):
+        up = math.nextafter(2.0, INF)
+        pairs = [(1.0, 0.5), (2.0, 1.0), (up, 0.25), (2.0, 0.5), (1.0, 0.5)]
+        assert merged_steps(pairs) == [(up, 0.25), (2.0, 1.5), (1.0, 1.0)]
+        assert merged_steps([]) == []
 
 
 class TestFkIntegral:
@@ -558,9 +587,10 @@ def test_fk_integral_builds_one_gram_element_and_no_eigenvectors(m2m3, rng, monk
 def test_fk_integral_power1_on_a_graded_element(s):
     # The roots of the eigenvalues of x* x are good only to about
     # sqrt(eps) sigma_max, so a check through them misreads a small sigma.
-    # s = 1e-11 sits on the rank cut and may count as kernel.
+    # s = 1e-11 lies on the spectral rank cut but above the kernels' floor,
+    # so the distribution keeps it; a computed zero stays below the floor.
     got = fk_integral(PowerFunction(1.0), _graded(0, s))
-    assert got == pytest.approx(1.5 + s, rel=1e-12, abs=RANK_RTOL)
+    assert got == pytest.approx(1.5 + s, rel=1e-12, abs=0.0)
 
 
 def _linf_verdict(x):
@@ -585,6 +615,32 @@ def test_fk_integral_on_subnormal_singular_values():
                                                                 rel=1e-12)
     assert fk_integral(PowerFunction(2.0), x) == 0.0
     assert fk_integral(JumpFunction(1.0), x) == 0.0
+
+
+@pytest.mark.parametrize("d, want", [(2, 1 + 9e-12), (6, 1 + 4.5e-11)])
+def test_power1_keeps_values_below_the_rank_cut(d, want):
+    # D18: a singular value 9e-12 of the largest lies below the spectral rank
+    # cut, but the distribution keeps it, so ||x||_1 = tau(|x|).
+    x = Element(make_algebra([d], [1.0]), [np.diag([1.0] + [9e-12] * (d - 1))])
+    assert luxemburg_norm(PowerFunction(1), x) == pytest.approx(want, rel=1e-15)
+    assert rearrangement(x).total_mass() == float(d)
+
+
+@pytest.mark.parametrize("gap", [1e-10, 4e-10, 1e-12, 2.0 ** -52])
+@pytest.mark.parametrize("conjugate", [False, True])
+def test_linf_modular_agrees_with_membership_at_the_jump(gap, conjugate):
+    # D17: the top step is the top singular value, the v_max that membership
+    # reads, so a value just past linf's jump makes the modular +inf.
+    alg = make_algebra([2], [1.0])
+    x = Element(alg, [np.diag([1.0 + gap, 1.0 - gap])])
+    if conjugate:
+        u = rand_unitary_element(SplitMix64(3), alg)
+        x = u * x * u.adjoint()
+    linf = JumpFunction(1.0)
+    flags = membership(linf, x)
+    assert fk_integral(linf, x) == (0.0 if flags.orlicz_class else INF)
+    if not conjugate:
+        assert not flags.orlicz_class
 
 
 def _step_arrays(x):
