@@ -49,9 +49,10 @@ at or above the measured crossover (six even-sized or twelve odd-sized
 blocks), such as the distinct pieces of a core element, and leaves every
 smaller group to ``singular_values``.
 
-``levels`` alone decides which values count as equal and which as zero, for
-every cluster, rank and support in ``algebra``; the distribution of |x| keeps
-the singular values that ``above_floor`` counts.
+``levels`` alone decides which values count as equal and which as zero: the
+ranks and supports in ``algebra`` and the lines of its ``eigen_spectrum``.
+Functions of an element take each computed eigenvalue, |x| every singular
+value, and the distribution of |x| those that ``above_floor`` counts.
 """
 
 from __future__ import annotations
@@ -81,11 +82,11 @@ _SAFE_EXP = 450
 _SAFE_LO = 2.0 ** -_SAFE_EXP
 
 # ``levels`` joins adjacent values closer than this (relative) into one group:
-# one spectral projection, stable under degeneracy.
+# one line of ``algebra.eigen_spectrum``, stable under degeneracy.
 CLUSTER_RTOL = 1e-9
 
 # ``levels`` counts a group at or below this times the largest value as zero:
-# outside ranks, supports, pseudo-inverses and polar factors.
+# outside ranks, supports, pseudo-inverses and polar factors (|x| keeps it).
 RANK_RTOL = 1e-11
 
 # An element counts as Hermitian while ||x - x*||_F is at most this times ||x||_F.

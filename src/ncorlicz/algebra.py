@@ -14,19 +14,20 @@ per-block eigen data on the Element the first time it is asked for (a
 values-only call stores nothing), and every spectral routine (powers,
 supports, positivity, ranks) reads it from there (singular values likewise
 from ``block_singular_values``, which
-``fill_singular_values`` can fill for many Elements at once).  The eigenvalue
-clusters with their spectral projections and ranks (``block_clusters``) and
-the ``is_hermitian`` verdict are stored the same way, so powers, supports,
-corners, faithfulness and the spectral calculus of one Element cluster its
-blocks once, and so is the distribution of |x| (``trace_orlicz.rearrangement``)
-that the norms read; the blocks are read-only, so no memo can go stale.  The
-memo readers ``on_support``, ``power_blocks`` (the blocks of a spectral power,
-which ``power_on_support`` wraps in an Element) and ``in_range``, with
+``fill_singular_values`` can fill for many Elements at once).  Each block's
+rank and one line per computed eigenvalue with its projection (``block_lines``)
+and the ``is_hermitian`` verdict are stored the same way, and so is the
+distribution of |x| (``trace_orlicz.rearrangement``) that the norms read; the
+blocks are read-only, so no memo can go stale.  The memo readers
+``block_lines``, ``on_support``, ``power_blocks`` (the blocks of a spectral
+power, which ``power_on_support`` wraps in an Element) and ``in_range``, with
 ``finite_sum``, are the interface that the other modules use; the package does
-not export them.
-``_linalg.levels`` is the one rule for which values are equal and which are
-zero: it makes the clusters, their values (means, which cannot overflow) and
-every rank here.  A Functional keeps its density as one such Element.
+not export them.  A function of x is evaluated at each computed eigenvalue, so
+it is as accurate as the eigendecomposition (Higham, *Functions of Matrices*,
+2008, ch. 4).  ``_linalg.levels`` is the one rule for which values are equal
+and which are zero: it gives every rank here, the cut of supports, and only
+``eigen_spectrum`` merges lines by it.  A Functional keeps its density as one
+such Element.
 Positivity without eigen data comes from the stack certificate
 ``_linalg.certifies_positive``, whose one caller is ``certified_positive``
 (one call per block size for many Elements at once; ``Element.is_positive``
@@ -41,12 +42,13 @@ threads that find a memo empty and fill it by different routes at once may
 leave either result.
 
 |x| and polar data come from one singular value decomposition per block,
-``_linalg.svd`` (one-sided Jacobi with the right singular vectors), cut at
-the rank that ``_linalg.levels`` gives the singular values
-(``polar_decompose``), so x is never squared on that route.  Every singular
-value, ``operator_norm``'s included, comes from ``block_singular_values``; the
-one eigendecomposition of x* x left is the spectral check of
-``trace_orlicz.fk_integral``, which compares those values against it.
+``_linalg.svd`` (one-sided Jacobi with the right singular vectors), so x is
+never squared on that route; |x| keeps every singular value, and only the
+partial isometry is cut at the rank that ``_linalg.levels`` gives them
+(``polar_decompose``).  Every singular value, ``operator_norm``'s included,
+comes from ``block_singular_values``; the one eigendecomposition of x* x left
+is the spectral check of ``trace_orlicz.fk_integral``, which compares those
+values against it.
 """
 
 from __future__ import annotations
@@ -131,14 +133,14 @@ def _freeze(blocks, dims) -> tuple[np.ndarray, ...]:
 class Element:
     """A blockwise complex matrix, the universal carrier for algebra members."""
 
-    __slots__ = ("algebra", "blocks", "_eigh", "_clusters", "_svals", "_singular",
+    __slots__ = ("algebra", "blocks", "_eigh", "_lines", "_svals", "_singular",
                  "_hermitian")
 
     def __init__(self, algebra: AlgebraDescriptor, blocks):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "blocks", _freeze(blocks, algebra.block_dims))
         object.__setattr__(self, "_eigh", None)
-        object.__setattr__(self, "_clusters", None)
+        object.__setattr__(self, "_lines", None)
         object.__setattr__(self, "_svals", None)
         object.__setattr__(self, "_singular", None)
         object.__setattr__(self, "_hermitian", None)
@@ -269,7 +271,7 @@ class Functional:
 
     def is_faithful(self) -> bool:
         return self.is_positive() and tuple(
-            rank for rank, _ in block_clusters(self._density)) == self.algebra.block_dims
+            rank for rank, _ in block_lines(self._density)) == self.algebra.block_dims
 
     def norm(self) -> float:
         """Functional norm, equal to tau(|T|) for the density T."""
@@ -407,38 +409,37 @@ def fill_singular_values(elements) -> None:
             object.__setattr__(x, "_svals", svals)
 
 
-def block_clusters(x: Element) -> tuple[tuple[int, tuple], ...]:
-    """Per-block (rank, clusters) of a Hermitian x, stored on x by the first call.
+def block_lines(x: Element) -> tuple[tuple[int, tuple], ...]:
+    """Per-block (rank, lines) of a Hermitian x, stored on x by the first call.
 
-    Both come from ``_linalg.levels`` of the block's eigenvalues: a cluster is
-    (value, multiplicity, read-only projection) for each of its groups, in
-    descending order, and the rank is the multiplicity of the support clusters.
+    A line is (eigenvalue, read-only projection v v*) for each computed
+    eigenvalue, in descending order; the rank, ``_linalg.levels``' cut of
+    supports, counts the leading lines that lie on the support.
     """
-    if x._clusters is None:
+    if x._lines is None:
         out = []
         for vals, vecs in block_eigh(x):
-            groups, values, rank = _linalg.levels(vals)
-            clusters = []
-            for group, value in zip(groups, values):
-                cols = vecs[:, group]
+            lines = []
+            for k, value in enumerate(vals.tolist()):
+                cols = vecs[:, [k]]
                 proj = cols @ cols.conj().T
                 proj.flags.writeable = False
-                clusters.append((value, len(group), proj))
-            out.append((rank, tuple(clusters)))
-        if x._clusters is None:
-            object.__setattr__(x, "_clusters", tuple(out))
-    return x._clusters
+                lines.append((value, proj))
+            out.append((_linalg.levels(vals)[2], tuple(lines)))
+        if x._lines is None:
+            object.__setattr__(x, "_lines", tuple(out))
+    return x._lines
 
 
 def on_support(x: Element, f, kernel: bool = False) -> list[np.ndarray]:
-    """Blocks sum f(l) P_l over the eigenvalue clusters of a Hermitian x within
-    its rank (``block_clusters``), the others counting as kernel, where f is 0.
-    With ``kernel`` every cluster counts, and an f that raises or is not finite
-    there is rejected with the eigenvalue and block named (the spectral calculus)."""
+    """Blocks sum f(l) P_l over the lines of a Hermitian x within its rank
+    (``block_lines``), the others counting as kernel, where f is 0.  With
+    ``kernel`` every line counts, and an f that raises or is not finite there
+    is rejected with the eigenvalue and block named (the spectral calculus)."""
     out = []
-    for i, (d, (rank, clusters)) in enumerate(zip(x.algebra.block_dims, block_clusters(x))):
+    for i, (d, (rank, lines)) in enumerate(zip(x.algebra.block_dims, block_lines(x))):
         acc = np.zeros((d, d), dtype=np.complex128)
-        for value, mult, proj in clusters:
+        for value, proj in (lines if kernel else lines[:rank]):
             if kernel:
                 try:
                     y = complex(f(value))
@@ -449,9 +450,8 @@ def on_support(x: Element, f, kernel: bool = False) -> list[np.ndarray]:
                     raise ValidationError(
                         f"function not finite at eigenvalue {value!r} (block {i}): {y!r}")
                 acc += y * proj
-            elif rank > 0:
+            else:
                 acc += f(value) * proj
-                rank -= mult
         out.append(acc)
     return out
 
@@ -489,22 +489,23 @@ def certified_positive(elements) -> list[bool]:
 
 
 def eigen_spectrum(x: Element) -> Spectrum:
-    """Spectral decomposition of a Hermitian element with degeneracy merging."""
+    """Spectral decomposition of a Hermitian element, lines merged by ``_linalg.levels``."""
     _require_hermitian(x, "eigen_spectrum")
     lines = []
-    for i, (_, clusters) in enumerate(block_clusters(x)):
-        for value, mult, proj in clusters:
+    for i, (vals, vecs) in enumerate(block_eigh(x)):
+        for group, value in zip(*_linalg.levels(vals)[:2]):
+            cols = vecs[:, group]
             blocks = [np.zeros((d, d), dtype=np.complex128) for d in x.algebra.block_dims]
-            blocks[i] = proj
-            lines.append(SpectralLine(i, value, mult, Element(x.algebra, blocks)))
+            blocks[i] = cols @ cols.conj().T
+            lines.append(SpectralLine(i, value, len(group), Element(x.algebra, blocks)))
     return Spectrum(x.algebra, tuple(lines))
 
 
 def spectral_calculus(x: Element, f) -> Element:
     """Apply a scalar function to a Hermitian element, f(x) = sum f(l_k) P_k.
 
-    The function is evaluated once per merged eigenvalue cluster, kernel
-    clusters included; an evaluation that raises or returns a non-finite
+    The function is evaluated once per computed eigenvalue, kernel included,
+    near-equal ones apart; an evaluation that raises or returns a non-finite
     number is rejected with the offending eigenvalue named.
     """
     _require_hermitian(x, "spectral_calculus")
@@ -520,7 +521,7 @@ def power_on_support(x: Element, z: complex) -> Element:
 def power_blocks(x: Element, z: complex) -> list[np.ndarray]:
     """Blocks of x^z through the spectral calculus, with 0^z := 0 on the kernel.
 
-    Clusters outside the rank are sent to 0, so negative real parts mean
+    Lines outside the rank are sent to 0, so negative real parts mean
     Moore-Penrose pseudo-inverses and z = 0 or z = it reproduce the support
     projection and the phase unitaries on it.  An eigenvalue whose power lies
     beyond the binary64 range (a pseudo-inverse of a subnormal density, say)
@@ -588,19 +589,18 @@ def polar_decompose(x: Element) -> tuple[Element, Element]:
     """Unique polar data x = v |x| with v*v = supp(|x|) and v v* = supp(|x*|).
 
     Per block a = 2^e u diag(s) v* with u = w / s from ``_linalg.svd``, so
-    |a| = 2^e v_r s_r v_r* (the prescale undone by ``pow2_rescale``) and the
-    polar factor is u_r v_r* (Higham, "Computing the polar decomposition --
-    with applications", SIAM J. Sci. Stat. Comput. 7, 1986), on the rank r of
-    s (``_linalg.levels``), the cut of supports; the rest count as kernel.
+    |a| = 2^e v s v* over every singular value (the prescale undone by
+    ``pow2_rescale``), which keeps the distribution of a, and the polar factor
+    is u_r v_r* (Higham, "Computing the polar decomposition -- with
+    applications", SIAM J. Sci. Stat. Comput. 7, 1986), on the rank r of s
+    (``_linalg.levels``), the cut of supports.
     """
     factors, moduli = [], []
     for b in x.blocks:
         w, s, v, e = _linalg.svd(b)
         r = _linalg.levels(s)[2]
-        vr = v[:, :r]
-        vh = vr.conj().T
-        factors.append((w[:, :r] / s[:r]) @ vh)
-        moduli.append(_linalg.pow2_rescale((vr * s[:r]) @ vh, e))
+        factors.append((w[:, :r] / s[:r]) @ v[:, :r].conj().T)
+        moduli.append(_linalg.pow2_rescale((v * s) @ v.conj().T, e))
     return Element(x.algebra, factors), Element(x.algebra, moduli)
 
 
@@ -661,7 +661,7 @@ def reduce_to_support(phi: Functional) -> Reduction:
     if not phi.is_positive():
         raise ValidationError("reduce_to_support needs a positive functional")
     rho = phi.density_element()
-    kept = [(i, rank) for i, (rank, _) in enumerate(block_clusters(rho)) if rank]
+    kept = [(i, rank) for i, (rank, _) in enumerate(block_lines(rho)) if rank]
     if not kept:
         raise ValidationError("functional is zero; the support corner is empty")
     eig = block_eigh(rho)

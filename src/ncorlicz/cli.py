@@ -46,7 +46,7 @@ _OPTIONS = {
     "phi": dict(help="Orlicz function JSON file or name (power2, linf, ...)"),
     "core": dict(help="core element JSON file"),
     "iso": dict(help="isomorphism JSON file"),
-    "tol": dict(type=float, default=1e-12),
+    "tol": dict(type=float, default=None),  # None: trace_orlicz.DEFAULT_TOL
     "seed": dict(type=int, default=0),
     "csv": dict(help="write step data as CSV to this path"),
     "samples": dict(type=int, default=100),
@@ -137,22 +137,23 @@ def _emit(obj) -> None:
 
 
 def _cmd_norm(args) -> int:
-    from .trace_orlicz import luxemburg_report
+    from .trace_orlicz import DEFAULT_TOL, luxemburg_report
 
     x = _load_element(args)
     phi = _load_phi(args)
-    rep = luxemburg_report(phi, x, args.tol)
+    rep = luxemburg_report(phi, x, DEFAULT_TOL if args.tol is None else args.tol)
     _emit(rep.to_json_obj())
     return 0
 
 
 def _cmd_core_norm(args) -> int:
     from .core_model import core_luxemburg_report
+    from .trace_orlicz import DEFAULT_TOL
 
     alg = _load_algebra(args)
     core = core_from_obj(alg, load_file(_need(args, "core", "core-norm")))
     phi = _load_phi(args)
-    rep = core_luxemburg_report(phi, core, args.tol)
+    rep = core_luxemburg_report(phi, core, DEFAULT_TOL if args.tol is None else args.tol)
     _emit(rep.to_json_obj())
     return 0
 
@@ -219,6 +220,7 @@ def _cmd_suite(args) -> int:
     from .functorial import verify_isometry
     from .orliczfn import PowerFunction
     from .suite import run_suite
+    from .trace_orlicz import DEFAULT_TOL
 
     extra = []
     if not args.iso and (args.algebra or args.phi):
@@ -234,7 +236,6 @@ def _cmd_suite(args) -> int:
             return rep.passed, dev, rep.witness
 
         extra.append(("functorial.file_isometry", file_case))
-    tol = 1e-12  # every suite norm runs at the library's default tolerance
     t0 = time.perf_counter()
     results = run_suite(args.seed, args.samples, extra)
     wall = time.perf_counter() - t0
@@ -243,8 +244,8 @@ def _cmd_suite(args) -> int:
         "command": "suite",
         "seed": args.seed,
         "samples": args.samples,
-        "tol": tol,
-        "inputsDigest": _digest(["suite", args.seed, args.samples, tol,
+        "tol": DEFAULT_TOL,  # every suite norm runs at the library's default tolerance
+        "inputsDigest": _digest(["suite", args.seed, args.samples, DEFAULT_TOL,
                                  bool(args.iso)]),
         "model": "restricted step class over the weighted half-line",
         "cases": [r.to_obj() for r in results],

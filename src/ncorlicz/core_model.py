@@ -34,7 +34,8 @@ from .algebra import (Element, absolute, certified_positive, fill_singular_value
                       finite_sum, negative_block, trace)
 from .errors import ValidationError
 from .orliczfn import INF, OrliczFunction
-from .trace_orlicz import NormReport, RearrangementFunction, merged_steps, singular_pairs
+from .trace_orlicz import (DEFAULT_TOL, NormReport, RearrangementFunction, merged_steps,
+                           singular_pairs)
 
 
 def _to_endpoint(value) -> Fraction:
@@ -57,6 +58,10 @@ class Interval:
     b: Fraction | None
 
     def __post_init__(self):
+        if not (isinstance(self.a, (Fraction, int))
+                and isinstance(self.b, (Fraction, int, type(None)))):
+            raise ValidationError(f"endpoints {self.a!r}, {self.b!r} are not Fraction or int; "
+                                  "interval() converts other numbers")
         if self.b is not None and self.b <= self.a:
             raise ValidationError(f"empty interval [{self.a}, {self.b})")
 
@@ -284,11 +289,11 @@ def core_modular_value(phi: OrliczFunction, x: CoreElement, lam: float) -> float
 
 
 def core_luxemburg_report(phi: OrliczFunction, x: CoreElement,
-                          tol: float = 1e-12) -> NormReport:
+                          tol: float = DEFAULT_TOL) -> NormReport:
     return core_rearrangement(x).luxemburg(phi, tol)
 
 
-def core_luxemburg_norm(phi: OrliczFunction, x: CoreElement, tol: float = 1e-12) -> float:
+def core_luxemburg_norm(phi: OrliczFunction, x: CoreElement, tol: float = DEFAULT_TOL) -> float:
     """inf { lam : canonical-trace modular of x/lam <= 1 } over the step class.
 
     On the step class with finite-valued Phi some scale always has a finite

@@ -11,6 +11,7 @@ action exactly and preserve the canonical trace exactly.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,11 +32,16 @@ class Isomorphism:
 
     def __init__(self, source: AlgebraDescriptor, target: AlgebraDescriptor,
                  permutation, unitaries):
-        permutation = tuple(int(p) for p in permutation)
+        try:
+            permutation = tuple(map(operator.index, permutation))
+        except TypeError:
+            raise ValidationError("a permutation entry is not an integer") from None
         if sorted(permutation) != list(range(source.nblocks)):
             raise ValidationError(f"{permutation} is not a permutation of the blocks")
         if target.nblocks != source.nblocks:
             raise ValidationError("source and target block counts differ")
+        if len(unitaries) != source.nblocks:
+            raise ValidationError(f"{len(unitaries)} unitaries for {source.nblocks} blocks")
         us = []
         for i, (d, p) in enumerate(zip(source.block_dims, permutation)):
             if target.block_dims[p] != d:

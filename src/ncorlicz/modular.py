@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg
-from .algebra import (AlgebraDescriptor, Element, Functional, block_clusters, block_eigh,
+from .algebra import (AlgebraDescriptor, Element, Functional, block_eigh, block_lines,
                       in_range, on_support, power_blocks, power_on_support, trace)
 from .errors import ValidationError
 
@@ -76,7 +76,7 @@ def gns(omega: Functional) -> GNSData:
     e_j tensor rho_i^(1/2)[k, :], and the rows of rho_i^(1/2) span conj(v) over
     its support eigenvectors v.  So the basis is blockdiag_i kron(I, conj(V_i)),
     V_i the first r_i columns of the density's memoized eigenvectors, r_i the
-    rank of ``block_clusters``, which ``on_support`` keeps; the dimension is
+    rank of ``block_lines``, which ``on_support`` keeps; the dimension is
     sum_i d_i r_i, and the basis is orthonormal as far as V_i is, at every scale.
     The cyclic vector, the class of 1, is read off the blocks sqrt(c_i) rho_i^(1/2).
     """
@@ -87,7 +87,7 @@ def gns(omega: Functional) -> GNSData:
     alg = omega.algebra
     rho = omega.density_element()
     root = tuple(on_support(rho, math.sqrt))
-    ranks = tuple(rank for rank, _ in block_clusters(rho))
+    ranks = tuple(rank for rank, _ in block_lines(rho))
     basis = _linalg.block_diag([_linalg.kron(np.eye(len(vecs)), vecs[:, :r].conj())
                                 for (_, vecs), r in zip(block_eigh(rho), ranks)])
     gram = _linalg.block_diag([c * _linalg.kron(np.eye(len(r)), r.T)

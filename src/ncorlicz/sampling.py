@@ -154,31 +154,28 @@ def rand_unitary_element(rng: SplitMix64, algebra: AlgebraDescriptor) -> Element
     return Element(algebra, [rand_unitary_matrix(rng, d) for d in algebra.block_dims])
 
 
-def rand_density_matrix(rng: SplitMix64, n: int, rank: int | None = None,
-                        min_eig: float = 0.2) -> np.ndarray:
-    """PSD matrix with eigenvalues in [min_eig, min_eig + 1] and exact zeros
-    beyond the requested rank."""
+def rand_density_matrix(rng: SplitMix64, n: int, rank: int | None = None) -> np.ndarray:
+    """PSD matrix with eigenvalues in [0.2, 1.2] and exact zeros beyond the
+    requested rank."""
     if rank is None:
         rank = n
     if not 0 <= rank <= n:
         raise ValidationError(f"rank {rank} out of range for dimension {n}")
     u = rand_unitary_matrix(rng, n)
-    vals = np.array([min_eig + rng.uniform() if k < rank else 0.0 for k in range(n)])
+    vals = np.array([0.2 + rng.uniform() if k < rank else 0.0 for k in range(n)])
     return (u * vals) @ u.conj().T
 
 
 def rand_functional(rng: SplitMix64, algebra: AlgebraDescriptor,
-                    ranks: list[int] | None = None, min_eig: float = 0.2) -> Functional:
+                    ranks: list[int] | None = None) -> Functional:
     if ranks is None:
         ranks = list(algebra.block_dims)
-    dens = [rand_density_matrix(rng, d, r, min_eig)
-            for d, r in zip(algebra.block_dims, ranks)]
+    dens = [rand_density_matrix(rng, d, r) for d, r in zip(algebra.block_dims, ranks)]
     return Functional(algebra, dens)
 
 
-def rand_faithful_functional(rng: SplitMix64, algebra: AlgebraDescriptor,
-                             min_eig: float = 0.2) -> Functional:
-    return rand_functional(rng, algebra, None, min_eig)
+def rand_faithful_functional(rng: SplitMix64, algebra: AlgebraDescriptor) -> Functional:
+    return rand_functional(rng, algebra)
 
 
 def rand_core_element(rng: SplitMix64, algebra: AlgebraDescriptor,

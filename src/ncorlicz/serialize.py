@@ -202,12 +202,12 @@ def orlicz_to_obj(phi: OrliczFunction) -> dict:
     raise InputError(f"{phi.label()} has no JSON family; tabulate it first")
 
 
-def tabulate(phi: OrliczFunction, lo: float = 1e-3, hi: float = 1e3,
-             points: int = 49) -> TabulatedFunction:
-    """Sample phi on a log grid into a convex table (finite values only)."""
+def tabulate(phi: OrliczFunction) -> TabulatedFunction:
+    """Sample phi at 0 and on a 49-point log grid over [1e-3, 1e3] into a
+    convex table (finite values only)."""
     from .orliczfn import TabulatedFunction
 
-    ts = [0.0] + [float(t) for t in np.geomspace(lo, hi, points)]
+    ts = [0.0] + [float(t) for t in np.geomspace(1e-3, 1e3, 49)]
     rows = []
     for t in ts:
         v = phi(t)

@@ -39,6 +39,7 @@ from .errors import ConvergenceError, ValidationError
 from .orliczfn import INF, OrliczFunction
 
 EVALUATION_CAP = 200
+DEFAULT_TOL = 1e-12  # the relative tolerance of every norm's root-find
 _DBL_MAX = sys.float_info.max
 _U_MIN = math.log(math.ulp(0.0))  # log of the smallest positive scale
 _U_MAX = math.log(_DBL_MAX)  # exp stays finite here
@@ -415,13 +416,13 @@ def _luxemburg_from_measures(values: np.ndarray, measures: np.ndarray,
             d = e = b[0] - a[0]
 
 
-def luxemburg_report(phi: OrliczFunction, x: Element, tol: float = 1e-12) -> NormReport:
+def luxemburg_report(phi: OrliczFunction, x: Element, tol: float = DEFAULT_TOL) -> NormReport:
     """Luxemburg norm with its evaluation count, the modular value at the norm
     and the termination reason."""
     return rearrangement(x).luxemburg(phi, tol)
 
 
-def luxemburg_norm(phi: OrliczFunction, x: Element, tol: float = 1e-12) -> float:
+def luxemburg_norm(phi: OrliczFunction, x: Element, tol: float = DEFAULT_TOL) -> float:
     """inf { lam > 0 : tau(Phi(|x|/lam)) <= 1 }; zero exactly for x = 0.
 
     The returned lam certifies tau(Phi(|x|/lam)) <= 1; attainment of the

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncorlicz import (Element, Functional, StandardForm, ValidationError, _linalg, absolute,
-                      canonical_trace, eigen_spectrum, embed, functional_polar, make_algebra,
-                      operator_norm, polar_decompose, power_on_support, reduce_to_support,
-                      spectral_calculus, support_projection, trace)
+from ncorlicz import (CoreElement, Element, Functional, PowerFunction, StandardForm,
+                      ValidationError, _linalg, absolute, canonical_trace, core_rearrangement,
+                      eigen_spectrum, embed, functional_polar, interval, luxemburg_norm,
+                      make_algebra, operator_norm, polar_decompose, power_on_support,
+                      rearrangement, reduce_to_support, spectral_calculus, support_projection,
+                      trace)
 from ncorlicz._linalg import (POSITIVITY_RTOL, RANK_RTOL, hermitian_eigh,
                               is_positive_semidefinite, levels, singular_values)
-from ncorlicz.algebra import (HERMITIAN_RTOL, block_clusters, block_eigh,
+from ncorlicz.algebra import (HERMITIAN_RTOL, block_eigh, block_lines,
                               block_singular_values, certified_positive, fill_singular_values,
                               in_range, negative_block)
 from ncorlicz.sampling import (SplitMix64, rand_element, rand_functional, rand_matrix,
@@ -201,6 +203,63 @@ def test_absolute_and_polar_make_no_eigendecomposition(m2m3, rng, count_calls):
     absolute(x)
     polar_decompose(x)
     assert calls == []
+
+
+def test_functions_are_evaluated_at_each_computed_eigenvalue(m2):
+    # 1 + 5e-10 and 1 lie within CLUSTER_RTOL of each other; evaluated at
+    # their mean, t -> t and t^-1 were off by 2.5e-10.
+    x = Element(m2, [np.diag([1.0 + 5e-10, 1.0])])
+    ulp = math.ulp(1.0)
+    assert np.abs(spectral_calculus(x, lambda t: t).blocks[0] - x.blocks[0]).max() <= 4 * ulp
+    inverse = power_on_support(x, -1.0) * x
+    assert np.abs(inverse.blocks[0] - np.eye(2)).max() <= 4 * ulp
+
+
+@pytest.mark.parametrize("gap", [1e-12, 1e-11, 1e-10, 1e-9, 1e-8])
+def test_spectral_calculus_of_a_near_degenerate_spectrum_reproduces_the_element(m3, gap):
+    # f(x) = V f(L) V* at the computed eigenvalues is as accurate as the
+    # eigendecomposition (Higham, Functions of Matrices, 2008, ch. 4): t -> t
+    # gives back x within the decomposition's own residual, which the
+    # eigensolver's stop bounds by JACOBI_REL_OFF.  A merge of the near-equal
+    # eigenvalues moved each by up to half the gap.
+    rng = SplitMix64(7)
+    for _ in range(20):
+        u = rand_unitary_matrix(rng, 3)
+        b = (u * [1.0 + gap, 1.0, -0.5]) @ u.conj().T
+        x = Element(m3, [(b + b.conj().T) / 2])
+        vals, vecs = hermitian_eigh(x.blocks[0])
+        norm = x.frobenius_norm()
+        residual = np.linalg.norm((vecs * vals) @ vecs.conj().T - x.blocks[0])
+        err = (spectral_calculus(x, lambda t: t) - x).frobenius_norm()
+        assert err <= residual + 8 * math.ulp(norm)
+        assert err <= _linalg.JACOBI_REL_OFF * norm
+
+
+def test_absolute_keeps_every_singular_value(m2):
+    # 9e-12 lies below the rank cut RANK_RTOL = 1e-11; |x| keeps it, so it
+    # has the distribution of x, while its support and polar factor do not.
+    x = Element(m2, [np.diag([1.0, 9e-12])])
+    tau_abs = 1.000000000009
+    assert luxemburg_norm(PowerFunction(1), absolute(x)) == pytest.approx(tau_abs, rel=1e-15)
+    assert Functional(m2, [np.diag([1.0, -9e-12])]).norm() == pytest.approx(tau_abs, rel=1e-15)
+    assert rearrangement(absolute(x)).matches(rearrangement(x))
+    v, a = polar_decompose(x)
+    assert np.array_equal(v.blocks[0], np.diag([1.0, 0.0]))
+    assert np.array_equal(support_projection(a).blocks[0], (v.adjoint() * v).blocks[0])
+
+
+@pytest.mark.parametrize("s", [1e-8, 9e-12, 1e-13])
+def test_absolute_of_a_graded_element_has_its_distribution(s):
+    # Columns graded down to s, orthogonal from the start, so the one-sided
+    # kernel rotates none and |x| = diag(column norms) holds exactly.
+    alg = make_algebra([3, 2], [1.0, 0.5])
+    rng = SplitMix64(0)
+    for _ in range(10):
+        x = Element(alg, [rand_unitary_matrix(rng, 3) * [1.0, 0.5, s],
+                          rand_unitary_matrix(rng, 2) * [2.0, s]])
+        assert rearrangement(absolute(x)).matches(rearrangement(x))
+    core = CoreElement(alg, [(x, interval(0, 1)), (2.0 * x, interval(1, "inf"))])
+    assert core_rearrangement(core.absolute()).matches(core_rearrangement(core))
 
 
 def test_power_beyond_binary64_range_is_a_validation_error(m2):
@@ -399,12 +458,12 @@ def test_memoized_eigen_data_is_bit_identical_to_a_fresh_factorisation(m2m3, rng
             fresh_vals, fresh_vecs = hermitian_eigh(block)
             assert np.array_equal(vals, fresh_vals) and np.array_equal(vecs, fresh_vecs)
             assert not (vals.flags.writeable or vecs.flags.writeable)
-        clusters = block_clusters(rho)
-        assert block_clusters(rho) is clusters
-        assert not any(proj.flags.writeable for _, group in clusters for _, _, proj in group)
+        lines = block_lines(rho)
+        assert block_lines(rho) is lines
+        assert not any(proj.flags.writeable for _, block in lines for _, proj in block)
         for z in (0.5, -1.0, 0.0, 0.7j, 0.25 - 1.5j):
             first, again = power_on_support(rho, z), power_on_support(rho, z)
-            # Without a kernel the spectral calculus takes the same clusters.
+            # Without a kernel the spectral calculus takes the same lines.
             calc = (spectral_calculus(rho, lambda t: np.exp(complex(z) * math.log(t)))
                     if ranks == [2, 3] else first)
             for got, repeat, via_calc, block in zip(first.blocks, again.blocks, calc.blocks,

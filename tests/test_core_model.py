@@ -27,6 +27,12 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             interval(math.inf, None)
         assert interval(0, "inf").b is None
+        # Only interval() converts: a float endpoint built an Interval whose
+        # weight() then raised AttributeError.
+        for a, b in [(0.5, Fraction(1)), (Fraction(0), 1.0), ("0", None)]:
+            with pytest.raises(ValidationError, match=r"interval\(\) converts"):
+                Interval(a, b)
+        assert Interval(0, 2).weight() == interval(0, 2).weight()
         assert interval(0.5, 1.5).weight() == pytest.approx(
             math.exp(-0.5) - math.exp(-1.5))
 

@@ -46,6 +46,16 @@ class TestApply:
         with pytest.raises(ValidationError):
             Isomorphism(other, other, (1, 0), [np.eye(2), np.eye(1)])
 
+    @pytest.mark.parametrize("perm, count, match", [
+        ((0, 1), 1, "1 unitaries for 2 blocks"), ((0, 1), 3, "3 unitaries for 2 blocks"),
+        ((1.5, 0), 2, "not an integer"), ((0.0, 1.0), 2, "not an integer")])
+    def test_shape_validation(self, m2m2, perm, count, match):
+        # One unitary too few ran into an IndexError, one too many was ignored,
+        # and int() truncated 1.5 to the permutation (1, 0).
+        with pytest.raises(ValidationError, match=match):
+            Isomorphism(m2m2, m2m2, perm, [np.eye(2)] * count)
+        assert Isomorphism(m2m2, m2m2, (np.int64(1), 0), [np.eye(2)] * 2).permutation == (1, 0)
+
     def test_algebra_mismatch(self, m2m2, m2, rng):
         iso = identity_isomorphism(m2m2)
         with pytest.raises(ValidationError):

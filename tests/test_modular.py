@@ -233,6 +233,14 @@ class TestModularFlow:
         out = modular_flow(phi, 1.3, x)
         assert out.blocks[0][0, 1] == pytest.approx(np.exp(1.3j * math.log(p / q)), abs=1e-12)
 
+    def test_phase_of_a_near_degenerate_density(self, m2):
+        # 1 + 9e-10 and 1 lie within CLUSTER_RTOL of each other; at their mean
+        # the flow fixed e_12, whose phase at t = 1e6 is 9.0e-4 rad.
+        phi = Functional(m2, [np.diag([1.0 + 9e-10, 1.0])])
+        x = Element(m2, [np.array([[0.0, 1.0], [0.0, 0.0]])])
+        want = np.exp(1e6j * math.log1p(9e-10))
+        assert abs(modular_flow(phi, 1e6, x).blocks[0][0, 1] - want) <= 1e-9
+
     def test_automorphism_and_group_law(self, m3, rng):
         phi = faithful(rng, m3)
         x, y = rand_element(rng, m3), rand_element(rng, m3)
@@ -284,6 +292,13 @@ class TestConnesCocycle:
                            Functional(m2, [np.diag([c, d])]), 0.9)
         want = np.diag([np.exp(0.9j * math.log(a / c)), np.exp(0.9j * math.log(b / d))])
         assert np.allclose(u.blocks[0], want, atol=1e-12)
+
+    def test_phase_of_a_near_degenerate_density(self, m2):
+        # Evaluated at the mean of 1 + 9e-10 and 1, the phase at t = 1e6 was
+        # 4.5e-4 rad where 9.0e-4 is right.
+        phi, tau = Functional(m2, [np.diag([1.0 + 9e-10, 1.0])]), Functional(m2, [np.eye(2)])
+        want = np.exp(1e6j * math.log1p(9e-10))
+        assert abs(connes_cocycle(phi, tau, 1e6).blocks[0][0, 0] - want) <= 1e-9
 
     def test_chain_rule(self, m3, rng):
         for _ in range(10):

@@ -168,8 +168,9 @@ def test_one_merge_builds_every_distribution():
     # trace_orlicz.merged_steps sorts (value, measure) pairs into steps and
     # adds the measures of equal values, for the blocks of an Element and for
     # the pieces of a core element alike, with no tolerance rule.
-    # _linalg.levels groups eigenvalues into clusters, singular values into a
-    # rank in polar_decompose and the values of two distributions in
+    # _linalg.levels gives each block's rank in block_lines and the polar
+    # factor's rank in polar_decompose, merges eigenvalues only into the lines
+    # of eigen_spectrum, and groups the values of two distributions in
     # RearrangementFunction.matches, so no third distribution builder, with a
     # merge of its own, can appear.
     # trace_orlicz.singular_pairs forms every (value, c_i * mass) pair, and a
@@ -183,8 +184,8 @@ def test_one_merge_builds_every_distribution():
     assert [top for path, top, name in found
             if name == "rearrangement" and path == "core_model.py"] == []
     assert {(path, top) for path, top, name in found if name == "levels"} == {
-        ("trace_orlicz.py", "RearrangementFunction"), ("algebra.py", "block_clusters"),
-        ("algebra.py", "polar_decompose")}
+        ("trace_orlicz.py", "RearrangementFunction"), ("algebra.py", "block_lines"),
+        ("algebra.py", "eigen_spectrum"), ("algebra.py", "polar_decompose")}
 
 
 def test_only_algebra_calls_certifies_positive():

@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 from fractions import Fraction
@@ -11,10 +12,10 @@ from ncorlicz import (ConvergenceError, CoshMinusOne, Element, JumpFunction, Orl
                       luxemburg_report, make_algebra, membership, modular_value, operator_norm,
                       rearrangement, rearrangement_csv, registry, trace, young_conjugate)
 from ncorlicz.algebra import block_singular_values
-from ncorlicz.core_model import (CoreElement, core_luxemburg_report, core_modular_value, embed,
-                                 interval)
-from ncorlicz.trace_orlicz import (AT_FINITENESS_BOUND, CONVERGED, ZERO, merged_steps,
-                                   singular_value_measures)
+from ncorlicz.core_model import (CoreElement, core_luxemburg_norm, core_luxemburg_report,
+                                 core_modular_value, embed, interval)
+from ncorlicz.trace_orlicz import (AT_FINITENESS_BOUND, CONVERGED, DEFAULT_TOL, ZERO,
+                                   merged_steps, singular_value_measures)
 from ncorlicz.sampling import SplitMix64, rand_element, rand_unitary_element, rand_unitary_matrix
 from conftest import svd_singular_values
 
@@ -247,6 +248,11 @@ class TestFkIntegral:
 
 
 class TestLuxemburgNorm:
+    @pytest.mark.parametrize("norm", [luxemburg_report, luxemburg_norm, core_luxemburg_report,
+                                      core_luxemburg_norm])
+    def test_one_default_tolerance(self, norm):
+        assert inspect.signature(norm).parameters["tol"].default is DEFAULT_TOL
+
     def test_schatten_p(self, m2):
         x = Element(m2, [np.diag([3.0, 4.0])])
         assert luxemburg_norm(PowerFunction(2), x) == pytest.approx(5.0, rel=1e-11)
