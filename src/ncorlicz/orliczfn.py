@@ -65,14 +65,17 @@ class OrliczFunction:
         The entries are checked in one pass over the Python list that feeds
         ``_eval``: ``0 <= t < inf`` rejects negatives, NaN and +-inf and
         accepts -0.0, for which Phi(0) is returned.  A bad entry raises
-        ValidationError.
+        ValidationError.  A 1-D input, the modular sum's, is mapped as it
+        is; other shapes are flattened and the result reshaped.
         """
         arr = np.asarray(arr, dtype=np.float64)
-        ts = arr.ravel().tolist()
+        flat = arr.ndim == 1
+        ts = arr.tolist() if flat else arr.ravel().tolist()
         for t in ts:
             if not 0.0 <= t < INF:
                 raise ValidationError("eval_array takes finite nonnegative values")
-        return np.array([self._eval(t) for t in ts]).reshape(arr.shape)
+        out = np.array(list(map(self._eval, ts)))
+        return out if flat else out.reshape(arr.shape)
 
     def _eval(self, t: float) -> float:
         raise NotImplementedError

@@ -17,10 +17,13 @@ eigenvalues of x* x.  The Luxemburg gauge
 is found by a safeguarded bracketing root-find on u = log lam for
 g(u) = log tau(Phi(|x|/e^u)), which is nonincreasing and, for a power,
 linear; it covers the whole binary64 range of lam (see
-``_luxemburg_from_measures``).  In finite dimension
-the bounded-times-trace-class machinery collapses: every element is
-measurable, N itself is the whole space, and the closure E_Phi of
-N intersect L_Phi equals L_Phi as a set; see ``e_space_gauge``.
+``_luxemburg_from_measures``).  Every modular value, in the root-find and
+out of it, is one step sum sum_j m_j Phi(v_j / lam), added in step order on
+Python floats (``_step_sum``), so no norm or modular value depends on the
+BLAS build.  In finite dimension the bounded-times-trace-class machinery
+collapses: every element is measurable, N itself is the whole space, and the
+closure E_Phi of N intersect L_Phi equals L_Phi as a set; see
+``e_space_gauge``.
 """
 
 from __future__ import annotations
@@ -60,12 +63,14 @@ class RearrangementFunction:
 
     The one form of the distribution of |x|: read-only arrays of strictly
     decreasing positive ``values`` and of positive finite ``measures`` (the
-    ``steps``); the total mass is the trace of the spectral projection of |x|
-    on its singular values above the kernels' rounding floor, and the
-    function vanishes beyond it.
+    ``steps``); the total mass, summed once when the function is built, is
+    the trace of the spectral projection of |x| on its singular values above
+    the kernels' rounding floor, and the function vanishes beyond it.
+    ``modular`` and ``luxemburg`` read the measures as one Python list per
+    call and add the steps with ``_step_sum``.
     """
 
-    __slots__ = ("values", "measures")
+    __slots__ = ("values", "measures", "_mass")
 
     def __init__(self, steps):
         values, measures = [], []  # one pass: rearrangement builds one per Element
@@ -80,6 +85,7 @@ class RearrangementFunction:
                 raise ValidationError("step values must decrease strictly")
             values.append(v)
             measures.append(l)
+        object.__setattr__(self, "_mass", sum(measures))
         values, measures = np.array(values), np.array(measures)
         values.flags.writeable = measures.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -101,7 +107,7 @@ class RearrangementFunction:
         return 0.0
 
     def total_mass(self) -> float:
-        return sum(self.measures.tolist())
+        return self._mass
 
     def boundaries(self) -> list[tuple[float, float, float]]:
         """(t_start, t_end, value) triples of the steps."""
@@ -113,14 +119,12 @@ class RearrangementFunction:
         return rows
 
     def modular(self, phi: OrliczFunction, lam: float) -> float:
-        """tau(Phi(mu/lam)) as an extended real; 0*inf = 0 is honored because
-        only strictly positive measures enter, and a sum beyond binary64 is +inf."""
+        """tau(Phi(mu/lam)) as an extended real (``_step_sum``); 0*inf = 0 is
+        honored because only strictly positive measures enter, a sum beyond
+        binary64 is +inf, and no steps give 0.0."""
         if not (lam > 0):
             raise ValidationError("scale must be positive")
-        if self.values.size == 0:
-            return 0.0
-        return _step_sum(self.measures, phi.eval_array(self.values / float(lam)),
-                         self.total_mass())
+        return _step_sum(self.measures.tolist(), phi.eval_array(self.values / float(lam)))
 
     def luxemburg(self, phi: OrliczFunction, tol: float) -> "NormReport":
         """Luxemburg norm of the steps with its evaluation count, the modular
@@ -129,7 +133,7 @@ class RearrangementFunction:
             raise ValidationError(f"tolerance must lie in (0, 1), got {tol!r}")
         if not phi.is_young:
             raise ValidationError(f"{phi.label()} is not a Young function")
-        return _luxemburg_from_measures(self.values, self.measures, phi, tol)
+        return _luxemburg_from_measures(self.values, self.measures.tolist(), phi, tol)
 
     def matches(self, other: "RearrangementFunction") -> bool:
         """Whether two distributions agree up to rounding: the values of both,
@@ -190,21 +194,17 @@ def rearrangement(x: Element) -> RearrangementFunction:
     return x._singular
 
 
-def _step_sum(measures: np.ndarray, terms: np.ndarray, mass: float) -> float:
-    """sum_j measures_j terms_j for terms >= 0, as an extended real: +inf when a
-    term is +inf or the sum is beyond binary64.  ``mass`` = sum_j measures_j
-    bounds the sum by max(terms) * mass.  Only when that bound nears the
-    binary64 range is numpy's overflow warning silenced: an np.errstate costs
-    more than the sum of a few terms, and the root-find sums on every step.
-    The maximum is taken over a list, which on a few terms is cheaper than
-    numpy's reduction."""
-    top = max(terms.tolist(), default=0.0)
-    if top == INF:
-        return INF
-    if top * mass < 0.5 * _DBL_MAX:  # the sum, and its rounding, stay finite
-        return float(np.dot(measures, terms))
-    with np.errstate(over="ignore"):
-        return float(np.dot(measures, terms))
+def _step_sum(measures: list[float], terms: np.ndarray) -> float:
+    """sum_j measures_j terms_j for terms >= 0, as an extended real, added in
+    step order on Python floats.  A +inf term, or a product or sum beyond
+    binary64, gives +inf, and Python float arithmetic raises no warning there.
+    No BLAS kernel enters, so the value does not depend on the BLAS build,
+    and the loop, unlike ``sum`` (compensated from Python 3.12 on), rounds
+    after every addition on every Python."""
+    total = 0.0
+    for m, t in zip(measures, terms.tolist()):
+        total += m * t
+    return total
 
 
 def modular_value(phi: OrliczFunction, x: Element, lam: float) -> float:
@@ -285,7 +285,7 @@ def _log(m: float) -> float:
     return -INF if m == 0.0 else math.log(m)
 
 
-def _luxemburg_from_measures(values: np.ndarray, measures: np.ndarray,
+def _luxemburg_from_measures(values: np.ndarray, measures: list[float],
                              phi: OrliczFunction, tol: float) -> NormReport:
     """inf { lam : modular(lam) <= 1 } on singular data, by a safeguarded
     bracketing root-find on u = log lam for g(u) = log modular(e^u).
@@ -316,8 +316,7 @@ def _luxemburg_from_measures(values: np.ndarray, measures: np.ndarray,
     """
     if values.size == 0:
         return NormReport(0.0, 0, 0.0, ZERO)
-    vmax = float(np.max(values))
-    mass = sum(measures.tolist())
+    vmax = float(values[0])  # the values decrease strictly
     xf = phi.finiteness_bound
     trail: list[tuple[float, float]] = []  # (lam, modular) per evaluation
     lo = hi = None  # (lam, modular) at the ends of the bracket
@@ -332,7 +331,7 @@ def _luxemburg_from_measures(values: np.ndarray, measures: np.ndarray,
             return INF
         if len(trail) == EVALUATION_CAP:
             raise fail("evaluation cap reached")
-        m = _step_sum(measures, phi.eval_array(values / lam), mass)
+        m = _step_sum(measures, phi.eval_array(values / lam))
         trail.append((lam, m))
         return m
 
@@ -370,30 +369,35 @@ def _luxemburg_from_measures(values: np.ndarray, measures: np.ndarray,
         m = modular(lam)
 
     # zeroin: b is the end with the smaller |g|, c the other end, a the
-    # previous b; a point is (u, g, lam, modular).
+    # previous b; a point is u = log lam, g = log m, lam and the modular m.
     least = 0.5 * tol  # the least step in u: tol/2 relative in lam
-    b = (math.log(hi[0]), _log(hi[1])) + hi
-    a = c = (math.log(lo[0]), _log(lo[1])) + lo
-    d = e = c[0] - b[0]
+    blam, bm = hi
+    alam, am = clam, cm = lo
+    bu, bg = math.log(blam), _log(bm)
+    au = cu = math.log(clam)
+    ag = cg = _log(cm)
+    d = e = cu - bu
     while True:
-        if abs(c[1]) < abs(b[1]):
-            a, b, c = b, c, b
-        lo, hi = (b[2:], c[2:]) if b[3] > 1.0 else (c[2:], b[2:])
+        if abs(cg) < abs(bg):
+            au, ag, alam, am = bu, bg, blam, bm
+            bu, bg, blam, bm = cu, cg, clam, cm
+            cu, cg, clam, cm = au, ag, alam, am
+        lo, hi = ((blam, bm), (clam, cm)) if bm > 1.0 else ((clam, cm), (blam, bm))
         if hi[0] - lo[0] <= tol * hi[0]:
             if lo[1] == INF and hi[1] < 0.5 and phi.finite_valued:
                 raise fail(f"{phi.label()} overflows binary64 at the lower end, "
                            "so the bracket closed on the overflow, not on the root")
             return NormReport(hi[0], len(trail), hi[1], CONVERGED)
-        xm = 0.5 * (c[0] - b[0])
-        if b[1] == 0.0:  # modular exactly 1: step off b towards c
+        xm = 0.5 * (cu - bu)
+        if bg == 0.0:  # modular exactly 1: step off b towards c
             d = e = 0.0
-        elif abs(e) >= least and abs(a[1]) > abs(b[1]) and math.isfinite(a[1] + c[1]):
-            s = b[1] / a[1]
-            if a == c:  # secant
+        elif abs(e) >= least and abs(ag) > abs(bg) and math.isfinite(ag + cg):
+            s = bg / ag
+            if alam == clam:  # a is c: secant
                 p, q = 2.0 * xm * s, 1.0 - s
             else:  # inverse quadratic interpolation
-                q, r = a[1] / c[1], b[1] / c[1]
-                p = s * (2.0 * xm * q * (q - r) - (b[0] - a[0]) * (r - 1.0))
+                q, r = ag / cg, bg / cg
+                p = s * (2.0 * xm * q * (q - r) - (bu - au) * (r - 1.0))
                 q = (q - 1.0) * (r - 1.0) * (s - 1.0)
             q, p = (-q, p) if p > 0.0 else (q, -p)
             if 2.0 * p < min(3.0 * xm * q - abs(least * q), abs(e * q)):
@@ -402,18 +406,18 @@ def _luxemburg_from_measures(values: np.ndarray, measures: np.ndarray,
                 d = e = xm
         else:
             d = e = xm
-        a = b
-        u = b[0] + (d if abs(d) > least else math.copysign(least, xm))
+        au, ag, alam, am = bu, bg, blam, bm
+        u = bu + (d if abs(d) > least else math.copysign(least, xm))
         lam = min(max(math.exp(u), lo[0] * (1.0 + least)), hi[0] * (1.0 - least))
         if not lo[0] < lam < hi[0]:
             lam = lo[0] + 0.5 * (hi[0] - lo[0])
             if not lo[0] < lam < hi[0]:
                 raise fail(f"tolerance {tol!r} is below the binary64 resolution")
         m = modular(lam)
-        b = (math.log(lam), _log(m), lam, m)
-        if (m > 1.0) == (c[3] > 1.0):
-            c = a
-            d = e = b[0] - a[0]
+        bu, bg, blam, bm = math.log(lam), _log(m), lam, m
+        if (m > 1.0) == (cm > 1.0):
+            cu, cg, clam, cm = au, ag, alam, am
+            d = e = bu - au
 
 
 def luxemburg_report(phi: OrliczFunction, x: Element, tol: float = DEFAULT_TOL) -> NormReport:

@@ -246,6 +246,23 @@ def test_sampling_makes_no_numpy_transcendental_call():
     assert found == []
 
 
+def _blas_calls(defs, called_too=()):
+    """(name, call) for each BLAS product (a numpy product call or @) in the
+    named definitions, nested functions included, and each call named in
+    ``called_too``."""
+    banned = {"matmul", "dot", "vdot", "inner", "einsum", "tensordot", *called_too}
+    found = []
+    for name, tree in sorted(defs.items()):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append((name, "@"))
+            elif isinstance(node, ast.Call):
+                called = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if called in banned:
+                    found.append((name, called))
+    return found
+
+
 def test_stack_kernels_make_no_blas_call():
     # singular_values_stack and certifies_positive give each block the result
     # of a stack of one, bit for bit; a BLAS product would tie it to the
@@ -259,14 +276,18 @@ def test_stack_kernels_make_no_blas_call():
             scanned.add(name)
             todo += [n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name) and n.id in defs]
     assert {"_col_norms", "_tournament"} <= scanned
-    blas = {"matmul", "dot", "vdot", "inner", "einsum", "tensordot"}
-    found = []
-    for name in sorted(scanned):
-        for node in ast.walk(defs[name]):
-            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
-                found.append((name, "@"))
-            elif isinstance(node, ast.Call):
-                called = getattr(node.func, "attr", getattr(node.func, "id", None))
-                if called in blas:
-                    found.append((name, called))
-    assert found == []
+    assert _blas_calls({name: defs[name] for name in scanned}) == []
+
+
+def test_step_sum_makes_no_blas_call():
+    # Every modular value and norm adds its steps in step order on Python
+    # floats: a BLAS dot would tie the norms to the BLAS kernel, and an
+    # np.errstate would mean numpy arithmetic that can overflow.
+    path = Path(ncorlicz.__file__).parent / "trace_orlicz.py"
+    top = {node.name: node for node in ast.parse(path.read_text(encoding="utf-8")).body
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    methods = {node.name: node for node in top["RearrangementFunction"].body
+               if isinstance(node, ast.FunctionDef)}
+    defs = {name: top[name] for name in ("_step_sum", "_luxemburg_from_measures")}
+    defs |= {f"RearrangementFunction.{name}": methods[name] for name in ("modular", "luxemburg")}
+    assert _blas_calls(defs, called_too={"errstate"}) == []

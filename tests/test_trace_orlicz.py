@@ -1,22 +1,30 @@
+import hashlib
 import inspect
 import math
+import platform
 import re
+import struct
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ncorlicz import (ConvergenceError, CoshMinusOne, Element, JumpFunction, OrliczFunction,
-                      PowerFunction, RearrangementFunction, ValidationError, _linalg, absolute,
-                      dual_pairing, e_space_gauge, eigen_spectrum, fk_integral, luxemburg_norm,
-                      luxemburg_report, make_algebra, membership, modular_value, operator_norm,
-                      rearrangement, rearrangement_csv, registry, trace, young_conjugate)
+from ncorlicz import (ConvergenceError, CoshMinusOne, Element, ExpMinusOne, JumpFunction,
+                      OrliczFunction, PowerFunction, RearrangementFunction, ValidationError,
+                      _linalg, absolute, dual_pairing, e_space_gauge, eigen_spectrum, fk_integral,
+                      luxemburg_norm, luxemburg_report, make_algebra, membership, modular_value,
+                      operator_norm, rearrangement, rearrangement_csv, registry, trace,
+                      young_conjugate)
 from ncorlicz.algebra import block_singular_values
 from ncorlicz.core_model import (CoreElement, core_luxemburg_norm, core_luxemburg_report,
-                                 core_modular_value, embed, interval)
+                                 core_modular_value, core_rearrangement, dual_action, embed,
+                                 interval)
+from ncorlicz.orliczfn import XLogX
 from ncorlicz.trace_orlicz import (AT_FINITENESS_BOUND, CONVERGED, DEFAULT_TOL, ZERO,
                                    merged_steps, singular_value_measures)
-from ncorlicz.sampling import SplitMix64, rand_element, rand_unitary_element, rand_unitary_matrix
+from ncorlicz.sampling import (SplitMix64, rand_core_element, rand_element, rand_positive,
+                               rand_unitary_element, rand_unitary_matrix)
 from conftest import svd_singular_values
 
 INF = math.inf
@@ -722,6 +730,51 @@ def test_modular_sum_beyond_binary64_is_infinite(case):
     assert report.norm == pytest.approx(math.sqrt(c) * math.sqrt(1.0 + 0.999 ** 2), rel=1e-11)
 
 
+class TestStepSum:
+    """The modular sum_j m_j Phi(v_j / lam), added in step order on Python floats."""
+
+    @pytest.mark.parametrize("phi, steps", [
+        (JumpFunction(1.0), [(2.0, 1.0), (0.5, 1.0)]),
+        (ExpMinusOne(), [(1e3, 1e-300), (1.0, 1.0)]),
+        (PowerFunction(2.0), [(1e200, 1e-300), (1.0, 1.0)]),
+    ], ids=["jump", "exp1", "power2"])
+    def test_an_infinite_term_gives_an_infinite_modular(self, phi, steps):
+        assert RearrangementFunction(steps).modular(phi, 1.0) == INF
+
+    @pytest.mark.parametrize("steps", [[(1.5, 1e308), (1.0, 1e308)], [(2.0, 1e308)]],
+                             ids=["sum", "product"])
+    def test_finite_terms_beyond_binary64_give_inf_without_a_warning(self, steps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert RearrangementFunction(steps).modular(PowerFunction(1.0), 1.0) == INF
+
+    def test_core_modular_is_the_in_order_sum(self):
+        # The core measures c_i (e^-a - e^-b) are not dyadic, so the products
+        # round and the order and kind of the additions show in the last bits.
+        rng = SplitMix64(41)
+        alg = make_algebra([2, 3], [1.0, 0.5])
+        for _ in range(20):
+            mu = core_rearrangement(rand_core_element(rng, alg, pieces=4))
+            for phi in registry().values():
+                for lam in (0.5, 1.0, 3.0):
+                    want = 0.0
+                    for v, m in zip(mu.values.tolist(), mu.measures.tolist()):
+                        want += m * phi(v / lam)
+                    assert mu.modular(phi, lam) == want
+
+    def test_empty_distribution(self):
+        for phi in registry().values():
+            assert RearrangementFunction([]).modular(phi, 1.0) == 0.0
+
+    def test_total_mass_is_stored(self):
+        mu = core_rearrangement(rand_core_element(SplitMix64(43), make_algebra([2, 3], [1.0, 0.5]),
+                                                  pieces=4))
+        assert mu.total_mass() is mu.total_mass()
+        assert mu.total_mass() == sum(mu.measures.tolist())
+        with pytest.raises(AttributeError, match="^RearrangementFunction is immutable$"):
+            mu._mass = 1.0
+
+
 @pytest.mark.parametrize("weight", [1.0, 1e300, 1e308])
 def test_fk_integral_checks_the_identity_beyond_binary64(weight):
     # On weights 1e308 both sides of the identity at Phi(t) = t^2 leave
@@ -759,3 +812,69 @@ def test_operator_norm_reads_the_memoized_singular_values(m2m3, rng, count_calls
     assert operator_norm(x) == pytest.approx(want, rel=1e-12)
     assert eigh == []
     assert [kernel for kernel, _ in factored_blocks()] == ["scalar"] * m2m3.nblocks
+
+
+def _pinned_norm_calls():
+    """(label, call) pairs for the root-find digest: norm reports of seeded
+    Elements over the binary64 range and of seeded core elements, and inputs
+    whose root-find raises."""
+    alg = make_algebra([2, 3], [1.0, 0.5])
+    phis = list(registry().items()) + [("exp1", ExpMinusOne()), ("xlogx", XLogX())]
+    rng = SplitMix64(31)
+    calls = []
+    for scale in (1.0, 1e60, 1e-60, 1e150, 1e-150):
+        for _ in range(8):
+            x = rand_element(rng, alg, scale)
+            calls += [(name, lambda phi=phi, x=x: luxemburg_report(phi, x)) for name, phi in phis]
+    rng = SplitMix64(37)
+    for _ in range(100):
+        x = rand_core_element(rng, alg, pieces=4)
+        calls += [(f"core-{name}", lambda phi=phi, x=x: core_luxemburg_report(phi, x))
+                  for name, phi in registry().items()]
+    # Overflow next to the norm (tests/test_laws.py) and a tolerance below the
+    # binary64 resolution: each raises, and its message is pinned.
+    diag = np.diag([1.0, 0.5]).astype(complex)
+    base = rand_element(SplitMix64(17), alg)
+    for p in (1.0, 2.0):
+        phi = PowerFunction(p)
+        calls += [("subnormal-weight", lambda phi=phi, w=w: luxemburg_report(
+            phi, Element(make_algebra([2], [w]), [diag]))) for w in (1e-310, 1e-320)]
+        calls += [("weights-below-binary64", lambda phi=phi, k=k: luxemburg_report(
+            phi, Element(make_algebra([2, 3], [2.0**k, 0.5 * 2.0**k]), base.blocks)))
+            for k in (-1040, -1060, -1070)]
+    m2 = make_algebra([2], [1.0])
+    for phi in (PowerFunction(2.0), CoshMinusOne()):
+        calls += [("core-far-right", lambda phi=phi, a=a: core_luxemburg_report(
+            phi, CoreElement(m2, [(Element(m2, [diag]), interval(a, a + 1))]))) for a in (740, 760)]
+    cells = (interval(-4, -1), interval(0, 2.5), interval(6, "inf"))
+    core = CoreElement(alg, [(rand_positive(SplitMix64(19), alg), iv) for iv in cells])
+    calls += [("core-shift", lambda s=s: core_luxemburg_report(PowerFunction(2.0),
+                                                               dual_action(s, core)))
+              for s in (740, 1200)]
+    x = Element(m2, [np.diag([3.0, 1.0])])
+    calls += [("tol", lambda phi=phi: luxemburg_report(phi, x, tol=1e-17))
+              for phi in (CoshMinusOne(), ExpMinusOne())]
+    return calls
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64")
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="Phi calls the C library's pow, exp, log and sinh; the digest "
+                           "was taken with glibc on x86-64")
+def test_norm_reports_are_pinned():
+    # Any change to the root-find, the modular sum or Phi's evaluation that
+    # moves one bit of a report, or the text of an error, changes this digest.
+    digest, raised = hashlib.sha256(), 0
+    calls = _pinned_norm_calls()
+    for name, call in calls:
+        digest.update(name.encode())
+        try:
+            rep = call()
+        except (ValidationError, ConvergenceError) as exc:
+            raised += 1
+            digest.update(f"{type(exc).__name__}: {exc}".encode())
+        else:
+            digest.update(struct.pack("<dqd", rep.norm, rep.iterations, rep.modular_at_norm)
+                          + rep.reason.encode())
+    assert (len(calls), raised) == (798, 18)
+    assert digest.hexdigest() == "85ba85e13c4d6ee5f15bf4877f039b9cbfa71ba7e0190457a8acf519b1d77bca"
