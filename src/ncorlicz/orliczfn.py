@@ -65,17 +65,14 @@ class OrliczFunction:
         The entries are checked in one pass over the Python list that feeds
         ``_eval``: ``0 <= t < inf`` rejects negatives, NaN and +-inf and
         accepts -0.0, for which Phi(0) is returned.  A bad entry raises
-        ValidationError.  A 1-D input, the modular sum's, is mapped as it
-        is; other shapes are flattened and the result reshaped.
+        ValidationError.
         """
         arr = np.asarray(arr, dtype=np.float64)
-        flat = arr.ndim == 1
-        ts = arr.tolist() if flat else arr.ravel().tolist()
+        ts = arr.ravel().tolist()
         for t in ts:
             if not 0.0 <= t < INF:
                 raise ValidationError("eval_array takes finite nonnegative values")
-        out = np.array(list(map(self._eval, ts)))
-        return out if flat else out.reshape(arr.shape)
+        return np.array(list(map(self._eval, ts))).reshape(arr.shape)
 
     def _eval(self, t: float) -> float:
         raise NotImplementedError

@@ -63,14 +63,14 @@ class RearrangementFunction:
 
     The one form of the distribution of |x|: read-only arrays of strictly
     decreasing positive ``values`` and of positive finite ``measures`` (the
-    ``steps``); the total mass, summed once when the function is built, is
-    the trace of the spectral projection of |x| on its singular values above
-    the kernels' rounding floor, and the function vanishes beyond it.
+    ``steps``); the total mass is the trace of the spectral projection of |x|
+    on its singular values above the kernels' rounding floor, and the
+    function vanishes beyond it.
     ``modular`` and ``luxemburg`` read the measures as one Python list per
     call and add the steps with ``_step_sum``.
     """
 
-    __slots__ = ("values", "measures", "_mass")
+    __slots__ = ("values", "measures")
 
     def __init__(self, steps):
         values, measures = [], []  # one pass: rearrangement builds one per Element
@@ -85,7 +85,6 @@ class RearrangementFunction:
                 raise ValidationError("step values must decrease strictly")
             values.append(v)
             measures.append(l)
-        object.__setattr__(self, "_mass", sum(measures))
         values, measures = np.array(values), np.array(measures)
         values.flags.writeable = measures.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -107,7 +106,7 @@ class RearrangementFunction:
         return 0.0
 
     def total_mass(self) -> float:
-        return self._mass
+        return sum(self.measures.tolist())
 
     def boundaries(self) -> list[tuple[float, float, float]]:
         """(t_start, t_end, value) triples of the steps."""
