@@ -72,7 +72,7 @@ class OrliczFunction:
         for t in ts:
             if not 0.0 <= t < INF:
                 raise ValidationError("eval_array takes finite nonnegative values")
-        return np.array(list(map(self._eval, ts))).reshape(arr.shape)
+        return np.array([self._eval(t) for t in ts]).reshape(arr.shape)
 
     def _eval(self, t: float) -> float:
         raise NotImplementedError
