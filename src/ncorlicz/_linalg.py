@@ -420,11 +420,11 @@ def singular_values_stack(stack) -> np.ndarray:
     of ``_pow2_scale`` and its undo, ``_SAFE_LO``, ``ORTH_TOL``, the
     closed-form norm update with its cancellation guard (a squared norm that
     would fall below a quarter of its old value is recomputed from its
-    column), at most ``MAX_SWEEPS`` tournaments, and final norms recomputed
-    from the columns.  Every step is elementwise numpy or a sum within one
-    block, with no BLAS, so a block's values do not depend on the rest of the
-    stack: they are bit for bit those of a stack of one.  Non-finite entries
-    raise ValidationError.
+    column, and only such columns are re-normed), at most ``MAX_SWEEPS``
+    tournaments, and final norms recomputed from the columns.  Every step is
+    elementwise numpy or a sum within one block, with no BLAS, so a block's
+    values do not depend on the rest of the stack: they are bit for bit those
+    of a stack of one.  Non-finite entries raise ValidationError.
     """
     w, e = _pow2_scale(stack)
     m, n = w.shape[0], w.shape[-1]
@@ -466,9 +466,9 @@ def singular_values_stack(stack) -> np.ndarray:
             new = (c[..., None] * pairs + k * pairs[::-1]).reshape(h2, m, n)
             step = t * absg
             new_sq = np.concatenate((sq[:h] - step, sq[h:] + step))
-            ok = new_sq >= 0.25 * sq
-            if np.count_nonzero(ok) < ok.size:
-                new_sq = np.where(ok, new_sq, _col_norms(new) ** 2)
+            bad = ~(new_sq >= 0.25 * sq)
+            if np.count_nonzero(bad):
+                new_sq[bad] = _col_norms(new[bad]) ** 2
             cols, sq = new, new_sq
         cols, sq = cols[perm], sq[perm]
     vals = -np.sort(-_col_norms(cols).T, axis=1)[:, :n]

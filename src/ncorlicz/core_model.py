@@ -99,7 +99,10 @@ class CoreElement:
     """Finitely many (Element, interval) steps with pairwise disjoint intervals.
 
     Normalization drops exactly-zero pieces and keeps pieces sorted by left
-    endpoint; overlapping input intervals are rejected.
+    endpoint; overlapping input intervals are rejected.  Pieces that already
+    come in order, each ending at or before the next one starts, are accepted
+    in one pass (an end that is the next start's own Fraction object needs no
+    comparison); any other input is sorted and checked for overlaps.
     """
 
     __slots__ = ("algebra", "pieces")
@@ -113,10 +116,12 @@ class CoreElement:
                 raise ValidationError("piece interval must be an Interval")
             if not x.is_zero():
                 norm.append((x, iv))
-        norm.sort(key=lambda p: p[1].a)
-        for (_, u), (_, v) in zip(norm, norm[1:]):
-            if u.b is None or v.a < u.b:
-                raise ValidationError(f"intervals {u} and {v} overlap")
+        if not all(u.b is v.a or u.b is not None and u.b <= v.a
+                   for (_, u), (_, v) in zip(norm, norm[1:])):
+            norm.sort(key=lambda p: p[1].a)
+            for (_, u), (_, v) in zip(norm, norm[1:]):
+                if u.b is None or v.a < u.b:
+                    raise ValidationError(f"intervals {u} and {v} overlap")
         self.algebra = algebra
         self.pieces = tuple(norm)
 
@@ -146,14 +151,14 @@ class CoreElement:
         return self.map_pieces(absolute)
 
     def __add__(self, other):
-        return _cellwise(self, other, lambda a, b: a + b)
+        return _cellwise(self, other, lambda a, b: a + b, lambda b: b)
 
     def __sub__(self, other):
-        return _cellwise(self, other, lambda a, b: a - b)
+        return _cellwise(self, other, lambda a, b: a - b, Element.__neg__)
 
     def __mul__(self, other):
         if isinstance(other, CoreElement):
-            return _cellwise(self, other, lambda a, b: a * b, product=True)
+            return _cellwise(self, other, lambda a, b: a * b)
         return self.scale(other)
 
     def __rmul__(self, scalar):
@@ -174,20 +179,24 @@ def _steps(e: CoreElement):
     yield end, None
 
 
-def _cellwise(x: CoreElement, y: CoreElement, op, product=False) -> CoreElement:
+def _cellwise(x: CoreElement, y: CoreElement, op, y_alone=None) -> CoreElement:
     """Apply a blockwise binary operation on the common interval refinement.
 
     One merge walk over the sorted endpoints of x and y (``_steps``) visits
     the cells between consecutive cut points in order.  ``op`` runs once per
-    distinct pair of operand objects (a missing piece counts as zero), so the
-    cells on which the same two pieces meet share one immutable result, and
-    with it its memoized spectral data.  A ``product`` visits only the cells
-    where both operands have a piece: blocks are finite, so elsewhere it is
-    exactly zero, a piece the constructor would drop anyway.
+    distinct pair of operand objects on the cells where both operands have a
+    piece, so the cells on which the same two pieces meet share one immutable
+    result, and with it its memoized spectral data.  A cell where only x has
+    a piece holds that piece itself, memo and all, since x + 0 = x - 0 = x
+    exactly; one where only y has a piece holds ``y_alone`` of it, formed
+    once per distinct piece: y itself under a sum, -y under a difference.
+    No zero element is built.  A product passes no ``y_alone`` and visits
+    only the cells where both operands have a piece: blocks are finite, so
+    elsewhere it is exactly zero, a piece the constructor would drop anyway.
+    The cells come in order, so the constructor accepts them in one pass.
     """
     if x.algebra != y.algebra:
         raise ValidationError("core elements live in different algebras")
-    zero = None if product else x.algebra.zero()
     xs, ys = _steps(x), _steps(y)
     (s, xn), (t, yn) = next(xs, (None, None)), next(ys, (None, None))
     a = xa = yb = None  # the current cell starts at a, where x has xa and y has yb
@@ -197,10 +206,16 @@ def _cellwise(x: CoreElement, y: CoreElement, op, product=False) -> CoreElement:
         at_x = s is not None and (t is None or s is t or s <= t)
         at_y = t is not None and (not at_x or s is t or s == t)
         b = s if at_x else t  # the next cut point; None past the last
-        if (xa is not None and yb is not None) if product else (xa is not None or yb is not None):
+        if xa is not None and yb is not None:
             if (xa, yb) not in values:
-                values[xa, yb] = op(zero if xa is None else xa, zero if yb is None else yb)
+                values[xa, yb] = op(xa, yb)
             out.append((values[xa, yb], Interval(a, b)))
+        elif y_alone is not None and xa is not None:
+            out.append((xa, Interval(a, b)))
+        elif y_alone is not None and yb is not None:
+            if (None, yb) not in values:
+                values[None, yb] = y_alone(yb)
+            out.append((values[None, yb], Interval(a, b)))
         if b is None:
             return CoreElement(x.algebra, out)
         if at_x:

@@ -108,6 +108,40 @@ class TestConstruction:
         core = CoreElement(m2, [(x, interval(0, 1)), (m2.zero(), interval(2, 3))])
         assert len(core.pieces) == 1
 
+    def test_pieces_in_order_are_accepted_as_the_sort_would_order_them(self, m2, rng,
+                                                                        monkeypatch):
+        pool = [rand_element(rng, m2) for _ in range(2)]
+        compared = []
+        for name in ("__lt__", "__le__"):
+            original = getattr(Fraction, name)
+            monkeypatch.setattr(Fraction, name, lambda p, q, f=original: compared.append(1)
+                                or f(p, q))
+        for _ in range(300):
+            x, y = random_layout(rng, m2, pool), random_layout(rng, m2, pool)
+            # abutting cells of a sum share their cut point's Fraction, so only
+            # a gap between two cells costs a comparison
+            cells = list((x + y).pieces)
+            gaps = sum(u.b is not v.a for (_, u), (_, v) in zip(cells, cells[1:]))
+            compared.clear()
+            assert CoreElement(m2, cells).pieces == tuple(cells)
+            assert len(compared) == gaps
+            for pieces in (list(x.pieces), cells):
+                shuffled = pieces.copy()
+                for k in range(len(shuffled) - 1, 0, -1):
+                    j = rng.randint(k + 1)
+                    shuffled[k], shuffled[j] = shuffled[j], shuffled[k]
+                got = [CoreElement(m2, p).pieces for p in (pieces, shuffled)]
+                assert len(got[0]) == len(got[1]) == len(pieces)
+                assert all(p is q and u is v for (p, u), (q, v) in zip(*got))
+        x = pool[0]
+        for pieces, text in (([(x, interval(0, 2)), (x, interval(1, 3))],
+                              "intervals [0, 2) and [1, 3) overlap"),
+                             ([(x, interval(0, "inf")), (x, interval(1, 2))],
+                              "intervals [0, inf) and [1, 2) overlap")):
+            for order in (pieces, pieces[::-1]):
+                with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
+                    CoreElement(m2, order)
+
 
 def random_layout(rng, algebra, pool):
     """A step element on the grid 0, 1/2, ..., 4: each cell of the grid is a gap or
@@ -155,8 +189,11 @@ class TestArithmetic:
         pool = [rand_element(rng, m2) for _ in range(2)]
         calls = {op: count_calls(getattr(Element, f"__{op.__name__}__"))
                  for op in (operator.add, operator.sub, operator.mul)}
+        negated = count_calls(Element.__neg__)
         features = dict.fromkeys(("abut", "shared", "x_unbounded", "y_unbounded",
-                                  "both_unbounded", "empty", "adjacent_same"), 0)
+                                  "both_unbounded", "empty", "adjacent_same", "x_alone",
+                                  "y_alone"), 0)
+        zero = m2.zero()
         for _ in range(300):
             x, y = random_layout(rng, m2, pool), random_layout(rng, m2, pool)
             ends = [{p for _, iv in e.pieces for p in (iv.a, iv.b) if p is not None}
@@ -164,6 +201,7 @@ class TestArithmetic:
             inf = [any(iv.b is None for _, iv in e.pieces) for e in (x, y)]
             adjacent = [(p, q) for e in (x, y) for (p, u), (q, v) in zip(e.pieces, e.pieces[1:])
                         if u.b == v.a]
+            reference = reference_cells(x, y)
             features["abut"] += bool(adjacent)
             features["shared"] += bool(ends[0] & ends[1])
             features["x_unbounded"] += inf[0] and not inf[1]
@@ -171,26 +209,38 @@ class TestArithmetic:
             features["both_unbounded"] += inf[0] and inf[1]
             features["empty"] += x.is_zero() or y.is_zero()
             features["adjacent_same"] += any(p is q for p, q in adjacent)
+            features["x_alone"] += any(yb is None for _, _, _, yb in reference)
+            features["y_alone"] += any(xa is None for _, _, xa, _ in reference)
             for op, cells in calls.items():
-                want = [c for c in reference_cells(x, y)
+                want = [c for c in reference
                         if op is not operator.mul or (c[2] is not None and c[3] is not None)]
                 pairs = list(dict.fromkeys((xa, yb) for _, _, xa, yb in want))
+                both = [(xa, yb) for xa, yb in pairs if xa is not None and yb is not None]
                 cells.clear()
+                negated.clear()
                 out = op(x, y).pieces
-                # op ran once per distinct pair, on the operands' own pieces (zero if missing)
-                assert len(cells) == len(pairs)
-                for got, pair in zip(cells, pairs):
-                    assert all(g is w if w is not None else g.is_zero() for g, w in zip(got, pair))
-                zero = m2.zero()
+                # op ran once per distinct pair where both operands have a piece,
+                # on the operands' own pieces; -y once per distinct lone piece of y
+                assert len(cells) == len(both)
+                for got, pair in zip(cells, both):
+                    assert all(g is w for g, w in zip(got, pair))
+                lone_y = [yb for xa, yb in pairs if xa is None]
+                assert [g for g, in negated] == (lone_y if op is operator.sub else [])
                 value = {(xa, yb): op(zero if xa is None else xa, zero if yb is None else yb)
                          for xa, yb in pairs}
                 want = [(a, b, (xa, yb)) for a, b, xa, yb in want if not value[xa, yb].is_zero()]
                 assert [(iv.a, iv.b) for _, iv in out] == [(a, b) for a, b, _ in want]
                 shared = {}
-                for (piece, _), (_, _, pair) in zip(out, want):
-                    expected = value[pair].blocks
+                for (piece, _), (_, _, (xa, yb)) in zip(out, want):
+                    # a lone piece of x in x + y or x - y, or of y in x + y, is
+                    # that piece itself; -y in x - y equals the old 0 - y but for
+                    # the sign of an exact zero, which np.array_equal ignores
+                    lone = xa if yb is None else yb if xa is None and op is operator.add else None
+                    if lone is not None:
+                        assert piece is lone
+                    expected = value[xa, yb].blocks
                     assert all(np.array_equal(u, v) for u, v in zip(piece.blocks, expected))
-                    assert shared.setdefault(pair, piece) is piece
+                    assert shared.setdefault((xa, yb) if lone is None else lone, piece) is piece
                 assert len({id(piece) for piece, _ in out}) == len(shared)
         assert all(features.values()), features
 

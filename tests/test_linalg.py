@@ -429,6 +429,50 @@ def test_values_only_eigh_matches_the_full_solve():
     assert raised == 7
 
 
+def _pinned_stacks():
+    """Seeded stacks for ``test_stack_bits_are_pinned``: 19 blocks of 6x6, 19 of
+    2x2 and 12 of 3x3, then 19 of 6x6 with column k scaled by 2^-6k (down to
+    about 1e-9) and 19 of 6x6 of rank 3 (the last three columns are half the
+    first three).  Entries come from SplitMix64 uniforms and Python arithmetic,
+    so the inputs do not depend on numpy's generators or BLAS."""
+    rng = SplitMix64(34)
+
+    def stack(m, n):
+        return np.array([[[complex(2.0 * rng.uniform() - 1.0, 2.0 * rng.uniform() - 1.0)
+                           for _ in range(n)] for _ in range(n)] for _ in range(m)])
+
+    graded = stack(19, 6) * np.array([math.ldexp(1.0, -6 * k) for k in range(6)])
+    deficient = stack(19, 6)
+    deficient[..., 3:] = 0.5 * deficient[..., :3]
+    return [stack(19, 6), stack(19, 2), stack(12, 3), graded, deficient]
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64")
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="abs() of a complex calls the C library's hypot; the digest "
+                           "was taken with glibc on x86-64")
+def test_stack_bits_are_pinned(monkeypatch):
+    # Any change to the stacked kernel that moves one bit of a value changes
+    # this digest; the blocks are above the stacking crossover, which the
+    # norm digests' small pieces stay below.  The kernel norms all columns
+    # once at the start and once at the end; a further call is the
+    # cancellation guard, which must run here.
+    col_norms, shapes = _linalg._col_norms, []
+
+    def spy(cols):
+        shapes.append(cols.shape)
+        return col_norms(cols)
+
+    monkeypatch.setattr(_linalg, "_col_norms", spy)
+    digest, guarded = hashlib.sha256(), 0
+    for stack in _pinned_stacks():
+        shapes.clear()
+        digest.update(singular_values_stack(stack).tobytes())
+        guarded += len(shapes) > 2
+    assert guarded
+    assert digest.hexdigest() == "5d5005c33f16d3f42eb2881ea5dfc537bc3ae3966ee0ad8a3e79cdbfceef6159"
+
+
 @settings(max_examples=60, deadline=None)
 @given(_blocks(), st.integers(-500, 500))
 def test_eigh_commutes_with_powers_of_two(a, k):
