@@ -99,10 +99,7 @@ class CoreElement:
     """Finitely many (Element, interval) steps with pairwise disjoint intervals.
 
     Normalization drops exactly-zero pieces and keeps pieces sorted by left
-    endpoint; overlapping input intervals are rejected.  Pieces that already
-    come in order, each ending at or before the next one starts, are accepted
-    in one pass (an end that is the next start's own Fraction object needs no
-    comparison); any other input is sorted and checked for overlaps.
+    endpoint; overlapping input intervals are rejected.
     """
 
     __slots__ = ("algebra", "pieces")
@@ -116,12 +113,10 @@ class CoreElement:
                 raise ValidationError("piece interval must be an Interval")
             if not x.is_zero():
                 norm.append((x, iv))
-        if not all(u.b is v.a or u.b is not None and u.b <= v.a
-                   for (_, u), (_, v) in zip(norm, norm[1:])):
-            norm.sort(key=lambda p: p[1].a)
-            for (_, u), (_, v) in zip(norm, norm[1:]):
-                if u.b is None or v.a < u.b:
-                    raise ValidationError(f"intervals {u} and {v} overlap")
+        norm.sort(key=lambda p: p[1].a)
+        for (_, u), (_, v) in zip(norm, norm[1:]):
+            if u.b is None or v.a < u.b:
+                raise ValidationError(f"intervals {u} and {v} overlap")
         self.algebra = algebra
         self.pieces = tuple(norm)
 
@@ -187,13 +182,14 @@ def _cellwise(x: CoreElement, y: CoreElement, op, y_alone=None) -> CoreElement:
     distinct pair of operand objects on the cells where both operands have a
     piece, so the cells on which the same two pieces meet share one immutable
     result, and with it its memoized spectral data.  A cell where only x has
-    a piece holds that piece itself, memo and all, since x + 0 = x - 0 = x
-    exactly; one where only y has a piece holds ``y_alone`` of it, formed
-    once per distinct piece: y itself under a sum, -y under a difference.
-    No zero element is built.  A product passes no ``y_alone`` and visits
+    a piece holds that piece itself, memo and all; one where only y has a
+    piece holds ``y_alone`` of it, formed once per distinct piece: y itself
+    under a sum, -y under a difference.  Each equals the zero-filled x + 0,
+    x - 0, 0 + y or 0 - y up to the sign of exact zeros (in binary64
+    -0.0 + 0.0 is +0.0, and -(+0.0) is -0.0), which no value reads.  No
+    zero element is built.  A product passes no ``y_alone`` and visits
     only the cells where both operands have a piece: blocks are finite, so
     elsewhere it is exactly zero, a piece the constructor would drop anyway.
-    The cells come in order, so the constructor accepts them in one pass.
     """
     if x.algebra != y.algebra:
         raise ValidationError("core elements live in different algebras")

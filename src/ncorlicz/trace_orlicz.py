@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import groupby
 from operator import itemgetter
 
 import numpy as np
@@ -153,19 +154,11 @@ class RearrangementFunction:
 
 def merged_steps(pairs: list[tuple[float, float]]) -> list[tuple[float, float]]:
     """The steps of (value, measure) pairs: sorted descending, with the
-    measures of equal values added in one pass, each to the step before it,
-    in sorted order; values that differ, by however little, stay apart.  The
-    one merge of the base's blocks and of every block of the core's pieces at
-    once; sorts ``pairs`` in place."""
+    measures of equal values added; values that differ, by however little,
+    stay apart.  The one merge of the base's blocks and of every block
+    of the core's pieces at once; sorts ``pairs`` in place."""
     pairs.sort(key=itemgetter(0), reverse=True)
-    steps, last = [], None
-    for v, m in pairs:
-        if v == last:
-            steps[-1] = (last, steps[-1][1] + m)
-        else:
-            steps.append((v, m))
-            last = v
-    return steps
+    return [(v, sum(m for _, m in tied)) for v, tied in groupby(pairs, key=itemgetter(0))]
 
 
 def singular_pairs(x: Element, mass: float = 1.0) -> list[tuple[float, float]]:

@@ -108,23 +108,11 @@ class TestConstruction:
         core = CoreElement(m2, [(x, interval(0, 1)), (m2.zero(), interval(2, 3))])
         assert len(core.pieces) == 1
 
-    def test_pieces_in_order_are_accepted_as_the_sort_would_order_them(self, m2, rng,
-                                                                        monkeypatch):
+    def test_pieces_in_any_order_give_the_same_element(self, m2, rng):
         pool = [rand_element(rng, m2) for _ in range(2)]
-        compared = []
-        for name in ("__lt__", "__le__"):
-            original = getattr(Fraction, name)
-            monkeypatch.setattr(Fraction, name, lambda p, q, f=original: compared.append(1)
-                                or f(p, q))
         for _ in range(300):
             x, y = random_layout(rng, m2, pool), random_layout(rng, m2, pool)
-            # abutting cells of a sum share their cut point's Fraction, so only
-            # a gap between two cells costs a comparison
             cells = list((x + y).pieces)
-            gaps = sum(u.b is not v.a for (_, u), (_, v) in zip(cells, cells[1:]))
-            compared.clear()
-            assert CoreElement(m2, cells).pieces == tuple(cells)
-            assert len(compared) == gaps
             for pieces in (list(x.pieces), cells):
                 shuffled = pieces.copy()
                 for k in range(len(shuffled) - 1, 0, -1):
@@ -132,7 +120,8 @@ class TestConstruction:
                     shuffled[k], shuffled[j] = shuffled[j], shuffled[k]
                 got = [CoreElement(m2, p).pieces for p in (pieces, shuffled)]
                 assert len(got[0]) == len(got[1]) == len(pieces)
-                assert all(p is q and u is v for (p, u), (q, v) in zip(*got))
+                assert all(p is q is r and u is v is w
+                           for (p, u), (q, v), (r, w) in zip(pieces, *got))
         x = pool[0]
         for pieces, text in (([(x, interval(0, 2)), (x, interval(1, 3))],
                               "intervals [0, 2) and [1, 3) overlap"),
@@ -233,8 +222,10 @@ class TestArithmetic:
                 shared = {}
                 for (piece, _), (_, _, (xa, yb)) in zip(out, want):
                     # a lone piece of x in x + y or x - y, or of y in x + y, is
-                    # that piece itself; -y in x - y equals the old 0 - y but for
-                    # the sign of an exact zero, which np.array_equal ignores
+                    # that piece itself, and one of y in x - y is -y; each equals
+                    # the old zero-filled value but for the sign of an exact zero
+                    # (-0.0 + 0.0 is +0.0, -(+0.0) is -0.0), which np.array_equal
+                    # ignores
                     lone = xa if yb is None else yb if xa is None and op is operator.add else None
                     if lone is not None:
                         assert piece is lone
