@@ -39,7 +39,8 @@ class OrliczFunction:
     """Base for Young functions on [0, inf) with evaluation and metadata.
 
     Subclasses fill in ``_eval`` only, the one definition of the function that
-    both ``__call__`` and ``eval_array`` evaluate, plus the declared flags:
+    both ``__call__`` and ``eval_array`` evaluate (a list of floats to a list,
+    an array to an array of its shape), plus the declared flags:
     ``is_orlicz`` (continuous, positive off 0, divergent), the finiteness
     bound ``x_f`` (inf when finite-valued everywhere), and the declared
     Delta_2 verdicts where the family has a known answer.
@@ -59,20 +60,26 @@ class OrliczFunction:
     def __call__(self, t) -> float:
         return self._eval(_check_arg(t))
 
-    def eval_array(self, arr: np.ndarray) -> np.ndarray:
-        """Phi entrywise, in the shape of ``arr``.
+    def eval_array(self, arr: list[float] | np.ndarray) -> list[float] | np.ndarray:
+        """Phi entrywise: a Python list of floats gives a list of floats, any
+        other input an ndarray in the shape of ``arr``.  The root-find's
+        modular evaluations pass lists, so they make no ndarray at all.
 
         The entries are checked in one pass over the Python list that feeds
         ``_eval``: ``0 <= t < inf`` rejects negatives, NaN and +-inf and
         accepts -0.0, for which Phi(0) is returned.  A bad entry raises
         ValidationError.
         """
-        arr = np.asarray(arr, dtype=np.float64)
-        ts = arr.ravel().tolist()
+        if type(arr) is list:
+            ts = arr
+        else:
+            arr = np.asarray(arr, dtype=np.float64)
+            ts = arr.ravel().tolist()
         for t in ts:
             if not 0.0 <= t < INF:
                 raise ValidationError("eval_array takes finite nonnegative values")
-        return np.array([self._eval(t) for t in ts]).reshape(arr.shape)
+        out = [self._eval(t) for t in ts]
+        return out if ts is arr else np.array(out).reshape(arr.shape)
 
     def _eval(self, t: float) -> float:
         raise NotImplementedError

@@ -18,9 +18,9 @@ is found by a safeguarded bracketing root-find on u = log lam for
 g(u) = log tau(Phi(|x|/e^u)), which is nonincreasing and, for a power,
 linear; it covers the whole binary64 range of lam (see
 ``_luxemburg_from_measures``).  Every modular value, in the root-find and
-out of it, is one step sum sum_j m_j Phi(v_j / lam), added in step order on
-Python floats (``_step_sum``), so no norm or modular value depends on the
-BLAS build.  In finite dimension the bounded-times-trace-class machinery
+out of it, is one step sum sum_j m_j Phi(v_j / lam), with Phi evaluated on
+a list of Python floats and the terms added in step order (``_step_sum``), so
+no norm or modular value depends on the BLAS build.  In finite dimension the bounded-times-trace-class machinery
 collapses: every element is measurable, N itself is the whole space, and the
 closure E_Phi of N intersect L_Phi equals L_Phi as a set; see
 ``e_space_gauge``.
@@ -66,8 +66,9 @@ class RearrangementFunction:
     ``steps``); the total mass is the trace of the spectral projection of |x|
     on its singular values above the kernels' rounding floor, and the
     function vanishes beyond it.
-    ``modular`` and ``luxemburg`` read the measures as one Python list per
-    call and add the steps with ``_step_sum``.
+    ``modular`` and ``luxemburg`` read the values and the measures as
+    Python lists, once per call, hand Phi the list of v_j / lam and add the
+    steps with ``_step_sum``: no modular evaluation builds an ndarray.
     """
 
     __slots__ = ("values", "measures")
@@ -120,10 +121,16 @@ class RearrangementFunction:
     def modular(self, phi: OrliczFunction, lam: float) -> float:
         """tau(Phi(mu/lam)) as an extended real (``_step_sum``); 0*inf = 0 is
         honored because only strictly positive measures enter, a sum beyond
-        binary64 is +inf, and no steps give 0.0."""
+        binary64 is +inf, and no steps give 0.0.  A scale that puts v_max / lam
+        beyond binary64 raises ValidationError: m Phi(v/lam) may still be
+        finite there, so +inf would be a guess."""
         if not (lam > 0):
             raise ValidationError("scale must be positive")
-        return _step_sum(self.measures.tolist(), phi.eval_array(self.values / float(lam)))
+        lam, values = float(lam), self.values.tolist()
+        if values and values[0] / lam > _DBL_MAX:
+            raise ValidationError(f"scale {lam!r} puts v_max / lam = {values[0]!r} / {lam!r} "
+                                  "beyond the binary64 range")
+        return _step_sum(self.measures.tolist(), phi.eval_array([v / lam for v in values]))
 
     def luxemburg(self, phi: OrliczFunction, tol: float) -> "NormReport":
         """Luxemburg norm of the steps with its evaluation count, the modular
@@ -132,7 +139,7 @@ class RearrangementFunction:
             raise ValidationError(f"tolerance must lie in (0, 1), got {tol!r}")
         if not phi.is_young:
             raise ValidationError(f"{phi.label()} is not a Young function")
-        return _luxemburg_from_measures(self.values, self.measures.tolist(), phi, tol)
+        return _luxemburg_from_measures(self.values.tolist(), self.measures.tolist(), phi, tol)
 
     def matches(self, other: "RearrangementFunction") -> bool:
         """Whether two distributions agree up to rounding: the values of both,
@@ -193,15 +200,16 @@ def rearrangement(x: Element) -> RearrangementFunction:
     return x._singular
 
 
-def _step_sum(measures: list[float], terms: np.ndarray) -> float:
+def _step_sum(measures: list[float], terms: list[float]) -> float:
     """sum_j measures_j terms_j for terms >= 0, as an extended real, added in
-    step order on Python floats.  A +inf term, or a product or sum beyond
+    step order on Python floats; ``terms`` is the list that ``eval_array``
+    gives back for the list of v_j / lam.  A +inf term, or a product or sum beyond
     binary64, gives +inf, and Python float arithmetic raises no warning there.
     No BLAS kernel enters, so the value does not depend on the BLAS build,
     and the loop, unlike ``sum`` (compensated from Python 3.12 on), rounds
     after every addition on every Python."""
     total = 0.0
-    for m, t in zip(measures, terms.tolist()):
+    for m, t in zip(measures, terms):
         total += m * t
     return total
 
@@ -284,7 +292,7 @@ def _log(m: float) -> float:
     return -INF if m == 0.0 else math.log(m)
 
 
-def _luxemburg_from_measures(values: np.ndarray, measures: list[float],
+def _luxemburg_from_measures(values: list[float], measures: list[float],
                              phi: OrliczFunction, tol: float) -> NormReport:
     """inf { lam : modular(lam) <= 1 } on singular data, by a safeguarded
     bracketing root-find on u = log lam for g(u) = log modular(e^u).
@@ -313,9 +321,9 @@ def _luxemburg_from_measures(values: np.ndarray, measures: list[float],
     (only an overflow can give that) while modular(lam) < 1/2: the bracket
     then closed on the overflow edge, not on the root.
     """
-    if values.size == 0:
+    if not values:
         return NormReport(0.0, 0, 0.0, ZERO)
-    vmax = float(values[0])  # the values decrease strictly
+    vmax = values[0]  # the values decrease strictly
     xf = phi.finiteness_bound
     trail: list[tuple[float, float]] = []  # (lam, modular) per evaluation
     lo = hi = None  # (lam, modular) at the ends of the bracket
@@ -330,7 +338,7 @@ def _luxemburg_from_measures(values: np.ndarray, measures: list[float],
             return INF
         if len(trail) == EVALUATION_CAP:
             raise fail("evaluation cap reached")
-        m = _step_sum(measures, phi.eval_array(values / lam))
+        m = _step_sum(measures, phi.eval_array([v / lam for v in values]))
         trail.append((lam, m))
         return m
 

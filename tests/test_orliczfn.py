@@ -96,7 +96,8 @@ def test_eval_rejects_negative():
 def test_eval_array_matches_scalar():
     # One Phi per family: the array route returns the scalar values bit for
     # bit (inf where the scalar is inf), so a norm and the references and
-    # suite cases that call phi(t) evaluate the same function.
+    # suite cases that call phi(t) evaluate the same function.  The list
+    # route, which the root-find takes, returns a list of the same floats.
     grid = np.concatenate([np.linspace(0.0, 5.0, 1000), np.geomspace(1e-300, 1e300, 1000)])
     table = TabulatedFunction([(0, 0), (1, 0.5), (2, 2), (4, 7)])
     phis = list(registry().values())
@@ -106,6 +107,9 @@ def test_eval_array_matches_scalar():
         arr = phi.eval_array(grid)
         assert arr.shape == grid.shape and arr.dtype == np.float64
         assert np.array_equal(arr, [phi(t) for t in grid.tolist()]), phi.label()
+        out = phi.eval_array(grid.tolist())
+        assert type(out) is list and all(type(v) is float for v in out), phi.label()
+        assert np.array(out).tobytes() == arr.tobytes(), phi.label()
     assert np.array_equal(table.eval_array(grid.reshape(40, 50)),
                           table.eval_array(grid).reshape(40, 50))
 
@@ -113,14 +117,16 @@ def test_eval_array_matches_scalar():
 @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, INF, -INF])
 def test_eval_array_rejects_invalid_entries(bad):
     for phi in registry().values():
-        with pytest.raises(ValidationError):
-            phi.eval_array(np.array([0.5, bad, 2.0]))
+        for ts in (np.array([0.5, bad, 2.0]), [0.5, bad, 2.0]):
+            with pytest.raises(ValidationError, match="^eval_array takes finite nonnegative values$"):
+                phi.eval_array(ts)
 
 
 def test_eval_array_accepts_negative_zero():
     for phi in registry().values():
-        out = phi.eval_array(np.array([-0.0, 1.0]))
-        assert out[0] == phi(0.0) and out[1] == phi(1.0), phi.label()
+        for ts in (np.array([-0.0, 1.0]), [-0.0, 1.0]):
+            out = phi.eval_array(ts)
+            assert out[0] == phi(0.0) and out[1] == phi(1.0), phi.label()
 
 
 @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])

@@ -102,6 +102,23 @@ def test_benchmark_tracer_binds_names_that_exist():
         assert callable(getattr(owner, name)), name
 
 
+def test_no_orlicz_function_overrides_eval_array():
+    # perfbench/tracer.py counts modular evaluations by wrapping the base
+    # OrliczFunction.eval_array only; an override in a subclass would drop
+    # that subclass's evaluations from orliczfn.evals without a sound.
+    for name in SUBMODULES:
+        importlib.import_module(f"ncorlicz.{name}")
+    from ncorlicz.orliczfn import OrliczFunction
+
+    todo, seen = [OrliczFunction], []
+    while todo:
+        cls = todo.pop()
+        seen.append(cls.__name__)
+        todo += cls.__subclasses__()
+        assert cls is OrliczFunction or "eval_array" not in cls.__dict__, cls.__qualname__
+    assert {"PowerFunction", "TabulatedFunction", "NumericalConjugate"} <= set(seen)
+
+
 def test_library_factors_with_its_own_kernels():
     # The _linalg kernels keep results independent of the BLAS build; numpy's
     # LAPACK wrappers would not, so the library calls none of them but norm.

@@ -762,6 +762,19 @@ class TestStepSum:
         for phi in registry().values():
             assert RearrangementFunction([]).modular(phi, 1.0) == 0.0
 
+    @pytest.mark.parametrize("read", [modular_value, core_modular_value], ids=["base", "core"])
+    def test_scale_beyond_binary64_names_the_scale(self, read):
+        # v_max / lam = 1e310 leaves binary64 although lam and v_max are
+        # binary64 numbers.  m Phi(v / lam) may still be finite at such a
+        # scale (ROADMAP D9), so the modular names the scale and the range
+        # instead of returning +inf; one ratio in range evaluates Phi.
+        x = Element(make_algebra([2], [1.0]), [np.diag([1e300, 1.0]).astype(complex)])
+        x = embed(x) if read is core_modular_value else x
+        message = "scale 1e-10 puts v_max / lam = 1e+300 / 1e-10 beyond the binary64 range"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            read(PowerFunction(2), x, 1e-10)
+        assert read(PowerFunction(1), x, 1e-8) == pytest.approx(1e308, rel=1e-15)
+
 
 @pytest.mark.parametrize("weight", [1.0, 1e300, 1e308])
 def test_fk_integral_checks_the_identity_beyond_binary64(weight):
