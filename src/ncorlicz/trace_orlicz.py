@@ -20,10 +20,10 @@ linear; it covers the whole binary64 range of lam (see
 ``_luxemburg_from_measures``).  Every modular value, in the root-find and
 out of it, is one step sum sum_j m_j Phi(v_j / lam), with Phi evaluated on
 a list of Python floats and the terms added in step order (``_step_sum``), so
-no norm or modular value depends on the BLAS build.  In finite dimension the bounded-times-trace-class machinery
-collapses: every element is measurable, N itself is the whole space, and the
-closure E_Phi of N intersect L_Phi equals L_Phi as a set; see
-``e_space_gauge``.
+no norm or modular value depends on the BLAS build.  In finite dimension the
+bounded-times-trace-class machinery collapses: every element is measurable,
+N itself is the whole space, and the closure E_Phi of N intersect L_Phi
+equals L_Phi as a set; see ``e_space_gauge``.
 """
 
 from __future__ import annotations
@@ -203,8 +203,9 @@ def rearrangement(x: Element) -> RearrangementFunction:
 def _step_sum(measures: list[float], terms: list[float]) -> float:
     """sum_j measures_j terms_j for terms >= 0, as an extended real, added in
     step order on Python floats; ``terms`` is the list that ``eval_array``
-    gives back for the list of v_j / lam.  A +inf term, or a product or sum beyond
-    binary64, gives +inf, and Python float arithmetic raises no warning there.
+    gives back for the list of v_j / lam.  A +inf term, or a product or sum
+    beyond binary64, gives +inf, and Python float arithmetic raises no warning
+    there.
     No BLAS kernel enters, so the value does not depend on the BLAS build,
     and the loop, unlike ``sum`` (compensated from Python 3.12 on), rounds
     after every addition on every Python."""
