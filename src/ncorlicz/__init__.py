@@ -29,8 +29,7 @@ _EXPORTS = {
                 "modular_flow", "radon_nikodym_sqrt", "relative_modular", "standard_form"),
     "orliczfn": ("CoshMinusOne", "ExpMinusOne", "JumpFunction", "OrliczFunction",
                  "PowerFunction", "TabulatedFunction", "check_delta2", "check_n_function",
-                 "midpoint_convexity_gap", "numeric_conjugate_value", "registry",
-                 "young_conjugate"),
+                 "numeric_conjugate_value", "registry", "young_conjugate"),
     "sampling": ("SplitMix64",),
     "trace_orlicz": ("MembershipFlags", "NormReport", "RearrangementFunction",
                      "dual_pairing", "e_space_gauge", "fk_integral", "luxemburg_norm",

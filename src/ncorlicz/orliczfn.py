@@ -42,16 +42,21 @@ class OrliczFunction:
     both ``__call__`` and ``eval_array`` evaluate (a list of floats to a list,
     an array to an array of its shape), plus the declared flags:
     ``is_orlicz`` (continuous, positive off 0, divergent), the finiteness
-    bound ``x_f`` (inf when finite-valued everywhere), and the declared
-    Delta_2 verdicts where the family has a known answer.
+    bound ``x_f`` (inf when finite-valued everywhere), and the verdicts that
+    every family declares from its closed form or its knots, never from a
+    scan (Rao & Ren, Theory of Orlicz Spaces, 1991, ch. 2): ``delta2_global``
+    and ``delta2_local``, ``delta2_witness`` (an x where global Delta_2 fails
+    outright, see ``Delta2Report``) and ``n_function``.
     """
 
     family = "?"
     is_orlicz = True
     is_young = True
     finiteness_bound = INF
-    delta2_global: bool | None = None
-    delta2_local: bool | None = None
+    delta2_global: bool
+    delta2_local: bool
+    delta2_witness: float | None = None
+    n_function: bool
 
     @property
     def finite_valued(self) -> bool:
@@ -95,7 +100,10 @@ class OrliczFunction:
 
 
 class PowerFunction(OrliczFunction):
-    """a * t^p with a > 0, p >= 1."""
+    """a * t^p with a > 0, p >= 1: Delta_2 with lambda = 2^p, an N-function when p > 1."""
+
+    delta2_global = True
+    delta2_local = True
 
     def __init__(self, p: float, coef: float = 1.0):
         p = float(p)
@@ -107,9 +115,7 @@ class PowerFunction(OrliczFunction):
         self.p = p
         self.coef = coef
         self.family = "power" if coef == 1.0 else ("scaled-power" if coef == 1.0 / p else "cpower")
-        self.delta2_global = True
-        self.delta2_local = True
-        self.is_orlicz = True
+        self.n_function = p > 1.0
 
     def _eval(self, t):
         try:
@@ -142,14 +148,16 @@ class JumpFunction(OrliczFunction):
 
     Left-continuous at the jump, so f(b) = 0.  Not an Orlicz function (it
     vanishes off 0 and jumps), but a Young function.  Global Delta_2 fails
-    with an infinite jump witness; the local condition holds vacuously for
-    any x0 > b because both sides are +inf there and inf <= lambda*inf.
+    with witness b (f(b) = 0, f(2b) = inf); the local condition holds
+    vacuously for any x0 > b because both sides are +inf there and
+    inf <= lambda*inf.
     """
 
     family = "jump"
     is_orlicz = False
     delta2_global = False
     delta2_local = True
+    n_function = False
 
     def __init__(self, bound: float = 1.0):
         bound = float(bound)
@@ -157,6 +165,7 @@ class JumpFunction(OrliczFunction):
             raise ValidationError(f"jump bound must be positive, got {bound!r}")
         self.bound = bound
         self.finiteness_bound = bound
+        self.delta2_witness = bound
 
     def _eval(self, t):
         return 0.0 if t <= self.bound else INF
@@ -170,11 +179,15 @@ class JumpFunction(OrliczFunction):
 
 class CoshMinusOne(OrliczFunction):
     """cosh(t) - 1, evaluated as 2 sinh(t/2)^2, which keeps its relative
-    accuracy where cosh(t) - 1 cancels (to exactly 0 below t ~ 1e-8)."""
+    accuracy where cosh(t) - 1 cancels (to exactly 0 below t ~ 1e-8).
+
+    An N-function; Delta_2 fails by growth, f(2x)/f(x) ~ e^x.
+    """
 
     family = "cosh1"
     delta2_global = False
     delta2_local = False
+    n_function = True
 
     def _eval(self, t):
         if 0.5 * t > _LOG_DBL_MAX:
@@ -191,12 +204,14 @@ class CoshDual(OrliczFunction):
 
     Evaluated as s (asinh(s) - s / (1 + hypot(1, s))), since sqrt(1+s^2) - 1
     = s^2 / (1 + hypot(1, s)): the direct form cancels (to exactly 0 below
-    s ~ 1e-8), and this one neither cancels nor forms s^2.
+    s ~ 1e-8), and this one neither cancels nor forms s^2.  An N-function
+    of growth s log s, so Delta_2 holds.
     """
 
     family = "cosh1-dual"
     delta2_global = True
     delta2_local = True
+    n_function = True
 
     def _eval(self, t):
         return t * (math.asinh(t) - t / (1.0 + math.hypot(1.0, t)))
@@ -206,11 +221,12 @@ class CoshDual(OrliczFunction):
 
 
 class ExpMinusOne(OrliczFunction):
-    """exp(t) - 1."""
+    """exp(t) - 1: Delta_2 fails by growth; not an N-function, f(t)/t -> 1 at 0."""
 
     family = "exp1"
     delta2_global = False
     delta2_local = False
+    n_function = False
 
     def _eval(self, t):
         return INF if t > _LOG_DBL_MAX else math.expm1(t)
@@ -220,12 +236,18 @@ class ExpMinusOne(OrliczFunction):
 
 
 class XLogX(OrliczFunction):
-    """0 on [0, 1], then s*log(s) - s + 1; the conjugate of exp - 1."""
+    """0 on [0, 1], then s*log(s) - s + 1; the conjugate of exp - 1.
+
+    Global Delta_2 fails with witness 1 (f(1) = 0 < f(2)), local Delta_2
+    holds (f(2s)/f(s) -> 2), and vanishing on [0, 1] it is no N-function.
+    """
 
     family = "xlogx"
     is_orlicz = False
-    delta2_global = True
+    delta2_global = False
     delta2_local = True
+    delta2_witness = 1.0
+    n_function = False
 
     def _eval(self, t):
         return 0.0 if t <= 1.0 else t * math.log(t) - t + 1.0
@@ -239,10 +261,15 @@ class TabulatedFunction(OrliczFunction):
 
     Knots must start at (0, 0), include one with t > 0, have strictly
     increasing t, nondecreasing v and nondecreasing secant slopes (convexity);
-    a convexity violation is rejected with the witness triple.
+    a convexity violation is rejected with the witness triple.  Global
+    Delta_2 fails with witness x_f (f(2 x_f) = inf), local Delta_2 holds
+    vacuously beyond x_f, and being +inf there it is no N-function.
     """
 
     family = "table"
+    delta2_global = False
+    delta2_local = True
+    n_function = False
 
     def __init__(self, points):
         pts = [(float(t), float(v)) for t, v in points]
@@ -270,7 +297,7 @@ class TabulatedFunction(OrliczFunction):
                     f"({vs[k - 1]}, {vs[k]}, {vs[k + 1]})")
         self.ts = np.array(ts)
         self.vs = np.array(vs)
-        self.finiteness_bound = float(ts[-1])
+        self.finiteness_bound = self.delta2_witness = float(ts[-1])
         self.is_orlicz = all(v > 0.0 for v in vs[1:])
 
     def _eval(self, t):
@@ -289,13 +316,30 @@ class NumericalConjugate(OrliczFunction):
     base function's knots (exact for piecewise-linear input) or a doubling
     bracket, refined by a fixed-count ternary search.  The convexity
     sandwich bounds the relative error by ~1e-8 on the families used here.
+
+    The flags, finiteness bound and verdicts are those of the function it
+    equals.  A table's conjugate is piecewise linear, finite, 0 on [0, s0]
+    for the table's first slope s0 and of slope x_f at infinity: it is
+    positive off 0 and global Delta_2 holds exactly when s0 = 0, else s0 is
+    the witness; local Delta_2 holds, and near 0 it is 0 or of slope t_1 > 0,
+    so no N-function.  Any other conjugate is the base's closed-form
+    conjugate, and a biconjugate is the base's base.
     """
 
     family = "numeric-conjugate"
 
     def __init__(self, base: OrliczFunction):
         self.base = base
-        self.is_orlicz = True
+        if isinstance(base, TabulatedFunction):
+            s0 = float(base.vs[1]) / float(base.ts[1])
+            self.is_orlicz = self.delta2_global = s0 == 0.0
+            self.delta2_witness = None if s0 == 0.0 else s0
+            self.delta2_local, self.n_function = True, False
+            return
+        same = base.base if isinstance(base, NumericalConjugate) else base.conjugate()
+        for name in ("is_orlicz", "finiteness_bound", "delta2_global", "delta2_local",
+                     "delta2_witness", "n_function"):
+            setattr(self, name, getattr(same, name))
 
     def _eval(self, y):
         return numeric_conjugate_value(self.base, y)
@@ -357,130 +401,37 @@ def young_conjugate(phi: OrliczFunction) -> OrliczFunction:
 
 
 # ---------------------------------------------------------------------------
-# growth diagnostics
+# growth verdicts
 
 
 @dataclass(frozen=True)
 class Delta2Report:
-    """Verdict for f(2x) <= lambda f(x) on a geometric scan grid.
+    """The family's declared verdict on f(2x) <= lambda f(x) for every x
+    (global) or for every x beyond some x0 (local).
 
-    ``source`` says whether the verdict is the family's declared truth or
-    purely numerical; ``lam`` is the fitted constant when the scan holds and
-    ``witness`` the abscissa of the worst ratio (or of the hard violation).
+    ``witness`` is a point x where the global condition fails outright: f(x)
+    is finite and f(2x) is +inf, or f(x) = 0 < f(2x).  It is None where the
+    condition holds, where it fails only by growth, and in local mode.
     """
 
     mode: str
     holds: bool
-    source: str
-    scan_holds: bool
-    lam: float | None
     witness: float | None
 
 
-def _delta2_scan(phi: OrliczFunction,
-                 xs: np.ndarray) -> tuple[bool, float | None, float | None, bool]:
-    """Scan one grid; the extra flag reports whether the verdict is informative.
-
-    Points where f(x) is infinite are vacuous (inf <= lambda*inf) only when
-    x genuinely exceeds the finiteness bound; a float overflow inside the
-    finite domain cannot certify anything, so a tail made purely of such
-    points is flagged uninformative.
-    """
-    ratios = []
-    positions = []
-    overflow_skipped = 0
-    for x in xs:
-        x = float(x)
-        f1 = phi(x)
-        if f1 == INF:
-            if x <= phi.finiteness_bound:
-                overflow_skipped += 1
-            continue
-        f2 = phi(2.0 * x)
-        if f2 == INF or (f1 == 0.0 and f2 > 0.0):
-            return False, None, x, True
-        if f1 == 0.0:
-            continue
-        ratios.append(f2 / f1)
-        positions.append(x)
-    if not ratios:
-        return True, 0.0, None, overflow_skipped == 0
-    arr = np.array(ratios)
-    k = int(np.argmax(arr))
-    lam, witness = float(arr[k]), positions[k]
-    # Divergence heuristic: the worst ratio sits at the top of the grid and
-    # dwarfs the mid-grid level.
-    mid = float(arr[len(arr) // 2])
-    if k >= len(arr) - 2 and mid > 0 and lam > 10.0 * mid:
-        return False, lam, witness, True
-    return True, lam, witness, True
-
-
 def check_delta2(phi: OrliczFunction, mode: str = "global") -> Delta2Report:
-    """Scan for the doubling condition; declared family verdicts take precedence.
-
-    Global mode scans x in [1e-6, 1e6]; local mode searches for a threshold
-    x0 on the same grid such that the tail beyond x0 passes.
-    """
-    if mode not in ("global", "local"):
-        raise ValidationError(f"mode must be 'global' or 'local', got {mode!r}")
-    grid = np.geomspace(1e-6, 1e6, 241)
+    """The doubling condition as ``phi`` declares it, with its witness in global mode."""
     if mode == "global":
-        scan_holds, lam, witness, _ = _delta2_scan(phi, grid)
-    else:
-        scan_holds, lam, witness = False, None, None
-        for start in range(0, len(grid), 20):
-            ok, lam0, wit0, informative = _delta2_scan(phi, grid[start:])
-            if ok and informative:
-                scan_holds, lam, witness = True, lam0, float(grid[start])
-                break
-            if not ok:
-                lam, witness = lam0, wit0
-    declared = phi.delta2_global if mode == "global" else phi.delta2_local
-    if declared is None:
-        return Delta2Report(mode, scan_holds, "numerical", scan_holds, lam, witness)
-    return Delta2Report(mode, declared, "declared", scan_holds, lam, witness)
+        return Delta2Report(mode, phi.delta2_global, phi.delta2_witness)
+    if mode == "local":
+        return Delta2Report(mode, phi.delta2_local, None)
+    raise ValidationError(f"mode must be 'global' or 'local', got {mode!r}")
 
 
 def check_n_function(phi: OrliczFunction) -> bool:
-    """Probe f(x)/x -> 0 at 0 and -> inf at infinity with a monotone trend test."""
-    if not phi.finite_valued:
-        return False
-    small = [phi(10.0 ** -k) * 10.0 ** k for k in range(1, 9)]
-    for a, b in zip(small, small[1:]):
-        if b > a * (1.0 + 1e-9) + 1e-300:
-            return False
-    if small[-1] > 1e-4:
-        return False
-    large = [phi(10.0 ** k) / 10.0 ** k for k in range(1, 9)]
-    for a, b in zip(large, large[1:]):
-        if b < a * (1.0 - 1e-9):
-            return False
-    return large[-1] > 1e4
-
-
-def midpoint_convexity_gap(phi: OrliczFunction, pairs) -> float:
-    """Smallest midpoint convexity gap over sample pairs, a uniform-convexity probe.
-
-    Returns min over pairs of (f(x)+f(y))/2 - f((x+y)/2), normalized by
-    f((x+y)/2) when positive.  Strictly convex families give a positive
-    gap; affine stretches give 0.  This probes only the scalar function,
-    not the space-level property.
-    """
-    best = INF
-    for x, y in pairs:
-        x, y = _check_arg(x), _check_arg(y)
-        if x == y:
-            continue
-        fm = phi(0.5 * (x + y))
-        if fm == INF:
-            continue
-        fx, fy = phi(x), phi(y)
-        if fx == INF or fy == INF:
-            continue
-        gap = 0.5 * (fx + fy) - fm
-        best = min(best, gap / fm if fm > 0 else gap)
-    return best
+    """Whether ``phi`` is finite, positive off 0, and f(x)/x tends to 0 at 0
+    and to inf at infinity, as the family declares."""
+    return phi.n_function
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,9 @@ from .functorial import (Isomorphism, compose, identity_isomorphism, norm_ratio_
                          verify_isometry)
 from .modular import (connes_cocycle, gns, radon_nikodym_sqrt, relative_modular,
                       standard_form)
-from .orliczfn import (INF, CoshMinusOne, ExpMinusOne, JumpFunction, PowerFunction,
-                       check_delta2, check_n_function, numeric_conjugate_value, registry,
-                       young_conjugate)
+from .orliczfn import (INF, CoshDual, CoshMinusOne, ExpMinusOne, JumpFunction, PowerFunction,
+                       TabulatedFunction, XLogX, check_delta2, check_n_function,
+                       numeric_conjugate_value, registry, young_conjugate)
 from .sampling import (SplitMix64, rand_core_element, rand_element, rand_functional,
                        rand_hermitian, rand_isomorphism, rand_positive,
                        rand_unitary_element)
@@ -204,14 +204,21 @@ def case_orlicz_conjugate_shape(rng, samples):
 
 
 def case_orlicz_delta2_verdicts(rng, samples):
-    for phi in (PowerFunction(1), PowerFunction(2), PowerFunction(3),
-                CoshMinusOne(), ExpMinusOne(), JumpFunction(1.0)):
-        for mode in ("global", "local"):
-            rep = check_delta2(phi, mode)
-            if rep.source == "declared" and rep.holds != rep.scan_holds:
-                return False, None, f"{phi.label()} {mode}: declared {rep.holds}, scan {rep.scan_holds}"
+    # A global failure with a witness w is checked at w: f(w) is finite and
+    # f(2w) is +inf, or f(w) = 0 < f(2w).  cosh1 and exp1 fail by growth.
+    table = TabulatedFunction([[0, 0], [1, 1], [2, 4]])
+    for phi in (PowerFunction(1), PowerFunction(2), PowerFunction(3), CoshMinusOne(),
+                ExpMinusOne(), JumpFunction(1.0), CoshDual(), XLogX(), table,
+                table.conjugate()):
+        rep = check_delta2(phi, "global")
+        if rep.witness is None:
+            continue
+        f1, f2 = phi(rep.witness), phi(2.0 * rep.witness)
+        if rep.holds or f1 == INF or not (f2 == INF or (f1 == 0.0 and f2 > 0.0)):
+            return False, None, (f"{phi.label()}: holds {rep.holds}, witness {rep.witness!r} "
+                                 f"gives f(w) = {f1!r}, f(2w) = {f2!r}")
     ok = (check_n_function(PowerFunction(2)) and not check_n_function(PowerFunction(1))
-          and check_n_function(CoshMinusOne()))
+          and check_n_function(CoshMinusOne()) and check_n_function(CoshDual()))
     return ok, None
 
 

@@ -260,6 +260,31 @@ class TestArithmetic:
             dev = max((p.frobenius_norm() for p, _ in diff.pieces), default=0.0)
             assert dev <= 1e-12
 
+    def test_scalar_multiplication(self, m2m3):
+        x = rand_core_element(SplitMix64(0), m2m3, pieces=3)
+        norms = {name: core_luxemburg_norm(phi, x) for name, phi in registry().items()}
+        for s in (2.0, -1.0, 1j):
+            left, right, scaled = s * x, x * s, x.scale(s)
+            assert len(left.pieces) == len(right.pieces) == len(scaled.pieces) == len(x.pieces)
+            for (p, iv), (q, jv), (r, kv), (y, yv) in zip(
+                    left.pieces, right.pieces, scaled.pieces, x.pieces):
+                assert iv == jv == kv == yv
+                for a, b, c, d in zip(p.blocks, q.blocks, r.blocks, y.blocks):
+                    assert np.array_equal(a, b) and np.array_equal(a, c)
+                    assert np.array_equal(a, s * d)
+            for name, phi in registry().items():
+                want = abs(s) * norms[name]
+                got = core_luxemburg_norm(phi, left)
+                if abs(s) == 1.0:
+                    # |s x| has the singular data of |x|, so the norm is the same.
+                    assert abs(got - want) <= 4 * math.ulp(want), (name, s)
+                else:
+                    # The root-find runs afresh on the doubled values: to its tolerance.
+                    assert got == pytest.approx(want, rel=1e-12, abs=0), (name, s)
+        for zero in (0 * x, x * 0, x.scale(0.0)):
+            assert zero.is_zero() and zero.pieces == () and zero.algebra is m2m3
+            assert core_luxemburg_norm(PowerFunction(2.0), zero) == 0.0
+
     def test_adjoint_and_absolute(self, m2, rng):
         cx = rand_core_element(rng, m2, pieces=2)
         adj = cx.adjoint()

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from ncorlicz import (CoshMinusOne, ExpMinusOne, JumpFunction, PowerFunction,
                       TabulatedFunction, ValidationError, check_delta2, check_n_function,
-                      midpoint_convexity_gap, numeric_conjugate_value, registry,
-                      young_conjugate)
+                      numeric_conjugate_value, registry, young_conjugate)
+from ncorlicz.orliczfn import CoshDual, NumericalConjugate, XLogX
 
 INF = math.inf
 
@@ -227,15 +227,39 @@ def test_conjugate_monotone_convex():
                 assert vals[i] <= 0.5 * (vals[i - 1] + vals[i + 1]) + 1e-9
 
 
+def _fails_at(phi, w):
+    """Global Delta_2 fails outright at w: f(w) finite, f(2w) = inf or f(w) = 0 < f(2w)."""
+    f1, f2 = phi(w), phi(2.0 * w)
+    return f1 < INF and (f2 == INF or (f1 == 0.0 and f2 > 0.0))
+
+
 def test_delta2_examples():
     rep = check_delta2(PowerFunction(2), "global")
-    assert rep.holds and rep.scan_holds
-    assert rep.lam == pytest.approx(4.0, abs=1e-9)
+    assert rep.holds and rep.witness is None
     rep = check_delta2(ExpMinusOne(), "global")
-    assert not rep.holds and not rep.scan_holds
+    assert not rep.holds and rep.witness is None  # fails by growth
     rep = check_delta2(JumpFunction(1.0), "global")
-    assert not rep.holds and not rep.scan_holds
+    assert not rep.holds
     assert rep.witness is not None and 0.5 < rep.witness <= 1.0
+    assert _fails_at(JumpFunction(1.0), rep.witness)
+    assert check_delta2(PowerFunction(2), "local").witness is None
+    with pytest.raises(ValidationError, match="mode"):
+        check_delta2(PowerFunction(2), "everywhere")
+
+
+def _worst_doubling_ratio(phi, xs):
+    """max f(2x)/f(x) on the grid: inf where it fails outright, and points
+    with f(x) = inf count as inf <= lambda inf."""
+    worst = 0.0
+    for x in xs:
+        f1, f2 = phi(float(x)), phi(2.0 * float(x))
+        if f1 == INF:
+            continue
+        if f2 == INF or (f1 == 0.0 and f2 > 0.0):
+            return INF
+        if f1 > 0.0:
+            worst = max(worst, f2 / f1)
+    return worst
 
 
 @pytest.mark.parametrize("phi,mode,want", [
@@ -244,16 +268,75 @@ def test_delta2_examples():
     (ExpMinusOne(), "local", False), (JumpFunction(1.0), "local", True),
 ])
 def test_delta2_declared_matches_scan(phi, mode, want):
+    # The scan is a test-side oracle on the closed forms; the library declares.
     rep = check_delta2(phi, mode)
-    assert rep.holds == want
-    assert rep.scan_holds == want
-    assert rep.source == "declared"
+    assert rep.holds == want and rep.mode == mode
+    xs = np.geomspace(1e-3 if mode == "global" else 10.0, 300.0, 61)
+    worst = _worst_doubling_ratio(phi, xs)
+    assert worst <= 8.0 if want else worst > 1e6
 
 
-def test_delta2_numerical_source():
+def test_delta2_table_verdicts_from_knots():
     tab = TabulatedFunction([[0, 0], [1, 1], [2, 4], [4, 16], [8, 64]])
     rep = check_delta2(tab, "global")
-    assert rep.source == "numerical"
+    assert not rep.holds and rep.witness == 8.0 and _fails_at(tab, rep.witness)
+    assert check_delta2(tab, "local").holds and not check_n_function(tab)
+    # A finiteness bound beyond any fixed grid: f(1e7) = 1e7, f(2e7) = inf.
+    big = TabulatedFunction([(0, 0), (1e7, 1e7)])
+    rep = check_delta2(big, "global")
+    assert not rep.holds and 5e6 < rep.witness <= 1e7 and _fails_at(big, rep.witness)
+
+
+def test_xlogx_global_delta2_fails_at_one():
+    xlogx = XLogX()
+    assert xlogx(0.9) == 0.0 and xlogx(1.8) == pytest.approx(1.8 * math.log(1.8) - 0.8)
+    rep = check_delta2(xlogx, "global")
+    assert not rep.holds and 0.5 < rep.witness <= 1.0 and _fails_at(xlogx, rep.witness)
+    assert check_delta2(xlogx, "local").holds
+
+
+def test_table_conjugate_verdicts_follow_the_first_slope():
+    # First slope 1: the conjugate is 0 on [0, 1], so it is not positive off 0
+    # and global Delta_2 fails with witness 1.
+    conj = TabulatedFunction([[0, 0], [1, 1], [2, 4]]).conjugate()
+    assert conj(0.5) == 0.0 and conj(2.0) > 0.0
+    assert not conj.is_orlicz
+    rep = check_delta2(conj, "global")
+    assert not rep.holds and rep.witness == 1.0 and _fails_at(conj, rep.witness)
+    assert check_delta2(conj, "local").holds and not check_n_function(conj)
+    # A flat start: the conjugate is t_1 y near 0, positive off 0, and doubles.
+    flat = TabulatedFunction([[0, 0], [1, 0], [2, 4]])
+    conj = flat.conjugate()
+    assert conj.is_orlicz and conj(1e-3) > 0.0
+    rep = check_delta2(conj, "global")
+    assert rep.holds and rep.witness is None and not check_n_function(conj)
+    # The biconjugate is the table again.
+    bi = NumericalConjugate(conj)
+    assert (bi.is_orlicz, check_delta2(bi), check_n_function(bi)) == \
+        (flat.is_orlicz, check_delta2(flat), check_n_function(flat))
+
+
+@pytest.mark.parametrize("base", [PowerFunction(1), PowerFunction(2, coef=3.0), CoshMinusOne(),
+                                  ExpMinusOne(), CoshDual(), XLogX(), JumpFunction(2.0)])
+def test_numerical_conjugate_takes_the_closed_form_verdicts(base):
+    same = base.conjugate()
+    conj = NumericalConjugate(base)
+    for mode in ("global", "local"):
+        assert check_delta2(conj, mode) == check_delta2(same, mode)
+    assert conj.is_orlicz == same.is_orlicz
+    assert conj.finiteness_bound == same.finiteness_bound
+    assert check_n_function(conj) == check_n_function(same)
+
+
+def test_numerical_conjugate_of_power1_is_the_jump_in_membership_and_norm(m2):
+    # conj[power(1)] is +inf beyond 1, as the jump is, so diag(2, 0.5) is not
+    # in its Orlicz class and its gauge is the sup norm.
+    from ncorlicz import Element, luxemburg_norm, membership
+    x = Element(m2, [np.diag([2.0, 0.5])])
+    conj, jump = NumericalConjugate(PowerFunction(1)), JumpFunction(1.0)
+    assert conj(2.0) == INF and not conj.finite_valued
+    assert membership(conj, x) == membership(jump, x)
+    assert luxemburg_norm(conj, x) == pytest.approx(luxemburg_norm(jump, x), rel=1e-12, abs=0)
 
 
 def test_n_function_examples():
@@ -262,6 +345,11 @@ def test_n_function_examples():
     assert check_n_function(CoshMinusOne()) is True
     assert check_n_function(ExpMinusOne()) is False  # f(x)/x -> 1 at 0
     assert check_n_function(JumpFunction(1.0)) is False
+    assert check_n_function(XLogX()) is False  # vanishes on [0, 1]
+    # f(x)/x = x^(p-1) -> 0 at 0 and -> inf at infinity, however slowly.
+    for p in (1.0001, 1.2, 1.4, 1.5):
+        assert check_n_function(PowerFunction(p)) is True
+    assert check_n_function(CoshDual()) is True
 
 
 def test_tabulated_validation_and_eval():
@@ -289,14 +377,19 @@ def test_tabulated_conjugate_exact_at_knots():
         assert conj(float(y)) == pytest.approx(max(oracle, 0.0), abs=1e-12)
 
 
-def test_uniform_convexity_probe():
-    pairs = [(0.5, 1.5), (1.0, 3.0), (0.2, 4.0)]
-    assert midpoint_convexity_gap(PowerFunction(2), pairs) > 0.0
-    assert midpoint_convexity_gap(PowerFunction(1), pairs) == pytest.approx(0.0, abs=1e-15)
-
-
 def test_flags():
     assert PowerFunction(2).is_orlicz and PowerFunction(2).finite_valued
     linf = JumpFunction(1.0)
     assert linf.is_young and not linf.is_orlicz and not linf.finite_valued
     assert linf.finiteness_bound == 1.0
+
+
+@pytest.mark.parametrize("attr,value", [("delta2_witness", 0.25), ("delta2_global", True)])
+def test_suite_delta2_case_checks_each_witness(monkeypatch, attr, value):
+    from ncorlicz import suite
+    from ncorlicz.sampling import SplitMix64
+    assert suite.case_orlicz_delta2_verdicts(SplitMix64(0), 10) == (True, None)
+    # xlogx(0.25) = xlogx(0.5) = 0 is no witness, and a verdict that holds has none.
+    monkeypatch.setattr(XLogX, attr, value)
+    ok, _, detail = suite.case_orlicz_delta2_verdicts(SplitMix64(0), 10)
+    assert ok is False and detail.startswith("xlogx:")

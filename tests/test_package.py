@@ -22,7 +22,7 @@ PUBLIC_NAMES = [
     "core_rearrangement", "dual_action", "dual_pairing", "e_space_gauge", "eigen_spectrum",
     "embed", "fk_integral", "functional_polar", "gns", "identity_isomorphism", "interval",
     "lift_to_core", "luxemburg_norm", "luxemburg_report", "make_algebra", "membership",
-    "midpoint_convexity_gap", "modular_flow", "modular_value", "norm_ratio_diagnostic",
+    "modular_flow", "modular_value", "norm_ratio_diagnostic",
     "numeric_conjugate_value", "operator_norm", "polar_decompose", "power_on_support",
     "radon_nikodym_sqrt", "rearrangement", "rearrangement_csv", "reduce_to_support", "registry",
     "relative_modular", "spectral_calculus", "standard_form", "support_projection", "trace",
@@ -33,7 +33,7 @@ SUBMODULES = ["algebra", "core_model", "errors", "functorial", "modular", "orlic
 
 
 def test_public_names_are_unchanged():
-    assert len(PUBLIC_NAMES) == 72
+    assert len(PUBLIC_NAMES) == 71
     assert sorted(ncorlicz.__all__) == PUBLIC_NAMES
     assert ncorlicz.__version__ == "0.1.0"
 
@@ -117,6 +117,32 @@ def test_no_orlicz_function_overrides_eval_array():
         todo += cls.__subclasses__()
         assert cls is OrliczFunction or "eval_array" not in cls.__dict__, cls.__qualname__
     assert {"PowerFunction", "TabulatedFunction", "NumericalConjugate"} <= set(seen)
+
+
+def test_every_orlicz_function_declares_its_verdicts():
+    # check_delta2 and check_n_function read what each family declares; an
+    # undeclared verdict must fail here, not fall back to a guess.
+    from ncorlicz.orliczfn import (_NAMED, CoshDual, NumericalConjugate, OrliczFunction,
+                                  TabulatedFunction, XLogX)
+
+    todo, classes = [OrliczFunction], set()
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        if cls is not OrliczFunction and cls.__module__ == "ncorlicz.orliczfn":
+            classes.add(cls)
+    tables = [TabulatedFunction([[0, 0], [1, 1], [2, 4]]),
+              TabulatedFunction([[0, 0], [1, 0], [2, 4]])]
+    instances = [make() for make in _NAMED.values()] + [CoshDual(), XLogX()]
+    instances += tables + [t.conjugate() for t in tables]
+    instances += [NumericalConjugate(t.conjugate()) for t in tables]
+    instances += [NumericalConjugate(phi) for phi in instances[:len(_NAMED) + 2]]
+    assert {type(phi) for phi in instances} == classes
+    for phi in instances:
+        flags = (phi.is_orlicz, phi.delta2_global, phi.delta2_local, phi.n_function)
+        assert all(type(flag) is bool for flag in flags), phi
+        w = phi.delta2_witness
+        assert w is None or (type(w) is float and not phi.delta2_global), phi
 
 
 def test_library_factors_with_its_own_kernels():
